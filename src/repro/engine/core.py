@@ -148,11 +148,8 @@ class ExecutionEngine:
                 f"{batch} batch"
             )
             if batch:
-                from repro.sim.replay_backends import batch_flavor
-
                 tiers += (
-                    f" ({c.get('vliw.batch_iterations', 0)} batched "
-                    f"iters, {batch_flavor()} prefilter)"
+                    f" ({c.get('vliw.batch_iterations', 0)} batched iters)"
                 )
             lines.append(tiers)
         plan_hits = c.get("vliw.plan_hits", 0)

@@ -28,13 +28,16 @@ Counter names used by the simulation stack:
     translations whose cached trace + plans were dropped on
     re-optimization or blacklisting;
 ``vliw.replay_compiles``
-    timing plans that adopted the compiled ``py`` replay tier for their
-    trace (at most one per compiled region trace; an adoption served
-    from an already-compiled shared artifact also counts
+    timing plans that adopted the straight-line ``py`` replay for their
+    trace: on the first escape from the trace's kernel, at promotion
+    when no kernel can run the trace, or under a forced ``py`` tier (at
+    most one per compiled region trace; an adoption served from an
+    already-compiled shared artifact also counts
     ``vliw.replay_cache_hits`` — no codegen ran for it);
 ``vliw.replay_cache_hits``
-    replay adoptions served from the process-wide artifact cache
-    (content-identical region clones sharing lowered IR + kernels);
+    replay adoptions — a promoted plan's kernel or a ``py`` adoption —
+    served from the process-wide artifact cache (content-identical
+    region clones sharing lowered IR + kernels);
 ``vliw.backend_interp`` / ``vliw.backend_py`` / ``vliw.backend_vec`` /
 ``vliw.backend_batch``
     region executions per replay backend tier (the generic dispatch
@@ -43,16 +46,19 @@ Counter names used by the simulation stack:
     tracer is installed — they are observability counters, not report
     fields; the four partition ``vliw.regions_executed``);
 ``vliw.vec_compiles``
-    vectorized kernels compiled from lowered replay IR;
+    vectorized kernels compiled from lowered replay IR (the one kernel
+    of a trace without a back-edge, or of every trace when batching is
+    off or ``vec`` is forced);
 ``vliw.vec_fallbacks``
     vec executions that hit a runtime fact outside the kernel's static
     model and re-ran on the ``py`` tier (repeated fallbacks demote the
     trace to ``py`` for good);
 ``vliw.batch_compiles`` / ``vliw.batch_iterations`` / ``vliw.batch_trims``
-    batched kernels compiled, region iterations committed inside batch
-    calls, and batches trimmed by the prefilter or a guarded escape
+    batched kernels compiled (the one kernel of a trace with a
+    back-edge), region iterations committed inside batch calls before
+    the final one, and batch kernel calls cut short by a guarded escape
     (the trimmed iteration rolls back and re-runs on the ``py`` tier;
-    repeated early trims demote the trace out of the batch tier);
+    repeated early trims demote the trace to ``py`` for good);
 ``translate.cache_hits`` / ``translate.cache_misses``
     full-translation lookups in the content-keyed translation cache (a
     hit clones a previously optimized region instead of re-optimizing);

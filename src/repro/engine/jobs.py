@@ -4,9 +4,10 @@ A :class:`JobSpec` names one (benchmark, scheme, configuration) cell.
 Specs are plain data so the process-pool executor can ship them to
 workers, and :func:`job_fingerprint` content-hashes every field that can
 change the resulting report — benchmark, scheme key *and* the scheme's
-full parameterization, workload scale, hot threshold, report schema and
-repro version — so the persistent cache never serves a report produced
-under different settings.
+full parameterization, workload scale, hot threshold, the
+``SMARQ_NO_CERTIFY`` kill switch, report schema and repro version — so
+the persistent cache never serves a report produced under different
+settings.
 
 :func:`execute_job` is the single entry point every executor calls; it is
 a module-level function so :mod:`concurrent.futures` can pickle it.
@@ -104,8 +105,15 @@ def canonical_config(obj):
 
 
 def job_fingerprint(spec: JobSpec) -> str:
-    """Stable content hash of everything that determines the report."""
+    """Stable content hash of everything that determines the report.
+
+    ``certify`` is the ``SMARQ_NO_CERTIFY`` kill switch, read from the
+    environment like the optimizer reads it: it changes ``smarq-cert``
+    reports, so the report cache and the serve memo must not hand a
+    kill-switch run the certified report (or the reverse).
+    """
     from repro import __version__
+    from repro.analysis.certify import certify_enabled
 
     payload = {
         "repro_version": __version__,
@@ -115,6 +123,7 @@ def job_fingerprint(spec: JobSpec) -> str:
         "scheme": canonical_config(spec.scheme) if spec.scheme is not None else None,
         "scale": spec.scale,
         "hot_threshold": spec.hot_threshold,
+        "certify": certify_enabled(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -27,10 +27,8 @@ implementations agreed). The configured pairs:
     region-translation-cache contract).
 ``backends``
     ``DbtReport`` under every replay backend tier — auto promotion vs
-    ``SMARQ_REPLAY_BACKEND=interp|py|vec|batch`` forced (plus forced
-    batch with the pure-Python prefilter flavor when numpy is
-    importable) — for every scheme (must be byte-identical; the
-    replay-IR lowering contract).
+    ``SMARQ_REPLAY_BACKEND=interp|py|vec|batch`` forced — for every
+    scheme (must be byte-identical; the replay-IR lowering contract).
 ``engine``
     Parallel process-pool execution vs serial in-process execution of the
     same case (reports must be identical; exercised per-case here and in a
@@ -94,7 +92,6 @@ _NO_PLANS_ENV = "SMARQ_NO_TIMING_PLANS"
 _NO_TRANSLATION_CACHE_ENV = "SMARQ_NO_TRANSLATION_CACHE"
 _BACKEND_ENV = "SMARQ_REPLAY_BACKEND"
 _NO_CERTIFY_ENV = "SMARQ_NO_CERTIFY"
-_BATCH_PURE_ENV = "SMARQ_BATCH_PURE"
 
 #: schemes whose final architectural state must equal pure interpretation
 STATE_SCHEMES = ("smarq", "smarq16", "itanium", "efficeon", "none", "smarq-cert")
@@ -105,10 +102,7 @@ TRANSLATE_SCHEMES = ("smarq", "itanium")
 #: schemes run once per forced replay backend tier (all of them — the
 #: lowered-IR seam is the one piece every scheme flows through)
 BACKEND_SCHEMES = ("smarq", "smarq16", "itanium", "none", "efficeon", "plainorder")
-#: replay backend tiers forced by the backends oracle; the pseudo-tier
-#: ``batch-pure`` (forced batch + SMARQ_BATCH_PURE=1) is appended at
-#: oracle time when numpy is importable, so both prefilter flavors are
-#: differentially pinned on boxes that have the [perf] extra
+#: replay backend tiers forced by the backends oracle
 BACKEND_TIERS = ("interp", "py", "vec", "batch")
 
 #: address assignments tried per case by the queue lockstep oracle
@@ -191,22 +185,6 @@ def backend_forced(tier: str):
             del os.environ[_BACKEND_ENV]
         else:
             os.environ[_BACKEND_ENV] = prev
-
-
-@contextmanager
-def batch_pure_forced():
-    """Force the pure-Python batch prefilter flavor for kernels compiled
-    inside (meaningless unless numpy is importable — without it the pure
-    columns are already the only flavor)."""
-    prev = os.environ.get(_BATCH_PURE_ENV)
-    os.environ[_BATCH_PURE_ENV] = "1"
-    try:
-        yield
-    finally:
-        if prev is None:
-            del os.environ[_BATCH_PURE_ENV]
-        else:
-            os.environ[_BATCH_PURE_ENV] = prev
 
 
 # ----------------------------------------------------------------------
@@ -299,38 +277,16 @@ class CaseRun:
         return self._scheme_report[key]
 
     def backend_report(self, scheme: str, tier: str) -> dict:
-        """DbtReport dict under scheme with one replay tier forced.
-
-        The pseudo-tier ``"batch-pure"`` forces the batch tier with the
-        pure-Python prefilter flavor; the flavor is baked into compiled
-        kernels held by the process-wide artifact cache, so that leg
-        brackets itself with cache resets — pure kernels neither reuse
-        nor leak into the numpy-flavored legs.
-        """
+        """DbtReport dict under scheme with one replay tier forced."""
         key = (scheme, tier)
         if key not in self._backend_report:
-            from repro.sim.replay_backends import reset_artifact_cache
-
             program = self.case.program()
             profiler = ProfilerConfig(
                 hot_threshold=self.case.config.hot_threshold
             )
-            if tier == "batch-pure":
-                reset_artifact_cache()
-                try:
-                    with batch_pure_forced(), backend_forced("batch"):
-                        system = DbtSystem(
-                            program, scheme, profiler_config=profiler
-                        )
-                        report = system.run(max_guest_steps=_MAX_GUEST_STEPS)
-                finally:
-                    reset_artifact_cache()
-            else:
-                with backend_forced(tier):
-                    system = DbtSystem(
-                        program, scheme, profiler_config=profiler
-                    )
-                    report = system.run(max_guest_steps=_MAX_GUEST_STEPS)
+            with backend_forced(tier):
+                system = DbtSystem(program, scheme, profiler_config=profiler)
+                report = system.run(max_guest_steps=_MAX_GUEST_STEPS)
             self._backend_report[key] = report.to_dict()
         return self._backend_report[key]
 
@@ -685,17 +641,10 @@ def backends_oracle(run: CaseRun) -> List[Disagreement]:
     observability, so a tier that leaks into ``DbtReport`` — timing
     semantics, alias detections, commit/abort counts — is a lowering
     bug, not a tolerable wobble."""
-    from repro.sim.replay_backends import batch_flavor
-
-    tiers = BACKEND_TIERS
-    if batch_flavor() == "numpy":
-        # both prefilter flavors exist on this box: pin them against
-        # each other (and every scalar tier) too
-        tiers = tiers + ("batch-pure",)
     out: List[Disagreement] = []
     for scheme in BACKEND_SCHEMES:
         auto = run.scheme_report(scheme, plans=True)
-        for tier in tiers:
+        for tier in BACKEND_TIERS:
             forced = run.backend_report(scheme, tier)
             if forced != auto:
                 keys = sorted(

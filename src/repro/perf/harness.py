@@ -61,11 +61,10 @@ Schema history:
   documented in docs/PERF.md is visible in the JSON instead of
   threatening the ``--fail-below`` gate. ``backends`` adds the batch
   tier: ``batch`` (per-iteration execution count), ``batch_iterations``
-  / ``batch_compiles`` / ``batch_trims``, the derived ``batch_share``,
-  and the process-wide ``batch_flavor`` ("numpy" when the optional
-  ``[perf]`` extra is importable, else "pure"); the payload top level
-  records ``batch_flavor`` too. An optional ``batch_differential``
-  section (``perf --batch-differential SCALE``,
+  / ``batch_compiles`` / ``batch_trims`` and the derived
+  ``batch_share`` (a ``batch_flavor`` field naming the batch
+  prefilter flavor was dropped with the prefilter). An optional
+  ``batch_differential`` section (``perf --batch-differential SCALE``,
   :func:`measure_batch_differential`) measures the batch tier against
   its own kill switch — the same cells, same process, same day, with
   batching on vs ``SMARQ_BATCH_WIDTH=0`` — so the tier's execute-phase
@@ -214,8 +213,6 @@ def _plan_summary(counters: Dict[str, int]) -> Dict[str, object]:
 
 def _backend_summary(counters: Dict[str, int]) -> Dict[str, object]:
     """Replay backend-tier counters of one cell, plus derived shares."""
-    from repro.sim.replay_backends import batch_flavor
-
     interp = counters.get("vliw.backend_interp", 0)
     py = counters.get("vliw.backend_py", 0)
     vec = counters.get("vliw.backend_vec", 0)
@@ -231,7 +228,6 @@ def _backend_summary(counters: Dict[str, int]) -> Dict[str, object]:
         "batch_compiles": counters.get("vliw.batch_compiles", 0),
         "batch_iterations": counters.get("vliw.batch_iterations", 0),
         "batch_trims": counters.get("vliw.batch_trims", 0),
-        "batch_flavor": batch_flavor(),
         "replay_compiles": counters.get("vliw.replay_compiles", 0),
         "replay_cache_hits": counters.get("vliw.replay_cache_hits", 0),
         "vec_share": (vec / total) if total else 0.0,
@@ -378,9 +374,8 @@ def measure_batch_differential(
     most of all the box they were measured on. This section removes the
     machine from the equation: each cell is simulated ``repeats`` times
     with batching live and ``repeats`` times under ``SMARQ_BATCH_WIDTH=0``
-    (the kill switch, which restores the pre-batch interp→py→vec
-    promotion ladder), the two legs interleaved in one process on one
-    day. The ratio of median execute-phase times is the tier's speedup
+    (the kill switch, which makes ``vec`` the one kernel of every
+    trace), the two legs interleaved in one process on one day. The ratio of median execute-phase times is the tier's speedup
     with everything else held fixed.
     """
     import os
@@ -490,13 +485,10 @@ def run_perf(config: Optional[PerfConfig] = None) -> Dict[str, object]:
             best["backends"] = _backend_summary(best["counters"])
             cells[f"{benchmark}/{scheme}"] = best
 
-    from repro.sim.replay_backends import batch_flavor
-
     payload: Dict[str, object] = {
         "bench_schema": BENCH_SCHEMA_VERSION,
         "created_unix": int(time.time()),
         "python": platform.python_version(),
-        "batch_flavor": batch_flavor(),
         "config": {
             "benchmarks": list(config.benchmarks),
             "schemes": list(config.schemes),
@@ -639,10 +631,7 @@ def render_summary(payload: Dict[str, object]) -> str:
             else ""
         )
         if backends and backends.get("batch_share"):
-            be_note += (
-                f", batch {backends['batch_share']:.0%}"
-                f" ({backends.get('batch_flavor', 'pure')})"
-            )
+            be_note += f", batch {backends['batch_share']:.0%}"
         lines.append(
             f"  {key:<18} {cell['wall_s']:7.3f}s{spread}  "
             f"(opt {p['optimize']:.3f}s, exec {p['execute']:.3f}s, "

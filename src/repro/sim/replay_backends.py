@@ -1,6 +1,6 @@
-"""Tiered replay backends compiled from the numeric replay IR.
+"""Replay kernels compiled from the numeric replay IR.
 
-Four tiers execute a hot trace's functional replay (selected by
+A hot trace's functional replay runs on one of four tiers (selected by
 ``SMARQ_REPLAY_BACKEND`` or by per-trace promotion, see
 :mod:`repro.sim.vliw`):
 
@@ -12,7 +12,8 @@ Four tiers execute a hot trace's functional replay (selected by
     the IR: inlined 64-bit ALU arithmetic, little-endian memory access
     with undo logging, and the adapter's hardware events lowered to
     direct scalar model calls (dynamic escapes fall back to the
-    ``on_mem_op``/``on_rotate``/``on_amov`` callbacks);
+    ``on_mem_op``/``on_rotate``/``on_amov`` callbacks). It is exact by
+    construction, so it is the escape hatch of the two kernels below;
 ``vec``
     :func:`compile_vec` — the alias hardware is **simulated statically at
     compile time** over the IR's event stream (every queue/ALAT/bit-mask
@@ -23,21 +24,24 @@ Four tiers execute a hot trace's functional replay (selected by
     and a precomputed event fingerprint at each exit. Anything the
     static model cannot decide — a bounds violation, a possible alias
     overlap — returns :data:`FALLBACK` and the caller rolls back and
-    re-executes on the ``py`` tier, which is exact by construction; the
-    kernel itself never touches adapter state.
+    re-executes on the ``py`` tier; the kernel itself never touches
+    adapter state;
 ``batch``
     :func:`compile_batch` — the vec residue wrapped in an iteration
-    loop: when a region's commit exit is a back-edge into itself, up to
-    ``SMARQ_BATCH_WIDTH`` consecutive iterations run inside one kernel
-    call, amortizing the per-execution call/plan/outcome ceremony. A
-    columnar prefilter (numpy when the optional ``[perf]`` extra is
-    installed, ``array``-module columns otherwise — see
-    :func:`batch_flavor`) proves the leading iterations' guards and
-    alias sweeps can't fire and runs them through an unguarded fast
-    body; any iteration that escapes instead trims the batch
-    (:data:`BATCH_TRIM`), rolls back its own undo slice, and re-runs on
-    the scalar ``py`` tier. Accounting is exact per iteration — N
-    batched commits are indistinguishable from N scalar executions.
+    loop over the trace's structural back-edge: when a region's commit
+    exit re-enters the region itself, up to ``SMARQ_BATCH_WIDTH``
+    consecutive iterations run inside one kernel call, amortizing the
+    per-execution call/plan/outcome ceremony. Called with ``n = 1`` it
+    is exactly one vec execution, so it is the one kernel of every
+    trace that has a back-edge. A guard that fires trims the batch
+    (:data:`BATCH_TRIM`): the caller rolls back the broken iteration's
+    undo slice and re-runs it on the ``py`` tier. Accounting is exact
+    per iteration — N batched commits are indistinguishable from N
+    scalar executions.
+
+The two kernels share one lowering (:class:`_ResidueEmitter`), so they
+accept and reject the same traces; ``compile_batch`` additionally needs a
+structural back-edge (:func:`repro.sim.replay_ir.loop_candidate`).
 
 The module also owns the process-wide **replay artifact cache**: lowered
 IR and compiled backend functions are keyed by the region's translation
@@ -51,19 +55,12 @@ signature state and stay on the region object.
 
 from __future__ import annotations
 
-import os
 import struct
-from array import array as _array
 from collections import OrderedDict
 from typing import Callable, List, Optional, Tuple
 
 from repro.hw.exceptions import AliasException
 from repro.sim import replay_ir as R
-
-try:  # numpy is an optional [perf] extra — never required
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised via SMARQ_BATCH_PURE
-    _np = None
 
 _MASK64 = (1 << 64) - 1
 _HIGH = 1 << 63
@@ -80,24 +77,8 @@ FALLBACK = (-2, -1, None)
 
 #: exit-kind sentinel in a batch kernel's result tuple: the current
 #: iteration hit a guard/sweep escape mid-flight; the caller rolls back
-#: the iteration's undo slice and re-runs it on a scalar tier
+#: the iteration's undo slice and re-runs it on the ``py`` tier
 BATCH_TRIM = -2
-
-#: force the pure-Python (array-module) batch prefilter even when numpy
-#: is importable (read at each compile_batch call)
-_BATCH_PURE_ENV = "SMARQ_BATCH_PURE"
-
-
-def batch_flavor() -> str:
-    """Which batch prefilter kernel flavor :func:`compile_batch` would
-    bind right now: ``"numpy"`` when the optional ``[perf]`` extra is
-    importable and ``SMARQ_BATCH_PURE=1`` is not set, else ``"pure"``
-    (``array``-module columns). Both flavors compute the same trim index
-    — the choice is a pure speed knob, differential-tested by the fuzz
-    ``backends`` oracle."""
-    if _np is not None and os.environ.get(_BATCH_PURE_ENV) != "1":
-        return "numpy"
-    return "pure"
 
 
 # ----------------------------------------------------------------------
@@ -600,34 +581,29 @@ class _ResidueEmitter:
     back-edge site and continue the iteration loop).
 
     ``fb`` is the statement executed when a runtime fact escapes the
-    static model (vec: ``return _FB``; batch guarded body: ``break`` out
-    of the iteration loop into the trim epilogue). ``guarded=False``
-    elides bounds guards, alias sweeps and the bloom prefilter entirely
-    — sound only when a prefilter has already validated every access of
-    the iterations the body will run (the batch fast body).
+    static model (vec: ``return _FB``; batch: ``break`` out of the
+    iteration loop into the trim epilogue).
     """
 
     __slots__ = (
         "ir", "adapter", "guest_count", "family", "hw", "bloom", "emit",
-        "pad", "fb", "guarded", "defer_ok", "bound", "written",
-        "written_set", "version", "syms", "rsym", "asizes", "guards",
-        "deferred_now", "cse", "exit_fps",
+        "pad", "fb", "defer_ok", "bound", "written", "written_set",
+        "version", "syms", "rsym", "asizes", "guards", "deferred_now",
+        "cse", "exit_fps",
     )
 
     def __init__(self, ir: R.ReplayIR, adapter, guest_count: int, family,
                  limit: int, bloom: bool, lines: List[str], pad: str,
-                 fb: str = "return _FB", guarded: bool = True,
-                 hoisted_sizes=None) -> None:
+                 fb: str = "return _FB", hoisted_sizes=None) -> None:
         self.ir = ir
         self.adapter = adapter
         self.guest_count = guest_count
         self.family = family
         self.hw = _StaticHw(family, limit) if family else None
-        self.bloom = bloom and guarded
+        self.bloom = bloom
         self.emit = lines.append
         self.pad = pad
         self.fb = fb
-        self.guarded = guarded
         self.defer_ok = _defer_wraps(ir)
         self.bound = set()  # registers with a live local
         self.written: List[int] = []  # registers written, in first-write order
@@ -746,7 +722,7 @@ class _ResidueEmitter:
 
     # -- addresses and guards ------------------------------------------
     def emit_addr(self, k: int, base: int, disp: int, size: int) -> str:
-        """Access address for op ``k``, bounds-guarded in guarded mode.
+        """Access address for op ``k``, bounds-guarded.
 
         Pre-masking folds the negative-address case into the upper-bound
         compare (a negative or wrapped address masks to a huge value):
@@ -755,7 +731,7 @@ class _ResidueEmitter:
         keyt = (base, self.version.get(base, 0), disp)
         addr = self.rsym.get(keyt)
         if addr is not None:
-            if self.guarded and (addr, size) not in self.asizes:
+            if (addr, size) not in self.asizes:
                 self.asizes.add((addr, size))
                 self._guard(addr, size)
             return addr
@@ -767,9 +743,8 @@ class _ResidueEmitter:
             self.emit(f"{self.pad}{addr} = {bname} + {disp} & {_MASK64}")
         else:
             self.emit(f"{self.pad}{addr} = {bname} & {_MASK64}")
-        if self.guarded:
-            self.asizes.add((addr, size))
-            self._guard(addr, size)
+        self.asizes.add((addr, size))
+        self._guard(addr, size)
         return addr
 
     def _guard(self, addr: str, size: int) -> None:
@@ -794,10 +769,7 @@ class _ResidueEmitter:
         """Alias pair tests for one check; any runtime overlap escapes
         via ``fb``. Pairs whose addresses share a base register resolve
         statically: disjoint displacements drop the test, an unavoidable
-        overlap rejects vectorization (returns False). The unguarded
-        body emits nothing — its iterations are prefilter-certified."""
-        if not self.guarded:
-            return True
+        overlap rejects vectorization (returns False)."""
         syms = self.syms
         own = syms.get(addr)
         tests = []
@@ -1104,258 +1076,6 @@ def loop_exit_for(ir: R.ReplayIR, entry_pc: int, fall_through):
     return None
 
 
-def _batch_affine(ir: R.ReplayIR, upto: int):
-    """Affine address analysis over the back-edge path ``ops[0..upto]``.
-
-    Works over the IR's columnar views (:func:`repro.sim.replay_ir
-    .columnar_views`). Tracks each register as ``entry(base) + offset``
-    (mod 2**64) where ``entry(base)`` is the register file value at
-    iteration start, or as a constant (``base is None``); anything else
-    — a loaded value, a product, a two-base sum — is unknown. Returns
-    ``(addr, state, touched)``: per-op address forms for every LD/ST on
-    the path, the final register state (whose self-affine entries give
-    per-iteration strides), and the set of written registers.
-    """
-    kindc, c1, c2, c3, c4, c5 = R.columnar_views(ir)
-    state: dict = {}  # reg -> (entry base reg | None, offset); absent = unknown
-    touched = set()
-    addr: dict = {}
-
-    def read(r):
-        if r in touched:
-            return state.get(r)
-        return (r, 0)
-
-    for k in range(upto + 1):
-        t = kindc[k]
-        if t == R.OP_ALU:
-            kind = c1[k]
-            d = c2[k]
-            if kind == R.A_MOVI:
-                nv = (None, c5[k] & _MASK64)
-            elif kind == R.A_MOV:
-                nv = read(c3[k])
-            elif kind == R.A_ADDI:
-                va = read(c3[k])
-                nv = None if va is None else (
-                    va[0], (va[1] + c5[k]) & _MASK64
-                )
-            elif kind == R.A_ADD or kind == R.A_SUB:
-                va = read(c3[k])
-                vb = read(c4[k])
-                if va is None or vb is None:
-                    nv = None
-                elif vb[0] is None:
-                    off = va[1] + vb[1] if kind == R.A_ADD else va[1] - vb[1]
-                    nv = (va[0], off & _MASK64)
-                elif kind == R.A_ADD and va[0] is None:
-                    nv = (vb[0], (vb[1] + va[1]) & _MASK64)
-                else:
-                    nv = None
-            else:
-                nv = None
-            touched.add(d)
-            if nv is None:
-                state.pop(d, None)
-            else:
-                state[d] = nv
-        elif t == R.OP_LD or t == R.OP_ST:
-            vb = read(c2[k])
-            addr[k] = None if vb is None else (
-                vb[0], (vb[1] + c3[k]) & _MASK64
-            )
-            if t == R.OP_LD:
-                d = c1[k]
-                touched.add(d)
-                state.pop(d, None)
-    return addr, state, touched
-
-
-def _prefilter_plan(ir: R.ReplayIR, family, limit: int, upto: int):
-    """Bounds and overlap conditions for the batch prefilter.
-
-    Dry-runs the static hardware simulation over the back-edge path to
-    recover every bounds guard and sweep pair the guarded body will
-    test, resolved to affine ``(base, offset, stride, width)`` forms.
-    Returns ``(bounds, pairs)`` — or ``None`` when any guarded address
-    is not loop-affine, in which case the batch kernel runs every
-    iteration through the guarded body (no fast body, no prefilter).
-    """
-    addr, state, touched = _batch_affine(ir, upto)
-
-    def stride(base):
-        if base is None or base not in touched:
-            return 0
-        v = state.get(base)
-        if v is not None and v[0] == base:
-            return v[1]
-        return None  # base is reset or clobbered: not strided
-
-    def resolve(k, width):
-        a = addr.get(k)
-        if a is None:
-            return None
-        s = stride(a[0])
-        if s is None:
-            return None
-        return (a[0], a[1], s, width)
-
-    hw = _StaticHw(family, limit) if family else None
-    bounds: List[tuple] = []
-    bset = set()
-    pairs: List[tuple] = []
-    pset = set()
-    for k in range(upto + 1):
-        op = ir.ops[k]
-        t = op[0]
-        if t == R.OP_LD or t == R.OP_ST:
-            ent = resolve(k, op[4])
-            if ent is None:
-                return None
-            if ent not in bset:
-                bset.add(ent)
-                bounds.append(ent)
-            evt = op[5]
-        elif t == R.OP_EVT:
-            evt = op[1]
-        else:
-            continue
-        if evt is None or hw is None:
-            continue
-        for ev in ir.events[evt]:
-            e = ev[0]
-            chk = None
-            if e == R.E_QCHK:
-                chk = hw.q_check(ev[1], ev[2], ev[3])
-                width = ev[2]
-            elif e == R.E_QSET:
-                hw.q_set(ev[1], k, ev[2], ev[3])
-            elif e == R.E_ROT:
-                hw.q_rotate(ev[1])
-            elif e == R.E_AMOV:
-                hw.q_amov(ev[1], ev[2])
-            elif e == R.E_ACHK:
-                chk = hw.alat_store_check(ev[1])
-                width = ev[1]
-            elif e == R.E_AINS:
-                hw.alat_insert(ev[1], k, ev[2], ev[3])
-            elif e == R.E_BCHK:
-                chk = hw.bm_check(ev[1], ev[2])
-                width = ev[2]
-            elif e == R.E_BSET:
-                hw.bm_set(ev[1], k, ev[2], ev[3])
-            else:  # E_DYN: the compiler rejected the trace already
-                return None
-            if chk:
-                own = resolve(k, width)
-                if own is None:
-                    return None
-                for pk, pwidth in chk:
-                    other = resolve(pk, pwidth)
-                    if other is None:
-                        return None
-                    key = (own, other)
-                    if key not in pset:
-                        pset.add(key)
-                        pairs.append(key)
-    return bounds, pairs
-
-
-def _a0_src(base, off: int) -> str:
-    """Source expression for an affine form's iteration-0 address."""
-    if base is None:
-        return f"{off & _MASK64}"
-    if off:
-        return f"regs[{base}] + {off} & {_MASK64}"
-    return f"regs[{base}] & {_MASK64}"
-
-
-def _prefilter_src(plan) -> Tuple[str, str]:
-    """Tuple-literal sources for the kernel's prefilter call."""
-    bounds, pairs = plan
-    bsrc = "".join(
-        f"({_a0_src(b, o)}, {s}, msize - {width}), "
-        for b, o, s, width in bounds
-    )
-    psrc = "".join(
-        f"({_a0_src(b1, o1)}, {s1}, {w1}, "
-        f"{_a0_src(b2, o2)}, {s2}, {w2}), "
-        for (b1, o1, s1, w1), (b2, o2, s2, w2) in pairs
-    )
-    return bsrc, psrc
-
-
-def _prefilter_pure(n: int, bounds, pairs) -> int:
-    """Pure-Python (``array``-module columns) batch prefilter.
-
-    Builds one unsigned-64 column of per-iteration addresses per
-    distinct ``(a0, stride)`` form and returns the first iteration index
-    at which any bounds or overlap condition fires (``n`` when none do).
-    All arithmetic is mod 2**64, matching the guarded body's masked
-    addresses; the unsigned-difference overlap test is exact because a
-    wrapped interval implies a bounds violation at the same iteration
-    (memory is far smaller than the address space).
-    """
-    cols: dict = {}
-
-    def col(a0, s):
-        c = cols.get((a0, s))
-        if c is None:
-            c = _array("Q", [(a0 + i * s) & _MASK64 for i in range(n)])
-            cols[(a0, s)] = c
-        return c
-
-    n_ok = n
-    for a0, s, lim in bounds:
-        if lim < 0:
-            return 0
-        c = col(a0, s)
-        for i in range(n_ok):
-            if c[i] > lim:
-                n_ok = i
-                break
-    for a0a, sa, wa, a0b, sb, wb in pairs:
-        ca = col(a0a, sa)
-        cb = col(a0b, sb)
-        for i in range(n_ok):
-            if (cb[i] - ca[i]) & _MASK64 < wa or (ca[i] - cb[i]) & _MASK64 < wb:
-                n_ok = i
-                break
-    return n_ok
-
-
-def _prefilter_np(n: int, bounds, pairs) -> int:
-    """numpy flavor of :func:`_prefilter_pure` (same result, columnar
-    uint64 ops; unsigned overflow wraps exactly like the mod-2**64
-    arithmetic the pure flavor spells out)."""
-    np = _np
-    idx = np.arange(n, dtype=np.uint64)
-    cols: dict = {}
-
-    def col(a0, s):
-        c = cols.get((a0, s))
-        if c is None:
-            c = np.uint64(a0) + idx * np.uint64(s)
-            cols[(a0, s)] = c
-        return c
-
-    bad = None
-    for a0, s, lim in bounds:
-        if lim < 0:
-            return 0
-        v = col(a0, s) > np.uint64(lim)
-        bad = v if bad is None else bad | v
-    for a0a, sa, wa, a0b, sb, wb in pairs:
-        ca = col(a0a, sa)
-        cb = col(a0b, sb)
-        v = ((cb - ca) < np.uint64(wa)) | ((ca - cb) < np.uint64(wb))
-        bad = v if bad is None else bad | v
-    if bad is None:
-        return n
-    hit = int(np.argmax(bad))  # first True, or 0 when none are set
-    return hit if bad[hit] else n
-
-
 def _batch_reg_scan(ir: R.ReplayIR):
     """Registers a trace body touches: ``(refs, rbw)``.
 
@@ -1404,52 +1124,39 @@ def _batch_reg_scan(ir: R.ReplayIR):
 def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     """Compile the cross-iteration batched kernel for one lowered trace.
 
-    The batch tier amortizes the CPython per-execution floor: when a hot
-    region's commit exit re-enters the region itself (a back-edge), up
-    to ``n`` consecutive iterations run inside **one** kernel call — the
-    vec tier's residue body wrapped in an iteration loop. Register
-    locals are **loop-carried**: every referenced guest register is
-    bound once above the loop, the back-edge site only normalizes
-    deferred wraps in place (plus a ``prev`` snapshot tuple of the
-    committed state), and ``regs`` is written exactly once per kernel
-    call — at the exit that actually leaves the loop. Hardware-stat
-    deltas are likewise applied once per exit, multiplied by the number
-    of committed iterations, instead of per back-edge. Two bodies are
-    generated:
-
-    * a *guarded* body — the vec residue with every escape (``return
-      _FB``) replaced by ``break``: the iteration loop stops, committed
-      iterations stay committed, and the caller re-runs the broken
-      iteration on a scalar tier after rolling back its undo slice;
-    * an optional *fast* body with bounds guards, alias sweeps and the
-      bloom filter elided, used for the leading ``n_ok`` iterations a
-      columnar **prefilter** proved cannot fault: when every guarded
-      address is loop-affine (``base + i*stride`` mod 2**64 along the
-      back-edge path), per-iteration address columns — numpy arrays
-      when the optional ``[perf]`` extra is installed, ``array``-module
-      columns in pure Python (:func:`batch_flavor`) — are bounds- and
-      overlap-tested for the whole batch up front.
+    The batch kernel amortizes the CPython per-execution floor: when a
+    hot region's commit exit re-enters the region itself (a back-edge),
+    up to ``n`` consecutive iterations run inside **one** kernel call —
+    the vec tier's residue body wrapped in an iteration loop, with every
+    escape (``return _FB``) replaced by ``break``: the loop stops,
+    committed iterations stay committed, and the caller re-runs the
+    broken iteration on the ``py`` tier after rolling back its undo
+    slice. Register locals are **loop-carried**: every referenced guest
+    register is bound once above the loop, the back-edge site only
+    normalizes deferred wraps in place (plus a ``prev`` snapshot tuple
+    of the committed state), and ``regs`` is written exactly once per
+    kernel call — at the exit that actually leaves the loop.
+    Hardware-stat deltas are likewise applied once per exit, multiplied
+    by the number of committed iterations, instead of per back-edge.
+    With ``n = 1`` the kernel is one vec execution (0 batched
+    iterations), which is how scalar uses of the trace run it.
 
     Returns ``None`` when the trace has no structural back-edge
-    candidate (:func:`repro.sim.replay_ir.loop_candidate`), the adapter
-    opts out (``replay_batch_legal``), or the static lowering rejects
-    the trace for the vec tier's reasons. Otherwise returns ``(fn,
-    exit_fps)``; the kernel signature is ``(regs, data, msize, ad,
-    undo_log, n)`` and it returns ``(iters, mark, exit_idx, exit_kind,
-    payload)``: ``iters`` back-edge iterations committed in full
-    (registers written back, memory kept, hardware-stat deltas applied),
-    ``mark`` the undo-log length at the final
-    iteration's start, and the final iteration's exit — with
-    ``exit_kind ==`` :data:`BATCH_TRIM` when a guard fired and the
-    caller must roll back ``undo_log[mark:]`` and re-run the final
-    iteration on a scalar tier. Every committed iteration is
-    indistinguishable from one scalar vec execution exiting at the
-    back-edge site — the exact-accounting contract the goldens and the
-    ``backends`` fuzz oracle pin.
+    candidate (:func:`repro.sim.replay_ir.loop_candidate`) or the static
+    lowering rejects it for the vec tier's reasons. Otherwise returns
+    ``(fn, exit_fps)``; the kernel signature is ``(regs, data, msize,
+    ad, undo_log, n)`` and it returns ``(iters, mark, exit_idx,
+    exit_kind, payload)``: ``iters`` back-edge iterations committed in
+    full (registers written back, memory kept, hardware-stat deltas
+    applied), ``mark`` the undo-log length at the final iteration's
+    start, and the final iteration's exit — with ``exit_kind ==``
+    :data:`BATCH_TRIM` when a guard fired and the caller must roll back
+    ``undo_log[mark:]`` and re-run the final iteration on the ``py``
+    tier. Every committed iteration is indistinguishable from one scalar
+    vec execution exiting at the back-edge site — the exact-accounting
+    contract the goldens and the ``backends`` fuzz oracle pin.
     """
     if ir.dyn:
-        return None
-    if not getattr(adapter, "replay_batch_legal", False):
         return None
     family = _hw_family(ir)
     if family == "dyn":
@@ -1463,17 +1170,16 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
         family is not None
         and _max_sweep(ir, family, limit) >= _BLOOM_SWEEP_MIN
     )
-    pf = _prefilter_np if batch_flavor() == "numpy" else _prefilter_pure
     env: dict = {"ifb": int.from_bytes, "u64": _U64.unpack_from,
-                 "p64": _U64.pack_into, "_pf": pf, "len": len}
+                 "p64": _U64.pack_into, "len": len}
     lines: List[str] = [
         "def _replay_batch(regs, data, msize, ad, undo_log, n, "
-        "u64=u64, p64=p64, ifb=ifb, _pf=_pf, len=len):",
+        "u64=u64, p64=p64, ifb=ifb, len=len):",
     ]
     emit = lines.append
     emit("    undo_append = undo_log.append")
     # bounds-limit locals are loop-invariant: hoist them above the
-    # iteration loop (both bodies share them)
+    # iteration loop
     sizes = sorted({op[4] for op in ir.ops if op[0] in (R.OP_LD, R.OP_ST)})
     for size in sizes:
         emit(f"    mlim{size} = msize - {size}")
@@ -1481,31 +1187,23 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     # above the iteration loop. Exits restore/write back explicitly, so
     # the back edge never touches ``regs`` at all.
     refs, rbw = _batch_reg_scan(ir)
-    prebound = sorted(refs)
     rbw_temps = sorted(r for r in rbw if r >= guest_count)
-    for reg in prebound:
+    for reg in sorted(refs):
         if reg < guest_count:
             emit(f"    r{reg} = regs[{reg}]")
         else:
             emit(f"    r{reg} = 0")
-    plan = _prefilter_plan(ir, family, limit, ck)
-    if plan is not None:
-        bounds_src, pairs_src = _prefilter_src(plan)
-        if bounds_src or pairs_src:
-            emit(f"    n_ok = _pf(n, ({bounds_src}), ({pairs_src}))")
-        else:
-            emit("    n_ok = n")
     emit("    it = 0")
     emit("    while 1:")
     emit("        mark = len(undo_log)")
 
-    # per-body capture at the back-edge site: (guest regs written, in
-    # first-write order; hardware stats of one full iteration; max_live)
-    caps: dict = {}
-    done: set = set()
+    # capture at the back-edge site: guest regs written (in first-write
+    # order), hardware stats of one full iteration, and max_live
+    cap: dict = {}
 
-    def mult_lines(pad: str, stats, max_live) -> List[str]:
+    def mult_lines(pad: str) -> List[str]:
         """Stat deltas of ``it`` committed iterations, applied at once."""
+        stats, max_live = cap["stats"], cap["max_live"]
         out: List[str] = []
         if stats:
             target, fields = _STAT_TARGETS[family]
@@ -1522,9 +1220,9 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     def batch_exit(em: _ResidueEmitter, k: int, xkind: int, payload,
                    commit: bool, indent: str) -> None:
         e = em.emit
-        if id(em) in done:
-            # past the live back-edge site: this exit is dead code, but
-            # a dead CBR still needs a non-empty suite
+        if cap:
+            # past the back-edge site: this exit is dead code, but a
+            # dead CBR still needs a non-empty suite
             e(f"{indent}pass")
             return
         if commit and k == ck and xkind == ckind:
@@ -1541,10 +1239,11 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
                 e(f"{indent}r{reg} = 0")
             wr = [r for r in em.written if r < guest_count]
             hw = em.hw
-            stats = dict(hw.stats) if hw is not None else {}
-            max_live = (hw.max_live
-                        if hw is not None and family == "queue" else 0)
-            caps[id(em)] = (wr, stats, max_live)
+            cap["wr"] = wr
+            cap["stats"] = dict(hw.stats) if hw is not None else {}
+            cap["max_live"] = (hw.max_live
+                               if hw is not None and family == "queue"
+                               else 0)
             if wr:
                 e(f"{indent}prev = ({', '.join(f'r{r}' for r in wr)},)")
             e(f"{indent}it += 1")
@@ -1553,11 +1252,10 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
             # full batch: every iteration committed, locals canonical
             for reg in wr:
                 e(f"{indent}regs[{reg}] = r{reg}")
-            for line in mult_lines(indent, stats, max_live):
+            for line in mult_lines(indent):
                 e(line)
             e(f"{indent}return (it - 1, mark, {k}, {xkind}, "
               f"{payload!r})")
-            done.add(id(em))
             return
         for line in em.stat_lines(indent):
             e(line)
@@ -1579,65 +1277,42 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
             e(f"{indent}\x00RESTORE")
         e(f"{indent}return (it, mark, {k}, {xkind}, {payload!r})")
 
-    def patch(start: int, em: _ResidueEmitter) -> bool:
-        """Expand this body's exit placeholders against its back-edge
-        capture (unknown while the body was still being emitted)."""
-        cap = caps.get(id(em))
-        if cap is None:
-            return False
-        wr, stats, max_live = cap
-        i = start
-        while i < len(lines):
-            j = lines[i].find("\x00")
-            if j < 0:
-                i += 1
-                continue
-            indent, tag = lines[i][:j], lines[i][j + 1:]
-            if tag.startswith("REST:"):
-                sofar = {int(x) for x in tag[5:].split(",") if x}
-                repl = [f"{indent}regs[{r}] = r{r}" for r in wr
-                        if r not in sofar]
-            elif tag == "MULT":
-                body = mult_lines(indent + "    ", stats, max_live)
-                repl = [f"{indent}if it:"] + body if body else []
-            else:  # RESTORE
-                body = mult_lines(indent + "    ", stats, max_live)
-                body += [f"{indent}    regs[{r}] = prev[{ix}]"
-                         for ix, r in enumerate(wr)]
-                repl = [f"{indent}if it:"] + body if body else []
-            lines[i:i + 1] = repl
-            i += len(repl)
-        return True
-
-    if plan is not None:
-        emit("        if it < n_ok:")
-        f_start = len(lines)
-        fast = _ResidueEmitter(
-            ir, adapter, guest_count, family, limit, False, lines,
-            "            ", guarded=False, hoisted_sizes=sizes,
-        )
-        fast.bound |= refs
-        if not fast.walk(batch_exit) or not patch(f_start, fast):
-            return None
-    g_start = len(lines)
-    guarded = _ResidueEmitter(
+    em = _ResidueEmitter(
         ir, adapter, guest_count, family, limit, bloom, lines,
         "        ", fb="break", hoisted_sizes=sizes,
     )
-    guarded.bound |= refs
-    if not guarded.walk(batch_exit):
+    em.bound |= refs
+    if not em.walk(batch_exit) or not cap:
         return None
     # trim epilogue: a guard broke out mid-iteration — restore the last
     # committed register state (memory rolls back in the caller via the
     # undo slice) and report the trim
     emit("    \x00RESTORE")
     emit(f"    return (it, mark, {BATCH_TRIM}, {BATCH_TRIM}, None)")
-    if not patch(g_start, guarded):
-        return None
-    if plan is not None and caps[id(fast)][0] != caps[id(guarded)][0]:
-        return None  # defensive: bodies must agree on the carried state
+    # expand the exit placeholders against the back-edge capture (unknown
+    # while the exits before the back-edge site were being emitted)
+    wr = cap["wr"]
+    i = 0
+    while i < len(lines):
+        j = lines[i].find("\x00")
+        if j < 0:
+            i += 1
+            continue
+        indent, tag = lines[i][:j], lines[i][j + 1:]
+        if tag.startswith("REST:"):
+            sofar = {int(x) for x in tag[5:].split(",") if x}
+            repl = [f"{indent}regs[{r}] = r{r}" for r in wr
+                    if r not in sofar]
+        else:  # MULT / RESTORE
+            body = mult_lines(indent + "    ")
+            if tag == "RESTORE":
+                body += [f"{indent}    regs[{r}] = prev[{ix}]"
+                         for ix, r in enumerate(wr)]
+            repl = [f"{indent}if it:"] + body if body else []
+        lines[i:i + 1] = repl
+        i += len(repl)
     exec(compile("\n".join(lines), "<vliw-replay-batch>", "exec"), env)
-    return env["_replay_batch"], guarded.exit_fps
+    return env["_replay_batch"], em.exit_fps
 
 
 # ----------------------------------------------------------------------
@@ -1647,19 +1322,22 @@ class ReplayArtifact:
     """Shareable replay code for one (trace content, hardware) identity.
 
     Holds everything that is a pure function of the lowered trace: the
-    numeric IR and the compiled ``py``/``vec``/``batch`` kernels. Timing
-    plans (signature memos, execution counts) are per-region and never
-    live here. ``vec_state``/``batch_state``: 0 untried, 1 compiled, -1
-    unavailable/disabled (non-lowerable trace, or demoted — vec after
-    repeated fallbacks, batch after repeated early trims).
-    ``batch_flavor`` records which prefilter kernel ("numpy"/"pure") the
-    batch function was compiled against, for `--stats` and perf reports.
+    numeric IR and the compiled ``py``/``vec``/``batch`` functions. A
+    trace normally compiles one kernel (batch when it has a back-edge,
+    else vec) plus, after its first escape, ``py``; the slots exist for
+    both kernels because simulators that force a tier or disable
+    batching share the artifact. Timing plans (signature memos,
+    execution counts) are per-region and never live here.
+    ``vec_state``/``batch_state``: 0 untried, 1 compiled, -1 unavailable
+    (a trace the shared lowering rejects — both kernels then — or a
+    demoted one: vec after repeated fallbacks, batch after repeated
+    early trims).
     """
 
     __slots__ = ("ir", "py_fn", "vec_fn", "vec_fps", "vec_state",
                  "vec_fallbacks", "vec_guest_count", "batch_fn",
                  "batch_fps", "batch_state", "batch_trims",
-                 "batch_guest_count", "batch_flavor")
+                 "batch_guest_count")
 
     def __init__(self) -> None:
         self.ir: Optional[R.ReplayIR] = None
@@ -1674,14 +1352,14 @@ class ReplayArtifact:
         self.batch_state = 0
         self.batch_trims = 0
         self.batch_guest_count = 0
-        self.batch_flavor: Optional[str] = None
 
 
 #: vec kernels falling back this many times are demoted to the py tier
 VEC_FALLBACK_LIMIT = 4
 
-#: batch kernels trimming early (under half the requested width) this
-#: many times are demoted back to the scalar tiers
+#: batch kernels trimming early (under half the requested width; every
+#: trim of an ``n = 1`` run is early) this many times are demoted to the
+#: py tier
 BATCH_TRIM_LIMIT = 4
 
 _CACHE_LIMIT = 256

@@ -15,6 +15,9 @@ never look at :class:`~repro.ir.instruction.Instruction` objects again:
   bloom-prefiltered alias pair sweeps — into a kernel that falls back to
   the ``py`` tier whenever a runtime fact (bounds violation, possible
   alias overlap) escapes the static model;
+* the ``batch`` backend (:func:`repro.sim.replay_backends.compile_batch`)
+  wraps the same residue in an iteration loop over the trace's
+  structural back-edge (:func:`loop_candidate`);
 * the ``interp`` tier keeps using the trace directly (it is the oracle).
 
 The IR is serializable (:meth:`ReplayIR.to_payload` /
@@ -29,14 +32,9 @@ the backends and :mod:`repro.sim.vliw` agree on one vocabulary.
 
 from __future__ import annotations
 
-from array import array
 from typing import List, Optional, Tuple
 
 from repro.ir.instruction import Instruction, Opcode
-
-_MASK64 = (1 << 64) - 1
-_HIGH = 1 << 63
-_TOP = 1 << 64
 
 # -- replay exit kinds (the signature vocabulary) -----------------------
 X_FALL = 0  # ran off the end of the trace
@@ -230,37 +228,6 @@ def batch_legality(ir: ReplayIR) -> dict:
         "family": family,
         "loop": None if cand is None else [cand[0], cand[1]],
     }
-
-
-def columnar_views(ir: ReplayIR):
-    """Flat ``array``-module columns over the op tuples.
-
-    Returns ``(kind, f1, f2, f3, f4, f5)``: a signed-byte opcode column
-    plus five signed-64 operand columns positionally parallel to
-    ``ir.ops`` (op field ``j`` of op ``k`` is ``f{j}[k]``). ``None`` and
-    absent slots encode as ``-1`` — unambiguous for the same reason the
-    payload encoding is: which slots are live follows from the opcode.
-    Values outside the signed 64-bit range (a raw ``A_MOVI`` immediate)
-    are stored mod 2**64 as their signed wrap, which every consumer of
-    these columns (the batch tier's affine address analysis) works in
-    anyway. Batch prefilter construction scans these columns instead of
-    re-destructuring tuples on every pass.
-    """
-    n = len(ir.ops)
-    kind = array("b", bytes(n))
-    cols = [array("q", bytes(8 * n)) for _ in range(5)]
-    for k, op in enumerate(ir.ops):
-        kind[k] = op[0]
-        for j in range(1, len(op)):
-            v = op[j]
-            if v is None:
-                v = -1
-            else:
-                v &= _MASK64
-                if v >= _HIGH:
-                    v -= _TOP
-            cols[j - 1][k] = v
-    return (kind, cols[0], cols[1], cols[2], cols[3], cols[4])
 
 
 def _lower_alu(inst: Instruction, k: int, aux, dyn) -> Tuple:

@@ -67,15 +67,6 @@ class HardwareAdapter:
     skip_unannotated_loads = False
     skip_unannotated_stores = False
     timing_transparent = False
-    #: batch-tier contract (``docs/PERF.md``): when True, the adapter
-    #: promises that executing N back-to-back iterations of one region
-    #: through its *statically lowered* event stream (hardware state
-    #: resets on every region enter) is indistinguishable from N scalar
-    #: executions — true for any adapter whose ``lower_*_event`` hooks
-    #: are exact, since the batch kernel replays the same per-iteration
-    #: static simulation the vec tier does. Subclasses carrying hidden
-    #: cross-region state should opt out.
-    replay_batch_legal = True
 
     def on_region_enter(self, region) -> None:
         """Reset hardware state; ``region`` is the OptimizedRegion."""

@@ -54,30 +54,36 @@ fully interpreted scoreboard loop. Both paths produce byte-identical
 :class:`RegionOutcome`/:class:`VliwStats` numbers — locked by
 ``tests/goldens/`` and ``tests/test_timing_plans.py``.
 
-Replay backends: the functional-replay half is itself tiered. A hot
-trace is lowered once to the numeric replay IR
-(:mod:`repro.sim.replay_ir`) and executed by one of three backends from
-:mod:`repro.sim.replay_backends`:
+Replay backends: a trace's first :data:`_REPLAY_THRESHOLD` - 1 planned
+executions run the generic two-tuple dispatch loop below (the ``interp``
+oracle). At the threshold the trace is lowered once to the numeric
+replay IR (:mod:`repro.sim.replay_ir`) and compiles exactly **one**
+kernel from :mod:`repro.sim.replay_backends`:
 
-* ``interp`` — the generic two-tuple dispatch loop below (the oracle);
-* ``py`` — a straight-line function generated from the IR (adopted at
-  :data:`_REPLAY_THRESHOLD` planned executions);
-* ``vec`` — a kernel that statically pre-simulates the alias hardware
-  over the IR's event stream and executes only the runtime residue
-  (register locals, guarded addresses, batched alias pair sweeps),
-  adopted at :data:`_VEC_THRESHOLD`; any runtime fact that escapes its
-  static model (bounds violation, possible alias overlap) falls back to
-  one exact ``py`` re-execution, and traces that keep falling back are
-  demoted for good.
+* ``batch`` when the trace has a structural back-edge — run at up to
+  ``SMARQ_BATCH_WIDTH`` iterations per call when the region self-loops
+  at its own entry pc and the step budget affords it, and at ``n = 1``
+  for every scalar use (which is exactly one ``vec`` execution);
+* ``vec`` otherwise — the same statically pre-simulated residue
+  (register locals, guarded addresses, alias pair sweeps) without the
+  iteration loop.
 
-``SMARQ_REPLAY_BACKEND=interp|py|vec`` forces a tier for every region
-(the kill switch / oracle selector); per-trace promotion by execution
-count is the default. Lowered IR and compiled kernels are shared
-process-wide through the replay artifact cache keyed by the region's
-translation key (see ``region._replay_key``, attached by
-:mod:`repro.opt.pipeline`) so content-identical clones from the
-translation cache never recompile. All three backends produce
-byte-identical reports — locked by ``tests/test_replay_ir.py`` and the
+Any runtime fact that escapes a kernel's static model (bounds violation,
+possible alias overlap) rolls back and re-runs that execution on the
+straight-line ``py`` function, compiled on the trace's first escape;
+traces that keep escaping are demoted to ``py`` for good, and a trace
+neither kernel can lower runs ``py`` from the threshold on.
+
+``SMARQ_REPLAY_BACKEND=interp|py|vec|batch`` forces a tier for every
+region from its first execution (the kill switch / oracle selector:
+``vec`` never batches, ``batch`` is the auto policy without the warm-up);
+``SMARQ_BATCH_WIDTH=0`` or ``1`` makes ``vec`` the one kernel of every
+trace. Lowered IR and compiled kernels are shared process-wide through
+the replay artifact cache keyed by the region's translation key (see
+``region._replay_key``, attached by :mod:`repro.opt.pipeline`) so
+content-identical clones from the translation cache never recompile.
+Every tier produces byte-identical reports — locked by
+``tests/test_replay_ir.py``, ``tests/test_batch_replay.py`` and the
 ``backends`` fuzz oracle.
 """
 
@@ -100,6 +106,7 @@ from repro.sim.replay_ir import (
     X_EXIT as _X_EXIT,
     X_FALL as _X_FALL,
     X_SIDE as _X_SIDE,
+    loop_candidate as _loop_candidate,
     lower_trace as _lower_trace,
 )
 
@@ -194,22 +201,23 @@ class _TimingPlan:
     path never consult the array again — and, more importantly, never
     re-run the per-instruction scoreboard loop.
 
-    ``executions`` counts planned replays of the trace; once it reaches
-    :data:`_REPLAY_THRESHOLD` the generic two-tuple dispatch loop is
-    replaced by ``replay_fn``, the straight-line ``py`` backend compiled
-    from the trace's numeric IR (:func:`repro.sim.replay_backends
-    .compile_py`), and at :data:`_VEC_THRESHOLD` the ``vec`` kernel takes
-    over when the trace is statically lowerable. The thresholds keep
-    one-shot regions from paying the ~ms codegen cost; hot regions
-    execute hundreds of times and amortize it at once. ``artifact`` is
+    ``executions`` counts planned replays of the trace; the execution
+    that reaches :data:`_REPLAY_THRESHOLD` promotes the plan to its
+    ``tier``: ``"batch"`` or ``"vec"`` (the one kernel compiled for the
+    trace, see :meth:`VliwSimulator._promote`) or ``"py"`` (no kernel).
+    The threshold keeps one-shot regions from paying the ~ms codegen
+    cost; hot regions execute hundreds of times and amortize it at once.
+    ``replay_fn`` is the straight-line ``py`` function (:func:`repro.sim
+    .replay_backends.compile_py`), adopted on the first escape from the
+    kernel or at promotion when the plan has no kernel. ``artifact`` is
     the process-wide shared :class:`~repro.sim.replay_backends
     .ReplayArtifact` holding the lowered IR and compiled kernels
     (content-identical region clones share one artifact; the plan itself
-    — signature memos, execution count — stays per-region).
+    — signature memos, execution count, tier — stays per-region).
     """
 
-    __slots__ = ("cycle_after", "signatures", "executions", "replay_fn",
-                 "artifact", "vec_outcomes", "batch_loop")
+    __slots__ = ("cycle_after", "signatures", "executions", "tier",
+                 "replay_fn", "artifact", "vec_outcomes", "batch_loop")
 
     def __init__(self) -> None:
         self.cycle_after: Optional[List[int]] = None
@@ -220,25 +228,19 @@ class _TimingPlan:
         #: same (never-mutated) object without re-deriving anything.
         self.vec_outcomes: Dict[tuple, RegionOutcome] = {}
         self.executions = 0
+        #: None until promotion (dispatch loop), then "batch"/"vec"/"py"
+        self.tier: Optional[str] = None
         self.replay_fn: Optional[Callable] = None
         self.artifact: Optional[_backends.ReplayArtifact] = None
-        #: back-edge eligibility for the batch tier: 0 = not yet
-        #: computed, None = this region's commit exit is not a self
-        #: loop, else the (exit_idx, exit_kind) of the back-edge site
-        #: (per-region, unlike the shared artifact: only the region
-        #: whose entry pc matches the baked branch target self-loops)
-        self.batch_loop = 0
+        #: the (exit_idx, exit_kind) of the batch kernel's back-edge site
+        #: when it re-enters this region, else None (per-region, unlike
+        #: the shared artifact: only the region whose entry pc matches
+        #: the baked branch target self-loops)
+        self.batch_loop: Optional[Tuple[int, int]] = None
 
 
-#: planned executions of one trace before its py replay is adopted
+#: planned executions of one trace before it compiles its one kernel
 _REPLAY_THRESHOLD = 4
-
-#: planned executions of one trace before the vec kernel is adopted
-_VEC_THRESHOLD = 8
-
-#: planned executions of one trace before the batch kernel is adopted
-#: (only at back-edge dispatch sites, see VliwSimulator.execute_region_batch)
-_BATCH_THRESHOLD = 16
 
 
 def _compile_timing(machine: MachineModel, trace) -> List[int]:
@@ -523,6 +525,14 @@ class VliwSimulator:
             self._batch_width = int(width) if width else _BATCH_WIDTH_DEFAULT
         except ValueError:
             self._batch_width = _BATCH_WIDTH_DEFAULT
+        # planned executions before a plan promotes: forced tiers promote
+        # on the first one, a forced interp never does
+        if self._backend is None:
+            self._threshold = _REPLAY_THRESHOLD
+        elif self._backend == "interp":
+            self._threshold = float("inf")
+        else:
+            self._threshold = 1
 
     # ------------------------------------------------------------------
     def execute_region(
@@ -540,12 +550,12 @@ class VliwSimulator:
         if self.tracer.active:
             start = time.perf_counter()
             try:
-                return self._execute_region(region, adapter, registers)
+                return self._execute_region(region, adapter, registers, 1)[0]
             finally:
                 self.tracer.add_time(
                     "execute", time.perf_counter() - start
                 )
-        return self._execute_region(region, adapter, registers)
+        return self._execute_region(region, adapter, registers, 1)[0]
 
     def execute_region_batch(
         self,
@@ -562,23 +572,22 @@ class VliwSimulator:
         the loop site) followed by ``outcome``, the final execution —
         exactly what ``batched + 1`` scalar :meth:`execute_region` calls
         would have produced. ``batched`` is 0 (and ``loop_outcome``
-        None) whenever the scalar path runs: batching disabled or not
-        yet promoted, no structural back-edge, a non-lowerable trace,
-        or ``steps_budget``/width affording fewer than two iterations.
+        None) whenever one execution runs: the plan is not promoted or
+        its kernel is not a batch kernel, the region does not re-enter
+        itself at the back-edge, or ``steps_budget``/width afford fewer
+        than two iterations.
         """
         if self.tracer.active:
             start = time.perf_counter()
             try:
-                return self._execute_region_batch(
+                return self._execute_region(
                     region, adapter, registers, steps_budget
                 )
             finally:
                 self.tracer.add_time(
                     "execute", time.perf_counter() - start
                 )
-        return self._execute_region_batch(
-            region, adapter, registers, steps_budget
-        )
+        return self._execute_region(region, adapter, registers, steps_budget)
 
     def _trace_for(self, region, adapter):
         """The compiled trace for ``region``, cached on the region object.
@@ -630,21 +639,6 @@ class VliwSimulator:
         region,
         adapter,
         registers: List[int],
-    ) -> RegionOutcome:
-        trace, fall_through, ftrace, plan = self._trace_for(region, adapter)
-        if self._plans_enabled and getattr(adapter, "timing_transparent", False):
-            return self._execute_planned(
-                region, adapter, registers, trace, fall_through, ftrace, plan
-            )
-        return self._execute_interpreted(
-            region, adapter, registers, trace, fall_through
-        )
-
-    def _execute_region_batch(
-        self,
-        region,
-        adapter,
-        registers: List[int],
         steps_budget: int,
     ) -> Tuple[RegionOutcome, Optional[RegionOutcome], int]:
         trace, fall_through, ftrace, plan = self._trace_for(region, adapter)
@@ -659,29 +653,37 @@ class VliwSimulator:
                 None,
                 0,
             )
-        backend = self._backend
-        width = self._batch_width
-        if width >= 2 and (
-            backend == "batch"
-            or (backend is None and plan.executions + 1 >= _BATCH_THRESHOLD)
-        ):
+        tier = plan.tier
+        if tier is None and plan.executions + 1 >= self._threshold:
+            tier = self._promote(
+                region, trace, fall_through, plan, adapter, len(registers)
+            )
+        if tier == "batch":
             art = plan.artifact
-            if art.batch_state >= 0:
-                fn = self._ensure_batch(
-                    region, trace, fall_through, plan, adapter,
-                    len(registers),
+            if art.batch_state > 0:
+                # n = 1 unless the region re-enters itself; never run
+                # more iterations than the step budget affords: the
+                # caller charges max(1, instructions) guest steps per
+                # commit, exactly like scalar mode
+                n = 1
+                loop = plan.batch_loop
+                if loop is not None:
+                    n = -(-steps_budget // (loop[0] + 1))
+                    if n > self._batch_width:
+                        n = self._batch_width
+                return self._run_batch(
+                    region, adapter, registers, trace, fall_through,
+                    ftrace, plan, art.batch_fn, n,
                 )
-                if fn is not None:
-                    # never run more iterations than the step budget
-                    # affords: the caller charges max(1, instructions)
-                    # guest steps per commit, exactly like scalar mode
-                    per_iter = max(1, plan.batch_loop[0] + 1)
-                    n = min(width, -(-steps_budget // per_iter))
-                    if n >= 2:
-                        return self._run_batch(
-                            region, adapter, registers, trace,
-                            fall_through, ftrace, plan, fn, n,
-                        )
+        elif tier == "vec":
+            art = plan.artifact
+            if art.vec_state > 0:
+                out = self._run_vec(
+                    region, adapter, registers, trace, fall_through, plan,
+                    art.vec_fn,
+                )
+                if out is not None:
+                    return out, None, 0
         return (
             self._execute_planned(
                 region, adapter, registers, trace, fall_through, ftrace,
@@ -691,40 +693,116 @@ class VliwSimulator:
             0,
         )
 
-    def _ensure_batch(
+    def _promote(
         self, region, trace, fall_through, plan: _TimingPlan, adapter,
         guest_count,
-    ):
-        """The batch kernel for this plan's trace, or None when the
-        region is not a self-loop or the lowering rejects it."""
+    ) -> str:
+        """Give the plan its tier at the promotion threshold.
+
+        The trace compiles (or finds in its shared artifact) exactly one
+        kernel: ``batch`` when it has a structural back-edge, else
+        ``vec`` — ``vec`` for every trace when the simulator forces it or
+        batching is off (``SMARQ_BATCH_WIDTH`` below 2). The tier is
+        ``py`` when the backend is forced to ``py`` or the kernel is
+        unavailable: rejected by the lowering, demoted, or compiled for
+        another register file size.
+        """
         art = plan.artifact
-        if plan.batch_loop == 0:
+        tier = "py"
+        if self._backend != "py":
             ir = self._ensure_ir(region, trace, art, adapter)
-            plan.batch_loop = _backends.loop_exit_for(
-                ir, region.block.entry_pc, fall_through
+            batch = (
+                self._backend != "vec"
+                and self._batch_width >= 2
+                and _loop_candidate(ir) is not None
             )
-        if plan.batch_loop is None:
-            return None
-        fn = art.batch_fn
-        if fn is None:
-            compiled = _backends.compile_batch(
-                self._ensure_ir(region, trace, art, adapter),
-                adapter,
-                guest_count,
+            if self._adopt_kernel(art, ir, adapter, guest_count, batch):
+                tier = "batch" if batch else "vec"
+                if batch:
+                    plan.batch_loop = _backends.loop_exit_for(
+                        ir, region.block.entry_pc, fall_through
+                    )
+        plan.tier = tier
+        return tier
+
+    def _adopt_kernel(self, art, ir, adapter, guest_count, batch) -> bool:
+        """Compile the artifact's batch (or vec) kernel on first need, or
+        adopt the compiled one (``vliw.replay_cache_hits``). False when
+        the plan must run ``py`` instead."""
+        tracer = self.tracer
+        if batch:
+            state, compiled_for = art.batch_state, art.batch_guest_count
+        else:
+            state, compiled_for = art.vec_state, art.vec_guest_count
+        if state < 0:
+            return False
+        if state > 0:
+            # the kernel hard-codes writeback bounds: a different guest
+            # register file size can't use it
+            if compiled_for != guest_count:
+                return False
+            if tracer.active:
+                tracer.count("vliw.replay_cache_hits")
+            return True
+        if batch:
+            compiled = _backends.compile_batch(ir, adapter, guest_count)
+        else:
+            compiled = _backends.compile_vec(ir, adapter, guest_count)
+        if compiled is None:
+            # one lowering backs both kernels: neither can run the trace
+            art.batch_state = art.vec_state = -1
+            return False
+        fn, fps = compiled
+        if batch:
+            art.batch_fn, art.batch_fps = fn, fps
+            art.batch_state, art.batch_guest_count = 1, guest_count
+            tracer.count("vliw.batch_compiles")
+        else:
+            art.vec_fn, art.vec_fps = fn, fps
+            art.vec_state, art.vec_guest_count = 1, guest_count
+            tracer.count("vliw.vec_compiles")
+        return True
+
+    def _run_vec(
+        self, region, adapter, registers: List[int], trace, fall_through,
+        plan: _TimingPlan, fn,
+    ) -> Optional[RegionOutcome]:
+        """One vec kernel execution, or None when a runtime fact escaped
+        the kernel's static model (bounds violation, possible alias or
+        store overlap): its buffered stores are rolled back and the
+        caller re-runs the execution exactly on the ``py`` tier, which
+        reproduces exceptions, partial stats and partial effects
+        byte-identically. Registers and hardware state are still
+        pristine (the kernel mutates them only on success)."""
+        memory = self.memory
+        tracer = self.tracer
+        undo_log: List[Tuple[int, bytes]] = []
+        idx, exit_kind, payload = fn(
+            registers, memory.buffer, memory.size, adapter, undo_log.append
+        )
+        if idx != -2:
+            plan.executions += 1
+            self.stats.regions_executed += 1
+            if tracer.active:
+                tracer.count("vliw.regions_executed")
+                tracer.count("vliw.backend_vec")
+            # vec never raises aliases (a possible overlap falls back)
+            # and never touches adapter state, so the whole
+            # region-enter/exit + fingerprint ceremony is skipped: the
+            # artifact carries each exit's fingerprint.
+            return self._finish_vec(
+                region, undo_log, trace, fall_through, plan, idx,
+                exit_kind, payload,
             )
-            if compiled is None:
-                art.batch_state = -1
-                return None
-            fn, art.batch_fps = compiled
-            art.batch_fn = fn
-            art.batch_state = 1
-            art.batch_guest_count = guest_count
-            art.batch_flavor = _backends.batch_flavor()
-            if self.tracer.active:
-                self.tracer.count("vliw.batch_compiles")
-        elif art.batch_guest_count != guest_count:
-            return None
-        return fn
+        for addr, old in reversed(undo_log):
+            memory.write_bytes(addr, old)
+        art = plan.artifact
+        art.vec_fallbacks += 1
+        if art.vec_fallbacks >= _backends.VEC_FALLBACK_LIMIT:
+            art.vec_state = -1  # always-escaping trace: stop retrying
+        if tracer.active:
+            tracer.count("vliw.vec_fallbacks")
+        return None
 
     def _run_batch(
         self,
@@ -765,7 +843,7 @@ class VliwSimulator:
         if kind == _backends.BATCH_TRIM:
             # the final iteration escaped the static model: roll back
             # its own undo slice (committed iterations keep theirs) and
-            # re-run it exactly on the scalar py tier
+            # re-run it exactly on the py tier
             for addr, old in reversed(undo_log[mark:]):
                 memory.write_bytes(addr, old)
             if active:
@@ -777,7 +855,7 @@ class VliwSimulator:
                     art.batch_state = -1  # keeps trimming early: demote
             final = self._execute_planned(
                 region, adapter, registers, trace, fall_through, ftrace,
-                plan, prefer_py=True,
+                plan,
             )
         else:
             plan.executions += 1
@@ -786,8 +864,9 @@ class VliwSimulator:
                 tracer.count("vliw.regions_executed")
                 tracer.count("vliw.backend_batch")
             final = self._finish_vec(
-                region, undo_log[mark:], trace, fall_through, plan, idx,
-                kind, payload, fps=plan.artifact.batch_fps,
+                region, undo_log[mark:] if mark else undo_log, trace,
+                fall_through, plan, idx, kind, payload,
+                fps=plan.artifact.batch_fps,
             )
         return final, loop_out, iters
 
@@ -848,7 +927,6 @@ class VliwSimulator:
         fall_through,
         ftrace,
         plan: _TimingPlan,
-        prefer_py: bool = False,
     ) -> RegionOutcome:
         memory = self.memory
         stats = self.stats
@@ -860,79 +938,14 @@ class VliwSimulator:
 
         guest_count = len(registers)
         undo_log: List[Tuple[int, bytes]] = []
-
-        # -- replay tier selection -------------------------------------
-        # Auto mode promotes by per-plan execution count (dispatch loop
-        # -> py -> vec); SMARQ_REPLAY_BACKEND forces one tier, with vec
-        # degrading to py for traces the static lowering rejects.
-        # ``prefer_py`` (a trimmed batch re-running its final iteration)
-        # pins the py tier: it is exact by construction, and going
-        # through vec again would double-charge the fallback counters.
         plan.executions += 1
-        art = plan.artifact
-        backend = self._backend
-        replay = plan.replay_fn
-        vec = None
-        if prefer_py:
-            if replay is None:
-                replay = self._ensure_py(region, trace, plan, adapter, tracer)
-        elif backend is None:
-            if art.vec_state >= 0 and plan.executions >= _VEC_THRESHOLD:
-                vec = self._ensure_vec(
-                    region, trace, plan, adapter, guest_count, tracer
-                )
-            if (
-                vec is None
-                and replay is None
-                and plan.executions >= _REPLAY_THRESHOLD
-            ):
-                replay = self._ensure_py(region, trace, plan, adapter, tracer)
-        elif backend == "vec" or backend == "batch":
-            if art.vec_state >= 0:
-                vec = self._ensure_vec(
-                    region, trace, plan, adapter, guest_count, tracer
-                )
-            if vec is None and replay is None:
-                replay = self._ensure_py(region, trace, plan, adapter, tracer)
-        elif backend == "py":
-            if replay is None:
-                replay = self._ensure_py(region, trace, plan, adapter, tracer)
-        else:  # forced "interp": always the dispatch loop below
-            replay = None
 
-        if vec is not None:
-            result = vec(
-                registers, memory.buffer, memory.size, adapter,
-                undo_log.append,
-            )
-            idx = result[0]
-            if idx != -2:
-                if active:
-                    tracer.count("vliw.backend_vec")
-                # vec never raises aliases (a possible overlap falls
-                # back) and never touches adapter state, so the whole
-                # region-enter/exit + fingerprint ceremony is skipped:
-                # the artifact carries each exit's fingerprint.
-                return self._finish_vec(
-                    region, undo_log, trace, fall_through, plan, idx,
-                    result[1], result[2],
-                )
-            # A runtime fact escaped the kernel's static model (bounds
-            # violation, possible alias/store overlap): roll back its
-            # buffered stores and re-run exactly on the py tier, which
-            # reproduces exceptions, partial stats and partial effects
-            # byte-identically. Registers and hardware state are still
-            # pristine (the kernel mutates them only on success).
-            for addr, old in reversed(undo_log):
-                memory.write_bytes(addr, old)
-            del undo_log[:]
-            art.vec_fallbacks += 1
-            if art.vec_fallbacks >= _backends.VEC_FALLBACK_LIMIT:
-                art.vec_state = -1  # always-escaping trace: stop retrying
-            if active:
-                tracer.count("vliw.vec_fallbacks")
-            if replay is None:
-                replay = self._ensure_py(region, trace, plan, adapter, tracer)
+        # A plan runs the dispatch loop until it is promoted; after that
+        # it lands here only for the py tier: it has no kernel, its
+        # kernel was demoted, or this execution escaped the kernel.
+        replay = plan.replay_fn
+        if replay is None and plan.tier is not None:
+            replay = self._ensure_py(region, trace, plan, adapter, tracer)
 
         outcome_status: Optional[str] = None
         next_pc: Optional[int] = None
@@ -942,8 +955,8 @@ class VliwSimulator:
         idx = -1
 
         # The py tier and the dispatch loop drive the adapter's real
-        # hardware models; the region-enter reset the vec tier skips
-        # happens here (including after a vec fallback).
+        # hardware models; the region-enter reset the kernels skip
+        # happens here (including after an escape).
         adapter.on_region_enter(region)
         regs = list(registers)
         regs.extend(_SCRATCH64)
@@ -1057,10 +1070,11 @@ class VliwSimulator:
         """Adopt the straight-line py replay for this plan (compiling it
         into the shared artifact on first need).
 
-        ``vliw.replay_compiles`` counts per-plan adoptions (the tier
-        transition the timing-plan tests pin); an adoption served from an
-        already-compiled shared artifact also counts
-        ``vliw.replay_cache_hits`` (no codegen ran).
+        ``vliw.replay_compiles`` counts per-plan adoptions — a plan's
+        first escape from its kernel, a plan without a kernel, or a
+        forced ``py`` tier; an adoption served from an already-compiled
+        shared artifact also counts ``vliw.replay_cache_hits`` (no
+        codegen ran).
         """
         art = plan.artifact
         fn = art.py_fn
@@ -1073,34 +1087,6 @@ class VliwSimulator:
         plan.replay_fn = fn
         if tracer.active:
             tracer.count("vliw.replay_compiles")
-        return fn
-
-    def _ensure_vec(
-        self, region, trace, plan: _TimingPlan, adapter, guest_count, tracer
-    ):
-        """The vec kernel for this plan's trace, or None when the static
-        lowering rejects it (the caller then uses the py tier)."""
-        art = plan.artifact
-        fn = art.vec_fn
-        if fn is None:
-            compiled = _backends.compile_vec(
-                self._ensure_ir(region, trace, art, adapter),
-                adapter,
-                guest_count,
-            )
-            if compiled is None:
-                art.vec_state = -1
-                return None
-            fn, art.vec_fps = compiled
-            art.vec_fn = fn
-            art.vec_state = 1
-            art.vec_guest_count = guest_count
-            if tracer.active:
-                tracer.count("vliw.vec_compiles")
-        elif art.vec_guest_count != guest_count:
-            # compiled against a different guest register file size; the
-            # kernel hard-codes writeback bounds, so don't use it here
-            return None
         return fn
 
     def _finish_vec(

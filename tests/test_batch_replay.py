@@ -4,14 +4,14 @@ The ``batch`` backend (see :mod:`repro.sim.replay_backends`) executes up
 to ``SMARQ_BATCH_WIDTH`` iterations of a self-looping hot region in one
 kernel call. These tests pin its contract:
 
-* reports are byte-identical to the scalar tiers for every scheme, for
-  both prefilter flavors (numpy and pure-Python columns);
+* reports are byte-identical to the scalar tiers for every scheme;
 * a mid-batch alias abort rolls back exactly the faulting iteration and
   re-runs it on the scalar ``py`` tier — fuzz cases biased toward
   collisions must produce reports identical to an all-scalar run;
 * ``steps_budget`` bounds the batch exactly like the scalar loop's
   per-commit charge (never more iterations than the budget affords);
-* auto promotion engages the tier at ``_BATCH_THRESHOLD`` executions,
+* auto promotion compiles the batch kernel — the one kernel of a trace
+  with a back-edge — at ``_REPLAY_THRESHOLD`` executions, and
   early-trimming traces demote at ``BATCH_TRIM_LIMIT``;
 * ``SMARQ_BATCH_WIDTH=0/1`` and forced scalar backends are kill switches;
 * re-optimization (plan invalidation) drops the compiled batch kernel;
@@ -19,15 +19,12 @@ kernel call. These tests pin its contract:
   batches (zero-delta ``vliw.batch_compiles``).
 """
 
-import random
-
 import pytest
 
-import repro.sim.replay_backends as backends
 from repro.engine.instrumentation import Tracer
 from repro.frontend.profiler import ProfilerConfig
 from repro.fuzz.generator import generate_case
-from repro.fuzz.oracles import backend_forced, batch_pure_forced
+from repro.fuzz.oracles import backend_forced
 from repro.ir.instruction import Opcode, binop, branch, load, movi, store
 from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
@@ -35,14 +32,10 @@ from repro.sched.machine import MachineModel
 from repro.sim import replay_ir as R
 from repro.sim.dbt import DbtSystem
 from repro.sim.memory import Memory
-from repro.sim.replay_backends import (
-    BATCH_TRIM_LIMIT,
-    batch_flavor,
-    reset_artifact_cache,
-)
+from repro.sim.replay_backends import BATCH_TRIM_LIMIT, reset_artifact_cache
 from repro.sim.schemes import SmarqAdapter
 from repro.sim.vliw import (
-    _BATCH_THRESHOLD,
+    _REPLAY_THRESHOLD,
     VliwSimulator,
     invalidate_timing_plans,
 )
@@ -96,7 +89,7 @@ def batch_once(sim, region, r3=0, budget=10**6, adapter=None):
     return sim.execute_region_batch(region, adapter, registers, budget)
 
 
-def bench_report(benchmark, scheme, tier=None, pure=False, tracer=None):
+def bench_report(benchmark, scheme, tier=None, tracer=None):
     """One DbtSystem run as a dict, optionally with a forced tier."""
     program = make_benchmark(benchmark, scale=0.05)
 
@@ -106,16 +99,6 @@ def bench_report(benchmark, scheme, tier=None, pure=False, tracer=None):
 
     if tier is None:
         return run()
-    if pure:
-        # the prefilter flavor is baked into compiled kernels held by
-        # the process-wide artifact cache: bracket with resets so pure
-        # kernels neither reuse nor leak into numpy-flavored runs
-        reset_artifact_cache()
-        try:
-            with batch_pure_forced(), backend_forced(tier):
-                return run()
-        finally:
-            reset_artifact_cache()
     with backend_forced(tier):
         return run()
 
@@ -134,22 +117,23 @@ class TestByteIdentity:
         # the batch tier really ran (forced mode engages immediately)
         assert tracer.counters.get("vliw.backend_batch", 0) > 0
 
-    @pytest.mark.skipif(
-        backends._np is None, reason="numpy not installed"
-    )
-    def test_pure_flavor_matches_numpy(self):
-        numpy_rep = bench_report("pwalk", "smarq", tier="batch")
-        pure_rep = bench_report("pwalk", "smarq", tier="batch", pure=True)
-        assert numpy_rep == pure_rep
-
     def test_auto_promotion_ladder(self):
-        """Auto mode climbs dispatch → py → vec → batch and the four
-        tiers partition every region execution."""
+        """Auto mode has one rung: the dispatch loop, then the trace's
+        one kernel. pchase's hot loop runs the dispatch loop below the
+        threshold and the batch kernel from then on — no py or vec
+        codegen beside it — and the tiers partition every region
+        execution."""
+        reset_artifact_cache()
         tracer = Tracer()
         bench_report("pchase", "smarq", tracer=tracer)
         c = tracer.counters
+        assert c.get("vliw.batch_compiles", 0) == 1
+        assert c.get("vliw.vec_compiles", 0) == 0
+        assert c.get("vliw.replay_compiles", 0) == 0
+        assert c.get("vliw.backend_interp", 0) == _REPLAY_THRESHOLD - 1
+        assert c.get("vliw.backend_py", 0) == 0
+        assert c.get("vliw.backend_vec", 0) == 0
         assert c.get("vliw.backend_batch", 0) > 0
-        assert c.get("vliw.batch_compiles", 0) >= 1
         executed = (
             c.get("vliw.backend_interp", 0)
             + c.get("vliw.backend_py", 0)
@@ -240,14 +224,43 @@ class TestPromotionDemotion:
         region = loop_region()
         batched = [
             batch_once(sim, region)[2]
-            for _ in range(_BATCH_THRESHOLD + 2)
+            for _ in range(_REPLAY_THRESHOLD + 2)
         ]
-        # executions 1.._BATCH_THRESHOLD-1 stay scalar; the threshold
+        # executions 1.._REPLAY_THRESHOLD-1 stay scalar; the threshold
         # execution and everything after it batches
-        assert batched[: _BATCH_THRESHOLD - 1] == [0] * (
-            _BATCH_THRESHOLD - 1
+        assert batched[: _REPLAY_THRESHOLD - 1] == [0] * (
+            _REPLAY_THRESHOLD - 1
         )
-        assert all(b > 0 for b in batched[_BATCH_THRESHOLD - 1:])
+        assert all(b > 0 for b in batched[_REPLAY_THRESHOLD - 1:])
+
+    def test_scalar_uses_run_the_kernel_once(self, monkeypatch):
+        """Past the threshold every use of a trace runs its one batch
+        kernel, at ``n = 1`` where no batch is possible: the scalar
+        ``execute_region``, a budget affording one iteration, and a
+        region whose back-edge leaves it. No other kernel compiles."""
+        monkeypatch.delenv("SMARQ_REPLAY_BACKEND", raising=False)
+        reset_artifact_cache()
+        tracer = Tracer()
+        sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
+        region = loop_region()
+        for _ in range(_REPLAY_THRESHOLD):
+            out = sim.execute_region(region, SmarqAdapter(64), [0] * 64)
+            assert out.status == "commit"
+        out, _, batched = batch_once(sim, region, budget=1)
+        assert out.status == "commit" and batched == 0
+        leaving = translate(
+            [movi(1, 0x100), movi(2, 9), store(1, 2), branch(Opcode.BR, 5)]
+        )
+        for _ in range(_REPLAY_THRESHOLD + 2):
+            out, _, batched = batch_once(sim, leaving)
+            assert out.status == "commit" and out.next_pc == 5
+            assert batched == 0
+        c = tracer.counters
+        assert c["vliw.backend_interp"] == 2 * (_REPLAY_THRESHOLD - 1)
+        assert c["vliw.backend_batch"] == 2 + 3
+        assert c["vliw.batch_compiles"] == 2
+        assert c.get("vliw.vec_compiles", 0) == 0
+        assert c.get("vliw.replay_compiles", 0) == 0
 
     def test_early_trimming_trace_demotes(self):
         """A trace whose alias sweep fires every iteration trims at
@@ -294,7 +307,7 @@ class TestKillSwitches:
             with backend_forced(tier):
                 sim = VliwSimulator(MACHINE, Memory(4096))
                 region = loop_region()
-                for _ in range(_BATCH_THRESHOLD + 2):
+                for _ in range(_REPLAY_THRESHOLD + 2):
                     out, _, batched = batch_once(sim, region)
                     assert batched == 0
                     assert out.status == "commit"
@@ -359,64 +372,6 @@ class TestIrHelpers:
         assert payload["batch"] == R.batch_legality(ir)
         back = R.ReplayIR.from_payload(payload)
         assert back.ops == ir.ops
-
-    def test_columnar_views_parallel_to_ops(self):
-        ir = self.ir([(R.OP_ALU, R.A_MOVI, 1, None, None, 7),
-                      (R.OP_LD, 2, 1, 4, 8, None), (R.OP_BR, 0)])
-        kind, f1, f2, f3, f4, f5 = R.columnar_views(ir)
-        assert list(kind) == [R.OP_ALU, R.OP_LD, R.OP_BR]
-        assert len(f1) == len(ir.ops)
-        # None operand slots encode as -1
-        assert f3[0] == -1 and f5[1] == -1
-
-
-class TestPrefilterFlavors:
-    MASK = (1 << 64) - 1
-
-    def random_inputs(self, rng):
-        n = rng.randint(1, 24)
-        msize = rng.choice([64, 4096, 1 << 20])
-        bounds, pairs = [], []
-        for _ in range(rng.randint(0, 3)):
-            w = rng.choice([1, 4, 8])
-            a0 = rng.randrange(msize * 2) if rng.random() < 0.9 else (
-                rng.randrange(1 << 64)
-            )
-            stride = rng.choice([0, 1, 8, 16, self.MASK - 7, self.MASK])
-            bounds.append((a0, stride, msize - w))
-        for _ in range(rng.randint(0, 3)):
-            a = rng.randrange(msize)
-            b = a + rng.randrange(-8, 9) if rng.random() < 0.7 else (
-                rng.randrange(msize)
-            )
-            pairs.append((
-                a & self.MASK, rng.choice([0, 8]), rng.choice([4, 8]),
-                b & self.MASK, rng.choice([0, 8]), rng.choice([4, 8]),
-            ))
-        return n, tuple(bounds), tuple(pairs)
-
-    @pytest.mark.skipif(
-        backends._np is None, reason="numpy not installed"
-    )
-    def test_pure_and_numpy_agree(self):
-        rng = random.Random(0x5A)
-        for _ in range(300):
-            n, bounds, pairs = self.random_inputs(rng)
-            pure = backends._prefilter_pure(n, bounds, pairs)
-            np_ok = backends._prefilter_np(n, bounds, pairs)
-            assert pure == np_ok, (n, bounds, pairs)
-
-    def test_negative_limit_rejects_everything(self):
-        assert backends._prefilter_pure(8, ((0, 1, -1),), ()) == 0
-
-    def test_flavor_selector(self, monkeypatch):
-        if backends._np is not None:
-            monkeypatch.delenv("SMARQ_BATCH_PURE", raising=False)
-            assert batch_flavor() == "numpy"
-            monkeypatch.setenv("SMARQ_BATCH_PURE", "1")
-            assert batch_flavor() == "pure"
-        else:
-            assert batch_flavor() == "pure"
 
 
 class TestServeBatchWarm:

@@ -172,6 +172,28 @@ class TestFingerprint:
     def test_stable_across_calls(self):
         assert job_fingerprint(_spec()) == job_fingerprint(_spec())
 
+    def test_certify_kill_switch_is_keyed(self, tmp_path, monkeypatch):
+        """``SMARQ_NO_CERTIFY=1`` changes smarq-cert reports, so a warm
+        report cache holding the certified report must miss for a
+        kill-switch run and return what a fresh kill-switch run does."""
+        spec = _spec("pwalk", "smarq-cert")
+        monkeypatch.delenv("SMARQ_NO_CERTIFY", raising=False)
+        certified = ExecutionEngine(cache=ReportCache(root=tmp_path)).run_one(
+            spec
+        )
+        monkeypatch.setenv("SMARQ_NO_CERTIFY", "1")
+        engine = ExecutionEngine(cache=ReportCache(root=tmp_path))
+        killed = engine.run_one(spec)
+        assert engine.stats.cache_hits == 0
+        fresh = ExecutionEngine(cache=NullCache()).run_one(spec)
+        assert killed.to_dict() == fresh.to_dict()
+        assert killed.to_dict() != certified.to_dict()
+        # and the certified entry still serves certified runs
+        monkeypatch.delenv("SMARQ_NO_CERTIFY")
+        engine = ExecutionEngine(cache=ReportCache(root=tmp_path))
+        assert engine.run_one(spec).to_dict() == certified.to_dict()
+        assert engine.stats.cache_hits == 1
+
 
 class TestReportRoundTrip:
     def test_json_round_trip_equality(self):

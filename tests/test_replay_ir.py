@@ -1,18 +1,21 @@
 """Replay IR and tiered-backend tests.
 
 Hot traces lower once into the numeric replay IR
-(:mod:`repro.sim.replay_ir`) and execute on one of three backends
+(:mod:`repro.sim.replay_ir`) and execute on one of four backends
 (:mod:`repro.sim.replay_backends`): the generic dispatch loop
 (``interp``, the oracle), the generated straight-line function (``py``)
-and the statically pre-simulated kernel (``vec``). These tests pin:
+and the statically pre-simulated kernels (``vec``, and ``batch`` — the
+same residue in an iteration loop). These tests pin:
 
 * the IR round-trips through its numeric payload encoding exactly when
   it carries no dynamic escapes;
-* all three tiers are byte-identical — outcome, registers, memory and
+* all four tiers are byte-identical — outcome, registers, memory and
   stats — for every shipped scheme and every exit kind;
-* auto mode promotes per-plan by execution count at the documented
-  thresholds, and ``SMARQ_REPLAY_BACKEND`` forces/kills tiers (with a
-  forced ``vec`` degrading to ``py`` for non-lowerable traces);
+* auto mode promotes a plan at one execution-count threshold to its
+  trace's one kernel (batch with a back-edge, else vec) and generates
+  ``py`` code only on an escape, and ``SMARQ_REPLAY_BACKEND``
+  forces/kills tiers (with a forced ``vec`` degrading to ``py`` for
+  non-lowerable traces);
 * re-optimization/blacklisting invalidation drops the shared artifacts
   along with the timing plans.
 """
@@ -188,7 +191,7 @@ class TestTierByteIdentity:
     def test_tiers_agree(self, monkeypatch, scheme, shape, make_region, r3):
         factory = SCHEME_FACTORIES[scheme]
         baseline = None
-        for tier in ("interp", "py", "vec"):
+        for tier in ("interp", "py", "vec", "batch"):
             runs, stats, _ = self.run_tier(
                 monkeypatch, tier, make_region, r3, factory
             )
@@ -213,32 +216,78 @@ class TestTierByteIdentity:
 
 class TestTierPromotion:
     def test_auto_mode_promotes_at_thresholds(self, monkeypatch):
+        """Below ``_REPLAY_THRESHOLD`` planned executions a trace runs
+        the dispatch loop; the threshold execution compiles its one
+        kernel — batch, since the trace has a back-edge — and every
+        later execution runs it. No py or vec code is generated."""
         monkeypatch.delenv("SMARQ_REPLAY_BACKEND", raising=False)
         region = side_exit_region()
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
         assert sim._backend is None
-        total = vliw_mod._VEC_THRESHOLD + 2
+        threshold = vliw_mod._REPLAY_THRESHOLD
+        total = threshold + 4
         for i in range(1, total + 1):
             run_once(region, r3=0, adapter=NullAdapter(), sim=sim)
             plan = region._vliw_trace[6]
             assert plan.executions == i
-            if i < vliw_mod._REPLAY_THRESHOLD:
-                assert plan.replay_fn is None, i
-            if i < vliw_mod._VEC_THRESHOLD:
-                assert plan.artifact.vec_fn is None, i
+            assert plan.replay_fn is None, i
+            assert plan.artifact.vec_fn is None, i
+            if i < threshold:
+                assert plan.tier is None, i
+                assert plan.artifact.batch_fn is None, i
             else:
-                assert plan.artifact.vec_fn is not None, i
-        interp_runs = vliw_mod._REPLAY_THRESHOLD - 1
-        vec_runs = total - vliw_mod._VEC_THRESHOLD + 1
-        py_runs = total - interp_runs - vec_runs
-        assert tracer.counters.get("vliw.backend_interp", 0) == interp_runs
-        assert tracer.counters.get("vliw.backend_py", 0) == py_runs
-        assert tracer.counters.get("vliw.backend_vec", 0) == vec_runs
-        assert tracer.counters.get("vliw.vec_compiles", 0) == 1
+                assert plan.tier == "batch", i
+                assert plan.artifact.batch_fn is not None, i
+        c = tracer.counters
+        assert c.get("vliw.backend_interp", 0) == threshold - 1
+        assert c.get("vliw.backend_batch", 0) == total - threshold + 1
+        assert c.get("vliw.backend_py", 0) == 0
+        assert c.get("vliw.backend_vec", 0) == 0
+        assert c.get("vliw.batch_compiles", 0) == 1
+        assert c.get("vliw.vec_compiles", 0) == 0
+        assert c.get("vliw.replay_compiles", 0) == 0
+
+    def test_trace_without_back_edge_compiles_vec(self, monkeypatch):
+        """A trace that ends the program has no back-edge: its one
+        kernel is vec."""
+        monkeypatch.delenv("SMARQ_REPLAY_BACKEND", raising=False)
+        region = exit_region()
+        tracer = Tracer()
+        sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
+        threshold = vliw_mod._REPLAY_THRESHOLD
+        for _ in range(threshold + 1):
+            out = run_once(region, adapter=NullAdapter(), sim=sim)[0]
+            assert out.status == "exit"
+        plan = region._vliw_trace[6]
+        assert plan.tier == "vec"
+        c = tracer.counters
+        assert c.get("vliw.backend_vec", 0) == 2
+        assert c.get("vliw.vec_compiles", 0) == 1
+        assert c.get("vliw.batch_compiles", 0) == 0
+
+    def test_escape_compiles_py_once(self, monkeypatch):
+        """An execution that escapes the kernel (here a possible alias
+        overlap that really collides) rolls back and re-runs on py,
+        compiled on the plan's first escape and reused after it."""
+        monkeypatch.delenv("SMARQ_REPLAY_BACKEND", raising=False)
+        region = alias_region()
+        tracer = Tracer()
+        sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
+        threshold = vliw_mod._REPLAY_THRESHOLD
+        for _ in range(threshold + 1):
+            out = run_once(region, r3=0x100, sim=sim)[0]
+            assert out.status == "alias"
+        plan = region._vliw_trace[6]
+        assert plan.tier == "batch"
+        assert plan.replay_fn is not None
+        c = tracer.counters
+        assert c.get("vliw.batch_trims", 0) == 2
+        assert c.get("vliw.backend_py", 0) == 2
+        assert c.get("vliw.replay_compiles", 0) == 1
 
     def test_shared_artifact_skips_recompilation(self):
-        """A content-identical clone adopts the cached kernels without
+        """A content-identical clone adopts the cached kernel without
         compiling again (the process-wide artifact cache)."""
         region_a = side_exit_region()
         region_b = side_exit_region()
@@ -246,13 +295,16 @@ class TestTierPromotion:
             pytest.skip("regions carry no translation key")
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
-        for _ in range(vliw_mod._VEC_THRESHOLD):
+        for _ in range(vliw_mod._REPLAY_THRESHOLD):
             run_once(region_a, r3=0, adapter=NullAdapter(), sim=sim)
-        assert tracer.counters.get("vliw.vec_compiles", 0) == 1
-        for _ in range(vliw_mod._VEC_THRESHOLD):
+        assert tracer.counters.get("vliw.batch_compiles", 0) == 1
+        assert tracer.counters.get("vliw.replay_cache_hits", 0) == 0
+        for _ in range(vliw_mod._REPLAY_THRESHOLD):
             run_once(region_b, r3=0, adapter=NullAdapter(), sim=sim)
-        assert tracer.counters.get("vliw.vec_compiles", 0) == 1
-        assert tracer.counters.get("vliw.replay_cache_hits", 0) >= 1
+        assert region_b._vliw_trace[6].tier == "batch"
+        assert tracer.counters.get("vliw.batch_compiles", 0) == 1
+        assert tracer.counters.get("vliw.vec_compiles", 0) == 0
+        assert tracer.counters.get("vliw.replay_cache_hits", 0) == 1
 
 
 class TestBackendKillSwitch:
@@ -261,12 +313,13 @@ class TestBackendKillSwitch:
         region = side_exit_region()
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
-        n = vliw_mod._VEC_THRESHOLD + 4
+        n = vliw_mod._REPLAY_THRESHOLD + 4
         for _ in range(n):
             run_once(region, r3=0, adapter=NullAdapter(), sim=sim)
         plan = region._vliw_trace[6]
         assert plan.replay_fn is None
         assert plan.artifact.vec_fn is None
+        assert plan.artifact.batch_fn is None
         assert tracer.counters.get("vliw.backend_interp", 0) == n
         assert tracer.counters.get("vliw.replay_compiles", 0) == 0
         assert tracer.counters.get("vliw.vec_compiles", 0) == 0
@@ -281,9 +334,10 @@ class TestBackendKillSwitch:
         run_once(region, r3=0, adapter=NullAdapter(), sim=sim)
         plan = region._vliw_trace[6]
         assert plan.replay_fn is not None
-        for _ in range(vliw_mod._VEC_THRESHOLD + 2):
+        for _ in range(vliw_mod._REPLAY_THRESHOLD + 2):
             run_once(region, r3=0, adapter=NullAdapter(), sim=sim)
         assert plan.artifact.vec_fn is None
+        assert plan.artifact.batch_fn is None
         assert tracer.counters.get("vliw.backend_interp", 0) == 0
         assert tracer.counters.get("vliw.vec_compiles", 0) == 0
 
@@ -350,7 +404,7 @@ class TestArtifactInvalidation:
         call; its contract is pinned here via the public helper."""
         region = alias_region()
         sim = VliwSimulator(MACHINE, Memory(4096))
-        for _ in range(vliw_mod._VEC_THRESHOLD):
+        for _ in range(vliw_mod._REPLAY_THRESHOLD):
             run_once(region, r3=0x300, adapter=NullAdapter(), sim=sim)
         assert region._vliw_trace is not None
         assert invalidate_timing_plans(region) is True

@@ -165,22 +165,27 @@ class TestPlannedMatchesInterpreted:
         self.assert_equivalent(region, 0x300, adapter_factory)
 
     def test_replay_codegen_tier(self, monkeypatch):
-        """Past the threshold the generated straight-line function takes
-        over; effects and plan bookkeeping must not change."""
-        monkeypatch.setattr(vliw_mod, "_REPLAY_THRESHOLD", 1)
+        """Past the threshold the trace's compiled kernel takes over, and
+        an escape from it re-runs on the generated straight-line py
+        function; effects and plan bookkeeping must not change."""
+        monkeypatch.setattr(vliw_mod, "_REPLAY_THRESHOLD", 2)
         region = side_exit_region()
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
-        baseline = run_once(region, r3=0, sim=sim)[0]  # dispatch tier
-        compiled = run_once(region, r3=0, sim=sim)[0]  # codegen tier
-        assert tracer.counters.get("vliw.replay_compiles") == 1
+        baseline = run_once(region, r3=0, sim=sim)[0]  # dispatch loop
+        compiled = run_once(region, r3=0, sim=sim)[0]  # the kernel
+        assert tracer.counters.get("vliw.backend_interp") == 1
+        assert tracer.counters.get("vliw.backend_batch") == 1
         assert baseline == compiled
-        plan = region._vliw_trace[6]
-        assert plan.replay_fn is not None
-        # the alias path through the generated function as well
+        assert region._vliw_trace[6].tier == "batch"
+        # the alias path: dispatch loop, a clean kernel run, then a
+        # colliding one that escapes to the generated py function
         alias = alias_region()
         for r3 in (0x100, 0x300, 0x100):
             self.assert_equivalent(alias, r3, lambda: SmarqAdapter(64))
+        plan = alias._vliw_trace[6]
+        assert plan.tier == "batch"
+        assert plan.replay_fn is not None
 
 
 class TestKillSwitch:
