@@ -13,17 +13,6 @@ Commands
 ``figures [--only figN] [--scale F] [--suite a,b,c] [--jobs N]
 [--no-cache] [--stats]``
     Regenerate the paper's tables/figures and print them.
-``perf [--scale F] [--output BENCH.json] [--baseline BENCH.json]
-[--batch-differential SCALE] [--profile OUT.prof]``
-    Run the perf-benchmark harness (:mod:`repro.perf`): time each
-    (benchmark, scheme) cell's interpret/translate/simulate phases plus
-    the end-to-end serial cold ``figures`` path, and write a
-    ``BENCH_*.json`` trajectory point (see ``docs/PERF.md``).
-    ``--batch-differential SCALE`` adds the batch replay tier's
-    same-process kill-switch comparison (on vs ``SMARQ_BATCH_WIDTH=0``).
-    ``--profile OUT.prof`` instead runs the serial cold figures path
-    once under :mod:`cProfile` and writes the profile for ``pstats`` /
-    ``snakeviz``.
 ``fuzz [--seed N] [--cases N] [--time-budget S] [--oracles a,b]
 [--minimize/--no-minimize] [--out-dir D]``
     Run the differential fuzzing campaign (:mod:`repro.fuzz`): generate
@@ -268,84 +257,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.perf import PerfConfig, load_bench, run_perf, write_bench
-    from repro.perf.harness import (
-        attach_baseline,
-        check_regression,
-        render_summary,
-    )
-
-    if args.profile:
-        import cProfile
-        import pstats
-
-        from repro.perf.harness import time_figures_cold
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        result = time_figures_cold(args.figures_scale)
-        profiler.disable()
-        profiler.dump_stats(args.profile)
-        print(
-            f"figures cold (scale {result['scale']}, serial) : "
-            f"{result['wall_s']:.2f}s under cProfile"
-        )
-        stats = pstats.Stats(profiler)
-        stats.sort_stats("cumulative")
-        print(f"wrote {args.profile}; top functions by cumulative time:")
-        stats.print_stats(15)
-        return 0
-
-    benchmarks = (
-        [b.strip() for b in args.benchmarks.split(",") if b.strip()]
-        if args.benchmarks
-        else None
-    )
-    schemes = (
-        [s.strip() for s in args.schemes.split(",") if s.strip()]
-        if args.schemes
-        else None
-    )
-    config = PerfConfig(scale=args.scale, repeats=args.repeats)
-    if benchmarks:
-        config.benchmarks = benchmarks
-    if schemes:
-        config.schemes = schemes
-    config.figures_scale = None if args.skip_figures else args.figures_scale
-
-    payload = run_perf(config)
-    if args.serve_load:
-        from repro.perf.harness import measure_serve_load
-
-        payload["serve_load"] = measure_serve_load(
-            scale=args.scale,
-            benchmarks=benchmarks,
-            schemes=schemes,
-        )
-    if args.batch_differential > 0:
-        from repro.perf.harness import measure_batch_differential
-
-        payload["batch_differential"] = measure_batch_differential(
-            benchmarks=benchmarks,
-            scale=args.batch_differential,
-            repeats=args.repeats,
-        )
-    if args.baseline:
-        attach_baseline(payload, load_bench(args.baseline))
-    write_bench(args.output, payload)
-    print(render_summary(payload))
-    print(f"\nwrote {args.output}")
-    if args.fail_below > 0:
-        failures = check_regression(payload, args.fail_below)
-        if failures:
-            for failure in failures:
-                print(f"perf regression gate FAILED: {failure}")
-            return 1
-        print(f"perf regression gate passed (>= {args.fail_below:.2f}x)")
-    return 0
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -533,55 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--suite", default="", help="comma-separated subset")
     _add_engine_flags(fig_p)
 
-    perf_p = sub.add_parser(
-        "perf", help="run the perf harness; write a BENCH_*.json"
-    )
-    perf_p.add_argument("--scale", type=float, default=0.1)
-    perf_p.add_argument(
-        "--figures-scale", type=float, default=0.1,
-        help="scale for the end-to-end cold figures timing",
-    )
-    perf_p.add_argument(
-        "--skip-figures", action="store_true",
-        help="skip the end-to-end figures timing (quick cell sweep only)",
-    )
-    perf_p.add_argument("--repeats", type=int, default=3)
-    perf_p.add_argument(
-        "--benchmarks", default="",
-        help="comma-separated benchmark subset (default: swim,art,equake)",
-    )
-    perf_p.add_argument(
-        "--schemes", default="",
-        help="comma-separated scheme subset (default: smarq,itanium,none)",
-    )
-    perf_p.add_argument("--output", default="BENCH_pr10.json")
-    perf_p.add_argument(
-        "--baseline", default="",
-        help="previous BENCH json to embed and compute speedups against",
-    )
-    perf_p.add_argument(
-        "--fail-below", type=float, default=0.0, metavar="RATIO",
-        help="exit non-zero when the execute-phase or cell-sweep speedup "
-        "vs --baseline falls below RATIO (the CI regression gate)",
-    )
-    perf_p.add_argument(
-        "--batch-differential", type=float, default=0.0, metavar="SCALE",
-        help="also measure the batch replay tier against its own "
-        "SMARQ_BATCH_WIDTH=0 kill switch at SCALE (same process, "
-        "interleaved legs) into the batch_differential section; "
-        "benchmarks default to the loop-dominated set",
-    )
-    perf_p.add_argument(
-        "--serve-load", action="store_true",
-        help="also measure service-mode throughput/latency (cold CLI vs "
-        "cold vs warm server) into the serve_load section",
-    )
-    perf_p.add_argument(
-        "--profile", default="",
-        help="profile the serial cold figures path with cProfile and "
-        "write the stats to this file (skips the normal harness)",
-    )
-
     fuzz_p = sub.add_parser(
         "fuzz", help="run the differential fuzzing campaign"
     )
@@ -710,7 +572,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run": _cmd_run,
         "compare": _cmd_compare,
         "figures": _cmd_figures,
-        "perf": _cmd_perf,
         "fuzz": _cmd_fuzz,
         "serve": _cmd_serve,
         "load": _cmd_load,

@@ -47,8 +47,8 @@ Counter names used by the simulation stack:
     fields; the four partition ``vliw.regions_executed``);
 ``vliw.vec_compiles``
     vectorized kernels compiled from lowered replay IR (the one kernel
-    of a trace without a back-edge, or of every trace when batching is
-    off or ``vec`` is forced);
+    of a trace without a back-edge, or of every trace when ``vec`` is
+    forced);
 ``vliw.vec_fallbacks``
     vec executions that hit a runtime fact outside the kernel's static
     model and re-ran on the ``py`` tier (repeated fallbacks demote the

@@ -58,10 +58,10 @@ from typing import Any, Dict, Optional, Tuple
 from repro.ir.instruction import reserve_uids, uid_watermark
 
 _KILL_ENV = "SMARQ_NO_TRANSLATION_CACHE"
-_SIZE_ENV = "SMARQ_TRANSLATION_CACHE_SIZE"
 _PERSIST_ENV = "SMARQ_TRANSLATION_CACHE_PERSIST"
 _CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 _DEFAULT_ROOT = "~/.cache/repro"
+#: entries kept per in-process LRU tier
 _DEFAULT_ENTRIES = 512
 
 #: stage tier names (each an independent LRU)
@@ -109,12 +109,7 @@ class TranslationCache:
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
         if max_entries is None:
-            try:
-                max_entries = int(
-                    os.environ.get(_SIZE_ENV, _DEFAULT_ENTRIES)
-                )
-            except ValueError:
-                max_entries = _DEFAULT_ENTRIES
+            max_entries = _DEFAULT_ENTRIES
         self.max_entries = max(1, max_entries)
         self._full: "OrderedDict[Any, bytes]" = OrderedDict()
         self._stages: Dict[str, "OrderedDict[Any, Any]"] = {

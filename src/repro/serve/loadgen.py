@@ -3,10 +3,7 @@
 Drives a configurable request mix against a live (or freshly spawned)
 server from N concurrent client connections and reports what a traffic
 dashboard would: per-job latency percentiles (p50/p99), end-to-end
-throughput, and the failure count. The perf harness embeds the same
-machinery as the ``serve_load`` section of ``BENCH_*.json`` (bench
-schema 5), comparing warm-server throughput against the cold
-one-process-per-job CLI path.
+throughput, and the failure count.
 
 Mixes (``--mix``):
 

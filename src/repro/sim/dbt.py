@@ -236,7 +236,7 @@ class DbtSystem:
             pc = interp.pc
             if runtime.has_translation(pc):
                 # Batched dispatch: a self-looping region may commit up
-                # to SMARQ_BATCH_WIDTH back-edge iterations inside one
+                # to vliw._BATCH_WIDTH (16) back-edge iterations inside one
                 # call (each accounted exactly like a scalar commit —
                 # the budget math below is the scalar loop's, applied
                 # ``batched`` extra times), then returns the final

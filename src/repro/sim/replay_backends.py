@@ -29,7 +29,7 @@ A hot trace's functional replay runs on one of four tiers (selected by
 ``batch``
     :func:`compile_batch` — the vec residue wrapped in an iteration
     loop over the trace's structural back-edge: when a region's commit
-    exit re-enters the region itself, up to ``SMARQ_BATCH_WIDTH``
+    exit re-enters the region itself, up to ``vliw._BATCH_WIDTH`` (16)
     consecutive iterations run inside one kernel call, amortizing the
     per-execution call/plan/outcome ceremony. Called with ``n = 1`` it
     is exactly one vec execution, so it is the one kernel of every
@@ -47,8 +47,8 @@ The module also owns the process-wide **replay artifact cache**: lowered
 IR and compiled backend functions are keyed by the region's translation
 key (content + config + hints), the adapter class, and the adapter's
 :meth:`~repro.sim.schemes.HardwareAdapter.replay_config_key`, so the
-translation cache's content-identical region clones (one per repeat of a
-perf cell, for instance) stop re-generating identical replay code.
+translation cache's content-identical region clones (one per repeated
+run of a benchmark, for instance) stop re-generating identical replay code.
 Timing plans are deliberately *not* shared — they memoize per-region
 signature state and stay on the region object.
 """

@@ -61,7 +61,7 @@ replay IR (:mod:`repro.sim.replay_ir`) and compiles exactly **one**
 kernel from :mod:`repro.sim.replay_backends`:
 
 * ``batch`` when the trace has a structural back-edge — run at up to
-  ``SMARQ_BATCH_WIDTH`` iterations per call when the region self-loops
+  :data:`_BATCH_WIDTH` iterations per call when the region self-loops
   at its own entry pc and the step budget affords it, and at ``n = 1``
   for every scalar use (which is exactly one ``vec`` execution);
 * ``vec`` otherwise — the same statically pre-simulated residue
@@ -76,12 +76,12 @@ neither kernel can lower runs ``py`` from the threshold on.
 
 ``SMARQ_REPLAY_BACKEND=interp|py|vec|batch`` forces a tier for every
 region from its first execution (the kill switch / oracle selector:
-``vec`` never batches, ``batch`` is the auto policy without the warm-up);
-``SMARQ_BATCH_WIDTH=0`` or ``1`` makes ``vec`` the one kernel of every
-trace. Lowered IR and compiled kernels are shared process-wide through
-the replay artifact cache keyed by the region's translation key (see
-``region._replay_key``, attached by :mod:`repro.opt.pipeline`) so
-content-identical clones from the translation cache never recompile.
+``vec`` never batches, so it makes ``vec`` the one kernel of every
+trace; ``batch`` is the auto policy without the warm-up). Lowered IR and
+compiled kernels are shared process-wide through the replay artifact
+cache keyed by the region's translation key (see ``region._replay_key``,
+attached by :mod:`repro.opt.pipeline`) so content-identical clones from
+the translation cache never recompile.
 Every tier produces byte-identical reports — locked by
 ``tests/test_replay_ir.py``, ``tests/test_batch_replay.py`` and the
 ``backends`` fuzz oracle.
@@ -181,10 +181,8 @@ _NO_PLANS_ENV = "SMARQ_NO_TIMING_PLANS"
 #: construction); unset or unknown values select by per-trace promotion
 _BACKEND_ENV = "SMARQ_REPLAY_BACKEND"
 
-#: max iterations per batched kernel call (SMARQ_BATCH_WIDTH=0/1
-#: disables cross-iteration batching entirely)
-_BATCH_ENV = "SMARQ_BATCH_WIDTH"
-_BATCH_WIDTH_DEFAULT = 16
+#: max iterations per batched kernel call
+_BATCH_WIDTH = 16
 
 #: scratch-register extension appended to the guest file per execution
 #: (a tuple so list.extend copies without allocating a fresh [0]*64)
@@ -520,11 +518,6 @@ class VliwSimulator:
         self._backend = (
             backend if backend in ("interp", "py", "vec", "batch") else None
         )
-        width = os.environ.get(_BATCH_ENV)
-        try:
-            self._batch_width = int(width) if width else _BATCH_WIDTH_DEFAULT
-        except ValueError:
-            self._batch_width = _BATCH_WIDTH_DEFAULT
         # planned executions before a plan promotes: forced tiers promote
         # on the first one, a forced interp never does
         if self._backend is None:
@@ -669,8 +662,8 @@ class VliwSimulator:
                 loop = plan.batch_loop
                 if loop is not None:
                     n = -(-steps_budget // (loop[0] + 1))
-                    if n > self._batch_width:
-                        n = self._batch_width
+                    if n > _BATCH_WIDTH:
+                        n = _BATCH_WIDTH
                 return self._run_batch(
                     region, adapter, registers, trace, fall_through,
                     ftrace, plan, art.batch_fn, n,
@@ -701,20 +694,17 @@ class VliwSimulator:
 
         The trace compiles (or finds in its shared artifact) exactly one
         kernel: ``batch`` when it has a structural back-edge, else
-        ``vec`` — ``vec`` for every trace when the simulator forces it or
-        batching is off (``SMARQ_BATCH_WIDTH`` below 2). The tier is
-        ``py`` when the backend is forced to ``py`` or the kernel is
-        unavailable: rejected by the lowering, demoted, or compiled for
-        another register file size.
+        ``vec`` — ``vec`` for every trace when the simulator forces it.
+        The tier is ``py`` when the backend is forced to ``py`` or the
+        kernel is unavailable: rejected by the lowering, demoted, or
+        compiled for another register file size.
         """
         art = plan.artifact
         tier = "py"
         if self._backend != "py":
             ir = self._ensure_ir(region, trace, art, adapter)
             batch = (
-                self._backend != "vec"
-                and self._batch_width >= 2
-                and _loop_candidate(ir) is not None
+                self._backend != "vec" and _loop_candidate(ir) is not None
             )
             if self._adopt_kernel(art, ir, adapter, guest_count, batch):
                 tier = "batch" if batch else "vec"

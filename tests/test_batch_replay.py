@@ -1,7 +1,7 @@
 """Batch replay tier tests: N batched iterations ≡ N scalar executions.
 
 The ``batch`` backend (see :mod:`repro.sim.replay_backends`) executes up
-to ``SMARQ_BATCH_WIDTH`` iterations of a self-looping hot region in one
+to ``_BATCH_WIDTH`` (16) iterations of a self-looping hot region in one
 kernel call. These tests pin its contract:
 
 * reports are byte-identical to the scalar tiers for every scheme;
@@ -13,7 +13,8 @@ kernel call. These tests pin its contract:
 * auto promotion compiles the batch kernel — the one kernel of a trace
   with a back-edge — at ``_REPLAY_THRESHOLD`` executions, and
   early-trimming traces demote at ``BATCH_TRIM_LIMIT``;
-* ``SMARQ_BATCH_WIDTH=0/1`` and forced scalar backends are kill switches;
+* one kernel call runs at most ``_BATCH_WIDTH`` iterations, and forced
+  scalar backends are kill switches;
 * re-optimization (plan invalidation) drops the compiled batch kernel;
 * the warm serve daemon reuses compiled batch kernels across repeat
   batches (zero-delta ``vliw.batch_compiles``).
@@ -35,6 +36,7 @@ from repro.sim.memory import Memory
 from repro.sim.replay_backends import BATCH_TRIM_LIMIT, reset_artifact_cache
 from repro.sim.schemes import SmarqAdapter
 from repro.sim.vliw import (
+    _BATCH_WIDTH,
     _REPLAY_THRESHOLD,
     VliwSimulator,
     invalidate_timing_plans,
@@ -281,26 +283,16 @@ class TestPromotionDemotion:
 
 
 class TestKillSwitches:
-    @pytest.mark.parametrize("width", ["0", "1"])
-    def test_width_env_disables(self, monkeypatch, width):
-        monkeypatch.setenv("SMARQ_BATCH_WIDTH", width)
+    def test_width_env_caps_batch(self):
+        """One kernel call runs at most ``_BATCH_WIDTH`` iterations."""
         with backend_forced("batch"):
             sim = VliwSimulator(MACHINE, Memory(4096))
             region = loop_region()
+            # _BATCH_WIDTH - 1 batched commits + the final scalar-path
+            # commit, although the budget affords many more
             out, _, batched = batch_once(sim, region)
             assert out.status == "commit"
-            assert batched == 0
-
-    def test_width_env_caps_batch(self, monkeypatch):
-        monkeypatch.setenv("SMARQ_BATCH_WIDTH", "4")
-        with backend_forced("batch"):
-            sim = VliwSimulator(MACHINE, Memory(4096))
-            region = loop_region()
-            # width-4 batch: 3 batched commits + the final scalar-path
-            # commit, regardless of remaining budget
-            out, _, batched = batch_once(sim, region)
-            assert out.status == "commit"
-            assert batched == 3
+            assert batched == _BATCH_WIDTH - 1
 
     def test_forced_scalar_backend_never_batches(self):
         for tier in ("interp", "py", "vec"):
@@ -312,10 +304,9 @@ class TestKillSwitches:
                     assert batched == 0
                     assert out.status == "commit"
 
-    def test_report_identical_with_tier_disabled(self, monkeypatch):
+    def test_report_identical_with_tier_disabled(self):
         enabled = bench_report("pchase", "smarq")
-        monkeypatch.setenv("SMARQ_BATCH_WIDTH", "0")
-        disabled = bench_report("pchase", "smarq")
+        disabled = bench_report("pchase", "smarq", tier="vec")
         assert enabled == disabled
 
 
@@ -403,30 +394,3 @@ class TestServeBatchWarm:
             "vliw.backend_batch", 0
         )
 
-
-class TestBatchDifferential:
-    """The perf harness's same-process kill-switch differential."""
-
-    def test_kill_switch_legs_and_aggregates(self):
-        import os
-
-        from repro.perf.harness import measure_batch_differential
-
-        prior = os.environ.get("SMARQ_BATCH_WIDTH")
-        section = measure_batch_differential(
-            benchmarks=["pchase"], scale=0.05, repeats=1
-        )
-        # the width override must not leak out of the measurement
-        assert os.environ.get("SMARQ_BATCH_WIDTH") == prior
-        cell = section["cells"]["pchase/smarq"]
-        # the off leg really is the kill switch, the on leg really batches
-        assert cell["off"]["backends"]["batch"] == 0
-        assert cell["on"]["backends"]["batch"] > 0
-        assert cell["on"]["backends"]["batch_iterations"] > 0
-        assert cell["execute_ratio"] > 0
-        # single-cell aggregates collapse to the cell's own ratio
-        assert section["aggregate_execute_ratio"] == cell["execute_ratio"]
-        assert (
-            section["loop_dominated_execute_ratio"]
-            == section["aggregate_execute_ratio"]
-        )

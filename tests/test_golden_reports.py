@@ -37,8 +37,8 @@ GOLDEN_HOT_THRESHOLD = 20
 
 #: each cell is (benchmark, scheme, scale). The 3x3 grid at scale 0.05 is
 #: the fast core lock; the equake row is additionally locked at scale 0.1
-#: — the perf harness's scale — so timing-plan signature reuse across the
-#: much longer pointer-chasing run is pinned byte-for-byte too. The
+#: so timing-plan signature reuse across the much longer
+#: pointer-chasing run is pinned byte-for-byte too. The
 #: smarq-cert row locks the static certifier's observable effect: the
 #: core grid plus the pointer-walk benchmarks where certification
 #: actually drops checks.

@@ -1,8 +1,8 @@
 """Perf-contract tests: algorithmic invariants instead of timing.
 
-Wall-clock benchmarks (``python -m repro perf``) drift with the machine;
-these tests pin the *shape* of the hot paths with exact counters, so a
-complexity regression (a cache that stops hitting, a queue scan that goes
+Wall-clock benchmarks (``bench/``) drift with the machine; these tests
+pin the *shape* of the hot paths with exact counters, so a complexity
+regression (a cache that stops hitting, a queue scan that goes
 quadratic, an allocator that re-heapifies) fails deterministically:
 
 1. a warm report cache serves every job without a single ``DbtSystem.run``
@@ -18,9 +18,9 @@ quadratic, an allocator that re-heapifies) fails deterministically:
    ``SMARQ_NO_TIMING_PLANS=1`` changes nothing observable in the report;
 5. every region execution lands on exactly one replay backend tier
    (``vliw.backend_interp``/``py``/``vec``/``batch`` partition
-   ``vliw.regions_executed``), the bench payload carries the schema-4
-   per-cell backend summary, and the ``--fail-below`` regression gate
-   trips on low speedups and on missing baselines;
+   ``vliw.regions_executed``), and the serve daemon's ``stats`` payload
+   summarizes the same counters in its ``translate``/``plans``/
+   ``backends`` sections;
 6. a hot trace compiles one kernel: a cold run generates at most one
    batch-or-vec kernel per promoted trace, and ``py`` code only for
    traces that escaped a kernel or that no kernel could lower;
@@ -275,55 +275,6 @@ class TestBackendTiersPartitionExecutions:
         ) > 0
 
 
-class TestBenchSchema:
-    def test_cells_carry_backend_summary(self):
-        from repro.perf import PerfConfig, run_perf
-        from repro.sim.replay_backends import reset_artifact_cache
-
-        # earlier tests may have warmed the process-wide artifact cache,
-        # which would hide the vec compile this asserts on
-        reset_artifact_cache()
-        config = PerfConfig(
-            benchmarks=["art"], schemes=["smarq"], scale=0.05,
-            repeats=1, figures_scale=None,
-        )
-        payload = run_perf(config)
-        assert payload["bench_schema"] == 6
-        cell = payload["cells"]["art/smarq"]
-        backends = cell["backends"]
-        executed = cell["counters"]["vliw.regions_executed"]
-        assert (
-            backends["interp"] + backends["py"] + backends["vec"]
-            + backends["batch"]
-            == executed
-        )
-        assert 0.0 < backends["vec_share"] + backends["batch_share"] <= 1.0
-        assert backends["vec_compiles"] + backends["batch_compiles"] >= 1
-        # schema 6: per-phase spread is reported alongside the medians
-        spread = cell["spread"]
-        assert set(spread["phases"]) == set(cell["phases"])
-        for stats in spread["phases"].values():
-            assert {"mean_s", "std_s", "median_s"} <= set(stats)
-
-
-class TestRegressionGate:
-    def test_trips_below_threshold_only(self):
-        from repro.perf import check_regression
-
-        payload = {"speedup": {"execute_phase": 1.20, "total_cells": 0.90}}
-        assert check_regression(payload, 0.95) == [
-            "total_cells: 0.90x < 0.95x"
-        ]
-        assert check_regression(payload, 0.85) == []
-
-    def test_missing_baseline_fails_closed(self):
-        from repro.perf import check_regression
-
-        failures = check_regression({}, 0.95)
-        assert len(failures) == 2
-        assert all("not computed" in f for f in failures)
-
-
 class TestServeWarmState:
     """The daemon's warm-state contracts, observed via the stats endpoint."""
 
@@ -384,6 +335,33 @@ class TestServeWarmState:
         assert (
             warm["translate.cache_hits"] > cold["translate.cache_hits"]
         )
+
+    def test_stats_sections_summarize_the_counters(self):
+        """The ``translate``/``plans``/``backends`` stats sections are
+        derived from the raw ``counters``: the backend tiers partition
+        every region execution, and each hit count is its counter."""
+        from repro.serve import ServeClient, ServeConfig, running_server
+
+        with running_server(
+            ServeConfig(cache=False, memo_limit=0)
+        ) as server:
+            with ServeClient(server.address) as client:
+                # the repeat re-executes, so every hit counter is live
+                for _ in range(2):
+                    assert client.submit(self.BATCH).failed == 0
+                stats = client.stats()
+
+        counters = stats["counters"]
+        backends = stats["backends"]
+        assert (
+            backends["interp"] + backends["py"] + backends["vec"]
+            + backends["batch"]
+            == counters["vliw.regions_executed"]
+        )
+        assert 0.0 < backends["vec_share"] + backends["batch_share"] <= 1.0
+        assert stats["translate"]["hits"] == counters["translate.cache_hits"]
+        assert stats["plans"]["hits"] == counters["vliw.plan_hits"]
+        assert stats["translate"]["hits"] > 0 and stats["plans"]["hits"] > 0
 
     def test_concurrent_duplicates_coalesce_to_one_simulation(self):
         import threading

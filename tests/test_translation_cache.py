@@ -17,6 +17,7 @@ from repro.engine.instrumentation import Tracer
 from repro.frontend.profiler import ProfilerConfig
 from repro.ir.instruction import load, store
 from repro.ir.superblock import Superblock
+from repro.opt import translation_cache
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
 from repro.opt.translation_cache import (
     TranslationCache,
@@ -273,7 +274,7 @@ class TestPersistentTier:
 
 class TestLruBound:
     def test_full_tier_respects_max_entries(self, monkeypatch):
-        monkeypatch.setenv("SMARQ_TRANSLATION_CACHE_SIZE", "2")
+        monkeypatch.setattr(translation_cache, "_DEFAULT_ENTRIES", 2)
         reset_translation_cache()
         pipeline = OptimizationPipeline(MachineModel())
         for pc in (7, 8, 9, 10):
