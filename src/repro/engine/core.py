@@ -22,6 +22,7 @@ from repro.engine.cache import NullCache
 from repro.engine.executor import Executor, SerialExecutor
 from repro.engine.instrumentation import Tracer
 from repro.engine.jobs import JobResult, JobSpec, job_fingerprint
+from repro.opt.translation_cache import STAGES
 from repro.sim.dbt import DbtReport
 
 
@@ -152,6 +153,13 @@ class ExecutionEngine:
                     f" ({c.get('vliw.batch_iterations', 0)} batched iters)"
                 )
             lines.append(tiers)
+        prefix_hits = c.get("dbt.prefix_hits", 0)
+        prefix_runs = prefix_hits + c.get("dbt.prefix_misses", 0)
+        if prefix_runs:
+            lines.append(
+                f"warm-up restores      : {prefix_hits} of {prefix_runs} "
+                f"runs ({prefix_hits / prefix_runs:.0%})"
+            )
         plan_hits = c.get("vliw.plan_hits", 0)
         plan_misses = c.get("vliw.plan_misses", 0)
         lookups = plan_hits + plan_misses
@@ -171,7 +179,7 @@ class ExecutionEngine:
         if tc_lookups:
             rate = f" ({tc_hits / tc_lookups:.0%} hit)"
             stage_bits = []
-            for stage in ("elim", "deps", "ddg", "prep"):
+            for stage in STAGES:
                 hits = c.get(f"translate.{stage}_hits", 0)
                 total = hits + c.get(f"translate.{stage}_misses", 0)
                 if total:

@@ -24,7 +24,10 @@ implementations agreed). The configured pairs:
 ``translate``
     ``DbtReport`` with the translation cache enabled vs
     ``SMARQ_NO_TRANSLATION_CACHE=1`` (must be byte-identical; the
-    region-translation-cache contract).
+    region-translation-cache contract). The cache-off leg also starts
+    from an empty warm-up memo (:func:`repro.sim.dbt.reset_prefix_memo`),
+    so each case diffs runs that restored the program's interpreted
+    warm-up against one that interpreted it from scratch.
 ``backends``
     ``DbtReport`` under every replay backend tier — auto promotion vs
     ``SMARQ_REPLAY_BACKEND=interp|py|vec|batch`` forced — for every
@@ -77,7 +80,7 @@ from repro.ir.superblock import Superblock
 from repro.sched.ddg import DataDependenceGraph
 from repro.sched.list_scheduler import ListScheduler, SchedulerConfig
 from repro.sched.machine import MachineModel
-from repro.sim.dbt import DbtSystem
+from repro.sim.dbt import DbtSystem, reset_prefix_memo
 from repro.sim.memory import Memory
 from repro.smarq.allocator import SmarqAllocator
 from repro.smarq.fast_alloc import fast_allocate
@@ -336,6 +339,9 @@ class CaseRun:
             if not cache:
                 # Read per translation, so the whole run must be covered.
                 stack.enter_context(translation_cache_disabled())
+                # ... and interpret the warm-up too: the other legs of
+                # this case restore it from the process-wide memo.
+                reset_prefix_memo()
             system = DbtSystem(program, scheme, profiler_config=profiler)
             report = system.run(max_guest_steps=_MAX_GUEST_STEPS)
         self._scheme_report[(scheme, plans, cache)] = report.to_dict()

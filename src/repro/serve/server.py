@@ -45,6 +45,7 @@ from repro.engine.core import ExecutionEngine
 from repro.engine.executor import ParallelExecutor, SerialExecutor
 from repro.engine.instrumentation import Tracer
 from repro.engine.jobs import JobResult
+from repro.opt.translation_cache import STAGES
 from repro.serve import protocol
 from repro.serve.jobqueue import JobQueue, Ticket, VIA_NEW
 from repro.serve.protocol import ProtocolError, error_message
@@ -241,7 +242,7 @@ def _translate_summary(counters: Dict[str, int]) -> Dict[str, object]:
         "stores": counters.get("translate.cache_stores", 0),
         "hit_rate": (hits / lookups) if lookups else 0.0,
     }
-    for stage in ("elim", "deps", "ddg", "prep"):
+    for stage in STAGES:
         summary[f"{stage}_hits"] = counters.get(f"translate.{stage}_hits", 0)
         summary[f"{stage}_misses"] = counters.get(
             f"translate.{stage}_misses", 0

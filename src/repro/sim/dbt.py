@@ -11,12 +11,32 @@ trigger conservative re-optimization.
     system = DbtSystem(program, scheme_name="smarq")
     report = system.run()
     print(report.total_cycles)
+
+Shared warm-up. Nothing scheme-specific runs before a program's first
+``runtime.install``: until then the guest is interpreted under the
+hotness profiler, and the regions formed along the way have no memory
+operations to translate. A process-wide LRU memo (``_PREFIXES``, at most
+``_PREFIX_ENTRIES`` snapshots) keeps that front-end state — guest memory
+and registers, interpreter pc and counters, profile counts, the formed
+heads, the alias profile, the runtime's interp counters — keyed by an
+exact digest of every input it depends on (:meth:`DbtSystem._prefix_digest`).
+The first run of a program records the snapshot just before its first
+install; every later run with the same key restores it in place and
+resumes at the ``_form_if_hot`` that installs the first region, so a
+sweep of schemes over one program interprets its warm-up once. Tracer
+counters ``dbt.prefix_hits`` / ``dbt.prefix_misses``;
+:func:`reset_prefix_memo` empties the memo (tests).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import pickle
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from operator import attrgetter
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.frontend.interpreter import Interpreter
 from repro.frontend.profiler import HotnessProfiler, ProfilerConfig
@@ -153,6 +173,46 @@ class RegionSnapshot:
     working_set_lower_bound: int = 0
 
 
+@dataclass(frozen=True)
+class _Prefix:
+    """Front-end state of a run just before its first ``runtime.install``.
+
+    Before that install every loop turn interprets exactly one guest
+    instruction and spends one step, so the prefix's step count is
+    ``interp_stats["instructions"]``. ``formed`` excludes the head being
+    installed: a restored run re-forms that region itself."""
+
+    memory: bytes
+    registers: Tuple[int, ...]
+    pc: int
+    interp_stats: Dict[str, int]
+    block_counts: Dict[int, int]
+    edge_counts: Dict[Tuple[int, int], int]
+    last_pc: Optional[int]
+    formed: FrozenSet[int]
+    #: (window, alias_events, executions) when alias profiling is on
+    alias_profile: Optional[tuple]
+    runtime_stats: Dict[str, int]
+
+
+#: every instruction field the interpreter, the profiler and region
+#: formation read (the rest are optimizer annotations)
+_FRONT_END_FIELDS = attrgetter(
+    "opcode", "dest", "srcs", "imm", "base", "disp", "size", "target"
+)
+
+#: the process-wide prefix memo, an LRU of at most ``_PREFIX_ENTRIES``
+#: snapshots. Like the translation cache, it assumes one simulating
+#: thread per process (the serve daemon has a single dispatcher).
+_PREFIX_ENTRIES = 32
+_PREFIXES: "OrderedDict[bytes, _Prefix]" = OrderedDict()
+
+
+def reset_prefix_memo() -> None:
+    """Drop every recorded warm-up snapshot (tests)."""
+    _PREFIXES.clear()
+
+
 class DbtSystem:
     """One guest program, one scheme, one run."""
 
@@ -217,6 +277,9 @@ class DbtSystem:
             self.interpreter.mem_hook = self.alias_profiler.observe
         self._heads: Set[int] = program.block_heads()
         self._formed: Set[int] = set()
+        #: prefix-memo key a missed run records under at its first
+        #: install (None otherwise, and once recorded)
+        self._prefix_key: Optional[bytes] = None
 
     # ------------------------------------------------------------------
     def run(self, max_guest_steps: int = 5_000_000) -> DbtReport:
@@ -231,6 +294,19 @@ class DbtSystem:
         runtime = self.runtime
         steps_budget = max_guest_steps
         exit_code: Optional[int] = None
+
+        if interp.stats.instructions == 0:  # a fresh system
+            key = self._prefix_digest(max_guest_steps)
+            prefix = _PREFIXES.get(key)
+            if prefix is None:
+                self.tracer.count("dbt.prefix_misses")
+                self._prefix_key = key
+            else:
+                _PREFIXES.move_to_end(key)
+                self.tracer.count("dbt.prefix_hits")
+                self._restore_prefix(prefix)
+                steps_budget -= interp.stats.instructions
+                self._form_if_hot(interp.pc)
 
         while not interp.exited and steps_budget > 0:
             pc = interp.pc
@@ -295,14 +371,92 @@ class DbtSystem:
             and pc not in self._formed
             and self.profiler.is_hot(pc)
         ):
-            self._formed.add(pc)
             region = self.region_former.form(pc)
-            if region.memory_ops():
+            installs = bool(region.memory_ops())
+            if installs and self._prefix_key is not None:
+                self._record_prefix()
+            self._formed.add(pc)
+            if installs:
                 if self.alias_profiler is not None:
                     self.pipeline.seed_hints(
                         pc, self.alias_profiler.hints_for_region(region)
                     )
                 self.runtime.install(region)
+
+    # ------------------------------------------------------------------
+    def _prefix_digest(self, max_guest_steps: int) -> bytes:
+        """Exact digest of every input the pre-install front end reads.
+
+        The scheme is absent on purpose: nothing scheme-specific runs
+        before the first install. Config dataclasses are keyed whole, so
+        a new field can only split the memo, never alias two runs. A
+        pickle decodes to its content, so equal digests mean equal
+        inputs (pickle's sharing of equal objects can at worst split the
+        memo)."""
+        program = self.program
+        parts = (
+            list(map(_FRONT_END_FIELDS, program.instructions)),
+            program.entry_pc,
+            tuple(self.interpreter.registers),
+            tuple(sorted(program.region_map.items())),
+            self.memory.size,
+            dataclasses.astuple(self.profiler.config),
+            dataclasses.astuple(self.region_former.config),
+            self.runtime.config.interp_cycles_per_instruction,
+            self.alias_profiler is not None,
+            max_guest_steps,
+        )
+        blob = pickle.dumps(parts, protocol=pickle.HIGHEST_PROTOCOL)
+        return hashlib.sha256(blob).digest()
+
+    def _record_prefix(self) -> None:
+        """Snapshot this run's warm-up under ``_prefix_key``; called just
+        before its first install."""
+        interp = self.interpreter
+        profiler = self.profiler
+        alias_profile = None
+        if self.alias_profiler is not None:
+            ap = self.alias_profiler
+            alias_profile = (
+                tuple(ap._window), dict(ap.alias_events), dict(ap.executions)
+            )
+        _PREFIXES[self._prefix_key] = _Prefix(
+            memory=bytes(self.memory.buffer),
+            registers=tuple(interp.registers),
+            pc=interp.pc,
+            interp_stats=dict(vars(interp.stats)),
+            block_counts=dict(profiler.block_counts),
+            edge_counts=dict(profiler.edge_counts),
+            last_pc=profiler._last_pc,
+            formed=frozenset(self._formed),
+            alias_profile=alias_profile,
+            runtime_stats=dict(vars(self.runtime.stats)),
+        )
+        self._prefix_key = None
+        while len(_PREFIXES) > _PREFIX_ENTRIES:
+            _PREFIXES.popitem(last=False)
+
+    def _restore_prefix(self, prefix: _Prefix) -> None:
+        """Load a recorded warm-up into this fresh system. Memory,
+        registers and interpreter counters are written in place: the
+        simulator and the interpreter's handler closures hold those
+        objects."""
+        interp = self.interpreter
+        self.memory.buffer[:] = prefix.memory
+        interp.registers[:] = prefix.registers
+        interp.pc = prefix.pc
+        vars(interp.stats).update(prefix.interp_stats)
+        profiler = self.profiler
+        profiler.block_counts = dict(prefix.block_counts)
+        profiler.edge_counts = dict(prefix.edge_counts)
+        profiler._last_pc = prefix.last_pc
+        self._formed = set(prefix.formed)
+        if prefix.alias_profile is not None:
+            window, events, executions = prefix.alias_profile
+            self.alias_profiler._window.extend(window)
+            self.alias_profiler.alias_events = dict(events)
+            self.alias_profiler.executions = dict(executions)
+        vars(self.runtime.stats).update(prefix.runtime_stats)
 
     def _translated_pcs(self, exclude: Optional[int]) -> Set[int]:
         pcs = {

@@ -24,7 +24,12 @@ quadratic, an allocator that re-heapifies) fails deterministically:
 6. a hot trace compiles one kernel: a cold run generates at most one
    batch-or-vec kernel per promoted trace, and ``py`` code only for
    traces that escaped a kernel or that no kernel could lower;
-7. importing the CLI pulls in no numpy (process start-up stays lean).
+7. importing the CLI pulls in no numpy (process start-up stays lean);
+8. a program's interpreted warm-up runs once per process: a cold sweep
+   of the figure schemes records it on each program's first cell
+   (``dbt.prefix_misses``) and restores it in every other
+   (``dbt.prefix_hits``), and a restored cell compiles no interpreter
+   handler for code that only ran during the warm-up.
 """
 
 import os
@@ -42,6 +47,7 @@ from repro.engine.core import ExecutionEngine
 from repro.engine.instrumentation import Tracer
 from repro.engine.jobs import JobSpec
 from repro.frontend.profiler import ProfilerConfig
+from repro.opt.translation_cache import STAGES
 from repro.sim.dbt import DbtSystem
 from repro.workloads import make_benchmark
 
@@ -207,6 +213,69 @@ class TestOneKernelPerTrace:
         ) > c.get("vliw.backend_py", 0)
 
 
+class TestPrefixSharing:
+    BENCHMARKS = ("art", "swim")
+
+    def test_scheme_sweep_interprets_each_warm_up_once(self):
+        """2 benchmarks x the 6 scheme keys the figures sweep (the fig16
+        variant included), serially in one process: one recorded
+        warm-up per benchmark, restored by its other 5 cells. A
+        restored cell never executes the set-up code that only runs
+        before the first install, so it compiles no handler for it."""
+        from repro.engine.cache import NullCache
+        from repro.eval.fig15 import SCHEMES
+        from repro.eval.fig16 import NO_STORE_REORDER_KEY, register_variant
+        from repro.eval.suite import SuiteConfig, SuiteRunner
+        from repro.sim.dbt import reset_prefix_memo
+
+        reset_prefix_memo()
+        engine = ExecutionEngine(cache=NullCache())
+        runner = SuiteRunner(
+            SuiteConfig(benchmarks=list(self.BENCHMARKS), scale=0.05),
+            engine,
+        )
+        register_variant(runner)
+        keys = ("none",) + tuple(SCHEMES) + (NO_STORE_REORDER_KEY,)
+        assert len(keys) == 6
+        runner.prefetch(keys)
+        c = engine.tracer.counters
+        assert c.get("dbt.prefix_misses", 0) == len(self.BENCHMARKS)
+        assert c.get("dbt.prefix_hits", 0) == len(self.BENCHMARKS) * 5
+
+        def first_benchmark_cell():
+            return DbtSystem(
+                make_benchmark(self.BENCHMARKS[0], scale=0.05), "smarq",
+                profiler_config=ProfilerConfig(hot_threshold=20),
+            )
+
+        restored = first_benchmark_cell()
+        restored.run()
+
+        # from an empty memo, find the pcs interpreted only before the
+        # first install
+        reset_prefix_memo()
+        scratch = first_benchmark_cell()
+        installed = []
+        before, after = set(), set()
+        install, observe = scratch.runtime.install, scratch.profiler.observe
+
+        def recording_install(region):
+            installed.append(region.entry_pc)
+            install(region)
+
+        def recording_observe(pc):
+            (after if installed else before).add(pc)
+            observe(pc)
+
+        scratch.runtime.install = recording_install
+        scratch.interpreter.trace_hook = recording_observe
+        scratch.run()
+        preamble = before - after
+        assert preamble, "the workload has no set-up code"
+        handlers = restored.interpreter._handlers
+        assert [pc for pc in sorted(preamble) if handlers[pc] is not None] == []
+
+
 class TestStartupImports:
     def test_cli_import_pulls_in_no_numpy(self):
         """Nothing on the CLI's import path may import numpy: every
@@ -340,15 +409,22 @@ class TestServeWarmState:
         """The ``translate``/``plans``/``backends`` stats sections are
         derived from the raw ``counters``: the backend tiers partition
         every region execution, and each hit count is its counter."""
+        from repro.opt.translation_cache import reset_translation_cache
         from repro.serve import ServeClient, ServeConfig, running_server
 
+        # the smarq-cert cell consults the certify stage memo only on a
+        # full-tier miss, which earlier tests may have warmed
+        reset_translation_cache()
+        batch = self.BATCH + [
+            JobSpec(benchmark="pwalk", scheme_key="smarq-cert", scale=0.05)
+        ]
         with running_server(
             ServeConfig(cache=False, memo_limit=0)
         ) as server:
             with ServeClient(server.address) as client:
                 # the repeat re-executes, so every hit counter is live
                 for _ in range(2):
-                    assert client.submit(self.BATCH).failed == 0
+                    assert client.submit(batch).failed == 0
                 stats = client.stats()
 
         counters = stats["counters"]
@@ -362,6 +438,14 @@ class TestServeWarmState:
         assert stats["translate"]["hits"] == counters["translate.cache_hits"]
         assert stats["plans"]["hits"] == counters["vliw.plan_hits"]
         assert stats["translate"]["hits"] > 0 and stats["plans"]["hits"] > 0
+        # every stage memo is summarized, certify (smarq-cert) included
+        for stage in STAGES:
+            for outcome in ("hits", "misses"):
+                name = f"{stage}_{outcome}"
+                assert stats["translate"][name] == counters.get(
+                    f"translate.{name}", 0
+                ), name
+        assert stats["translate"]["certify_misses"] > 0
 
     def test_concurrent_duplicates_coalesce_to_one_simulation(self):
         import threading
