@@ -70,7 +70,7 @@ from repro.sched.list_scheduler import (
     SchedulerConfig,
 )
 from repro.sched.machine import MachineModel
-from repro.smarq.allocator import SmarqAllocator
+from repro.smarq.allocator import AllocationSummary, SmarqAllocator
 
 
 def _digest(obj) -> str:
@@ -107,25 +107,32 @@ class OptimizerConfig:
     certify: bool = False
 
 
+#: version of the pickled translation classes (:class:`OptimizedRegion`
+#: and everything it holds), folded into every full-tier key so that a
+#: persisted blob of an older shape misses instead of loading. Bump it
+#: whenever one of those classes changes.
+TRANSLATION_FORMAT = 2
+
+
 @dataclass
 class OptimizedRegion:
     """Everything the runtime needs to install a translated region.
 
-    ``allocator`` is whichever hook performed alias register allocation —
-    a :class:`SmarqAllocator`, a
+    ``allocation`` summarizes whichever hook performed alias register
+    allocation — a :class:`SmarqAllocator`, a
     :class:`~repro.smarq.bitmask_alloc.BitmaskAllocator`, a
-    :class:`~repro.smarq.plain_order_alloc.PlainOrderAllocator` — or None
-    for non-speculative translations. All expose a shared
-    :class:`~repro.smarq.allocator.AllocationStats` as ``.stats``.
+    :class:`~repro.smarq.plain_order_alloc.PlainOrderAllocator` — taken
+    once its schedule is final, or is None for non-speculative
+    translations. The allocator itself, its dependence set and the alias
+    analysis are not kept: nothing reads them after scheduling, and every
+    full-tier cache entry would pickle them.
     """
 
     block: Superblock
     schedule: ScheduleResult
-    allocator: Optional[object]
-    dependences: DependenceSet
+    allocation: Optional[AllocationSummary]
     load_elim: LoadEliminationResult
     store_elim: StoreEliminationResult
-    analysis: AliasAnalysis
     config: OptimizerConfig
     #: checker-accepted alias certificate, when certification ran
     certificate: Optional[Certificate] = None
@@ -200,6 +207,7 @@ class OptimizationPipeline:
     def _full_key(self, content, hints_key, banned_key) -> Tuple:
         key = (
             "full",
+            TRANSLATION_FORMAT,
             self._machine_digest,
             self._env_digest,
             self._config_digest(),
@@ -285,9 +293,8 @@ class OptimizationPipeline:
         # lowered replay IR and compiled kernels across content-identical
         # regions (repro.sim.replay_backends).
         hints_key, banned_key = self._hint_keys(hints, banned)
-        full_key = self._full_key(
-            region_content_key(original), hints_key, banned_key
-        )
+        content = region_content_key(original)
+        full_key = self._full_key(content, hints_key, banned_key)
 
         cache = get_translation_cache() if TranslationCache.enabled() else None
         if cache is not None:
@@ -300,18 +307,20 @@ class OptimizationPipeline:
                 region._replay_key = full_key
                 return region
 
-        region = self._optimize_impl(original, hints, banned, cache)
-        region._replay_key = full_key
+        region = self._optimize_impl(original, content, hints, banned, cache)
         if cache is not None:
+            # Stored before the key is attached: a hit re-attaches it, so
+            # the blob need not carry the region's whole content again.
             if tracer.active:
                 with tracer.phase("optimize.cache"):
                     cache.store_translation(full_key, region, tracer)
             else:
                 cache.store_translation(full_key, region, tracer)
+        region._replay_key = full_key
         return region
 
     def _optimize_impl(
-        self, original: Superblock, hints, banned, cache
+        self, original: Superblock, content: Tuple, hints, banned, cache
     ) -> OptimizedRegion:
         config = self.config
         tracer = self.tracer
@@ -331,9 +340,7 @@ class OptimizationPipeline:
             cached_elim = None
             elim_key = None
             if cache is not None:
-                elim_key = self._elim_key(
-                    region_content_key(original), hints_key, banned_key
-                )
+                elim_key = self._elim_key(content, hints_key, banned_key)
                 cached_elim = cache.get_stage("elim", elim_key, tracer)
             if cached_elim is not None:
                 block, load_result, store_result = cached_elim
@@ -571,11 +578,14 @@ class OptimizationPipeline:
         return OptimizedRegion(
             block=block,
             schedule=schedule,
-            allocator=allocator,
-            dependences=deps,
+            # after schedule(): AMOV rewiring of check pairs is final
+            allocation=(
+                AllocationSummary.of(allocator)
+                if allocator is not None
+                else None
+            ),
             load_elim=load_result,
             store_elim=store_result,
-            analysis=analysis,
             config=config,
             certificate=certificate,
         )

@@ -10,25 +10,27 @@ from memory:
 * **full tier** — a fingerprint-keyed store of pickled
   :class:`~repro.opt.pipeline.OptimizedRegion` blobs. A hit deserializes
   a private clone of the whole translation object graph (block, schedule,
-  allocator, analysis — internal identity preserved, nothing shared with
-  other consumers), which is several times cheaper than re-optimizing.
-  Blobs are serialized *at translation time*, before the VLIW simulator
-  attaches its unpicklable compiled-trace closures.
+  allocation summary, elimination results — internal identity preserved,
+  nothing shared with other consumers), which is several times cheaper
+  than re-optimizing. Blobs are serialized *at translation time*, before
+  the VLIW simulator attaches its unpicklable compiled-trace closures.
 * **stage tiers** — when the full tier misses (a new scheme, a new hint
   set), scheme-independent intermediate products are still reusable:
   the post-elimination block (``elim``), the base memory dependences
-  (``deps``, stored as index triples), the DDG structure (``ddg``, see
-  :meth:`~repro.sched.ddg.DataDependenceGraph.structural`) and the
-  scheduler's priority tables (``prep``,
-  :class:`~repro.sched.list_scheduler.SchedulePrep`). Each tier's key
-  covers precisely the inputs that stage reads — e.g. alias hints are
-  excluded from ``deps``/``ddg`` keys because classification ignores
-  them, which is what lets an alias-exception re-optimization reuse the
-  DDG while recomputing constraints and allocation.
+  (``deps``, stored as index triples), the DDG's positional edge tuple
+  (``ddg``, see :meth:`~repro.sched.ddg.DataDependenceGraph.structural`;
+  a hit adopts it as the graph) and the scheduler's priority tables
+  (``prep``, :class:`~repro.sched.list_scheduler.SchedulePrep`). Each
+  tier's key covers precisely the inputs that stage reads — e.g. alias
+  hints are excluded from ``deps``/``ddg`` keys because classification
+  ignores them, which is what lets an alias-exception re-optimization
+  reuse the DDG while recomputing constraints and allocation.
 * **persistent tier** (opt-in, full translations only) — blobs under
   ``$REPRO_CACHE_DIR``/``~/.cache/repro`` in ``translations/``, enabled
   with ``SMARQ_TRANSLATION_CACHE_PERSIST=1``. Corrupt entries degrade to
-  misses (and are unlinked best-effort), mirroring the report cache.
+  misses (and are unlinked best-effort), mirroring the report cache, and
+  entries of another :data:`~repro.opt.pipeline.TRANSLATION_FORMAT` are
+  never found: the format is part of every full-tier key.
   Loads reserve the blob's uid range
   (:func:`repro.ir.instruction.reserve_uids`) so deserialized
   instructions never collide with freshly allocated ones.

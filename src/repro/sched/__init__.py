@@ -4,7 +4,8 @@
   (the reproduction's stand-in for the paper's Table 2 parameters).
 * :mod:`repro.sched.ddg` — data-dependence graph over a superblock
   (register flow/anti/output edges, control edges to side exits, and the
-  memory dependences from :mod:`repro.analysis.dependence`).
+  memory dependences from :mod:`repro.analysis.dependence`), stored as
+  position-indexed edge tuples.
 * :mod:`repro.sched.list_scheduler` — cycle-driven list scheduler that the
   SMARQ allocator (:mod:`repro.smarq.allocator`) hooks into. It honours
   memory dependences in non-speculative mode and may break MAY-alias

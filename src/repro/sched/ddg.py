@@ -13,13 +13,25 @@ Edges:
 * **memory**: the dependences from :mod:`repro.analysis.dependence`. Each
   memory edge is tagged with whether it is breakable by alias speculation
   (MAY alias) or not (MUST alias).
+
+The graph is stored in the one form its consumers read: a tuple of
+``(src_position, dst_position, kind, latency, breakable)`` edges in global
+insertion order, positions indexing the block in program order and
+``kind`` an :class:`EdgeKind` value. That tuple is also the translation
+cache's ``ddg`` memo (:meth:`DataDependenceGraph.structural`), so a memo
+hit adopts it as is (:meth:`DataDependenceGraph.from_structural`), and
+the scheduler (:meth:`~repro.sched.list_scheduler.ListScheduler.prepare`)
+indexes it by position. :class:`DdgEdge` objects exist only as on-demand
+views (:meth:`~DataDependenceGraph.successors`,
+:meth:`~DataDependenceGraph.predecessors`) for tests and tools.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.dependence import Dependence
 from repro.ir.instruction import Instruction
@@ -31,6 +43,16 @@ class EdgeKind(enum.Enum):
     OUTPUT = "output"
     CONTROL = "control"
     MEMORY = "memory"
+
+
+#: one edge: (src_position, dst_position, EdgeKind value, latency, breakable)
+Edge = Tuple[int, int, str, int, bool]
+
+_FLOW = EdgeKind.FLOW.value
+_ANTI = EdgeKind.ANTI.value
+_OUTPUT = EdgeKind.OUTPUT.value
+_CONTROL = EdgeKind.CONTROL.value
+_MEMORY = EdgeKind.MEMORY.value
 
 
 @dataclass(frozen=True)
@@ -60,198 +82,69 @@ class DataDependenceGraph:
         memory_dependences: Iterable[Dependence] = (),
         allow_store_reorder: bool = True,
         speculation_policy: str = "full",
-        _structural: Optional[Tuple[Tuple[int, int, str, int, bool], ...]] = None,
+        _structural: Optional[Tuple[Edge, ...]] = None,
     ) -> None:
         """``speculation_policy`` is ``"full"`` (any MAY-alias pair may be
         reordered) or ``"loads_only"`` (only loads may hoist above stores —
-        the ALAT restriction). ``_structural`` replays a previously built
-        graph's edge list (see :meth:`structural`) instead of deriving the
+        the ALAT restriction). ``_structural`` adopts a previously built
+        graph's edge tuple (see :meth:`structural`) instead of deriving the
         edges — the translation cache's DDG memo."""
         if speculation_policy not in ("full", "loads_only"):
             raise ValueError(f"unknown speculation policy {speculation_policy!r}")
         self.block = block
         self.machine = machine
-        self._speculation_policy = speculation_policy
-        self._succ: Dict[int, List[DdgEdge]] = {}
-        self._pred: Dict[int, List[DdgEdge]] = {}
-        self._insts: Dict[int, Instruction] = {}
-        #: every edge in global insertion order (the structural memo form)
-        self._edges: List[DdgEdge] = []
-        #: dedup index: (src_uid, dst_uid, kind) -> highest latency kept
-        self._best: Dict[Tuple[int, int, EdgeKind], int] = {}
-        for inst in block:
-            self._succ[inst.uid] = []
-            self._pred[inst.uid] = []
-            self._insts[inst.uid] = inst
         if _structural is not None:
-            self._replay_structural(block, _structural)
-        else:
-            self._build_register_edges(block, machine)
-            self._build_control_edges(block)
-            self._build_memory_edges(
-                block, memory_dependences, allow_store_reorder
-            )
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _add(self, edge: DdgEdge) -> None:
-        if edge.src is edge.dst:
+            self._edges: Tuple[Edge, ...] = _structural
             return
-        # Duplicate (src, dst, kind) edges (e.g. a register used twice)
-        # keep only the highest latency; successive survivors strictly
-        # increase, so one running maximum decides in O(1).
-        key = (edge.src.uid, edge.dst.uid, edge.kind)
-        best = self._best.get(key)
-        if best is not None and edge.latency <= best:
-            return
-        self._best[key] = edge.latency
-        self._succ[edge.src.uid].append(edge)
-        self._pred[edge.dst.uid].append(edge)
-        self._edges.append(edge)
-
-    def _build_register_edges(self, block, machine) -> None:
-        last_def: Dict[int, Instruction] = {}
-        uses_since_def: Dict[int, List[Instruction]] = {}
-        for inst in block:
-            for reg in inst.uses():
-                producer = last_def.get(reg)
-                if producer is not None:
-                    self._add(
-                        DdgEdge(
-                            producer,
-                            inst,
-                            EdgeKind.FLOW,
-                            latency=machine.latency_of(producer),
-                        )
-                    )
-                uses_since_def.setdefault(reg, []).append(inst)
-            for reg in inst.defs():
-                previous = last_def.get(reg)
-                if previous is not None:
-                    self._add(DdgEdge(previous, inst, EdgeKind.OUTPUT, latency=1))
-                for user in uses_since_def.get(reg, ()):
-                    self._add(DdgEdge(user, inst, EdgeKind.ANTI, latency=0))
-                last_def[reg] = inst
-                uses_since_def[reg] = []
-
-    def _build_control_edges(self, block) -> None:
         instructions = list(block)
-        branches = [i for i in instructions if i.is_branch]
-        if not branches:
-            return
-        final = instructions[-1]
-        # Each branch pins every *later* store (a store may not become
-        # architectural on a path that already left the region) and every
-        # later branch (branches stay ordered). Only stores/branches can be
-        # edge targets, so scan that subsequence instead of the whole block.
-        targets = [
-            (idx, inst)
-            for idx, inst in enumerate(instructions)
-            if inst.is_store or inst.is_branch
-        ]
-        positions = {inst.uid: idx for idx, inst in enumerate(instructions)}
-        for branch in branches:
-            bpos = positions[branch.uid]
-            for ipos, inst in targets:
-                if ipos <= bpos:
-                    continue
-                if inst.is_store:
-                    self._add(DdgEdge(branch, inst, EdgeKind.CONTROL, latency=0))
-                # Branches stay in order relative to each other.
-                if inst.is_branch and inst is not branch:
-                    self._add(DdgEdge(branch, inst, EdgeKind.CONTROL, latency=0))
-        # Nothing moves below the terminating branch.
-        if final.is_branch:
-            for inst in instructions[:-1]:
-                self._add(DdgEdge(inst, final, EdgeKind.CONTROL, latency=0))
+        edges: List[Edge] = []
+        #: dedup index: (src, dst, kind) -> highest latency kept
+        best: Dict[Tuple[int, int, str], int] = {}
 
-    def _build_memory_edges(
-        self,
-        block,
-        memory_dependences: Iterable[Dependence],
-        allow_store_reorder: bool,
-    ) -> None:
-        positions = {inst.uid: idx for idx, inst in enumerate(block)}
-        for dep in memory_dependences:
-            if dep.extended:
-                # Extended dependences do not order the schedule; they only
-                # produce constraints (the allocator consumes them directly).
-                continue
-            if dep.src.uid not in positions or dep.dst.uid not in positions:
-                continue
-            breakable = not dep.must
-            if (
-                breakable
-                and not allow_store_reorder
-                and dep.src.is_store
-                and dep.dst.is_store
-            ):
-                # Store-store reordering disabled (Itanium model / Fig 16).
-                breakable = False
-            if breakable and self._speculation_policy == "loads_only":
-                # Only "hoist later load above earlier store" is breakable.
-                breakable = dep.dst.is_load
+        def add(src: int, dst: int, kind: str, latency: int,
+                breakable: bool = False) -> None:
+            if src == dst:
+                return
+            # A duplicate (src, dst, kind) edge (e.g. a register used
+            # twice) is appended only with a strictly higher latency than
+            # every earlier one; the earlier edge stays in the list too.
+            key = (src, dst, kind)
+            kept = best.get(key)
+            if kept is not None and latency <= kept:
+                return
+            best[key] = latency
+            edges.append((src, dst, kind, latency, breakable))
 
-            self._add(
-                DdgEdge(
-                    dep.src,
-                    dep.dst,
-                    EdgeKind.MEMORY,
-                    latency=1 if dep.src.is_store or dep.dst.is_store else 0,
-                    speculative_breakable=breakable,
-                )
-            )
+        _register_edges(instructions, machine, add)
+        _control_edges(instructions, add)
+        _memory_edges(
+            instructions,
+            memory_dependences,
+            allow_store_reorder,
+            speculation_policy == "loads_only",
+            add,
+        )
+        self._edges = tuple(edges)
 
     # ------------------------------------------------------------------
     # Structural memoization (translation cache)
     # ------------------------------------------------------------------
-    def structural(self) -> Tuple[Tuple[int, int, str, int, bool], ...]:
-        """Identity-free form of the edge list: ``(src_position,
-        dst_position, kind, latency, breakable)`` in global insertion
-        order. Replaying it over any block with identical content rebuilds
-        a graph whose per-instruction edge lists match this one's exactly.
-        """
-        positions = {
-            inst.uid: idx for idx, inst in enumerate(self.block)
-        }
-        return tuple(
-            (
-                positions[e.src.uid],
-                positions[e.dst.uid],
-                e.kind.value,
-                e.latency,
-                e.speculative_breakable,
-            )
-            for e in self._edges
-        )
-
-    def _replay_structural(
-        self, block, structural: Tuple[Tuple[int, int, str, int, bool], ...]
-    ) -> None:
-        instructions = list(block)
-        for src_pos, dst_pos, kind, latency, breakable in structural:
-            edge = DdgEdge(
-                instructions[src_pos],
-                instructions[dst_pos],
-                EdgeKind(kind),
-                latency=latency,
-                speculative_breakable=breakable,
-            )
-            # Already deduplicated at build time: append directly.
-            self._succ[edge.src.uid].append(edge)
-            self._pred[edge.dst.uid].append(edge)
-            self._edges.append(edge)
+    def structural(self) -> Tuple[Edge, ...]:
+        """The stored edge tuple: ``(src_position, dst_position, kind,
+        latency, breakable)`` in global insertion order. Identity-free:
+        adopting it over any block with identical content yields this
+        graph exactly."""
+        return self._edges
 
     @classmethod
     def from_structural(
         cls,
         block,
         machine,
-        structural: Tuple[Tuple[int, int, str, int, bool], ...],
+        structural: Tuple[Edge, ...],
         speculation_policy: str = "full",
     ) -> "DataDependenceGraph":
-        """Rebuild a graph from :meth:`structural` output (cache hit)."""
+        """Adopt :meth:`structural` output (cache hit) in O(1)."""
         return cls(
             block,
             machine,
@@ -260,41 +153,125 @@ class DataDependenceGraph:
         )
 
     # ------------------------------------------------------------------
-    # Queries
+    # Queries (views for tests and tools; the scheduler reads positions)
     # ------------------------------------------------------------------
+    def _edge_views(self) -> List[DdgEdge]:
+        insts = list(self.block)
+        return [
+            DdgEdge(insts[src], insts[dst], EdgeKind(kind), latency, breakable)
+            for src, dst, kind, latency, breakable in self._edges
+        ]
+
     def successors(self, inst: Instruction) -> List[DdgEdge]:
-        return list(self._succ[inst.uid])
+        return [e for e in self._edge_views() if e.src is inst]
 
     def predecessors(self, inst: Instruction) -> List[DdgEdge]:
-        return list(self._pred[inst.uid])
-
-    def iter_successors(self, inst: Instruction) -> List[DdgEdge]:
-        """:meth:`successors` without the defensive copy — callers must
-        not mutate the result (hot path: scheduler prep)."""
-        return self._succ[inst.uid]
-
-    def iter_predecessors(self, inst: Instruction) -> List[DdgEdge]:
-        """:meth:`predecessors` without the defensive copy."""
-        return self._pred[inst.uid]
+        return [e for e in self._edge_views() if e.dst is inst]
 
     def instructions(self) -> List[Instruction]:
-        return [self._insts[uid] for uid in self._insts]
+        return list(self.block)
 
     def edge_count(self) -> int:
-        return sum(len(edges) for edges in self._succ.values())
+        return len(self._edges)
 
     def critical_path_length(self) -> int:
         """Longest latency-weighted path (ignoring breakable memory edges
         is the *speculative* height; this returns the conservative one)."""
-        memo: Dict[int, int] = {}
+        height = [0] * len(self.block)
+        # Every edge points forward in program order: visiting sources from
+        # last to first finalizes each height before an earlier one reads it.
+        for src, dst, _kind, latency, _breakable in sorted(
+            self._edges, reverse=True
+        ):
+            height[src] = max(height[src], latency + height[dst])
+        return max(height, default=0)
 
-        order = list(self._insts)
-        # The block is in program order and all edges point forward except
-        # none (we never add backward edges), so a single reverse pass works.
-        for uid in reversed(order):
-            inst = self._insts[uid]
-            best = 0
-            for edge in self._succ[uid]:
-                best = max(best, edge.latency + memo.get(edge.dst.uid, 0))
-            memo[uid] = best
-        return max(memo.values(), default=0)
+
+# ----------------------------------------------------------------------
+# Construction (positions index the block in program order)
+# ----------------------------------------------------------------------
+def _register_edges(instructions: List[Instruction], machine, add) -> None:
+    last_def: Dict[int, int] = {}
+    uses_since_def: Dict[int, List[int]] = {}
+    for pos, inst in enumerate(instructions):
+        for reg in inst.uses():
+            producer = last_def.get(reg)
+            if producer is not None:
+                add(
+                    producer,
+                    pos,
+                    _FLOW,
+                    machine.latency_of(instructions[producer]),
+                )
+            uses_since_def.setdefault(reg, []).append(pos)
+        for reg in inst.defs():
+            previous = last_def.get(reg)
+            if previous is not None:
+                add(previous, pos, _OUTPUT, 1)
+            for user in uses_since_def.get(reg, ()):
+                add(user, pos, _ANTI, 0)
+            last_def[reg] = pos
+            uses_since_def[reg] = []
+
+
+def _control_edges(instructions: List[Instruction], add) -> None:
+    branches = [pos for pos, inst in enumerate(instructions) if inst.is_branch]
+    if not branches:
+        return
+    # Each branch pins every *later* store (a store may not become
+    # architectural on a path that already left the region) and every
+    # later branch (branches stay ordered). Only stores/branches can be
+    # edge targets, so scan that ascending subsequence from just past the
+    # branch instead of the whole block.
+    targets = [
+        pos
+        for pos, inst in enumerate(instructions)
+        if inst.is_store or inst.is_branch
+    ]
+    for branch in branches:
+        for pos in targets[bisect_right(targets, branch):]:
+            add(branch, pos, _CONTROL, 0)
+    # Nothing moves below the terminating branch.
+    final = len(instructions) - 1
+    if instructions[final].is_branch:
+        for pos in range(final):
+            add(pos, final, _CONTROL, 0)
+
+
+def _memory_edges(
+    instructions: List[Instruction],
+    memory_dependences: Iterable[Dependence],
+    allow_store_reorder: bool,
+    loads_only: bool,
+    add,
+) -> None:
+    positions = {inst.uid: pos for pos, inst in enumerate(instructions)}
+    for dep in memory_dependences:
+        if dep.extended:
+            # Extended dependences do not order the schedule; they only
+            # produce constraints (the allocator consumes them directly).
+            continue
+        src, dst = dep.src, dep.dst
+        src_pos = positions.get(src.uid)
+        dst_pos = positions.get(dst.uid)
+        if src_pos is None or dst_pos is None:
+            continue
+        breakable = not dep.must
+        if (
+            breakable
+            and not allow_store_reorder
+            and src.is_store
+            and dst.is_store
+        ):
+            # Store-store reordering disabled (Itanium model / Fig 16).
+            breakable = False
+        if breakable and loads_only:
+            # Only "hoist later load above earlier store" is breakable.
+            breakable = dst.is_load
+        add(
+            src_pos,
+            dst_pos,
+            _MEMORY,
+            1 if src.is_store or dst.is_store else 0,
+            breakable,
+        )

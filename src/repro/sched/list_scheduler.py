@@ -2,31 +2,38 @@
 
 The scheduler fills time slots in increasing cycle order (the property the
 paper's Figure 13 relies on: once an instruction is scheduled, everything
-scheduled later occupies the same or a later slot). It runs in two modes:
+scheduled later occupies the same or a later slot).
 
-* **speculation mode** — breakable memory edges (MAY-alias dependences) are
-  ignored for readiness, so loads can hoist above potentially aliasing
-  stores and stores can reorder among themselves. Every time that actually
-  happens, the attached :class:`AllocatorHook` (the SMARQ allocator) records
-  the check/anti constraints and allocates alias registers.
-* **non-speculation mode** — all memory edges are honoured; no new
-  speculation is created, letting pending alias registers drain (overflow
-  prevention, paper Section 5.3).
+Breakable memory edges (MAY-alias dependences the policy and the alias
+profile let it break) do not delay readiness, so loads can hoist above
+potentially aliasing stores and stores can reorder among themselves. Every
+time that actually happens, the attached :class:`AllocatorHook` (the SMARQ
+allocator) records the check/anti constraints and allocates alias
+registers. Speculation is throttled per candidate: an instruction that
+still has unscheduled breakable predecessors issues only if
+:meth:`AllocatorHook.speculation_allowed` says so, and the allocator says
+no while its alias registers are close to overflow (paper Section 5.3) —
+the instruction then waits for its predecessors like any other, letting
+pending alias registers drain.
 
-The scheduler consults the hook before making an instruction speculatively
-ready, and after scheduling each instruction; the hook may splice pseudo
-operations (``AMOV`` before, ``ROTATE`` after) into the linear output.
+The hook may splice pseudo operations (``AMOV`` before, ``ROTATE`` after)
+into the linear output after each placement.
+
+Everything the readiness loop needs that does not depend on the hook is
+computed by :meth:`ListScheduler.prepare` as position-indexed tables
+(:class:`SchedulePrep`) straight from the DDG's positional edge tuple, so
+the translation cache can memoize them; :meth:`ListScheduler.schedule`
+runs on those lists directly and keys only its result by uid.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir.instruction import Instruction
-from repro.sched.ddg import DataDependenceGraph, EdgeKind
+from repro.sched.ddg import DataDependenceGraph, Edge
 from repro.sched.machine import MachineModel
 
 
@@ -76,7 +83,6 @@ class ScheduleResult:
     cycle_of: Dict[int, int]
     length_cycles: int
     speculated_pairs: int = 0
-    mode_switches: int = 0
 
     def position(self) -> Dict[int, int]:
         """uid -> index in the linear order."""
@@ -131,49 +137,49 @@ class ListScheduler:
         """
         instructions = list(ddg.block)
         n = len(instructions)
-        pos = {inst.uid: i for i, inst in enumerate(instructions)}
-        speculating = self.config.speculate
+        config = self.config
+        speculating = config.speculate
+        store_reorder = config.allow_store_reorder
+        threshold = config.alias_rate_threshold
 
-        def edge_honoured(edge) -> bool:
-            """Is this edge a hard ordering requirement?
-
-            Every input (the speculation mode, the store-reorder policy,
-            the alias analysis) is fixed for the duration of one schedule,
-            so the answer is a per-edge constant and is evaluated exactly
-            once here — the readiness loop then tests a precomputed bool
-            instead of re-deriving this chain per instruction per cycle.
-            """
-            if edge.kind is not EdgeKind.MEMORY:
-                return True
-            if not edge.speculative_breakable:
-                return True
-            if not speculating:
-                return True
-            if not self.config.allow_store_reorder and (
-                edge.src.is_store and edge.dst.is_store
-            ):
-                return True
-            if alias_analysis is not None:
-                if alias_analysis.speculation_banned(
-                    edge.src
-                ) or alias_analysis.speculation_banned(edge.dst):
-                    return True
-                rate = alias_analysis.alias_rate(edge.src, edge.dst)
-                if rate > self.config.alias_rate_threshold:
-                    return True
-            return False
+        # Edges grouped by destination, insertion order kept within each
+        # group: the order every successor list below is filled in.
+        by_dst: List[List[Edge]] = [[] for _ in range(n)]
+        for edge in ddg.structural():
+            by_dst[edge[1]].append(edge)
+        banned = None
+        if speculating and alias_analysis is not None:
+            banned = [alias_analysis.speculation_banned(i) for i in instructions]
 
         hard = [0] * n
         spec = [0] * n
         succ: List[List[Tuple[int, int, bool]]] = [[] for _ in range(n)]
-        for di, inst in enumerate(instructions):
-            for edge in ddg.iter_predecessors(inst):
-                honoured = edge_honoured(edge)
+        for di, edges in enumerate(by_dst):
+            for si, _di, _kind, latency, breakable in edges:
+                # Is this edge a hard ordering requirement? Every input
+                # (the speculation mode, the store-reorder policy, the
+                # alias analysis) is fixed for the whole schedule, so the
+                # answer is a per-edge constant decided once here. Only
+                # memory edges are ever breakable.
+                honoured = True
+                if breakable and speculating:
+                    src = instructions[si]
+                    dst = instructions[di]
+                    honoured = (
+                        not store_reorder and src.is_store and dst.is_store
+                    ) or (
+                        banned is not None
+                        and (
+                            banned[si]
+                            or banned[di]
+                            or alias_analysis.alias_rate(src, dst) > threshold
+                        )
+                    )
                 if honoured:
                     hard[di] += 1
                 else:
                     spec[di] += 1
-                succ[pos[edge.src.uid]].append((di, edge.latency, honoured))
+                succ[si].append((di, latency, honoured))
 
         # Priority: latency-weighted height over always-honoured edges,
         # computed with speculation on (optimistic heights pull loads up).
@@ -205,51 +211,36 @@ class ListScheduler:
     ) -> ScheduleResult:
         instructions = list(ddg.block)
         n = len(instructions)
-        program_pos = {inst.uid: i for i, inst in enumerate(instructions)}
-        by_uid = {inst.uid: inst for inst in instructions}
         if prep is None:
             prep = self.prepare(ddg, alias_analysis)
 
         # Readiness is maintained incrementally instead of re-derived by
-        # walking predecessor lists every cycle: per uid we keep the count
-        # of honoured/breakable predecessor edges whose source is still
-        # unscheduled, plus a running earliest-issue cycle updated when a
-        # source is placed. The per-candidate test is then O(1), and the
-        # functional unit and latency are resolved once per instruction
-        # (no enum hashing per cycle). The tables come position-indexed
-        # from ``prep`` (possibly memoized) and are re-keyed by uid here
-        # because this block's uids are private to it.
-        uids = [inst.uid for inst in instructions]
-        hard_left: Dict[int, int] = dict(zip(uids, prep.hard_left))
-        spec_left: Dict[int, int] = dict(zip(uids, prep.spec_left))
-        earliest_at: Dict[int, int] = dict.fromkeys(uids, 0)
-        succ_adj: Dict[int, List[Tuple[int, int, bool]]] = {
-            uids[i]: [
-                (uids[dst_pos], latency, honoured)
-                for dst_pos, latency, honoured in prep.succ_adj[i]
-            ]
-            for i in range(n)
-        }
-        height: Dict[int, int] = dict(zip(uids, prep.height))
+        # walking predecessor lists every cycle: per position we keep the
+        # count of honoured/breakable predecessor edges whose source is
+        # still unscheduled, plus a running earliest-issue cycle updated
+        # when a source is placed. The per-candidate test is then O(1),
+        # and the functional unit is resolved once per instruction. The
+        # tables come position-indexed from ``prep`` (possibly memoized)
+        # and are used as is; only the result is keyed by uid.
+        hard_left = list(prep.hard_left)
+        spec_left = list(prep.spec_left)
+        earliest_at = [0] * n
+        succ_adj = prep.succ_adj
+        height = prep.height
         op_table = self.machine.op_table
-        unit_lat = {inst.uid: op_table[inst.opcode] for inst in instructions}
+        unit_of = [op_table[inst.opcode][0] for inst in instructions]
+        allowed = self.hook.speculation_allowed
+        on_scheduled = self.hook.on_scheduled
 
         track_alloc = self.tracer.active
         alloc_seconds = 0.0
 
-        scheduled: Dict[int, int] = {}  # uid -> cycle
+        scheduled: Dict[int, int] = {}  # position -> cycle, in issue order
         linear: List[Instruction] = []
         speculated_pairs = 0
-        mode_switches = 0
 
         cycle = 0
-        remaining = set(inst.uid for inst in instructions)
-
-        def ready_info(uid: int) -> Tuple[bool, int, bool]:
-            """(deps_satisfied, earliest_cycle, is_speculative_now)."""
-            if hard_left[uid]:
-                return (False, 0, False)
-            return (True, earliest_at[uid], spec_left[uid] > 0)
+        remaining = set(range(n))
 
         safety_limit = 50 * (n + 1) + 10000
         iterations = 0
@@ -264,61 +255,59 @@ class ListScheduler:
                 raise RuntimeError("scheduler failed to converge (cycle in DDG?)")
 
             # Collect instructions issuable this cycle.
-            candidates: List[Tuple[int, int, Instruction, bool]] = []
-            for uid in remaining:
-                if hard_left[uid] or earliest_at[uid] > cycle:
+            candidates: List[Tuple[int, int, bool]] = []
+            for i in remaining:
+                if hard_left[i] or earliest_at[i] > cycle:
                     continue
-                speculative = spec_left[uid] > 0
-                if speculative and not self.hook.speculation_allowed(
-                    by_uid[uid]
-                ):
+                speculative = spec_left[i] > 0
+                if speculative and not allowed(instructions[i]):
                     continue
-                candidates.append(
-                    (-height[uid], program_pos[uid], by_uid[uid], speculative)
-                )
+                candidates.append((-height[i], i, speculative))
             if not candidates:
                 cycle += 1
                 slots_used = {}
                 issued = 0
                 continue
-            candidates.sort(key=lambda c: (c[0], c[1]))
+            # Positions are unique: (height, program order) decides.
+            candidates.sort()
 
-            # Fill what remains of this cycle's slots.
+            # Fill what remains of this cycle's slots. A candidate stays
+            # ready while the pass runs (its honoured predecessors were all
+            # placed in earlier cycles); only its speculative status can
+            # change, as breakable predecessors issue alongside it.
             issued_any = False
-            for _, _, inst, speculative in candidates:
+            for _, i, speculative in candidates:
                 if issued >= issue_width:
                     break
-                unit, _latency = unit_lat[inst.uid]
+                unit = unit_of[i]
                 if slots_used.get(unit, 0) >= slots_for(unit):
                     continue
+                inst = instructions[i]
                 # Re-verify: an issue earlier in this pass may have changed
                 # speculation permission (allocator register pressure).
-                if speculative and not self.hook.speculation_allowed(inst):
-                    continue
-                ok, earliest, speculative_now = ready_info(inst.uid)
-                if not ok or earliest > cycle:
+                if speculative and not allowed(inst):
                     continue
                 slots_used[unit] = slots_used.get(unit, 0) + 1
                 issued += 1
                 issued_any = True
-                scheduled[inst.uid] = cycle
-                remaining.discard(inst.uid)
-                for dst_uid, latency, honoured in succ_adj[inst.uid]:
-                    if honoured:
-                        hard_left[dst_uid] -= 1
-                        available = cycle + latency
-                        if available > earliest_at[dst_uid]:
-                            earliest_at[dst_uid] = available
-                    else:
-                        spec_left[dst_uid] -= 1
-                if speculative_now and inst.is_mem:
+                scheduled[i] = cycle
+                remaining.discard(i)
+                if spec_left[i] > 0 and inst.is_mem:
                     speculated_pairs += 1
+                for dst, latency, honoured in succ_adj[i]:
+                    if honoured:
+                        hard_left[dst] -= 1
+                        available = cycle + latency
+                        if available > earliest_at[dst]:
+                            earliest_at[dst] = available
+                    else:
+                        spec_left[dst] -= 1
                 if track_alloc:
                     t0 = perf_counter()
-                    before, after = self.hook.on_scheduled(inst, cycle)
+                    before, after = on_scheduled(inst, cycle)
                     alloc_seconds += perf_counter() - t0
                 else:
-                    before, after = self.hook.on_scheduled(inst, cycle)
+                    before, after = on_scheduled(inst, cycle)
                 linear.extend(before)
                 linear.append(inst)
                 linear.extend(after)
@@ -335,7 +324,7 @@ class ListScheduler:
             self.tracer.add_time("optimize.alloc", alloc_seconds)
         else:
             self.hook.on_finish(linear)
-        cycle_of = dict(scheduled)
+        cycle_of = {instructions[i].uid: c for i, c in scheduled.items()}
         # Pseudo-ops ride along in the issuing instruction's cycle.
         for idx, inst in enumerate(linear):
             if inst.uid not in cycle_of:
@@ -354,5 +343,4 @@ class ListScheduler:
             cycle_of=cycle_of,
             length_cycles=length,
             speculated_pairs=speculated_pairs,
-            mode_switches=mode_switches,
         )

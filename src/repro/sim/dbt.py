@@ -474,18 +474,17 @@ class DbtSystem:
         region_stats: Dict[int, RegionSnapshot] = {}
         for pc, entry in self.runtime._regions.items():
             translation = entry.translation
-            alloc = translation.allocator
+            alloc = translation.allocation
             lower_bound = 0
-            if alloc is not None and hasattr(alloc, "_check_pairs"):
+            if alloc is not None and alloc.check_pairs is not None:
                 from repro.analysis.constraints import CheckConstraint
                 from repro.analysis.liveness import working_set_lower_bound
 
                 positions = translation.schedule.position()
                 checks = [
-                    CheckConstraint(alloc._inst[c], alloc._inst[t])
-                    for c, t in alloc._check_pairs
-                    if alloc._inst[c].uid in positions
-                    and alloc._inst[t].uid in positions
+                    CheckConstraint(checker, target)
+                    for checker, target in alloc.check_pairs
+                    if checker.uid in positions and target.uid in positions
                 ]
                 lower_bound = working_set_lower_bound(checks, positions)
             region_stats[pc] = RegionSnapshot(

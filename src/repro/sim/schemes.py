@@ -281,10 +281,8 @@ class ItaniumAdapter(HardwareAdapter):
         cached = getattr(region, "_alat_required", None)
         if cached is None:
             cached = {}
-            if region.allocator is not None:
-                for checker_uid, target_uid in region.allocator._check_pairs:
-                    checker = region.allocator._inst[checker_uid]
-                    target = region.allocator._inst[target_uid]
+            if region.allocation is not None:
+                for checker, target in region.allocation.check_pairs or ():
                     if checker.mem_index is None:
                         continue
                     if target.opcode is Opcode.AMOV:

@@ -68,8 +68,8 @@ def render_region_summary(region) -> str:
         f"{len(block.memory_ops())} memory ops, "
         f"{schedule.length_cycles} scheduled cycles"
     ]
-    if region.allocator is not None:
-        stats = region.allocator.stats
+    if region.allocation is not None:
+        stats = region.allocation.stats
         parts.append(
             f"constraints: {stats.check_constraints} check / "
             f"{stats.anti_constraints} anti; registers: "

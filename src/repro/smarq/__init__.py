@@ -23,7 +23,11 @@ from repro.smarq.program_order import (
     program_order_all_allocation,
     program_order_pbit_allocation,
 )
-from repro.smarq.allocator import AllocationStats, SmarqAllocator
+from repro.smarq.allocator import (
+    AllocationStats,
+    AllocationSummary,
+    SmarqAllocator,
+)
 from repro.smarq.bitmask_alloc import BitmaskAllocator
 from repro.smarq.plain_order_alloc import PlainOrderAllocator
 from repro.smarq.validator import (
@@ -35,6 +39,7 @@ from repro.smarq.validator import (
 
 __all__ = [
     "AllocationStats",
+    "AllocationSummary",
     "BitmaskAllocator",
     "FastAllocation",
     "PlainOrderAllocator",

@@ -29,8 +29,9 @@ scheduling, in a single pass:
 
 * Overflow prevention (lines 21-31): before permitting new speculation the
   allocator bounds the worst-case future offset; if it would reach the
-  physical register count the scheduler is switched to non-speculation
-  mode until enough registers drain.
+  physical register count it refuses, and the scheduler holds that
+  candidate back (the question is asked per candidate) until enough
+  registers drain.
 """
 
 from __future__ import annotations
@@ -65,6 +66,32 @@ class AllocationStats:
     working_set: int = 0
     speculation_throttled: int = 0
     overflow_aborts: int = 0
+
+
+@dataclass(frozen=True)
+class AllocationSummary:
+    """What a translation keeps of its allocation once scheduling is done.
+
+    The runtime reads only the statistics and the final check pairs (the
+    report's working-set lower bound, the ALAT's required targets), so a
+    translation carries this instead of the allocator and its dependence
+    set.
+    """
+
+    stats: AllocationStats
+    #: final ``(checker, target)`` pairs, AMOV rewiring applied; None for
+    #: an allocator that tracks no pairs (plain order-based allocation)
+    check_pairs: Optional[Tuple[Tuple[Instruction, Instruction], ...]]
+
+    @classmethod
+    def of(cls, allocator) -> "AllocationSummary":
+        """Summarize ``allocator`` (any hook with ``stats``) after its
+        schedule has finished."""
+        pairs = getattr(allocator, "_check_pairs", None)
+        if pairs is not None:
+            inst = allocator._inst
+            pairs = tuple((inst[c], inst[t]) for c, t in sorted(pairs))
+        return cls(stats=allocator.stats, check_pairs=pairs)
 
 
 class SmarqAllocator(AllocatorHook):

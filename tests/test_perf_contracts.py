@@ -29,7 +29,12 @@ quadratic, an allocator that re-heapifies) fails deterministically:
    of the figure schemes records it on each program's first cell
    (``dbt.prefix_misses``) and restores it in every other
    (``dbt.prefix_hits``), and a restored cell compiles no interpreter
-   handler for code that only ran during the warm-up.
+   handler for code that only ran during the warm-up;
+9. a translation miss builds and pickles only what is read: a cold run
+   of two schemes over one program constructs no ``DdgEdge`` (the DDG
+   and the scheduler work on position tuples, and the second scheme
+   adopts the first one's memoized DDG), and no full-tier blob pickles
+   the allocator, its dependence set or the alias analysis.
 """
 
 import os
@@ -274,6 +279,43 @@ class TestPrefixSharing:
         assert preamble, "the workload has no set-up code"
         handlers = restored.interpreter._handlers
         assert [pc for pc in sorted(preamble) if handlers[pc] is not None] == []
+
+
+class TestTranslationKeepsWhatIsRead:
+    def test_cold_translation_builds_no_edges_and_pickles_no_allocator(
+        self, monkeypatch
+    ):
+        import repro.sched.ddg as ddg_mod
+        from repro.opt.translation_cache import (
+            get_translation_cache,
+            reset_translation_cache,
+        )
+
+        edges = []
+        real_edge = ddg_mod.DdgEdge
+
+        def counting_edge(*args, **kwargs):
+            edges.append(args)
+            return real_edge(*args, **kwargs)
+
+        monkeypatch.setattr(ddg_mod, "DdgEdge", counting_edge)
+        reset_translation_cache()
+        tracer = Tracer()
+        for scheme in ("smarq", "smarq16"):
+            DbtSystem(
+                make_benchmark("art", scale=0.05),
+                scheme,
+                profiler_config=ProfilerConfig(hot_threshold=20),
+                tracer=tracer,
+            ).run()
+        payloads = list(get_translation_cache()._full.values())
+        reset_translation_cache()
+
+        assert tracer.counters.get("translate.ddg_hits", 0) >= 1
+        assert edges == []
+        assert payloads
+        for name in (b"SmarqAllocator", b"DependenceSet", b"AliasAnalysis"):
+            assert [p for p in payloads if name in p] == [], name
 
 
 class TestStartupImports:

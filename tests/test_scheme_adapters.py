@@ -15,7 +15,7 @@ from repro.sim.schemes import (
 
 
 class _FakeRegion:
-    allocator = None
+    allocation = None
 
 
 class TestSmarqAdapter:

@@ -8,7 +8,7 @@ must never be served across differing config, hints, or instruction
 content), the incremental re-optimization guarantee (an alias-exception
 re-translation reuses the DDG but never stale scheduling constraints),
 the ``SMARQ_NO_TRANSLATION_CACHE=1`` kill switch, and the persistent
-tier's corrupt-entry fallback.
+tier's corrupt-entry and older-format fallbacks.
 """
 
 import pytest
@@ -257,6 +257,30 @@ class TestPersistentTier:
             assert (
                 not path.exists() or path.read_bytes() != b"not a pickle"
             )
+
+    def test_older_format_blob_misses(self, monkeypatch):
+        """Blobs persisted under another translation format are never
+        loaded (a blob of an older class shape would fail at install or
+        report time): the run misses the persistent tier and reports
+        exactly what a cold run does."""
+        import repro.opt.pipeline as pipeline_mod
+
+        monkeypatch.delenv("SMARQ_TRANSLATION_CACHE_PERSIST")
+        cold, _ = _run_cell("smarq")
+
+        current = pipeline_mod.TRANSLATION_FORMAT
+        monkeypatch.setenv("SMARQ_TRANSLATION_CACHE_PERSIST", "1")
+        monkeypatch.setattr(pipeline_mod, "TRANSLATION_FORMAT", current - 1)
+        reset_translation_cache()
+        _report, older = _run_cell("smarq")
+        assert older.counters.get("translate.persist_stores", 0) >= 1
+
+        monkeypatch.setattr(pipeline_mod, "TRANSLATION_FORMAT", current)
+        reset_translation_cache()
+        report, tracer = _run_cell("smarq")
+        assert tracer.counters.get("translate.persist_hits", 0) == 0
+        assert tracer.counters.get("translate.persist_misses", 0) >= 1
+        assert report == cold
 
     def test_unwritable_root_is_nonfatal(self, monkeypatch):
         # A plain file where the cache directory should be: every mkdir
