@@ -210,6 +210,22 @@ class AliasAnalysis:
         except KeyError:
             raise KeyError(f"{inst!r} is not a memory operation of this block")
 
+    def must_key(self, inst: Instruction) -> Tuple:
+        """A key two memory operations share exactly when :meth:`classify`
+        says MUST.
+
+        Resolved accesses key on ``(region, offset, size)``, all others on
+        ``(base, base_version, disp, size)``; the lengths differ, so the
+        two forms never collide. That is exact because two accesses
+        through the same base register and version share one pointer
+        state, so they are both resolved or both not: a MUST pair never
+        mixes the forms.
+        """
+        sym = self.address_of(inst)
+        if sym.resolved:
+            return (sym.region, sym.offset, sym.size)
+        return (sym.base, sym.base_version, sym.disp, sym.size)
+
     def classify(self, a: Instruction, b: Instruction) -> AliasClass:
         """Alias class of two memory operations of the analyzed block."""
         key = (min(a.uid, b.uid), max(a.uid, b.uid))

@@ -20,14 +20,23 @@ between X and Z that may alias Z gains ``Z ->dep Y`` — again backward.
 
 Extended dependences are recorded by the optimization passes that create
 them (:mod:`repro.opt.load_elim`, :mod:`repro.opt.store_elim`) using the
-helpers here.
+helpers here, as ``(src, dst)`` instruction pairs.
+
+The optimizer keeps base dependences in one positional form: a tuple of
+``(src_position, dst_position, must)`` triples (:data:`DepTriple`),
+positions indexing the block in program order. That tuple is the
+translation cache's ``deps`` memo, adopted as is on a hit; the DDG reads
+it, and the allocators read the per-destination source table
+(:class:`DependenceSources`) built from it plus the extended pairs.
+:class:`Dependence` objects exist only as on-demand views for tests,
+tools and the certifier (:func:`dependence_views`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
 
 from repro.analysis.aliasinfo import AliasAnalysis, AliasClass
 from repro.ir.instruction import Instruction
@@ -53,8 +62,33 @@ class Dependence:
         return f"<{self.src!r} ->{kind} {self.dst!r}>"
 
 
-def compute_dependences(block, analysis: AliasAnalysis) -> List[Dependence]:
+#: one base dependence: (src_position, dst_position, must), positions
+#: indexing the block in program order
+DepTriple = Tuple[int, int, bool]
+
+#: one extended dependence: (src, dst) — ``src ->dep dst``
+ExtendedPair = Tuple[Instruction, Instruction]
+
+
+def dependence_views(block, triples: Iterable[DepTriple]) -> List[Dependence]:
+    """:class:`Dependence` views of positional base dependences."""
+    insts = list(block)
+    return [Dependence(insts[i], insts[j], must=must) for i, j, must in triples]
+
+
+def extended_views(pairs: Iterable[ExtendedPair]) -> List[Dependence]:
+    """:class:`Dependence` views of extended ``(src, dst)`` pairs."""
+    return [Dependence(src, dst, extended=True) for src, dst in pairs]
+
+
+def compute_dependences(
+    block, analysis: AliasAnalysis, *, positional: bool = False
+) -> Union[List[Dependence], Tuple[DepTriple, ...]]:
     """All base memory dependences of ``block`` (original program order).
+
+    With ``positional`` the result is the tuple of :data:`DepTriple` the
+    optimizer keeps; otherwise the same dependences as
+    :class:`Dependence` views, in the same order.
 
     Semantically this is the O(m²) scan over all (earlier, later) pairs with
     at least one store, keeping every pair the analysis cannot prove NO.
@@ -69,7 +103,7 @@ def compute_dependences(block, analysis: AliasAnalysis) -> List[Dependence]:
     """
     ops = block.memory_ops_in_program_order()
     if len(ops) < 2:
-        return []
+        return () if positional else []
 
     # Per-region pools of *earlier* ops, split store-only / all so a later
     # load only ever pairs with earlier stores. Resolved pools are kept
@@ -141,16 +175,19 @@ def compute_dependences(block, analysis: AliasAnalysis) -> List[Dependence]:
             every_store.append(j)
 
     candidates.sort()
-    deps: List[Dependence] = []
+    insts = list(block)
+    position = {inst.uid: pos for pos, inst in enumerate(insts)}
+    op_pos = [position[op.uid] for op in ops]
+    classify = analysis.classify
+    no, must = AliasClass.NO, AliasClass.MUST
+    triples: List[DepTriple] = []
     for i, j in candidates:
-        earlier, later = ops[i], ops[j]
-        klass = analysis.classify(earlier, later)
-        if klass is AliasClass.NO:
-            continue
-        deps.append(
-            Dependence(earlier, later, must=(klass is AliasClass.MUST))
-        )
-    return deps
+        klass = classify(ops[i], ops[j])
+        if klass is not no:
+            triples.append((op_pos[i], op_pos[j], klass is must))
+    if positional:
+        return tuple(triples)
+    return dependence_views(insts, triples)
 
 
 def extended_deps_for_load_elimination(
@@ -163,16 +200,15 @@ def extended_deps_for_load_elimination(
 
     ``between`` must be the memory operations strictly between
     ``forward_src`` (X) and ``eliminated_load`` (Z) in original program
-    order. Returns ``S ->dep X`` for each store S that may alias X.
+    order. Returns ``S ->dep X`` as the pair ``(S, X)`` for each store S
+    that may alias X.
     """
-    deps = []
-    for s in between:
-        if not s.is_store:
-            continue
-        if analysis.classify(s, forward_src) is AliasClass.NO:
-            continue
-        deps.append(Dependence(s, forward_src, extended=True))
-    return deps
+    return [
+        (s, forward_src)
+        for s in between
+        if s.is_store
+        and analysis.classify(s, forward_src) is not AliasClass.NO
+    ]
 
 
 def extended_deps_for_store_elimination(
@@ -185,18 +221,16 @@ def extended_deps_for_store_elimination(
 
     ``between`` must be the memory operations strictly between the
     eliminated store (X) and the overwriting store (Z) in original program
-    order. Returns ``Z ->dep Y`` for each load Y that may alias Z. Stores in
-    between get nothing — the paper notes their aliases cannot affect the
-    elimination's correctness.
+    order. Returns ``Z ->dep Y`` as the pair ``(Z, Y)`` for each load Y
+    that may alias Z. Stores in between get nothing — the paper notes
+    their aliases cannot affect the elimination's correctness.
     """
-    deps = []
-    for y in between:
-        if not y.is_load:
-            continue
-        if analysis.classify(overwriting_store, y) is AliasClass.NO:
-            continue
-        deps.append(Dependence(overwriting_store, y, extended=True))
-    return deps
+    return [
+        (overwriting_store, y)
+        for y in between
+        if y.is_load
+        and analysis.classify(overwriting_store, y) is not AliasClass.NO
+    ]
 
 
 class DependenceSet:
@@ -228,31 +262,84 @@ class DependenceSet:
         """Dependences with ``inst`` as the destination (* ->dep inst)."""
         return list(self._by_dst.get(inst.uid, ()))
 
-    def iter_incoming(self, inst: Instruction) -> Tuple[Dependence, ...]:
-        """Like :meth:`incoming` without the defensive copy — for hot
-        read-only consumers (the allocator visits every dependence of
-        every scheduled op). Callers must not mutate the result."""
-        return self._by_dst.get(inst.uid, ())  # type: ignore[return-value]
 
-    def replace_instruction(self, old: Instruction, new: Instruction) -> None:
-        """Rewrite all dependences touching ``old`` to touch ``new``.
+class DependenceSources:
+    """What the alias register allocators read of a dependence set.
 
-        Used when the allocator splits an operation with an AMOV: unscheduled
-        checkers of X must instead check the AMOV X' (paper Figure 13
-        line 42 analogue at the dependence level).
-        """
-        rewritten: List[Dependence] = []
-        for dep in self._deps:
-            src = new if dep.src is old else dep.src
-            dst = new if dep.dst is old else dep.dst
-            rewritten.append(
-                Dependence(src, dst, extended=dep.extended, must=dep.must)
-            )
-        self._deps = []
-        self._by_src = {}
-        self._by_dst = {}
-        for dep in rewritten:
-            self.add(dep)
+    Per destination uid, the sources of its incoming dependences in
+    insertion order, duplicates kept (the allocators deduplicate check
+    pairs themselves); and the uids of every extended dependence's two
+    endpoints (their checks are mandatory future register pressure).
+    """
+
+    __slots__ = ("_by_dst", "extended_ends")
+
+    def __init__(self) -> None:
+        self._by_dst: Dict[int, List[Instruction]] = {}
+        self.extended_ends: Set[int] = set()
+
+    def _add(self, src: Instruction, dst: Instruction) -> None:
+        sources = self._by_dst.get(dst.uid)
+        if sources is None:
+            self._by_dst[dst.uid] = [src]
+        else:
+            sources.append(src)
+
+    def _add_extended(self, pairs: Iterable[ExtendedPair]) -> None:
+        for src, dst in pairs:
+            self._add(src, dst)
+            self.extended_ends.add(src.uid)
+            self.extended_ends.add(dst.uid)
+
+    def sources_of(self, inst: Instruction) -> Sequence[Instruction]:
+        """Sources S of every ``S ->dep inst``; callers must not mutate
+        the result."""
+        return self._by_dst.get(inst.uid, ())
+
+    @classmethod
+    def of(cls, deps: Iterable[Dependence]) -> "DependenceSources":
+        """The table of a :class:`DependenceSet` or any iterable of
+        :class:`Dependence` objects."""
+        table = cls()
+        for dep in deps:
+            table._add(dep.src, dep.dst)
+            if dep.extended:
+                table.extended_ends.update((dep.src.uid, dep.dst.uid))
+        return table
+
+    @classmethod
+    def from_positions(
+        cls,
+        block,
+        triples: Iterable[DepTriple],
+        *extended: Iterable[ExtendedPair],
+    ) -> "DependenceSources":
+        """The table of positional base dependences over ``block``
+        followed by each list of extended pairs, in that order — the
+        order a :class:`DependenceSet` of their views would have."""
+        table = cls()
+        insts = list(block)
+        by_dst = table._by_dst
+        for i, j, _must in triples:
+            uid = insts[j].uid
+            sources = by_dst.get(uid)
+            if sources is None:
+                by_dst[uid] = [insts[i]]
+            else:
+                sources.append(insts[i])
+        for pairs in extended:
+            table._add_extended(pairs)
+        return table
+
+
+def dependence_sources(
+    deps: Union[DependenceSources, Iterable[Dependence]]
+) -> DependenceSources:
+    """``deps`` as a :class:`DependenceSources` table (the allocators
+    accept either form)."""
+    if isinstance(deps, DependenceSources):
+        return deps
+    return DependenceSources.of(deps)
 
 
 def dependences_between(

@@ -18,12 +18,17 @@ Dispatch: instead of re-branching on the opcode every step, each guest pc
 is lazily compiled — once, on first execution — into a specialized handler
 closure with its operands bound (a software analog of a threaded-code
 dispatch table). ``step()`` then just invokes ``handlers[pc]``. Handlers
-read ``trace_hook``/``mem_hook`` through ``self`` at call time, so
-profiling hooks can be attached or removed at any point.
+read ``trace_hook``/``mem_hook`` and write ``pc`` through a weak proxy of
+the interpreter at call time, so profiling hooks can be attached or
+removed at any point. The proxy is what lets a finished interpreter be
+freed by reference counting: a strong reference from its handler table
+back to itself would keep it, its memory and every handler alive until
+a full garbage collection.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Set
 
@@ -108,7 +113,7 @@ class Interpreter:
         used to, via :meth:`GuestProgram.at`.
         """
         inst = self.program.at(pc)
-        self_ = self
+        self_ = weakref.proxy(self)
         regs = self.registers
         stats = self.stats
         memory = self.memory

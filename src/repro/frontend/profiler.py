@@ -10,7 +10,7 @@ toward the most frequent successor of each conditional branch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.frontend.program import GuestProgram
 
@@ -27,7 +27,7 @@ class HotnessProfiler:
     def __init__(self, program: GuestProgram, config: Optional[ProfilerConfig] = None) -> None:
         self.program = program
         self.config = config or ProfilerConfig()
-        self._heads: Set[int] = program.block_heads()
+        self._heads: FrozenSet[int] = program.block_heads()
         self.block_counts: Dict[int, int] = {}
         self.edge_counts: Dict[Tuple[int, int], int] = {}
         self._last_pc: Optional[int] = None

@@ -2,11 +2,15 @@
 
 For each load Z, find the nearest earlier memory access X that MUST alias Z
 (same location, same size) with no MUST-alias store in between. Replace Z
-with a register move from X's value register. The elimination is
-*speculative* whenever MAY-alias stores sit between X and Z: each such
-store S gains an EXTENDED-DEPENDENCE ``S ->dep X`` so that the constraint
-machinery forces a runtime check between S and X (paper Section 4.1,
-Figure 8).
+with a register move from X's value register. MUST aliasing is exactly
+equality of :meth:`~repro.analysis.aliasinfo.AliasAnalysis.must_key`, so
+the forward scan keeps the latest surviving access per key and finds X in
+O(1); a load with no earlier same-key access costs no classification.
+
+The elimination is *speculative* whenever MAY-alias stores sit between X
+and Z: each such store S gains an EXTENDED-DEPENDENCE ``S ->dep X`` so
+that the constraint machinery forces a runtime check between S and X
+(paper Section 4.1, Figure 8).
 
 Safety conditions enforced here (non-speculative, must hold statically):
 
@@ -27,7 +31,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.aliasinfo import AliasAnalysis, AliasClass
 from repro.analysis.dependence import (
     Dependence,
+    ExtendedPair,
     extended_deps_for_load_elimination,
+    extended_views,
 )
 from repro.ir.instruction import Instruction, Opcode, mov
 from repro.ir.superblock import Superblock
@@ -36,11 +42,17 @@ from repro.ir.superblock import Superblock
 @dataclass
 class LoadEliminationResult:
     eliminated: int = 0
-    extended_deps: List[Dependence] = field(default_factory=list)
+    #: extended dependences ``S ->dep X`` as (S, X) pairs, in creation order
+    extended: List[ExtendedPair] = field(default_factory=list)
     #: forwarding sources that must survive later passes
     pinned: List[Instruction] = field(default_factory=list)
     #: (source, eliminated_load) pairs, for reporting
     pairs: List[Tuple[Instruction, Instruction]] = field(default_factory=list)
+
+    @property
+    def extended_deps(self) -> List[Dependence]:
+        """The extended dependences as :class:`Dependence` views."""
+        return extended_views(self.extended)
 
     def protected_ops(self) -> List[Instruction]:
         """Operations later passes must not eliminate: the forwarding
@@ -48,7 +60,7 @@ class LoadEliminationResult:
         store would silently drop a runtime check the forwarding's
         correctness depends on (it also leaves a dangling constraint)."""
         protected = list(self.pinned)
-        protected.extend(dep.src for dep in self.extended_deps)
+        protected.extend(src for src, _dst in self.extended)
         return protected
 
 
@@ -78,10 +90,11 @@ class LoadElimination:
     ) -> LoadEliminationResult:
         result = LoadEliminationResult()
         instructions = block.instructions
-        # Map register -> index of the instruction that last defined it,
-        # maintained while scanning, to verify value-register liveness.
         new_instructions: List[Instruction] = []
         mem_ops: List[Instruction] = []  # surviving + original mem ops so far
+        #: must key -> index in mem_ops of the latest access with that key
+        latest: Dict[Tuple, int] = {}
+        must_key = analysis.must_key
 
         for inst in instructions:
             replaced: Optional[Instruction] = None
@@ -90,8 +103,10 @@ class LoadElimination:
                 and self._under_cap(result)
                 and not analysis.speculation_banned(inst)
             ):
-                candidate = self._find_source(inst, mem_ops, analysis,
-                                              new_instructions)
+                candidate = self._find_source(
+                    latest.get(must_key(inst)), mem_ops, analysis,
+                    new_instructions,
+                )
                 if candidate is not None:
                     source, between = candidate
                     ext = extended_deps_for_load_elimination(
@@ -107,7 +122,7 @@ class LoadElimination:
                         replaced = mov(inst.dest, value_reg)
                         replaced.speculative = True
                         replaced.guest_pc = inst.guest_pc
-                        result.extended_deps.extend(ext)
+                        result.extended.extend(ext)
                         result.pinned.append(source)
                         result.pairs.append((source, inst))
                         result.eliminated += 1
@@ -116,6 +131,7 @@ class LoadElimination:
             else:
                 new_instructions.append(inst)
                 if inst.is_mem:
+                    latest[must_key(inst)] = len(mem_ops)
                     mem_ops.append(inst)
 
         block.instructions = new_instructions
@@ -129,26 +145,25 @@ class LoadElimination:
 
     def _find_source(
         self,
-        load: Instruction,
+        index: Optional[int],
         mem_ops: List[Instruction],
         analysis: AliasAnalysis,
         emitted: List[Instruction],
     ) -> Optional[Tuple[Instruction, List[Instruction]]]:
-        """Nearest valid forwarding source and the mem ops in between."""
-        between: List[Instruction] = []
-        for source in reversed(mem_ops):
-            klass = analysis.classify(source, load)
-            if klass is AliasClass.MUST and source.size == load.size:
-                if analysis.speculation_banned(source):
-                    return None  # runtime banned this op from speculation
-                if self._value_register_live(source, emitted):
-                    if self._speculation_profitable(source, between, analysis):
-                        return (source, list(reversed(between)))
-                return None  # nearest must-alias source unusable: stop
-            if source.is_store and klass is AliasClass.MUST:
-                return None  # overwritten with a different size: give up
-            between.append(source)
-        return None
+        """The forwarding source at ``mem_ops[index]`` — the nearest
+        earlier access that MUST alias the load, None when there is none —
+        and the mem ops in between, when it is usable."""
+        if index is None:
+            return None
+        source = mem_ops[index]
+        if analysis.speculation_banned(source):
+            return None  # runtime banned this op from speculation
+        if not self._value_register_live(source, emitted):
+            return None
+        between = mem_ops[index + 1:]
+        if not self._speculation_profitable(source, between, analysis):
+            return None
+        return (source, between)
 
     def _value_register_live(
         self, source: Instruction, emitted: List[Instruction]

@@ -7,7 +7,9 @@ Ties the passes together for one superblock region:
    (forwarding sources from step 2 are pinned so step 3 cannot delete
    them) — each contributing extended dependences;
 3. recompute alias analysis and base memory dependences on the transformed
-   block, merge with the extended dependences;
+   block — kept as ``(src_position, dst_position, must)`` triples, which
+   the DDG reads and from which, with the extended dependences, the
+   allocators' per-destination source table is built;
 4. schedule with the SMARQ allocator hooked in (speculative reordering
    happens here), or schedule conservatively for the no-alias-hardware
    baseline.
@@ -39,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.analysis.aliasinfo import AliasAnalysis
 from repro.analysis.certify import (
@@ -50,9 +52,10 @@ from repro.analysis.certify import (
     prover_token,
 )
 from repro.analysis.dependence import (
-    Dependence,
-    DependenceSet,
+    DependenceSources,
+    DepTriple,
     compute_dependences,
+    dependence_views,
 )
 from repro.ir.superblock import Superblock
 from repro.opt.load_elim import LoadElimination, LoadEliminationResult
@@ -111,7 +114,7 @@ class OptimizerConfig:
 #: and everything it holds), folded into every full-tier key so that a
 #: persisted blob of an older shape misses instead of loading. Bump it
 #: whenever one of those classes changes.
-TRANSLATION_FORMAT = 2
+TRANSLATION_FORMAT = 3
 
 
 @dataclass
@@ -393,37 +396,18 @@ class OptimizationPipeline:
                     )
 
             # Rebuild analysis and base dependences on the transformed block.
+            # Dependences stay positional (the deps memo's triples) from
+            # here on; a memo hit adopts them as is.
             analysis = make_analysis(block)
             content2 = region_content_key(block) if cache is not None else None
-            base_deps: Optional[List[Dependence]] = None
+            base: Optional[Tuple[DepTriple, ...]] = None
             if cache is not None:
-                triples = cache.get_stage(
-                    "deps", self._deps_key(content2), tracer
-                )
-                if triples is not None:
-                    insts = list(block)
-                    base_deps = [
-                        Dependence(insts[i], insts[j], must=must)
-                        for i, j, must in triples
-                    ]
-            if base_deps is None:
-                base_deps = compute_dependences(block, analysis)
+                base = cache.get_stage("deps", self._deps_key(content2), tracer)
+            if base is None:
+                base = compute_dependences(block, analysis, positional=True)
                 if cache is not None:
-                    positions = {
-                        inst.uid: idx for idx, inst in enumerate(block)
-                    }
                     cache.put_stage(
-                        "deps",
-                        self._deps_key(content2),
-                        tuple(
-                            (
-                                positions[d.src.uid],
-                                positions[d.dst.uid],
-                                d.must,
-                            )
-                            for d in base_deps
-                        ),
-                        tracer,
+                        "deps", self._deps_key(content2), base, tracer
                     )
         certificate: Optional[Certificate] = None
         cert_sig: Tuple = ()
@@ -442,10 +426,12 @@ class OptimizationPipeline:
                         prover_token(),
                     )
                     cert = cache.get_stage("certify", cert_key, tracer)
+                # The certifier reads Dependence views of the triples.
+                base_views = dependence_views(block, base)
                 if cert is None:
                     cert = certify_region(
                         block,
-                        base_deps,
+                        base_views,
                         region_map=self.region_map,
                         initial_regions=self.register_regions,
                         alias_hints=hints,
@@ -458,7 +444,7 @@ class OptimizationPipeline:
                 problems = check_certificate(
                     cert,
                     block,
-                    base_deps,
+                    base_views,
                     region_map=self.region_map,
                     initial_regions=self.register_regions,
                     alias_hints=hints,
@@ -472,28 +458,15 @@ class OptimizationPipeline:
                     certificate = cert
                     pairs = cert.certified_pairs()
                     if pairs:
-                        positions = {
-                            inst.uid: idx for idx, inst in enumerate(block)
-                        }
-                        kept = [
-                            d
-                            for d in base_deps
-                            if (positions[d.src.uid], positions[d.dst.uid])
-                            not in pairs
-                        ]
-                        tracer.count(
-                            "certify.deps_dropped",
-                            len(base_deps) - len(kept),
+                        kept = tuple(
+                            t for t in base if (t[0], t[1]) not in pairs
                         )
-                        base_deps = kept
+                        tracer.count(
+                            "certify.deps_dropped", len(base) - len(kept)
+                        )
+                        base = kept
                         cert_sig = tuple(sorted(pairs))
                     tracer.count("certify.pairs_certified", len(pairs))
-
-        deps = DependenceSet(base_deps)
-        for dep in load_result.extended_deps:
-            deps.add(dep)
-        for dep in store_result.extended_deps:
-            deps.add(dep)
 
         with tracer.phase("optimize.ddg"):
             ddg = None
@@ -512,9 +485,9 @@ class OptimizationPipeline:
                 ddg = DataDependenceGraph(
                     block,
                     self.machine,
-                    memory_dependences=list(deps),
                     allow_store_reorder=config.allow_store_reorder,
                     speculation_policy=config.speculation_policy,
+                    memory_triples=base,
                 )
                 if cache is not None:
                     cache.put_stage(
@@ -532,6 +505,12 @@ class OptimizationPipeline:
             )
             allocator = None
             hook: AllocatorHook
+            if config.speculate:
+                # Base sources first, then load- and store-elimination
+                # extended ones: the allocators' per-destination order.
+                deps = DependenceSources.from_positions(
+                    block, base, load_result.extended, store_result.extended
+                )
             if config.speculate and config.allocator == "smarq":
                 allocator = SmarqAllocator(
                     self.machine, deps, list(block.instructions)

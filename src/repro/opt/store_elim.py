@@ -29,7 +29,9 @@ from typing import List, Optional, Set, Tuple
 from repro.analysis.aliasinfo import AliasAnalysis, AliasClass
 from repro.analysis.dependence import (
     Dependence,
+    ExtendedPair,
     extended_deps_for_store_elimination,
+    extended_views,
 )
 from repro.ir.instruction import Instruction
 from repro.ir.superblock import Superblock
@@ -38,9 +40,15 @@ from repro.ir.superblock import Superblock
 @dataclass
 class StoreEliminationResult:
     eliminated: int = 0
-    extended_deps: List[Dependence] = field(default_factory=list)
+    #: extended dependences ``Z ->dep Y`` as (Z, Y) pairs, in creation order
+    extended: List[ExtendedPair] = field(default_factory=list)
     #: (eliminated_store, overwriting_store) pairs
     pairs: List[Tuple[Instruction, Instruction]] = field(default_factory=list)
+
+    @property
+    def extended_deps(self) -> List[Dependence]:
+        """The extended dependences as :class:`Dependence` views."""
+        return extended_views(self.extended)
 
 
 class StoreElimination:
@@ -91,7 +99,7 @@ class StoreElimination:
             ext = extended_deps_for_store_elimination(z, x, between_mem, analysis)
             if self.require_safe and ext:
                 continue
-            result.extended_deps.extend(ext)
+            result.extended.extend(ext)
             result.pairs.append((x, z))
             result.eliminated += 1
             to_remove.add(x.uid)
@@ -122,7 +130,8 @@ class StoreElimination:
             if not inst.is_mem:
                 continue
             klass = analysis.classify(x, inst)
-            if inst.is_store and klass is AliasClass.MUST and inst.size == x.size:
+            # MUST implies equal sizes (classify_pair)
+            if inst.is_store and klass is AliasClass.MUST:
                 if analysis.speculation_banned(inst):
                     return None
                 if self._speculation_profitable(inst, between, analysis):

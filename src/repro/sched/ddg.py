@@ -10,9 +10,12 @@ Edges:
   hoist above branches — that is control speculation, safe in our atomic
   regions because rollback undoes everything), and nothing may move above
   the region's final branch;
-* **memory**: the dependences from :mod:`repro.analysis.dependence`. Each
-  memory edge is tagged with whether it is breakable by alias speculation
-  (MAY alias) or not (MUST alias).
+* **memory**: the base dependences from :mod:`repro.analysis.dependence`,
+  read as the optimizer keeps them, ``(src_position, dst_position, must)``
+  triples (``memory_triples``); :class:`Dependence` objects, as tests and
+  tools pass them, are converted to that form first. Each memory edge is
+  tagged with whether it is breakable by alias speculation (MAY alias) or
+  not (MUST alias).
 
 The graph is stored in the one form its consumers read: a tuple of
 ``(src_position, dst_position, kind, latency, breakable)`` edges in global
@@ -31,9 +34,9 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.dependence import Dependence
+from repro.analysis.dependence import Dependence, DepTriple
 from repro.ir.instruction import Instruction
 
 
@@ -83,12 +86,15 @@ class DataDependenceGraph:
         allow_store_reorder: bool = True,
         speculation_policy: str = "full",
         _structural: Optional[Tuple[Edge, ...]] = None,
+        memory_triples: Optional[Sequence[DepTriple]] = None,
     ) -> None:
         """``speculation_policy`` is ``"full"`` (any MAY-alias pair may be
         reordered) or ``"loads_only"`` (only loads may hoist above stores —
-        the ALAT restriction). ``_structural`` adopts a previously built
-        graph's edge tuple (see :meth:`structural`) instead of deriving the
-        edges — the translation cache's DDG memo."""
+        the ALAT restriction). ``memory_triples`` gives the base memory
+        dependences positionally and replaces ``memory_dependences``.
+        ``_structural`` adopts a previously built graph's edge tuple (see
+        :meth:`structural`) instead of deriving the edges — the translation
+        cache's DDG memo."""
         if speculation_policy not in ("full", "loads_only"):
             raise ValueError(f"unknown speculation policy {speculation_policy!r}")
         self.block = block
@@ -115,11 +121,13 @@ class DataDependenceGraph:
             best[key] = latency
             edges.append((src, dst, kind, latency, breakable))
 
+        if memory_triples is None:
+            memory_triples = _positional(instructions, memory_dependences)
         _register_edges(instructions, machine, add)
         _control_edges(instructions, add)
         _memory_edges(
             instructions,
-            memory_dependences,
+            memory_triples,
             allow_store_reorder,
             speculation_policy == "loads_only",
             add,
@@ -238,25 +246,35 @@ def _control_edges(instructions: List[Instruction], add) -> None:
             add(pos, final, _CONTROL, 0)
 
 
+def _positional(
+    instructions: List[Instruction], deps: Iterable[Dependence]
+) -> List[DepTriple]:
+    """The base dependences among ``deps`` whose endpoints are both in
+    the block, as triples. Extended dependences do not order the
+    schedule; they only produce constraints (the allocator consumes them
+    directly)."""
+    positions = {inst.uid: pos for pos, inst in enumerate(instructions)}
+    triples = []
+    for dep in deps:
+        if dep.extended:
+            continue
+        src_pos = positions.get(dep.src.uid)
+        dst_pos = positions.get(dep.dst.uid)
+        if src_pos is not None and dst_pos is not None:
+            triples.append((src_pos, dst_pos, dep.must))
+    return triples
+
+
 def _memory_edges(
     instructions: List[Instruction],
-    memory_dependences: Iterable[Dependence],
+    triples: Iterable[DepTriple],
     allow_store_reorder: bool,
     loads_only: bool,
     add,
 ) -> None:
-    positions = {inst.uid: pos for pos, inst in enumerate(instructions)}
-    for dep in memory_dependences:
-        if dep.extended:
-            # Extended dependences do not order the schedule; they only
-            # produce constraints (the allocator consumes them directly).
-            continue
-        src, dst = dep.src, dep.dst
-        src_pos = positions.get(src.uid)
-        dst_pos = positions.get(dst.uid)
-        if src_pos is None or dst_pos is None:
-            continue
-        breakable = not dep.must
+    for src_pos, dst_pos, must in triples:
+        src, dst = instructions[src_pos], instructions[dst_pos]
+        breakable = not must
         if (
             breakable
             and not allow_store_reorder

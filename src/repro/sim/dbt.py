@@ -35,7 +35,6 @@ import hashlib
 import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.frontend.interpreter import Interpreter
@@ -195,12 +194,6 @@ class _Prefix:
     runtime_stats: Dict[str, int]
 
 
-#: every instruction field the interpreter, the profiler and region
-#: formation read (the rest are optimizer annotations)
-_FRONT_END_FIELDS = attrgetter(
-    "opcode", "dest", "srcs", "imm", "base", "disp", "size", "target"
-)
-
 #: the process-wide prefix memo, an LRU of at most ``_PREFIX_ENTRIES``
 #: snapshots. Like the translation cache, it assumes one simulating
 #: thread per process (the serve daemon has a single dispatcher).
@@ -238,7 +231,6 @@ class DbtSystem:
         counters and per-phase wall time across the whole stack."""
         from repro.engine.instrumentation import NULL_TRACER
 
-        program.validate()
         self.program = program
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if isinstance(scheme_name, Scheme):
@@ -275,7 +267,7 @@ class DbtSystem:
 
             self.alias_profiler = AliasProfiler()
             self.interpreter.mem_hook = self.alias_profiler.observe
-        self._heads: Set[int] = program.block_heads()
+        self._heads: FrozenSet[int] = program.block_heads()
         self._formed: Set[int] = set()
         #: prefix-memo key a missed run records under at its first
         #: install (None otherwise, and once recorded)
@@ -387,18 +379,18 @@ class DbtSystem:
     def _prefix_digest(self, max_guest_steps: int) -> bytes:
         """Exact digest of every input the pre-install front end reads.
 
-        The scheme is absent on purpose: nothing scheme-specific runs
-        before the first install. Config dataclasses are keyed whole, so
-        a new field can only split the memo, never alias two runs. A
-        pickle decodes to its content, so equal digests mean equal
-        inputs (pickle's sharing of equal objects can at worst split the
-        memo)."""
-        program = self.program
+        The program's part (its instructions' front-end fields, entry pc
+        and data layout) is hashed once per program
+        (:meth:`GuestProgram.front_end_digest`) and folded in here with
+        the run's other inputs. The scheme is absent on purpose: nothing
+        scheme-specific runs before the first install. Config dataclasses
+        are keyed whole, so a new field can only split the memo, never
+        alias two runs. A pickle decodes to its content, so equal digests
+        mean equal inputs (pickle's sharing of equal objects can at worst
+        split the memo)."""
         parts = (
-            list(map(_FRONT_END_FIELDS, program.instructions)),
-            program.entry_pc,
+            self.program.front_end_digest(),
             tuple(self.interpreter.registers),
-            tuple(sorted(program.region_map.items())),
             self.memory.size,
             dataclasses.astuple(self.profiler.config),
             dataclasses.astuple(self.region_former.config),

@@ -39,10 +39,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.analysis.cycles import IncrementalOrder, OrderCycleError
-from repro.analysis.dependence import Dependence, DependenceSet
+from repro.analysis.dependence import (
+    DependenceSet,
+    DependenceSources,
+    dependence_sources,
+)
 from repro.hw.exceptions import AliasRegisterOverflow
 from repro.ir.instruction import Instruction, amov, rotate
 from repro.sched.list_scheduler import AllocatorHook
@@ -100,20 +104,23 @@ class SmarqAllocator(AllocatorHook):
     def __init__(
         self,
         machine: MachineModel,
-        dependences: DependenceSet,
+        dependences: Union[DependenceSet, DependenceSources],
         program_order: List[Instruction],
         overflow_margin: int = 2,
         enable_anti: bool = True,
         enable_amov: bool = True,
         enable_throttle: bool = True,
     ) -> None:
-        """The ``enable_*`` switches exist for the ablation studies in
-        ``benchmarks/``: disabling anti-constraints admits false-positive
-        checks; disabling AMOV drops cycle-closing anti-constraints instead
-        of relocating the range; disabling throttling lets allocation run
-        into hard overflow on small register files."""
+        """``dependences`` is a :class:`DependenceSet` or the optimizer's
+        :class:`DependenceSources` table; only the sources of each
+        operation's incoming dependences are read. The ``enable_*``
+        switches exist for the ablation studies in ``benchmarks/``:
+        disabling anti-constraints admits false-positive checks; disabling
+        AMOV drops cycle-closing anti-constraints instead of relocating
+        the range; disabling throttling lets allocation run into hard
+        overflow on small register files."""
         self.machine = machine
-        self.deps = dependences
+        self._sources = dependence_sources(dependences)
         self.stats = AllocationStats()
         self._overflow_margin = overflow_margin
         self.enable_anti = enable_anti
@@ -153,12 +160,7 @@ class SmarqAllocator(AllocatorHook):
         self._pending_p = 0
         #: not-yet-scheduled endpoints of extended dependences (their
         #: checks are mandatory future register pressure)
-        self._ext_unsched: Set[int] = {
-            end.uid
-            for dep in dependences
-            if dep.extended
-            for end in (dep.src, dep.dst)
-        }
+        self._ext_unsched: Set[int] = set(self._sources.extended_ends)
         #: AMOV fixups: (amov_inst, moved_source_inst)
         self._amov_fixups: List[Tuple[Instruction, Instruction]] = []
         self._linear: Optional[List[Instruction]] = None
@@ -214,8 +216,7 @@ class SmarqAllocator(AllocatorHook):
             return ([], [])
         before: List[Instruction] = []
 
-        for dep in self.deps.iter_incoming(inst):  # S ->dep Y, Y == inst
-            s = dep.src
+        for s in self._sources.sources_of(inst):  # S ->dep Y, Y == inst
             if s.uid not in self._scheduled:
                 self._add_check(checker=s, target=inst)
             else:

@@ -20,9 +20,13 @@ speculation, exactly like SMARQ's overflow throttling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.analysis.dependence import DependenceSet
+from repro.analysis.dependence import (
+    DependenceSet,
+    DependenceSources,
+    dependence_sources,
+)
 from repro.hw.efficeon import EFFICEON_MAX_REGISTERS
 from repro.ir.instruction import Instruction
 from repro.sched.list_scheduler import AllocatorHook
@@ -36,7 +40,7 @@ class BitmaskAllocator(AllocatorHook):
     def __init__(
         self,
         machine: MachineModel,
-        dependences: DependenceSet,
+        dependences: Union[DependenceSet, DependenceSources],
         program_order: List[Instruction],
         num_registers: int = EFFICEON_MAX_REGISTERS,
         reserve: int = 1,
@@ -46,7 +50,7 @@ class BitmaskAllocator(AllocatorHook):
                 f"bit-mask encoding caps at {EFFICEON_MAX_REGISTERS} registers"
             )
         self.machine = machine
-        self.deps = dependences
+        self._sources = dependence_sources(dependences)
         self.num_registers = num_registers
         self._reserve = reserve
         self.stats = AllocationStats()
@@ -82,8 +86,7 @@ class BitmaskAllocator(AllocatorHook):
             return ([], [])
 
         # New obligations: unscheduled dependence sources must check inst.
-        for dep in self.deps.iter_incoming(inst):
-            checker = dep.src
+        for checker in self._sources.sources_of(inst):
             if checker.uid in self._scheduled:
                 continue  # in program order: bit-mask needs nothing
             if (checker.uid, inst.uid) in self._check_pairs:

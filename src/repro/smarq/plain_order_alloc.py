@@ -23,9 +23,9 @@ satisfies every check-constraint and can produce no false positive.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
-from repro.analysis.dependence import DependenceSet
+from repro.analysis.dependence import DependenceSet, DependenceSources
 from repro.ir.instruction import Instruction
 from repro.sched.list_scheduler import AllocatorHook
 from repro.sched.machine import MachineModel
@@ -38,11 +38,12 @@ class PlainOrderAllocator(AllocatorHook):
     def __init__(
         self,
         machine: MachineModel,
-        dependences: DependenceSet,
+        dependences: Union[DependenceSet, DependenceSources],
         program_order: List[Instruction],
     ) -> None:
+        """``dependences`` is accepted for the allocator interface; every
+        memory operation is set and checked, so none is read."""
         self.machine = machine
-        self.deps = dependences
         self.stats = AllocationStats()
         mem_ops = [inst for inst in program_order if inst.is_mem]
         self.stats.memory_ops = len(mem_ops)

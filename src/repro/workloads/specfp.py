@@ -27,7 +27,8 @@ Dynamic sizes are kept small enough for a pure-Python cycle-level model;
 
 from __future__ import annotations
 
-from typing import Dict, List
+from collections import OrderedDict
+from typing import Dict, List, Tuple
 
 from repro.frontend.program import GuestProgram
 from repro.workloads.synthetic import WorkloadTraits, build_from_traits
@@ -132,6 +133,19 @@ _TRAITS: Dict[str, WorkloadTraits] = {
 #: figure suites; see ``smarq-cert`` in :mod:`repro.sim.schemes`)
 CERT_BENCHMARKS: List[str] = ["pwalk", "pchase"]
 
+#: the process-wide program memo, an LRU of at most ``_PROGRAM_ENTRIES``
+#: builds keyed by ``(name, scale)``. Bounded because ``serve`` accepts
+#: any scale a client sends; programs are immutable, so every run in the
+#: process shares one build. Like the DBT's warm-up memo, it assumes one
+#: simulating thread per process.
+_PROGRAM_ENTRIES = 32
+_PROGRAMS: "OrderedDict[Tuple[str, float], GuestProgram]" = OrderedDict()
+
+
+def reset_program_memo() -> None:
+    """Drop every memoized program build (tests)."""
+    _PROGRAMS.clear()
+
 
 def benchmark_traits(name: str) -> WorkloadTraits:
     """The trait description of one benchmark (a copy safe to tweak)."""
@@ -155,6 +169,11 @@ def make_benchmark(name: str, scale: float = 1.0) -> GuestProgram:
     and ``fuzzcase:<packed>`` decodes a fully serialized (e.g.
     minimized) case. Both ignore ``scale`` — a fuzz case's iteration
     count is part of its identity.
+
+    The SPECFP and certifier benchmarks are built once per ``(name,
+    scale)`` and process (``_PROGRAMS``); fuzz and fault names are built
+    on every call (a fault build depends on ``SMARQ_FAULT_BENCHMARKS``,
+    which a memo would outlive).
     """
     if name.startswith(("fuzz:", "fuzzcase:")):
         # Imported lazily: repro.fuzz pulls in the scheduler/allocator
@@ -168,6 +187,15 @@ def make_benchmark(name: str, scale: float = 1.0) -> GuestProgram:
         from repro.serve.faults import make_fault_benchmark
 
         return make_fault_benchmark(name, scale)
+    key = (name, scale)
+    program = _PROGRAMS.get(key)
+    if program is not None:
+        _PROGRAMS.move_to_end(key)
+        return program
     traits = benchmark_traits(name)
     traits.iterations = max(100, int(traits.iterations * scale))
-    return build_from_traits(traits)
+    program = build_from_traits(traits)
+    _PROGRAMS[key] = program
+    while len(_PROGRAMS) > _PROGRAM_ENTRIES:
+        _PROGRAMS.popitem(last=False)
+    return program

@@ -141,15 +141,14 @@ class ProgramBuilder:
         self.emit(store(taddr, tval, size=WORD))
 
     def build(self, entry_pc: int = 0) -> GuestProgram:
-        program = GuestProgram(
+        """The finished (validated, immutable) program."""
+        return GuestProgram(
             name=self.name,
             instructions=self.instructions,
             region_map=self.region_map,
             entry_pc=entry_pc,
             register_regions=self.register_regions,
         )
-        program.validate()
-        return program
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.analysis.dependence import (
     Dependence,
     DependenceSet,
     compute_dependences,
+    dependence_views,
 )
 from repro.ir.instruction import Opcode, binop, branch, load, movi, store
 from repro.ir.superblock import Superblock
@@ -409,8 +410,17 @@ class TestPositionalGraphMatchesReference:
                 if kw.get("_structural") is not None:
                     adopted.append(len(block))
                 else:
-                    memory_dependences = list(memory_dependences)
-                    assert_matches_reference(block, machine, memory_dependences)
+                    # the pipeline passes its positional triples; the
+                    # reference reads their Dependence views
+                    triples = kw["memory_triples"]
+                    views = dependence_views(block, triples)
+                    assert_matches_reference(block, machine, views)
+                    for policy in POLICIES:
+                        assert DataDependenceGraph(
+                            block, machine, memory_triples=triples, **policy
+                        ).structural() == DataDependenceGraph(
+                            block, machine, views, **policy
+                        ).structural(), policy
                     built.append(len(block))
                 super().__init__(block, machine, memory_dependences, **kw)
 

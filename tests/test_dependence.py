@@ -68,9 +68,7 @@ class TestExtendedDependence1:
         block, a = build(insts)
         ops = block.memory_ops()
         deps = extended_deps_for_load_elimination(ops[0], ops[2], [ops[1]], a)
-        assert len(deps) == 1
-        assert deps[0].src is ops[1] and deps[0].dst is ops[0]
-        assert deps[0].extended
+        assert deps == [(ops[1], ops[0])]  # S ->dep X, as a (src, dst) pair
 
     def test_intervening_load_ignored(self):
         insts = [
@@ -110,8 +108,7 @@ class TestExtendedDependence2:
         block, a = build(insts)
         ops = block.memory_ops()
         deps = extended_deps_for_store_elimination(ops[2], ops[0], [ops[1]], a)
-        assert len(deps) == 1
-        assert deps[0].src is ops[2] and deps[0].dst is ops[1]
+        assert deps == [(ops[2], ops[1])]  # Z ->dep Y, as a (src, dst) pair
 
     def test_intervening_store_ignored(self):
         insts = [
@@ -133,15 +130,6 @@ class TestDependenceSet:
         assert len(deps.outgoing(st_op)) == 2
         assert len(deps.incoming(st_op)) == 0
         assert len(deps.incoming(block.memory_ops()[1])) == 1
-
-    def test_replace_instruction(self):
-        block, a = build([store(5, 1), load(2, 6)])
-        deps = DependenceSet(compute_dependences(block, a))
-        old = block.memory_ops()[0]
-        new = store(9, 9)
-        deps.replace_instruction(old, new)
-        assert len(deps.outgoing(new)) == 1
-        assert deps.outgoing(old) == []
 
     def test_dependences_between(self):
         block, a = build([store(5, 1), load(2, 6)])

@@ -45,17 +45,16 @@ class TestValidation:
         p.validate()
 
     def test_branch_out_of_range(self):
-        p = prog([branch(Opcode.BR, 9)])
+        # a program validates itself at construction
         with pytest.raises(ValueError):
-            p.validate()
+            prog([branch(Opcode.BR, 9)])
 
     def test_overlapping_regions_rejected(self):
-        p = prog(
-            [branch(Opcode.EXIT, 0)],
-            region_map={"a": (0x100, 0x100), "b": (0x180, 0x100)},
-        )
         with pytest.raises(ValueError):
-            p.validate()
+            prog(
+                [branch(Opcode.EXIT, 0)],
+                region_map={"a": (0x100, 0x100), "b": (0x180, 0x100)},
+            )
 
     def test_memory_size_covers_regions(self):
         p = prog(

@@ -318,6 +318,138 @@ class TestTranslationKeepsWhatIsRead:
             assert [p for p in payloads if name in p] == [], name
 
 
+class TestPerProgramNotPerJob:
+    BENCHMARKS = ("art", "swim")
+
+    def test_scheme_sweep_builds_each_program_once(self, monkeypatch):
+        """Item 8's cold serial sweep (2 benchmarks x 6 scheme keys)
+        builds 2 programs, not one per job."""
+        import repro.workloads.specfp as specfp
+        from repro.engine.cache import NullCache
+        from repro.eval.fig15 import SCHEMES
+        from repro.eval.fig16 import NO_STORE_REORDER_KEY, register_variant
+        from repro.eval.suite import SuiteConfig, SuiteRunner
+
+        builds = []
+        real_build = specfp.build_from_traits
+
+        def counting_build(traits):
+            builds.append(traits.name)
+            return real_build(traits)
+
+        monkeypatch.setattr(specfp, "build_from_traits", counting_build)
+        specfp.reset_program_memo()
+        engine = ExecutionEngine(cache=NullCache())
+        runner = SuiteRunner(
+            SuiteConfig(benchmarks=list(self.BENCHMARKS), scale=0.05),
+            engine,
+        )
+        register_variant(runner)
+        keys = ("none",) + tuple(SCHEMES) + (NO_STORE_REORDER_KEY,)
+        runner.prefetch(keys)
+        assert engine.tracer.counters.get("dbt.runs", 0) == 2 * len(keys)
+        assert sorted(builds) == sorted(self.BENCHMARKS)
+
+    @staticmethod
+    def _cold_two_scheme_run(monkeypatch):
+        """A cold ``art`` run under smarq, then smarq16, counting
+        ``Dependence`` constructions and the ``classify`` calls made
+        inside ``LoadElimination.run``."""
+        import repro.analysis.dependence as dependence_mod
+        from repro.analysis.aliasinfo import AliasAnalysis
+        from repro.opt.load_elim import LoadElimination
+        from repro.opt.translation_cache import reset_translation_cache
+
+        made = []
+        real_dependence = dependence_mod.Dependence
+
+        def counting_dependence(*args, **kwargs):
+            made.append(args)
+            return real_dependence(*args, **kwargs)
+
+        monkeypatch.setattr(dependence_mod, "Dependence", counting_dependence)
+        inside = []
+        classified = []
+        real_classify = AliasAnalysis.classify
+        real_run = LoadElimination.run
+
+        def counting_classify(self, a, b):
+            if inside:
+                classified.append((a.uid, b.uid))
+            return real_classify(self, a, b)
+
+        def tracking_run(self, block, analysis):
+            inside.append(block)
+            try:
+                return real_run(self, block, analysis)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(AliasAnalysis, "classify", counting_classify)
+        monkeypatch.setattr(LoadElimination, "run", tracking_run)
+        reset_translation_cache()
+        tracer = Tracer()
+        try:
+            for scheme in ("smarq", "smarq16"):
+                DbtSystem(
+                    make_benchmark("art", scale=0.05),
+                    scheme,
+                    profiler_config=ProfilerConfig(hot_threshold=20),
+                    tracer=tracer,
+                ).run()
+        finally:
+            reset_translation_cache()
+        return tracer.counters, made, classified
+
+    def test_cold_run_constructs_no_dependence(self, monkeypatch):
+        counters, made, _ = self._cold_two_scheme_run(monkeypatch)
+        assert counters.get("translate.deps_hits", 0) >= 1
+        assert counters.get("translate.deps_misses", 0) >= 1
+        assert made == []
+
+    def test_load_elimination_classifies_only_must_candidates(
+        self, monkeypatch
+    ):
+        """One load elimination runs (the second scheme hits the
+        ``elim`` memo) over art's 13 loads. A load with no earlier
+        access of its must key makes no ``classify`` call; the 10 that
+        remain check the stores between a source and its load. The
+        backward scan this replaced made 63."""
+        counters, _, classified = self._cold_two_scheme_run(monkeypatch)
+        assert counters.get("translate.elim_misses", 0) == 1
+        assert len(classified) == 10
+
+    def test_finished_job_is_freed_by_reference_counting(self, monkeypatch):
+        """With the collector off, a job's interpreter and guest memory
+        die the moment ``execute_job`` returns: no handler closure holds
+        the interpreter, so nothing waits for a gen-2 collection."""
+        import gc
+        import weakref
+
+        import repro.sim.dbt as dbt_mod
+        from repro.engine.jobs import execute_job
+
+        refs = []
+
+        class Recording(DbtSystem):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self.interpreter))
+                refs.append(weakref.ref(self.memory))
+
+        monkeypatch.setattr(dbt_mod, "DbtSystem", Recording)
+        gc.collect()
+        gc.disable()
+        try:
+            result = execute_job(SPEC)
+            alive = [ref() is not None for ref in refs]
+        finally:
+            gc.enable()
+        assert result.report.total_cycles > 0
+        assert len(refs) == 2
+        assert alive == [False, False]
+
+
 class TestStartupImports:
     def test_cli_import_pulls_in_no_numpy(self):
         """Nothing on the CLI's import path may import numpy: every

@@ -13,6 +13,7 @@ later run with the same inputs. That is pure performance machinery, so:
 * the memo stays within its constant bound.
 """
 
+import dataclasses
 from typing import NamedTuple
 
 import pytest
@@ -208,25 +209,32 @@ class TestRestoredRunIsIdentical:
             assert outcome.report["translations"] >= 1
 
 
+# Each variant is a new program: a built program is immutable.
+
+
 def _with_imm(program):
-    program.instructions[2].imm += 1  # movi r5: the value the loop adds
-    return program
+    insts = list(program.instructions)
+    insts[2] = insts[2].copy()
+    insts[2].imm += 1  # movi r5: the value the loop adds
+    return dataclasses.replace(program, instructions=insts)
 
 
 def _with_register(program):
-    program.initial_registers[1] += 0x40  # the loop's base pointer
-    return program
+    registers = dict(program.initial_registers)
+    registers[1] += 0x40  # the loop's base pointer
+    return dataclasses.replace(program, initial_registers=registers)
 
 
 def _with_entry(program):
-    program.entry_pc = 1  # skips ``movi r2, 0``: one step less
-    return program
+    # skips ``movi r2, 0``: one step less
+    return dataclasses.replace(program, entry_pc=1)
 
 
 def _with_layout(program):
     # same memory size, two regions instead of one
-    program.region_map = {"buf": (0x100, 0x80), "tail": (0x180, 0x80)}
-    return program
+    return dataclasses.replace(
+        program, region_map={"buf": (0x100, 0x80), "tail": (0x180, 0x80)}
+    )
 
 
 class TestKeySensitivity:
