@@ -29,8 +29,8 @@ Counter names used by the simulation stack:
     re-optimization or blacklisting;
 ``vliw.replay_compiles``
     timing plans that adopted the straight-line ``py`` replay for their
-    trace: on the first escape from the trace's kernel, at promotion
-    when no kernel can run the trace, or under a forced ``py`` tier (at
+    trace: at promotion when no kernel can run the trace, after the
+    trace's kernel was demoted, or under a forced ``py`` tier (at
     most one per compiled region trace; an adoption served from an
     already-compiled shared artifact also counts
     ``vliw.replay_cache_hits`` — no codegen ran for it);
@@ -51,13 +51,14 @@ Counter names used by the simulation stack:
     forced);
 ``vliw.vec_fallbacks``
     vec executions that hit a runtime fact outside the kernel's static
-    model and re-ran on the ``py`` tier (repeated fallbacks demote the
-    trace to ``py`` for good);
+    model and re-ran on the dispatch loop, counted there as
+    ``vliw.backend_interp`` (repeated fallbacks demote the trace to
+    ``py`` for good);
 ``vliw.batch_compiles`` / ``vliw.batch_iterations`` / ``vliw.batch_trims``
     batched kernels compiled (the one kernel of a trace with a
     back-edge), region iterations committed inside batch calls before
     the final one, and batch kernel calls cut short by a guarded escape
-    (the trimmed iteration rolls back and re-runs on the ``py`` tier;
+    (the trimmed iteration rolls back and re-runs on the dispatch loop;
     repeated early trims demote the trace to ``py`` for good);
 ``translate.cache_hits`` / ``translate.cache_misses``
     full-translation lookups in the content-keyed translation cache (a

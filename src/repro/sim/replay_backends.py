@@ -13,7 +13,9 @@ A hot trace's functional replay runs on one of four tiers (selected by
     with undo logging, and the adapter's hardware events lowered to
     direct scalar model calls (dynamic escapes fall back to the
     ``on_mem_op``/``on_rotate``/``on_amov`` callbacks). It is exact by
-    construction, so it is the escape hatch of the two kernels below;
+    construction; it runs the traces neither kernel below can lower (or
+    that a kernel demoted after repeated escapes) and the forced ``py``
+    tier;
 ``vec``
     :func:`compile_vec` — the alias hardware is **simulated statically at
     compile time** over the IR's event stream (every queue/ALAT/bit-mask
@@ -24,8 +26,9 @@ A hot trace's functional replay runs on one of four tiers (selected by
     and a precomputed event fingerprint at each exit. Anything the
     static model cannot decide — a bounds violation, a possible alias
     overlap — returns :data:`FALLBACK` and the caller rolls back and
-    re-executes on the ``py`` tier; the kernel itself never touches
-    adapter state;
+    re-executes that one execution on the dispatch loop (far cheaper
+    than generating ``py`` code for a one-off run); the kernel itself
+    never touches adapter state;
 ``batch``
     :func:`compile_batch` — the vec residue wrapped in an iteration
     loop over the trace's structural back-edge: when a region's commit
@@ -35,13 +38,21 @@ A hot trace's functional replay runs on one of four tiers (selected by
     is exactly one vec execution, so it is the one kernel of every
     trace that has a back-edge. A guard that fires trims the batch
     (:data:`BATCH_TRIM`): the caller rolls back the broken iteration's
-    undo slice and re-runs it on the ``py`` tier. Accounting is exact
+    undo slice and re-runs it on the dispatch loop. Accounting is exact
     per iteration — N batched commits are indistinguishable from N
     scalar executions.
 
 The two kernels share one lowering (:class:`_ResidueEmitter`), so they
 accept and reject the same traces; ``compile_batch`` additionally needs a
 structural back-edge (:func:`repro.sim.replay_ir.loop_candidate`).
+Kernel source is a translation cost paid at run time, and ``compile()``
+time tracks AST nodes, so the emitter keeps the rare paths small: a
+long overlap sweep runs only after a bloom probe hit and is one
+:func:`_overlaps` call per pair size instead of an inline or-chain, the
+bloom itself is a per-iteration ``bytearray`` (no 256-bit int traffic
+per insert and probe), and a batch kernel spells its committed-state
+restore once, in one abort epilogue shared by every side exit and guard
+escape.
 
 The module also owns the process-wide **replay artifact cache**: lowered
 IR and compiled backend functions are keyed by the region's translation
@@ -72,12 +83,12 @@ _EMPTY_TARGETS = frozenset()
 _U64 = struct.Struct("<Q")
 
 #: sentinel returned by a vec kernel when a runtime fact escapes its
-#: static model; the caller rolls back and re-runs the ``py`` tier
+#: static model; the caller rolls back and re-runs the dispatch loop
 FALLBACK = (-2, -1, None)
 
 #: exit-kind sentinel in a batch kernel's result tuple: the current
 #: iteration hit a guard/sweep escape mid-flight; the caller rolls back
-#: the iteration's undo slice and re-runs it on the ``py`` tier
+#: the iteration's undo slice and re-runs it on the dispatch loop
 BATCH_TRIM = -2
 
 
@@ -298,8 +309,9 @@ class _StaticHw:
     rotation, eviction and the full stat stream can be resolved at
     compile time. The one runtime residue is pairwise address overlap;
     :meth:`check` returns the (address-local, size) pairs each check must
-    test, and the kernel falls back when any test fires (the ``py`` tier
-    then reproduces the exact exception, ordering and partial stats).
+    test, and the kernel falls back when any test fires (the dispatch
+    loop then reproduces the exact exception, ordering and partial
+    stats).
     """
 
     __slots__ = ("family", "stats", "entries", "orders", "base", "limit",
@@ -569,6 +581,20 @@ def _max_sweep(ir: R.ReplayIR, family: str, limit: int) -> int:
 _BLOOM_SWEEP_MIN = 4
 
 
+def _overlaps(a: int, size: int, psize: int, addrs) -> bool:
+    """True when the access ``[a, a + size)`` shares a byte with some
+    ``[p, p + psize)``, ``p`` in ``addrs``: the pairwise kernel test
+    ``p < a + size and a < p + psize``, rewritten as ``a - psize < p <
+    a + size``. Kernels call it out of line, behind a bloom probe hit,
+    so the rare full sweep costs one call instead of inline code."""
+    lo = a - psize
+    hi = a + size
+    for p in addrs:
+        if lo < p < hi:
+            return True
+    return False
+
+
 class _ResidueEmitter:
     """Codegen core shared by the ``vec`` and ``batch`` kernels.
 
@@ -577,12 +603,13 @@ class _ResidueEmitter:
     the static hardware simulation — and walks the IR emitting residue
     statements into ``lines``. Exit sites are delegated to the caller's
     ``exit_emit`` hook so the two kernels can disagree about what an
-    exit does (vec: write back + return; batch: additionally detect the
-    back-edge site and continue the iteration loop).
+    exit does (vec: write back + return; batch: continue the iteration
+    loop at the back-edge site, record a side exit and break to the
+    shared abort epilogue).
 
     ``fb`` is the statement executed when a runtime fact escapes the
     static model (vec: ``return _FB``; batch: ``break`` out of the
-    iteration loop into the trim epilogue).
+    iteration loop into the abort epilogue).
     """
 
     __slots__ = (
@@ -756,20 +783,21 @@ class _ResidueEmitter:
     def bloom_add(self, addr: str, size: int) -> None:
         if not self.bloom:
             return
-        lo = f"1 << ({addr} >> 3 & 255)"
+        lo = f"_bf[{addr} >> 3 & 255]"
         if size > 1:
             self.emit(
-                f"{self.pad}_bm |= {lo} | "
-                f"1 << ({addr} + {size - 1} >> 3 & 255)"
+                f"{self.pad}{lo} = _bf[{addr} + {size - 1} >> 3 & 255] = 1"
             )
         else:
-            self.emit(f"{self.pad}_bm |= {lo}")
+            self.emit(f"{self.pad}{lo} = 1")
 
     def emit_sweep(self, addr: str, size: int, pairs) -> bool:
         """Alias pair tests for one check; any runtime overlap escapes
         via ``fb``. Pairs whose addresses share a base register resolve
         statically: disjoint displacements drop the test, an unavoidable
-        overlap rejects vectorization (returns False)."""
+        overlap rejects vectorization (returns False). A long sweep runs
+        only after a bloom probe hit, out of line: one
+        :func:`_overlaps` call per distinct pair size."""
         syms = self.syms
         own = syms.get(addr)
         tests = []
@@ -785,21 +813,29 @@ class _ResidueEmitter:
                 if d_own < d_p + p_size and d_p < d_own + size:
                     return False  # certain overlap: every run would FB
                 continue  # certain disjoint: no runtime test needed
-            tests.append(
-                f"({p_addr} < {addr} + {size} and {addr} < {p_addr} + {p_size})"
-            )
+            tests.append((p_addr, p_size))
         if not tests:
             return True
-        chain = " or ".join(tests)
         emit = self.emit
         pad = self.pad
         if self.bloom and len(tests) >= _BLOOM_SWEEP_MIN:
-            probe = f"_bm >> ({addr} >> 3 & 255) & 1"
+            by_size: dict = {}
+            for p_addr, p_size in tests:
+                by_size.setdefault(p_size, []).append(p_addr)
+            calls = " or ".join(
+                f"_overlaps({addr}, {size}, {p_size}, ({', '.join(group)},))"
+                for p_size, group in by_size.items()
+            )
+            probe = f"_bf[{addr} >> 3 & 255]"
             if size > 1:
-                probe += f" or _bm >> ({addr} + {size - 1} >> 3 & 255) & 1"
+                probe += f" or _bf[{addr} + {size - 1} >> 3 & 255]"
             emit(f"{pad}if {probe}:")
-            emit(f"{pad}    if {chain}: {self.fb}")
+            emit(f"{pad}    if {calls}: {self.fb}")
         else:
+            chain = " or ".join(
+                f"({p_addr} < {addr} + {size} and {addr} < {p_addr} + {p_size})"
+                for p_addr, p_size in tests
+            )
             emit(f"{pad}if {chain}: {self.fb}")
         return True
 
@@ -914,7 +950,7 @@ class _ResidueEmitter:
         emit = self.emit
         pad = self.pad
         if self.bloom:
-            emit(f"{pad}_bm = 0")
+            emit(f"{pad}_bf = bytearray(256)")
         for k, op in enumerate(ir.ops):
             t = op[0]
             if t == R.OP_ALU:
@@ -985,6 +1021,22 @@ def _family_limit(adapter, family) -> int:
     return 0
 
 
+def _wants_bloom(ir: R.ReplayIR, family, limit: int) -> bool:
+    """Whether a kernel gets the bloom prefilter over 8-byte granules.
+
+    When any sweep is long, every tracked set also marks its two buckets
+    in the ``_bf`` bytearray and long sweeps probe their buckets first:
+    disjoint accesses (the common case) skip the whole sweep. Sound
+    because an overlap implies a shared byte, whose granule is among the
+    two buckets of both accesses (all tracked accesses are <= 8 bytes
+    wide here, see :func:`_max_sweep`).
+    """
+    return (
+        family is not None
+        and _max_sweep(ir, family, limit) >= _BLOOM_SWEEP_MIN
+    )
+
+
 def _vec_exit(em: _ResidueEmitter, k: int, xkind: int, payload,
               commit: bool, indent: str) -> None:
     emit = em.emit
@@ -1013,7 +1065,7 @@ def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
     registers live entirely in locals and guest registers are written
     back only on commit-kind exits, so an abort or :data:`FALLBACK`
     leaves it untouched (memory writes are undo-logged exactly like the
-    ``py`` tier and rolled back by the caller).
+    other tiers and rolled back by the caller).
     """
     if ir.dyn:
         return None
@@ -1021,26 +1073,18 @@ def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
     if family == "dyn":
         return None
     limit = _family_limit(adapter, family)
-    # Bloom prefilter over 8-byte granules: when any sweep is long, every
-    # tracked set also ORs its two bucket bits into ``_bm`` and long
-    # sweeps probe their buckets first — disjoint accesses (the common
-    # case) skip the whole pairwise or-chain. Sound because an overlap
-    # implies a shared byte, whose granule is among the two buckets of
-    # both accesses (all tracked accesses are <= 8 bytes wide here).
-    bloom = (
-        family is not None
-        and _max_sweep(ir, family, limit) >= _BLOOM_SWEEP_MIN
-    )
     env: dict = {"ifb": int.from_bytes, "u64": _U64.unpack_from,
-                 "p64": _U64.pack_into, "_FB": FALLBACK}
+                 "p64": _U64.pack_into, "_FB": FALLBACK,
+                 "_overlaps": _overlaps}
     lines: List[str] = [
         # default args bind the helpers as locals (LOAD_FAST, not
         # LOAD_GLOBAL, on every use); callers pass only the first five
         "def _replay_vec(regs, data, msize, ad, undo_append, "
-        "u64=u64, p64=p64, ifb=ifb, _FB=_FB):",
+        "u64=u64, p64=p64, ifb=ifb, _FB=_FB, _overlaps=_overlaps):",
     ]
     em = _ResidueEmitter(
-        ir, adapter, guest_count, family, limit, bloom, lines, "    "
+        ir, adapter, guest_count, family, limit,
+        _wants_bloom(ir, family, limit), lines, "    ",
     )
     if not em.walk(_vec_exit):
         return None
@@ -1121,6 +1165,29 @@ def _batch_reg_scan(ir: R.ReplayIR):
     return refs, rbw
 
 
+def _bind_lines(refs, guest_count: int) -> List[str]:
+    """Prologue statements binding each referenced register to its
+    local: one slice unpack per contiguous run of guest registers, one
+    chained zero assignment for every scratch register."""
+    out: List[str] = []
+    guest = [r for r in refs if r < guest_count]
+    start = 0
+    for i, reg in enumerate(guest):
+        if i + 1 < len(guest) and guest[i + 1] == reg + 1:
+            continue
+        run = guest[start:i + 1]
+        start = i + 1
+        if len(run) == 1:
+            out.append(f"r{reg} = regs[{reg}]")
+        else:
+            names = ", ".join(f"r{r}" for r in run)
+            out.append(f"{names} = regs[{run[0]}:{reg + 1}]")
+    temps = [r for r in refs if r >= guest_count]
+    if temps:
+        out.append(" = ".join(f"r{r}" for r in temps) + " = 0")
+    return out
+
+
 def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     """Compile the cross-iteration batched kernel for one lowered trace.
 
@@ -1130,14 +1197,18 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     the vec tier's residue body wrapped in an iteration loop, with every
     escape (``return _FB``) replaced by ``break``: the loop stops,
     committed iterations stay committed, and the caller re-runs the
-    broken iteration on the ``py`` tier after rolling back its undo
+    broken iteration on the dispatch loop after rolling back its undo
     slice. Register locals are **loop-carried**: every referenced guest
     register is bound once above the loop, the back-edge site only
     normalizes deferred wraps in place (plus a ``prev`` snapshot tuple
     of the committed state), and ``regs`` is written exactly once per
     kernel call — at the exit that actually leaves the loop.
-    Hardware-stat deltas are likewise applied once per exit, multiplied
+    Hardware-stat deltas are likewise applied once per call, multiplied
     by the number of committed iterations, instead of per back-edge.
+    Every way out of the loop but a full batch — a side exit (which
+    records its exit in ``_x`` after applying its own stat deltas) and a
+    guard escape (``_x`` stays None) — shares one abort epilogue after
+    the loop, so the committed-state restore is spelled once per kernel.
     With ``n = 1`` the kernel is one vec execution (0 batched
     iterations), which is how scalar uses of the trace run it.
 
@@ -1151,9 +1222,9 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     applied), ``mark`` the undo-log length at the final iteration's
     start, and the final iteration's exit — with ``exit_kind ==``
     :data:`BATCH_TRIM` when a guard fired and the caller must roll back
-    ``undo_log[mark:]`` and re-run the final iteration on the ``py``
-    tier. Every committed iteration is indistinguishable from one scalar
-    vec execution exiting at the back-edge site — the exact-accounting
+    ``undo_log[mark:]`` and re-run the final iteration exactly. Every
+    committed iteration is indistinguishable from one scalar vec
+    execution exiting at the back-edge site — the exact-accounting
     contract the goldens and the ``backends`` fuzz oracle pin.
     """
     if ir.dyn:
@@ -1161,20 +1232,14 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     family = _hw_family(ir)
     if family == "dyn":
         return None
-    cand = R.loop_candidate(ir)
-    if cand is None:
+    if R.loop_candidate(ir) is None:
         return None
-    ck, ckind = cand
     limit = _family_limit(adapter, family)
-    bloom = (
-        family is not None
-        and _max_sweep(ir, family, limit) >= _BLOOM_SWEEP_MIN
-    )
     env: dict = {"ifb": int.from_bytes, "u64": _U64.unpack_from,
-                 "p64": _U64.pack_into, "len": len}
+                 "p64": _U64.pack_into, "len": len, "_overlaps": _overlaps}
     lines: List[str] = [
         "def _replay_batch(regs, data, msize, ad, undo_log, n, "
-        "u64=u64, p64=p64, ifb=ifb, len=len):",
+        "u64=u64, p64=p64, ifb=ifb, len=len, _overlaps=_overlaps):",
     ]
     emit = lines.append
     emit("    undo_append = undo_log.append")
@@ -1188,17 +1253,16 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     # the back edge never touches ``regs`` at all.
     refs, rbw = _batch_reg_scan(ir)
     rbw_temps = sorted(r for r in rbw if r >= guest_count)
-    for reg in sorted(refs):
-        if reg < guest_count:
-            emit(f"    r{reg} = regs[{reg}]")
-        else:
-            emit(f"    r{reg} = 0")
+    for stmt in _bind_lines(sorted(refs), guest_count):
+        emit(f"    {stmt}")
     emit("    it = 0")
+    emit("    _x = None")
     emit("    while 1:")
     emit("        mark = len(undo_log)")
 
-    # capture at the back-edge site: guest regs written (in first-write
-    # order), hardware stats of one full iteration, and max_live
+    # capture at the back-edge site: the written guest registers' slots
+    # (in first-write order), hardware stats of one full iteration, and
+    # max_live
     cap: dict = {}
 
     def mult_lines(pad: str) -> List[str]:
@@ -1207,8 +1271,11 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
         out: List[str] = []
         if stats:
             target, fields = _STAT_TARGETS[family]
-            body = [f"{pad}_hs.{name} += {stats[name]} * it"
-                    for name in fields if stats.get(name)]
+            body = [
+                f"{pad}_hs.{name} += "
+                + ("it" if stats[name] == 1 else f"{stats[name]} * it")
+                for name in fields if stats.get(name)
+            ]
             if body or max_live:
                 out.append(f"{pad}_hs = {target}")
                 out.extend(body)
@@ -1223,94 +1290,72 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
         if cap:
             # past the back-edge site: this exit is dead code, but a
             # dead CBR still needs a non-empty suite
-            e(f"{indent}pass")
+            if xkind == R.X_SIDE:
+                e(f"{indent}pass")
             return
-        if commit and k == ck and xkind == ckind:
-            # the back-edge site: normalize deferred locals to canonical
-            # signed form (the next iteration's reads — and any later
-            # exit's plain writeback — assume it), re-zero scratch
-            # registers the body reads before writing, snapshot the
-            # committed state for side-exit/trim restore, and loop
-            for reg in em.written:
-                if reg in em.deferred_now and reg < guest_count:
-                    e(f"{indent}r{reg} = (r{reg} + {_HIGH} "
-                      f"& {_MASK64}) - {_HIGH}")
-            for reg in rbw_temps:
-                e(f"{indent}r{reg} = 0")
-            wr = [r for r in em.written if r < guest_count]
-            hw = em.hw
-            cap["wr"] = wr
-            cap["stats"] = dict(hw.stats) if hw is not None else {}
-            cap["max_live"] = (hw.max_live
-                               if hw is not None and family == "queue"
-                               else 0)
-            if wr:
-                e(f"{indent}prev = ({', '.join(f'r{r}' for r in wr)},)")
-            e(f"{indent}it += 1")
-            e(f"{indent}if it < n:")
-            e(f"{indent}    continue")
-            # full batch: every iteration committed, locals canonical
-            for reg in wr:
-                e(f"{indent}regs[{reg}] = r{reg}")
-            for line in mult_lines(indent):
-                e(line)
-            e(f"{indent}return (it - 1, mark, {k}, {xkind}, "
-              f"{payload!r})")
-            return
-        for line in em.stat_lines(indent):
-            e(line)
-        if commit:
-            # the final iteration commits: write back what it defined so
-            # far (deferred-aware), then the rest of the loop-carried
-            # state (canonical by the back-edge invariant), then apply
-            # the committed iterations' stat deltas
-            for line in em.writeback_lines(indent):
-                e(line)
-            sofar = ",".join(str(r) for r in em.written
-                             if r < guest_count)
-            e(f"{indent}\x00REST:{sofar}")
-            e(f"{indent}\x00MULT")
-        else:
+        if not commit:
             # a side exit discards the broken iteration's register
-            # effects: restore the last committed state and apply the
-            # committed iterations' stat deltas
-            e(f"{indent}\x00RESTORE")
-        e(f"{indent}return (it, mark, {k}, {xkind}, {payload!r})")
+            # effects: apply its own stat deltas and leave the loop; the
+            # abort epilogue restores the last committed state
+            for line in em.stat_lines(indent):
+                e(line)
+            e(f"{indent}_x = ({k}, {xkind}, {payload!r})")
+            e(f"{indent}break")
+            return
+        # the trace's first commit-kind exit is the back-edge site
+        # (loop_candidate: a program exit before it leaves no candidate,
+        # and everything after it is dead). Normalize deferred locals to
+        # canonical signed form (the next iteration's reads assume it),
+        # re-zero scratch registers the body reads before writing,
+        # snapshot the committed state for the abort epilogue, and loop
+        for reg in em.written:
+            if reg in em.deferred_now and reg < guest_count:
+                e(f"{indent}r{reg} = (r{reg} + {_HIGH} "
+                  f"& {_MASK64}) - {_HIGH}")
+        if rbw_temps:
+            e(indent + " = ".join(f"r{r}" for r in rbw_temps) + " = 0")
+        wr = [r for r in em.written if r < guest_count]
+        # tuple displays of the written guest registers' locals and
+        # slots; the trailing comma keeps a one-register tuple a tuple
+        live = "".join(f"r{r}, " for r in wr).rstrip()
+        cap["slots"] = "".join(f"regs[{r}], " for r in wr).rstrip()
+        hw = em.hw
+        cap["stats"] = dict(hw.stats) if hw is not None else {}
+        cap["max_live"] = (hw.max_live
+                           if hw is not None and family == "queue"
+                           else 0)
+        if wr:
+            e(f"{indent}prev = ({live})")
+        e(f"{indent}it += 1")
+        e(f"{indent}if it < n:")
+        e(f"{indent}    continue")
+        # full batch: every iteration committed, locals canonical
+        if wr:
+            e(f"{indent}{cap['slots']} = {live}")
+        for line in mult_lines(indent):
+            e(line)
+        e(f"{indent}return (it - 1, mark, {k}, {xkind}, {payload!r})")
 
     em = _ResidueEmitter(
-        ir, adapter, guest_count, family, limit, bloom, lines,
-        "        ", fb="break", hoisted_sizes=sizes,
+        ir, adapter, guest_count, family, limit,
+        _wants_bloom(ir, family, limit), lines, "        ", fb="break",
+        hoisted_sizes=sizes,
     )
     em.bound |= refs
     if not em.walk(batch_exit) or not cap:
         return None
-    # trim epilogue: a guard broke out mid-iteration — restore the last
-    # committed register state (memory rolls back in the caller via the
-    # undo slice) and report the trim
-    emit("    \x00RESTORE")
-    emit(f"    return (it, mark, {BATCH_TRIM}, {BATCH_TRIM}, None)")
-    # expand the exit placeholders against the back-edge capture (unknown
-    # while the exits before the back-edge site were being emitted)
-    wr = cap["wr"]
-    i = 0
-    while i < len(lines):
-        j = lines[i].find("\x00")
-        if j < 0:
-            i += 1
-            continue
-        indent, tag = lines[i][:j], lines[i][j + 1:]
-        if tag.startswith("REST:"):
-            sofar = {int(x) for x in tag[5:].split(",") if x}
-            repl = [f"{indent}regs[{r}] = r{r}" for r in wr
-                    if r not in sofar]
-        else:  # MULT / RESTORE
-            body = mult_lines(indent + "    ")
-            if tag == "RESTORE":
-                body += [f"{indent}    regs[{r}] = prev[{ix}]"
-                         for ix, r in enumerate(wr)]
-            repl = [f"{indent}if it:"] + body if body else []
-        lines[i:i + 1] = repl
-        i += len(repl)
+    # abort epilogue, shared by every side exit and guard escape: restore
+    # the last committed register state (memory rolls back in the caller
+    # via the undo slice) and apply the committed iterations' stat deltas
+    body = mult_lines("        ")
+    if cap["slots"]:
+        body.append(f"        {cap['slots']} = prev")
+    if body:
+        emit("    if it:")
+        lines.extend(body)
+    emit("    if _x is None:")
+    emit(f"        return (it, mark, {BATCH_TRIM}, {BATCH_TRIM}, None)")
+    emit("    return (it, mark) + _x")
     exec(compile("\n".join(lines), "<vliw-replay-batch>", "exec"), env)
     return env["_replay_batch"], em.exit_fps
 
@@ -1323,8 +1368,10 @@ class ReplayArtifact:
 
     Holds everything that is a pure function of the lowered trace: the
     numeric IR and the compiled ``py``/``vec``/``batch`` functions. A
-    trace normally compiles one kernel (batch when it has a back-edge,
-    else vec) plus, after its first escape, ``py``; the slots exist for
+    trace normally compiles exactly one kernel (batch when it has a
+    back-edge, else vec): an execution that escapes it re-runs on the
+    dispatch loop, so ``py`` is generated only for a trace no kernel can
+    lower, a demoted one, or a forced ``py`` tier. The slots exist for
     both kernels because simulators that force a tier or disable
     batching share the artifact. Timing plans (signature memos,
     execution counts) are per-region and never live here.
@@ -1364,6 +1411,9 @@ BATCH_TRIM_LIMIT = 4
 
 _CACHE_LIMIT = 256
 _artifacts: "OrderedDict[Tuple, ReplayArtifact]" = OrderedDict()
+#: replay key -> the keys of its cached artifacts (one per adapter class
+#: and hardware config), so invalidation is a lookup, not a scan
+_by_replay_key: dict = {}
 
 
 def artifact_for(key: Tuple) -> ReplayArtifact:
@@ -1378,15 +1428,20 @@ def artifact_for(key: Tuple) -> ReplayArtifact:
         return art
     art = ReplayArtifact()
     _artifacts[key] = art
+    _by_replay_key.setdefault(key[0], []).append(key)
     if len(_artifacts) > _CACHE_LIMIT:
-        _artifacts.popitem(last=False)
+        old, _ = _artifacts.popitem(last=False)
+        keys = _by_replay_key[old[0]]
+        keys.remove(old)
+        if not keys:
+            del _by_replay_key[old[0]]
     return art
 
 
 def invalidate_artifacts(replay_key) -> int:
     """Drop every cached artifact lowered from ``replay_key`` (region
     re-optimized or blacklisted). Returns the number dropped."""
-    stale = [k for k in _artifacts if k[0] == replay_key]
+    stale = _by_replay_key.pop(replay_key, ())
     for k in stale:
         del _artifacts[k]
     return len(stale)
@@ -1395,3 +1450,4 @@ def invalidate_artifacts(replay_key) -> int:
 def reset_artifact_cache() -> None:
     """Clear the cache (tests)."""
     _artifacts.clear()
+    _by_replay_key.clear()

@@ -13,7 +13,7 @@ never look at :class:`~repro.ir.instruction.Instruction` objects again:
   statically simulates the alias hardware over the IR's event stream and
   compiles the residue — register locals, guarded address computations,
   bloom-prefiltered alias pair sweeps — into a kernel that falls back to
-  the ``py`` tier whenever a runtime fact (bounds violation, possible
+  the dispatch loop whenever a runtime fact (bounds violation, possible
   alias overlap) escapes the static model;
 * the ``batch`` backend (:func:`repro.sim.replay_backends.compile_batch`)
   wraps the same residue in an iteration loop over the trace's

@@ -69,10 +69,11 @@ kernel from :mod:`repro.sim.replay_backends`:
   iteration loop.
 
 Any runtime fact that escapes a kernel's static model (bounds violation,
-possible alias overlap) rolls back and re-runs that execution on the
-straight-line ``py`` function, compiled on the trace's first escape;
-traces that keep escaping are demoted to ``py`` for good, and a trace
-neither kernel can lower runs ``py`` from the threshold on.
+possible alias overlap) rolls back and re-runs that one execution on the
+dispatch loop — the ``interp`` oracle, exact by construction, and far
+cheaper for one run than generating ``py`` code for it. Traces that
+keep escaping are demoted to the straight-line ``py`` function for good,
+and a trace neither kernel can lower runs ``py`` from the threshold on.
 
 ``SMARQ_REPLAY_BACKEND=interp|py|vec|batch`` forces a tier for every
 region from its first execution (the kill switch / oracle selector:
@@ -206,8 +207,10 @@ class _TimingPlan:
     The threshold keeps one-shot regions from paying the ~ms codegen
     cost; hot regions execute hundreds of times and amortize it at once.
     ``replay_fn`` is the straight-line ``py`` function (:func:`repro.sim
-    .replay_backends.compile_py`), adopted on the first escape from the
-    kernel or at promotion when the plan has no kernel. ``artifact`` is
+    .replay_backends.compile_py`), adopted when the plan has no kernel:
+    none could lower the trace, the kernel was demoted, or the tier is
+    forced to ``py``. An execution that escapes a kernel re-runs on the
+    dispatch loop and adopts nothing. ``artifact`` is
     the process-wide shared :class:`~repro.sim.replay_backends
     .ReplayArtifact` holding the lowered IR and compiled kernels
     (content-identical region clones share one artifact; the plan itself
@@ -651,6 +654,7 @@ class VliwSimulator:
             tier = self._promote(
                 region, trace, fall_through, plan, adapter, len(registers)
             )
+        escape = False
         if tier == "batch":
             art = plan.artifact
             if art.batch_state > 0:
@@ -677,10 +681,11 @@ class VliwSimulator:
                 )
                 if out is not None:
                     return out, None, 0
+                escape = True  # re-run this one execution exactly
         return (
             self._execute_planned(
                 region, adapter, registers, trace, fall_through, ftrace,
-                plan,
+                plan, escape,
             ),
             None,
             0,
@@ -760,7 +765,7 @@ class VliwSimulator:
         """One vec kernel execution, or None when a runtime fact escaped
         the kernel's static model (bounds violation, possible alias or
         store overlap): its buffered stores are rolled back and the
-        caller re-runs the execution exactly on the ``py`` tier, which
+        caller re-runs the execution exactly on the dispatch loop, which
         reproduces exceptions, partial stats and partial effects
         byte-identically. Registers and hardware state are still
         pristine (the kernel mutates them only on success)."""
@@ -833,7 +838,7 @@ class VliwSimulator:
         if kind == _backends.BATCH_TRIM:
             # the final iteration escaped the static model: roll back
             # its own undo slice (committed iterations keep theirs) and
-            # re-run it exactly on the py tier
+            # re-run it exactly on the dispatch loop
             for addr, old in reversed(undo_log[mark:]):
                 memory.write_bytes(addr, old)
             if active:
@@ -845,7 +850,7 @@ class VliwSimulator:
                     art.batch_state = -1  # keeps trimming early: demote
             final = self._execute_planned(
                 region, adapter, registers, trace, fall_through, ftrace,
-                plan,
+                plan, escape=True,
             )
         else:
             plan.executions += 1
@@ -917,6 +922,7 @@ class VliwSimulator:
         fall_through,
         ftrace,
         plan: _TimingPlan,
+        escape: bool = False,
     ) -> RegionOutcome:
         memory = self.memory
         stats = self.stats
@@ -930,11 +936,13 @@ class VliwSimulator:
         undo_log: List[Tuple[int, bytes]] = []
         plan.executions += 1
 
-        # A plan runs the dispatch loop until it is promoted; after that
-        # it lands here only for the py tier: it has no kernel, its
-        # kernel was demoted, or this execution escaped the kernel.
+        # A plan runs the dispatch loop until it is promoted. After that
+        # it lands here to re-run one execution that ``escape``d its
+        # kernel — on the dispatch loop, the ``interp`` oracle: a one-off
+        # run costs far less than generating ``py`` code for it — or to
+        # run the py tier: it has no kernel, or its kernel was demoted.
         replay = plan.replay_fn
-        if replay is None and plan.tier is not None:
+        if replay is None and plan.tier is not None and not escape:
             replay = self._ensure_py(region, trace, plan, adapter, tracer)
 
         outcome_status: Optional[str] = None
@@ -1060,11 +1068,12 @@ class VliwSimulator:
         """Adopt the straight-line py replay for this plan (compiling it
         into the shared artifact on first need).
 
-        ``vliw.replay_compiles`` counts per-plan adoptions — a plan's
-        first escape from its kernel, a plan without a kernel, or a
-        forced ``py`` tier; an adoption served from an already-compiled
-        shared artifact also counts ``vliw.replay_cache_hits`` (no
-        codegen ran).
+        ``vliw.replay_compiles`` counts per-plan adoptions — a plan
+        without a kernel, a plan whose kernel was demoted, or a forced
+        ``py`` tier (a one-off escape from a kernel re-runs on the
+        dispatch loop instead); an adoption served from an
+        already-compiled shared artifact also counts
+        ``vliw.replay_cache_hits`` (no codegen ran).
         """
         art = plan.artifact
         fn = art.py_fn

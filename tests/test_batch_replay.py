@@ -6,8 +6,8 @@ kernel call. These tests pin its contract:
 
 * reports are byte-identical to the scalar tiers for every scheme;
 * a mid-batch alias abort rolls back exactly the faulting iteration and
-  re-runs it on the scalar ``py`` tier — fuzz cases biased toward
-  collisions must produce reports identical to an all-scalar run;
+  re-runs it on the dispatch loop — fuzz cases biased toward collisions
+  must produce reports identical to an all-scalar run;
 * ``steps_budget`` bounds the batch exactly like the scalar loop's
   per-commit charge (never more iterations than the budget affords);
 * auto promotion compiles the batch kernel — the one kernel of a trace
@@ -149,8 +149,8 @@ class TestMidBatchAbort:
     def test_trimmed_batches_match_scalar_reports(self):
         """Collision-heavy fuzz cases that trim mid-batch (alias sweep
         fires, the faulting iteration rolls back and re-runs on the
-        scalar ``py`` tier) must be report-identical to all-scalar runs
-        — the abort charges exactly the faulting iteration."""
+        dispatch loop) must be report-identical to all-scalar ``py``
+        runs — the abort charges exactly the faulting iteration."""
         trimmed = 0
         for seed in range(32):
             case = generate_case(seed)

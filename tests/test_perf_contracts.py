@@ -23,7 +23,8 @@ quadratic, an allocator that re-heapifies) fails deterministically:
    ``backends`` sections;
 6. a hot trace compiles one kernel: a cold run generates at most one
    batch-or-vec kernel per promoted trace, and ``py`` code only for
-   traces that escaped a kernel or that no kernel could lower;
+   traces that no kernel could lower or whose kernel was demoted (an
+   execution that escapes a kernel re-runs on the dispatch loop);
 7. importing the CLI pulls in no numpy (process start-up stays lean);
 8. a program's interpreted warm-up runs once per process: a cold sweep
    of the figure schemes records it on each program's first cell
@@ -34,9 +35,20 @@ quadratic, an allocator that re-heapifies) fails deterministically:
    of two schemes over one program constructs no ``DdgEdge`` (the DDG
    and the scheduler work on position tuples, and the second scheme
    adopts the first one's memoized DDG), and no full-tier blob pickles
-   the allocator, its dependence set or the alias analysis.
+   the allocator, its dependence set or the alias analysis;
+10. a cold sweep pays per program, not per job: one build per program,
+    no ``Dependence`` constructed on a ``deps`` memo hit, load
+    elimination classifies only must-alias candidates, and a finished
+    job is freed by reference counting;
+11. replay kernels stay lean: over item 6's cold cells, the generated
+    replay source is at most half of what it was before the kernels
+    moved their rare paths out of line (``compile()`` time tracks AST
+    nodes, not bytes, so both are pinned), a kernel escape generates no
+    ``py`` code, and the out-of-line overlap sweep runs at most twice
+    per batch execution — it stays behind its bloom probe.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -173,49 +185,135 @@ def _count_codegen(monkeypatch) -> Counter:
     return calls
 
 
-class TestOneKernelPerTrace:
-    CELLS = [
-        (benchmark, scheme)
-        for benchmark in ("ammp", "pwalk", "art")
-        for scheme in ("smarq", "itanium")
-    ]
+#: item 6's cold cells
+KERNEL_CELLS = [
+    (benchmark, scheme)
+    for benchmark in ("ammp", "pwalk", "art")
+    for scheme in ("smarq", "itanium")
+]
 
+
+@pytest.fixture(scope="module")
+def cold_kernel_run():
+    """One cold run (empty artifact cache) over :data:`KERNEL_CELLS` at
+    scale 0.2: the tracer counters, the codegen calls of
+    :func:`_count_codegen`, every artifact the run created, each
+    generated replay source (``compile`` rebound in
+    ``repro.sim.replay_backends``), and the number of
+    :func:`~repro.sim.replay_backends._overlaps` calls."""
+    import repro.sim.replay_backends as backends
+
+    sources = []
+    artifacts = []
+    overlaps = []
+    real_compile = compile
+    real_overlaps = backends._overlaps
+
+    def recording_compile(src, filename, mode, *args, **kwargs):
+        sources.append(src)
+        return real_compile(src, filename, mode, *args, **kwargs)
+
+    def counting_overlaps(*args):
+        overlaps.append(args)
+        return real_overlaps(*args)
+
+    class RecordingArtifact(backends.ReplayArtifact):
+        def __init__(self):
+            super().__init__()
+            artifacts.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        codegen = _count_codegen(mp)
+        mp.setattr(backends, "compile", recording_compile, raising=False)
+        # kernels bind the helper from the module when they compile
+        mp.setattr(backends, "_overlaps", counting_overlaps)
+        mp.setattr(backends, "ReplayArtifact", RecordingArtifact)
+        backends.reset_artifact_cache()
+        tracer = Tracer()
+        try:
+            for benchmark, scheme in KERNEL_CELLS:
+                program = make_benchmark(benchmark, scale=0.2)
+                DbtSystem(program, scheme, tracer=tracer).run()
+        finally:
+            backends.reset_artifact_cache()
+    return {
+        "counters": tracer.counters,
+        "codegen": codegen,
+        "artifacts": artifacts,
+        "sources": sources,
+        "overlaps": len(overlaps),
+    }
+
+
+class TestOneKernelPerTrace:
     def test_cold_run_compiles_one_kernel_per_promoted_trace(
-        self, monkeypatch
+        self, cold_kernel_run
     ):
         """A cold run (empty artifact cache) over several cells: each
         promoted trace — one IR lowering — compiles at most one kernel,
         batch or vec, and ``py`` code is generated only for traces that
-        escaped a kernel or that no kernel could lower. A promotion
-        ladder that generates py, vec and batch code for every hot trace
-        fails both bounds."""
-        from repro.sim.replay_backends import reset_artifact_cache
-
-        codegen = _count_codegen(monkeypatch)
-        reset_artifact_cache()
-        tracer = Tracer()
-        for benchmark, scheme in self.CELLS:
-            program = make_benchmark(benchmark, scale=0.2)
-            DbtSystem(program, scheme, tracer=tracer).run()
-        c = tracer.counters
+        no kernel could lower or whose kernel was demoted (its state
+        went from compiled, 1, to -1). A promotion ladder that generates
+        py, vec and batch code for every hot trace fails both bounds, and
+        so does compiling ``py`` for a kernel's one-off escape."""
+        c = cold_kernel_run["counters"]
+        codegen = cold_kernel_run["codegen"]
         promoted = codegen["lower"]
         assert promoted > 0
         kernels = c.get("vliw.batch_compiles", 0) + c.get(
             "vliw.vec_compiles", 0
         )
         assert 0 < kernels <= promoted
-        escapes = c.get("vliw.vec_fallbacks", 0) + c.get(
-            "vliw.batch_trims", 0
-        )
         unlowerable = (
             codegen["compile_vec_rejected"]
             + codegen["compile_batch_rejected"]
         )
-        assert codegen["compile_py"] <= escapes + unlowerable
+        demoted = sum(
+            (art.batch_fn is not None and art.batch_state < 0)
+            + (art.vec_fn is not None and art.vec_state < 0)
+            for art in cold_kernel_run["artifacts"]
+        )
+        assert codegen["compile_py"] <= unlowerable + demoted
         # the kernel ran the hot loops
         assert c.get("vliw.backend_batch", 0) + c.get(
             "vliw.backend_vec", 0
         ) > c.get("vliw.backend_py", 0)
+
+
+#: replay source generated over item 6's cold cells before the kernels
+#: moved their rare paths out of line: 10 compiles (8 batch, 2 ``py``)
+PRIOR_SOURCE_BYTES = 260_104
+PRIOR_SOURCE_NODES = 102_827
+
+
+class TestLeanKernels:
+    def test_generated_source_is_at_most_half(self, cold_kernel_run):
+        """``compile()`` time tracks AST nodes, not bytes: pin both. The
+        out-of-line sweeps, the one abort epilogue and the dropped
+        ``py`` compiles each carry part of the cut."""
+        sources = cold_kernel_run["sources"]
+        assert sources
+        size = sum(len(src) for src in sources)
+        nodes = sum(
+            sum(1 for _ in ast.walk(ast.parse(src))) for src in sources
+        )
+        assert size <= PRIOR_SOURCE_BYTES // 2, size
+        assert nodes <= PRIOR_SOURCE_NODES // 2, nodes
+
+    def test_escapes_compile_no_py(self, cold_kernel_run):
+        """The run does escape its kernels, and each escape re-runs on
+        the dispatch loop instead of generating ``py`` code."""
+        c = cold_kernel_run["counters"]
+        assert c.get("vliw.batch_trims", 0) >= 1
+        assert cold_kernel_run["codegen"]["compile_py"] == 0
+        assert c.get("vliw.replay_compiles", 0) == 0
+
+    def test_overlap_sweeps_stay_behind_the_probe(self, cold_kernel_run):
+        """A long sweep runs only after its bloom probe passes; without
+        the probe this run makes ~10 calls per batch execution."""
+        batch = cold_kernel_run["counters"].get("vliw.backend_batch", 0)
+        assert batch > 0
+        assert cold_kernel_run["overlaps"] <= 2 * batch
 
 
 class TestPrefixSharing:
@@ -498,7 +596,7 @@ class TestBackendTiersPartitionExecutions:
         """The four backend counters must account for every region
         entry: unplanned scoreboard runs and forced-interp dispatch are
         ``interp``, generated straight-line runs are ``py``, kernel runs
-        are ``vec`` (a vec fallback re-runs and counts as ``py``), and
+        are ``vec`` (a kernel escape re-runs and counts as ``interp``), and
         batched back-edge iterations are ``batch`` (one count per
         iteration — each is a full region execution)."""
         _report, tracer = _run_cell()

@@ -12,10 +12,11 @@ same residue in an iteration loop). These tests pin:
 * all four tiers are byte-identical — outcome, registers, memory and
   stats — for every shipped scheme and every exit kind;
 * auto mode promotes a plan at one execution-count threshold to its
-  trace's one kernel (batch with a back-edge, else vec) and generates
-  ``py`` code only on an escape, and ``SMARQ_REPLAY_BACKEND``
-  forces/kills tiers (with a forced ``vec`` degrading to ``py`` for
-  non-lowerable traces);
+  trace's one kernel (batch with a back-edge, else vec), re-runs an
+  execution that escapes the kernel on the dispatch loop without
+  generating ``py`` code, and ``SMARQ_REPLAY_BACKEND`` forces/kills
+  tiers (with a forced ``vec`` degrading to ``py`` for non-lowerable
+  traces);
 * re-optimization/blacklisting invalidation drops the shared artifacts
   along with the timing plans.
 """
@@ -266,25 +267,42 @@ class TestTierPromotion:
         assert c.get("vliw.vec_compiles", 0) == 1
         assert c.get("vliw.batch_compiles", 0) == 0
 
-    def test_escape_compiles_py_once(self, monkeypatch):
+    def test_escape_reruns_on_dispatch_loop(self, monkeypatch):
         """An execution that escapes the kernel (here a possible alias
-        overlap that really collides) rolls back and re-runs on py,
-        compiled on the plan's first escape and reused after it."""
+        overlap that really collides) rolls back and re-runs that one
+        execution on the dispatch loop, the ``interp`` oracle: no ``py``
+        code is generated, and the effects equal a forced-interp run."""
         monkeypatch.delenv("SMARQ_REPLAY_BACKEND", raising=False)
         region = alias_region()
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
         threshold = vliw_mod._REPLAY_THRESHOLD
-        for _ in range(threshold + 1):
-            out = run_once(region, r3=0x100, sim=sim)[0]
+        c = tracer.counters
+        runs = []
+        for i in range(threshold + 1):
+            interp = c.get("vliw.backend_interp", 0)
+            trims = c.get("vliw.batch_trims", 0)
+            out, regs, mem, _ = run_once(region, r3=0x100, sim=sim)
             assert out.status == "alias"
+            runs.append((out, list(regs), mem.read_bytes(0, 4096)))
+            if i + 1 >= threshold:  # promoted: the kernel escaped
+                assert c["vliw.batch_trims"] == trims + 1, i
+                assert c["vliw.backend_interp"] == interp + 1, i
         plan = region._vliw_trace[6]
         assert plan.tier == "batch"
-        assert plan.replay_fn is not None
-        c = tracer.counters
+        assert plan.replay_fn is None
         assert c.get("vliw.batch_trims", 0) == 2
-        assert c.get("vliw.backend_py", 0) == 2
-        assert c.get("vliw.replay_compiles", 0) == 1
+        assert c.get("vliw.backend_interp", 0) == threshold + 1
+        assert c.get("vliw.backend_py", 0) == 0
+        assert c.get("vliw.replay_compiles", 0) == 0
+
+        monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "interp")
+        oracle = VliwSimulator(MACHINE, Memory(4096))
+        oracle_region = alias_region()
+        for run in runs:
+            out, regs, mem, _ = run_once(oracle_region, r3=0x100, sim=oracle)
+            assert (out, list(regs), mem.read_bytes(0, 4096)) == run
+        assert oracle.stats == sim.stats
 
     def test_shared_artifact_skips_recompilation(self):
         """A content-identical clone adopts the cached kernel without
@@ -409,3 +427,59 @@ class TestArtifactInvalidation:
         assert region._vliw_trace is not None
         assert invalidate_timing_plans(region) is True
         assert region._vliw_trace is None
+
+    @staticmethod
+    def _replay_key(tag):
+        """A deep tuple like a translation key, freshly built on every
+        call: two calls give equal keys that are never identical."""
+        return ("block", tuple([tag, (1, 2, (3, 4))]), ("config", 64))
+
+    @staticmethod
+    def _index_agrees_with_cache():
+        grouped = {}
+        for key in backends_mod._artifacts:
+            grouped.setdefault(key[0], set()).add(key)
+        index = {
+            replay_key: set(keys)
+            for replay_key, keys in backends_mod._by_replay_key.items()
+        }
+        return index == grouped
+
+    def test_invalidation_drops_equal_keys_across_adapters(self):
+        key = self._replay_key("a")
+        for adapter_cls, config in (
+            (SmarqAdapter, 64), (SmarqAdapter, 16), (ItaniumAdapter, 32),
+        ):
+            backends_mod.artifact_for((key, adapter_cls, config))
+        kept = {
+            (self._replay_key("b"), SmarqAdapter, 64),
+            (self._replay_key("c"), ItaniumAdapter, 32),
+        }
+        for full_key in kept:
+            backends_mod.artifact_for(full_key)
+
+        equal = self._replay_key("a")
+        assert equal == key and equal is not key
+        assert backends_mod.invalidate_artifacts(equal) == 3
+        assert set(backends_mod._artifacts) == kept
+        assert self._index_agrees_with_cache()
+        # nothing left under that key; the others are untouched
+        assert backends_mod.invalidate_artifacts(self._replay_key("a")) == 0
+        assert set(backends_mod._artifacts) == kept
+
+    def test_eviction_keeps_cache_and_index_in_agreement(self, monkeypatch):
+        monkeypatch.setattr(backends_mod, "_CACHE_LIMIT", 6)
+        for i in range(10):
+            tag = f"t{i % 4}"
+            backends_mod.artifact_for(
+                (self._replay_key(tag), SmarqAdapter, i)
+            )
+            assert len(backends_mod._artifacts) <= 6
+            assert self._index_agrees_with_cache()
+        # the oldest entries (configs 0-3) were evicted: t0 keeps only
+        # configs 4 and 8, and invalidating it drops exactly those
+        assert backends_mod.invalidate_artifacts(self._replay_key("t0")) == 2
+        assert self._index_agrees_with_cache()
+        assert len(backends_mod._artifacts) == 4
+        backends_mod.reset_artifact_cache()
+        assert backends_mod._by_replay_key == {}

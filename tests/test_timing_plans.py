@@ -129,8 +129,8 @@ class TestPlanMemoization:
 class TestPlannedMatchesInterpreted:
     """Planned and interpreted outcomes must be field-identical."""
 
-    def assert_equivalent(self, region, r3, adapter_factory):
-        planned_sim = VliwSimulator(MACHINE, Memory(4096))
+    def assert_equivalent(self, region, r3, adapter_factory, tracer=None):
+        planned_sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
         assert planned_sim._plans_enabled
         interp_sim = VliwSimulator(MACHINE, Memory(4096))
         interp_sim._plans_enabled = False
@@ -166,8 +166,9 @@ class TestPlannedMatchesInterpreted:
 
     def test_replay_codegen_tier(self, monkeypatch):
         """Past the threshold the trace's compiled kernel takes over, and
-        an escape from it re-runs on the generated straight-line py
-        function; effects and plan bookkeeping must not change."""
+        an execution that escapes it re-runs on the dispatch loop (the
+        ``interp`` oracle), with no ``py`` code generated; effects and
+        plan bookkeeping must not change."""
         monkeypatch.setattr(vliw_mod, "_REPLAY_THRESHOLD", 2)
         region = side_exit_region()
         tracer = Tracer()
@@ -179,13 +180,25 @@ class TestPlannedMatchesInterpreted:
         assert baseline == compiled
         assert region._vliw_trace[6].tier == "batch"
         # the alias path: dispatch loop, a clean kernel run, then a
-        # colliding one that escapes to the generated py function
+        # colliding one that escapes and re-runs on the dispatch loop;
+        # each run's effects equal the interpreted scoreboard's
         alias = alias_region()
-        for r3 in (0x100, 0x300, 0x100):
-            self.assert_equivalent(alias, r3, lambda: SmarqAdapter(64))
+        tracer = Tracer()
+        c = tracer.counters
+        for r3, escapes in ((0x100, 0), (0x300, 0), (0x100, 1)):
+            interp = c.get("vliw.backend_interp", 0)
+            trims = c.get("vliw.batch_trims", 0)
+            self.assert_equivalent(
+                alias, r3, lambda: SmarqAdapter(64), tracer
+            )
+            assert c.get("vliw.batch_trims", 0) == trims + escapes
+            if escapes:
+                assert c.get("vliw.backend_interp", 0) == interp + 1
         plan = alias._vliw_trace[6]
         assert plan.tier == "batch"
-        assert plan.replay_fn is not None
+        assert plan.replay_fn is None
+        assert c.get("vliw.backend_interp", 0) == 2
+        assert c.get("vliw.replay_compiles", 0) == 0
 
 
 class TestKillSwitch:
