@@ -58,8 +58,8 @@ rejected even when their arithmetic is right. Pipeline policy on any
 checker complaint is fail-safe: the certificate is discarded and no
 dependence is dropped.
 
-Kill switch: ``SMARQ_NO_CERTIFY=1`` (checked per translation, mirroring
-``SMARQ_NO_TIMING_PLANS``). Mutation tests inject unsound provers via
+Kill switch: the keyed ``SMARQ_NO_CERTIFY`` knob (:mod:`repro.knobs`),
+read per translation. Mutation tests inject unsound provers via
 :func:`prover_overridden`; the token folded into the cache keys keeps
 mutant certificates out of the shared translation cache.
 """
@@ -67,15 +67,13 @@ mutant certificates out of the shared translation cache.
 from __future__ import annotations
 
 import hashlib
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro import knobs
 from repro.analysis.dependence import Dependence
 from repro.ir.instruction import Instruction, Opcode
-
-_KILL_ENV = "SMARQ_NO_CERTIFY"
 
 #: serialization schema for :meth:`Certificate.to_dict`
 CERT_SCHEMA_VERSION = 1
@@ -93,7 +91,7 @@ UNPROVED = "unproved"
 
 def certify_enabled() -> bool:
     """Kill switch, read per translation so tests can flip it mid-process."""
-    return os.environ.get(_KILL_ENV, "") != "1"
+    return knobs.value(knobs.NO_CERTIFY) != "1"
 
 
 # ----------------------------------------------------------------------

@@ -80,25 +80,19 @@ from repro.sim.dbt import DbtSystem
 from repro.sim.schemes import SCHEME_NAMES
 from repro.workloads import CERT_BENCHMARKS, SPECFP_BENCHMARKS, make_benchmark
 
-#: figure name -> (run, render, scheme keys to prefetch, runner setup)
+#: figure name -> (run, render, scheme keys to prefetch)
 _FIGURES = {
-    "table1": (lambda runner: run_table1(), render_table1, (), None),
-    "fig14": (run_fig14, render_fig14, ("smarq",), None),
-    "fig15": (
-        run_fig15,
-        render_fig15,
-        ("none",) + tuple(_fig15.SCHEMES),
-        None,
-    ),
+    "table1": (lambda runner: run_table1(), render_table1, ()),
+    "fig14": (run_fig14, render_fig14, ("smarq",)),
+    "fig15": (run_fig15, render_fig15, ("none",) + tuple(_fig15.SCHEMES)),
     "fig16": (
         run_fig16,
         render_fig16,
         ("none", "smarq", _fig16.NO_STORE_REORDER_KEY),
-        _fig16.register_variant,
     ),
-    "fig17": (run_fig17, render_fig17, ("smarq",), None),
-    "fig18": (run_fig18, render_fig18, ("smarq",), None),
-    "fig19": (run_fig19, render_fig19, ("smarq",), None),
+    "fig17": (run_fig17, render_fig17, ("smarq",)),
+    "fig18": (run_fig18, render_fig18, ("smarq",)),
+    "fig19": (run_fig19, render_fig19, ("smarq",)),
 }
 
 
@@ -237,19 +231,17 @@ def _cmd_figures(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
 
-    # Register variants and batch every needed cell up front so the
-    # executor can fan them out; rendering below then hits the memo.
+    # Batch every needed cell up front so the executor can fan them
+    # out; rendering below then hits the memo.
     keys: List[str] = []
     for name in names:
-        _run, _render, needed, setup = _FIGURES[name]
-        if setup is not None:
-            setup(runner)
+        needed = _FIGURES[name][2]
         keys.extend(k for k in needed if k not in keys)
     if keys:
         runner.prefetch(keys)
 
     for name in names:
-        run, render, _needed, _setup = _FIGURES[name]
+        run, render, _needed = _FIGURES[name]
         print(render(run(runner)))
         print()
     if args.stats:
@@ -462,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument(
         "--oracles", default="",
         help="comma-separated oracle subset (default: alloc,queue,"
-        "schemes,plans,translate,backends,engine,serve)",
+        "schemes,knobs,engine,serve,certify)",
     )
     fuzz_p.add_argument(
         "--minimize", action="store_true", default=True,

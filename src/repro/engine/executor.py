@@ -8,9 +8,9 @@ from wall time.
 
 :class:`ParallelExecutor` fans jobs across a
 :class:`concurrent.futures.ProcessPoolExecutor`. Any job a worker cannot
-take (unpicklable variant scheme, crashed worker, broken pool) falls back
-to in-process serial execution, so a parallel run can degrade but never
-fail where a serial run would have succeeded.
+finish (crashed worker, broken pool) falls back to in-process serial
+execution, so a parallel run can degrade but never fail where a serial
+run would have succeeded.
 """
 
 from __future__ import annotations
@@ -113,8 +113,7 @@ class ParallelExecutor(Executor):
                     broken = True
                     pending.append(i)
                 except Exception:
-                    # Unpicklable scheme, killed worker, broken pool:
-                    # redo this job in-process.
+                    # Killed worker, broken pool: redo this job in-process.
                     pending.append(i)
         except cf.process.BrokenProcessPool:
             broken = True

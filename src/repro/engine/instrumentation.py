@@ -70,11 +70,7 @@ Counter names used by the simulation stack:
     stage-memo hits inside a full-translation miss: the elimination
     blob, base memory dependences, DDG structure, and scheduler priority
     tables reused from an earlier translation of the same content
-    (each has a matching ``*_misses`` counter);
-``translate.persist_hits`` / ``translate.persist_misses`` /
-``translate.persist_stores``
-    persistent-tier traffic (opt-in, see
-    :mod:`repro.opt.translation_cache`).
+    (each has a matching ``*_misses`` counter).
 
 Phase names: ``run`` (whole DBT loop), ``optimize`` (translation +
 scheduling + allocation), ``execute`` (translated-region simulation).

@@ -10,40 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from functools import partial
-
 from repro.eval.report import render_table
-from repro.eval.suite import SuiteRunner, geomean
-from repro.opt.pipeline import OptimizerConfig
-from repro.sim.schemes import Scheme, SmarqAdapter, make_scheme
+from repro.eval.suite import SuiteRunner
 
 NO_STORE_REORDER_KEY = "smarq-nostreorder"
-
-
-def register_variant(runner: SuiteRunner) -> None:
-    """Register the no-store-reorder SMARQ variant on ``runner``.
-
-    Public so the CLI can register it ahead of a batched prefetch; the
-    partial adapter factory keeps the scheme picklable for the parallel
-    executor.
-    """
-    base = make_scheme("smarq")
-    config = OptimizerConfig(speculate=True, allow_store_reorder=False)
-    runner.register_variant(
-        NO_STORE_REORDER_KEY,
-        Scheme(
-            name=NO_STORE_REORDER_KEY,
-            machine=base.machine,
-            optimizer_config=config,
-            adapter_factory=partial(
-                SmarqAdapter, base.machine.alias_registers
-            ),
-        ),
-    )
-
-
-#: backwards-compatible alias (pre-engine name)
-_register_variant = register_variant
 
 
 @dataclass
@@ -58,7 +28,6 @@ class Fig16Result:
 
 
 def run_fig16(runner: SuiteRunner) -> Fig16Result:
-    register_variant(runner)
     result = Fig16Result()
     for bench in runner.config.benchmarks:
         full = runner.speedup(bench, "smarq")

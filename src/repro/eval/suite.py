@@ -19,7 +19,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.engine.core import ExecutionEngine
 from repro.engine.jobs import JobSpec
 from repro.sim.dbt import DbtReport
-from repro.sim.schemes import Scheme
 from repro.workloads import SPECFP_BENCHMARKS
 
 
@@ -49,30 +48,6 @@ class SuiteRunner:
         self.config = config or SuiteConfig()
         self.engine = engine or ExecutionEngine()
         self._cache: Dict[Tuple[str, str], DbtReport] = {}
-        #: scheme variants beyond the standard names, registered by
-        #: experiments (e.g. smarq with store reordering disabled)
-        self._variants: Dict[str, Scheme] = {}
-
-    def register_variant(self, key: str, scheme: Scheme) -> None:
-        """Register (or replace) the scheme behind ``key``.
-
-        Re-registering a key with a *different* scheme invalidates any
-        memoized reports for it: cached results for the old variant must
-        never be served for the new one. Equality is judged on the
-        scheme's canonical configuration, so re-registering an identical
-        variant (as ``run_fig16`` does on every call) keeps warm reports.
-        (The engine's persistent cache needs no flush — variant
-        parameters are part of the job fingerprint.)
-        """
-        from repro.engine.jobs import canonical_config
-
-        old = self._variants.get(key)
-        if old is not scheme and (
-            old is None or canonical_config(old) != canonical_config(scheme)
-        ):
-            for cell in [c for c in self._cache if c[1] == key]:
-                del self._cache[cell]
-        self._variants[key] = scheme
 
     # ------------------------------------------------------------------
     def _spec(self, benchmark: str, scheme_key: str) -> JobSpec:
@@ -81,7 +56,6 @@ class SuiteRunner:
             scheme_key=scheme_key,
             scale=self.config.scale,
             hot_threshold=self.config.hot_threshold,
-            scheme=self._variants.get(scheme_key),
         )
         spec.validate()
         return spec

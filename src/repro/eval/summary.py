@@ -14,12 +14,7 @@ from typing import Dict, Optional
 from repro.eval.fig14 import render_fig14, run_fig14
 from repro.eval.fig15 import SCHEMES as _FIG15_SCHEMES
 from repro.eval.fig15 import render_fig15, run_fig15
-from repro.eval.fig16 import (
-    NO_STORE_REORDER_KEY,
-    register_variant,
-    render_fig16,
-    run_fig16,
-)
+from repro.eval.fig16 import NO_STORE_REORDER_KEY, render_fig16, run_fig16
 from repro.eval.fig17 import render_fig17, run_fig17
 from repro.eval.fig18 import render_fig18, run_fig18
 from repro.eval.fig19 import render_fig19, run_fig19
@@ -29,7 +24,6 @@ from repro.eval.table1 import render_table1, run_table1
 
 def _prefetch_all(runner: SuiteRunner) -> None:
     """Batch every cell the figures need (one engine fan-out)."""
-    register_variant(runner)
     runner.prefetch(
         ("none",) + tuple(_FIG15_SCHEMES) + (NO_STORE_REORDER_KEY,)
     )

@@ -3,10 +3,9 @@
 Adversarial guest programs generated from explicit RNG seeds are run
 across every configured pair of independent implementations that must
 agree (schemes vs interpreter, three allocators vs the replay oracle,
-production queue vs a brute-force reference, timing plans on vs off,
-translation cache on vs off, parallel vs serial engine); disagreements
-are delta-debugged to minimal
-repros and persisted as corpus entries.
+production queue vs a brute-force reference, every output-neutral knob
+leg vs the default run, parallel vs serial engine); disagreements are
+delta-debugged to minimal repros and persisted as corpus entries.
 
 Entry points: ``python -m repro fuzz`` (CLI) or
 :func:`repro.fuzz.runner.run_fuzz` (programmatic).

@@ -18,20 +18,14 @@ implementations agreed). The configured pairs:
 ``schemes``
     Final architectural state (registers + memory bytes) of the full DBT
     system under every alias-detection scheme vs pure interpretation.
-``plans``
-    ``DbtReport`` with timing plans enabled vs ``SMARQ_NO_TIMING_PLANS=1``
-    (must be byte-identical; PR 3's contract).
-``translate``
-    ``DbtReport`` with the translation cache enabled vs
-    ``SMARQ_NO_TRANSLATION_CACHE=1`` (must be byte-identical; the
-    region-translation-cache contract). The cache-off leg also starts
-    from an empty warm-up memo (:func:`repro.sim.dbt.reset_prefix_memo`),
-    so each case diffs runs that restored the program's interpreted
-    warm-up against one that interpreted it from scratch.
-``backends``
-    ``DbtReport`` under every replay backend tier — auto promotion vs
-    ``SMARQ_REPLAY_BACKEND=interp|py|vec|batch`` forced — for every
-    scheme (must be byte-identical; the replay-IR lowering contract).
+``knobs``
+    ``DbtReport`` under every leg of the output-neutral knobs in
+    :mod:`repro.knobs` (timing plans off, translation cache off, each
+    forced replay tier) vs the default run, for every scheme in
+    :data:`KNOB_SCHEMES` (must be byte-identical). Each leg starts from
+    an empty warm-up memo (:func:`repro.sim.dbt.reset_prefix_memo`), so
+    it interprets the program's warm-up from scratch while the default
+    run restores it.
 ``engine``
     Parallel process-pool execution vs serial in-process execution of the
     same case (reports must be identical; exercised per-case here and in a
@@ -57,12 +51,12 @@ integrated allocation, per-scheme DBT runs) computed once per case.
 
 from __future__ import annotations
 
-import os
 import random
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import knobs
 from repro.analysis.aliasinfo import AliasAnalysis
 from repro.analysis.certify import certify_region, check_certificate
 from repro.analysis.constraints import ConstraintCycleError, derive_constraints
@@ -91,22 +85,11 @@ from repro.smarq.validator import (
     validate_allocation,
 )
 
-_NO_PLANS_ENV = "SMARQ_NO_TIMING_PLANS"
-_NO_TRANSLATION_CACHE_ENV = "SMARQ_NO_TRANSLATION_CACHE"
-_BACKEND_ENV = "SMARQ_REPLAY_BACKEND"
-_NO_CERTIFY_ENV = "SMARQ_NO_CERTIFY"
-
 #: schemes whose final architectural state must equal pure interpretation
 STATE_SCHEMES = ("smarq", "smarq16", "itanium", "efficeon", "none", "smarq-cert")
-#: schemes run twice for the timing-plans on/off report comparison
-PLANS_SCHEMES = ("smarq", "itanium")
-#: schemes run twice for the translation-cache on/off report comparison
-TRANSLATE_SCHEMES = ("smarq", "itanium")
-#: schemes run once per forced replay backend tier (all of them — the
-#: lowered-IR seam is the one piece every scheme flows through)
-BACKEND_SCHEMES = ("smarq", "smarq16", "itanium", "none", "efficeon", "plainorder")
-#: replay backend tiers forced by the backends oracle
-BACKEND_TIERS = ("interp", "py", "vec", "batch")
+#: schemes run once per neutral knob leg (every hardware family and
+#: allocator: each flows through the seams those knobs switch)
+KNOB_SCHEMES = ("smarq", "smarq16", "itanium", "none", "efficeon", "plainorder")
 
 #: address assignments tried per case by the queue lockstep oracle
 QUEUE_ASSIGNMENTS = 4
@@ -123,71 +106,6 @@ class Disagreement:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.oracle}] {self.detail}"
-
-
-@contextmanager
-def timing_plans_disabled():
-    """Force the interpreted scoreboard path for DbtSystems built inside."""
-    prev = os.environ.get(_NO_PLANS_ENV)
-    os.environ[_NO_PLANS_ENV] = "1"
-    try:
-        yield
-    finally:
-        if prev is None:
-            del os.environ[_NO_PLANS_ENV]
-        else:
-            os.environ[_NO_PLANS_ENV] = prev
-
-
-@contextmanager
-def translation_cache_disabled():
-    """Force from-scratch translation for optimizations run inside.
-
-    The kill switch is read per translation, so the context must cover
-    the whole ``run()``, not just system construction."""
-    prev = os.environ.get(_NO_TRANSLATION_CACHE_ENV)
-    os.environ[_NO_TRANSLATION_CACHE_ENV] = "1"
-    try:
-        yield
-    finally:
-        if prev is None:
-            del os.environ[_NO_TRANSLATION_CACHE_ENV]
-        else:
-            os.environ[_NO_TRANSLATION_CACHE_ENV] = prev
-
-
-@contextmanager
-def certify_disabled():
-    """Force certification off for translations run inside.
-
-    The kill switch is read per translation, so the context must cover
-    the whole ``run()``, mirroring :func:`translation_cache_disabled`."""
-    prev = os.environ.get(_NO_CERTIFY_ENV)
-    os.environ[_NO_CERTIFY_ENV] = "1"
-    try:
-        yield
-    finally:
-        if prev is None:
-            del os.environ[_NO_CERTIFY_ENV]
-        else:
-            os.environ[_NO_CERTIFY_ENV] = prev
-
-
-@contextmanager
-def backend_forced(tier: str):
-    """Force one replay backend tier for VliwSimulators built inside.
-
-    The selector is read once at simulator construction, but covering
-    the whole ``run()`` costs nothing and stays robust if that moves."""
-    prev = os.environ.get(_BACKEND_ENV)
-    os.environ[_BACKEND_ENV] = tier
-    try:
-        yield
-    finally:
-        if prev is None:
-            del os.environ[_BACKEND_ENV]
-        else:
-            os.environ[_BACKEND_ENV] = prev
 
 
 # ----------------------------------------------------------------------
@@ -209,15 +127,8 @@ class CaseRun:
     prover: Optional[object] = None
     _allocated: Optional[tuple] = None
     _reference_state: Optional[tuple] = None
-    _scheme_state: Dict[str, tuple] = field(default_factory=dict)
-    _scheme_report: Dict[Tuple[str, bool, bool], dict] = field(
-        default_factory=dict
-    )
-    _backend_report: Dict[Tuple[str, str], dict] = field(
-        default_factory=dict
-    )
-    _nocert_state: Optional[tuple] = None
-    _nocert_report: Dict[str, dict] = field(default_factory=dict)
+    #: (scheme,) or (scheme, knob, value) -> (state, report dict)
+    _runs: Dict[Tuple[str, ...], tuple] = field(default_factory=dict)
 
     # -- superblock-level allocation -----------------------------------
     def build_inputs(self):
@@ -263,93 +174,38 @@ class CaseRun:
             )
         return self._reference_state
 
-    def scheme_state(self, scheme: str):
-        """(registers, memory bytes) after a full DBT run under scheme."""
-        if scheme not in self._scheme_state:
-            self._run_dbt(scheme, plans=True, cache=True)
-        return self._scheme_state[scheme]
+    def scheme_state(self, scheme: str, *leg: str) -> tuple:
+        """(registers, memory bytes) after a full DBT run under scheme,
+        with knob ``leg[0]`` set to ``leg[1]`` (no leg: every knob at
+        its default)."""
+        return self._run_dbt(scheme, leg)[0]
 
-    def scheme_report(
-        self, scheme: str, plans: bool, cache: bool = True
-    ) -> dict:
-        """DbtReport dict under scheme with timing plans / translation
-        cache on or off."""
-        key = (scheme, plans, cache)
-        if key not in self._scheme_report:
-            self._run_dbt(scheme, plans, cache)
-        return self._scheme_report[key]
+    def knob_report(self, scheme: str, *leg: str) -> dict:
+        """DbtReport dict of the same run."""
+        return self._run_dbt(scheme, leg)[1]
 
-    def backend_report(self, scheme: str, tier: str) -> dict:
-        """DbtReport dict under scheme with one replay tier forced."""
-        key = (scheme, tier)
-        if key not in self._backend_report:
+    def _run_dbt(self, scheme: str, leg: Tuple[str, ...]) -> tuple:
+        key = (scheme,) + leg
+        if key not in self._runs:
             program = self.case.program()
             profiler = ProfilerConfig(
                 hot_threshold=self.case.config.hot_threshold
             )
-            with backend_forced(tier):
+            # Knobs are read per translation or per simulator, so the
+            # override must cover the whole run.
+            with knobs.overridden(*leg) if leg else nullcontext():
+                if leg in knobs.legs():
+                    # A neutral leg interprets the warm-up too: the
+                    # default runs restore it from the process-wide memo.
+                    reset_prefix_memo()
                 system = DbtSystem(program, scheme, profiler_config=profiler)
                 report = system.run(max_guest_steps=_MAX_GUEST_STEPS)
-            self._backend_report[key] = report.to_dict()
-        return self._backend_report[key]
-
-    def nocert_state(self):
-        """smarq-cert architectural state under ``SMARQ_NO_CERTIFY=1``."""
-        if self._nocert_state is None:
-            program = self.case.program()
-            profiler = ProfilerConfig(
-                hot_threshold=self.case.config.hot_threshold
-            )
-            with certify_disabled():
-                system = DbtSystem(
-                    program, "smarq-cert", profiler_config=profiler
-                )
-                system.run(max_guest_steps=_MAX_GUEST_STEPS)
-            self._nocert_state = (
+            state = (
                 list(system.interpreter.registers),
                 bytes(system.memory._data),
             )
-        return self._nocert_state
-
-    def nocert_report(self, scheme: str) -> dict:
-        """DbtReport dict under scheme with ``SMARQ_NO_CERTIFY=1``."""
-        if scheme not in self._nocert_report:
-            program = self.case.program()
-            profiler = ProfilerConfig(
-                hot_threshold=self.case.config.hot_threshold
-            )
-            with certify_disabled():
-                system = DbtSystem(
-                    program, scheme, profiler_config=profiler
-                )
-                report = system.run(max_guest_steps=_MAX_GUEST_STEPS)
-            self._nocert_report[scheme] = report.to_dict()
-        return self._nocert_report[scheme]
-
-    def _run_dbt(self, scheme: str, plans: bool, cache: bool) -> None:
-        from contextlib import ExitStack
-
-        program = self.case.program()
-        profiler = ProfilerConfig(
-            hot_threshold=self.case.config.hot_threshold
-        )
-        with ExitStack() as stack:
-            if not plans:
-                stack.enter_context(timing_plans_disabled())
-            if not cache:
-                # Read per translation, so the whole run must be covered.
-                stack.enter_context(translation_cache_disabled())
-                # ... and interpret the warm-up too: the other legs of
-                # this case restore it from the process-wide memo.
-                reset_prefix_memo()
-            system = DbtSystem(program, scheme, profiler_config=profiler)
-            report = system.run(max_guest_steps=_MAX_GUEST_STEPS)
-        self._scheme_report[(scheme, plans, cache)] = report.to_dict()
-        if plans and cache:
-            self._scheme_state[scheme] = (
-                list(system.interpreter.registers),
-                bytes(system.memory._data),
-            )
+            self._runs[key] = (state, report.to_dict())
+        return self._runs[key]
 
 
 # ----------------------------------------------------------------------
@@ -563,8 +419,13 @@ def queue_oracle(run: CaseRun) -> List[Disagreement]:
 
 
 # ----------------------------------------------------------------------
-# schemes / plans / translate / engine
+# schemes / knobs / engine / serve
 # ----------------------------------------------------------------------
+def _differing(expected: dict, got: dict) -> List[str]:
+    """Sorted names of the report fields where ``got`` differs."""
+    return sorted(k for k in expected if expected.get(k) != got.get(k))
+
+
 def schemes_oracle(run: CaseRun) -> List[Disagreement]:
     out: List[Disagreement] = []
     ref_regs, ref_mem = run.reference_state()
@@ -597,71 +458,27 @@ def schemes_oracle(run: CaseRun) -> List[Disagreement]:
     return out
 
 
-def plans_oracle(run: CaseRun) -> List[Disagreement]:
+def knobs_oracle(run: CaseRun) -> List[Disagreement]:
+    """Reports must not depend on an output-neutral knob.
+
+    The default run (already paid for by the schemes oracle on most
+    schemes) is the reference; each neutral leg of the registry must
+    reproduce its report byte for byte. Tier, plan and cache counters
+    are tracer-only observability, so a leg that leaks into
+    ``DbtReport`` — timing semantics, alias detections, commit/abort
+    counts — is a bug, not a tolerable wobble."""
     out: List[Disagreement] = []
-    for scheme in PLANS_SCHEMES:
-        with_plans = run.scheme_report(scheme, plans=True)
-        without = run.scheme_report(scheme, plans=False)
-        if with_plans != without:
-            keys = sorted(
-                k for k in with_plans
-                if with_plans.get(k) != without.get(k)
-            )
-            out.append(
-                Disagreement(
-                    "plans",
-                    f"{scheme}: report differs with timing plans off "
-                    f"(fields {keys})",
-                )
-            )
-    return out
-
-
-def translate_oracle(run: CaseRun) -> List[Disagreement]:
-    """Translation cache on == translation cache off, byte for byte."""
-    out: List[Disagreement] = []
-    for scheme in TRANSLATE_SCHEMES:
-        with_cache = run.scheme_report(scheme, plans=True, cache=True)
-        without = run.scheme_report(scheme, plans=True, cache=False)
-        if with_cache != without:
-            keys = sorted(
-                k for k in with_cache
-                if with_cache.get(k) != without.get(k)
-            )
-            out.append(
-                Disagreement(
-                    "translate",
-                    f"{scheme}: report differs with translation cache off "
-                    f"(fields {keys})",
-                )
-            )
-    return out
-
-
-def backends_oracle(run: CaseRun) -> List[Disagreement]:
-    """Reports must not depend on the replay backend tier.
-
-    The auto-promoted run (already paid for by the schemes oracle on
-    most schemes) is the reference; each forced tier must reproduce its
-    report byte for byte. Backend tier counters are tracer-only
-    observability, so a tier that leaks into ``DbtReport`` — timing
-    semantics, alias detections, commit/abort counts — is a lowering
-    bug, not a tolerable wobble."""
-    out: List[Disagreement] = []
-    for scheme in BACKEND_SCHEMES:
-        auto = run.scheme_report(scheme, plans=True)
-        for tier in BACKEND_TIERS:
-            forced = run.backend_report(scheme, tier)
-            if forced != auto:
-                keys = sorted(
-                    k for k in auto if auto.get(k) != forced.get(k)
-                )
+    for scheme in KNOB_SCHEMES:
+        default = run.knob_report(scheme)
+        for knob, value in knobs.legs():
+            got = run.knob_report(scheme, knob, value)
+            if got != default:
                 out.append(
                     Disagreement(
-                        "backends",
-                        f"{scheme}: report under forced {tier!r} replay "
-                        f"backend differs from auto promotion "
-                        f"(fields {keys})",
+                        "knobs",
+                        f"{scheme}: report under {knob}={value} differs "
+                        f"from the default run "
+                        f"(fields {_differing(default, got)})",
                     )
                 )
     return out
@@ -749,12 +566,11 @@ def serve_oracle(run: CaseRun) -> List[Disagreement]:
             )
         ]
     if remote != local:
-        keys = sorted(k for k in local if local.get(k) != remote.get(k))
         return [
             Disagreement(
                 "serve",
                 f"server report differs from serial in-process run "
-                f"(fields {keys})",
+                f"(fields {_differing(local, remote)})",
             )
         ]
     return []
@@ -873,13 +689,13 @@ def certify_oracle(run: CaseRun) -> List[Disagreement]:
     # Leg 4: system-level parity (the sound prover's integration).
     if run.prover is None:
         state_on = run.scheme_state("smarq-cert")
-        state_off = run.nocert_state()
+        state_off = run.scheme_state("smarq-cert", knobs.NO_CERTIFY, "1")
         if state_on != state_off:
             out.append(
                 Disagreement(
                     "certify",
-                    "smarq-cert architectural state differs under "
-                    "SMARQ_NO_CERTIFY=1",
+                    f"smarq-cert architectural state differs under "
+                    f"{knobs.NO_CERTIFY}=1",
                 )
             )
         if state_on != run.reference_state():
@@ -890,18 +706,15 @@ def certify_oracle(run: CaseRun) -> List[Disagreement]:
                     "interpretation",
                 )
             )
-        report_on = run.scheme_report("smarq", plans=True)
-        report_off = run.nocert_report("smarq")
+        report_on = run.knob_report("smarq")
+        report_off = run.knob_report("smarq", knobs.NO_CERTIFY, "1")
         if report_on != report_off:
-            keys = sorted(
-                k for k in report_on
-                if report_on.get(k) != report_off.get(k)
-            )
             out.append(
                 Disagreement(
                     "certify",
                     f"non-certifying scheme report changed under "
-                    f"SMARQ_NO_CERTIFY=1 (fields {keys})",
+                    f"{knobs.NO_CERTIFY}=1 "
+                    f"(fields {_differing(report_on, report_off)})",
                 )
             )
     return out
@@ -912,9 +725,7 @@ ORACLES: Dict[str, Callable[[CaseRun], List[Disagreement]]] = {
     "alloc": alloc_oracle,
     "queue": queue_oracle,
     "schemes": schemes_oracle,
-    "plans": plans_oracle,
-    "translate": translate_oracle,
-    "backends": backends_oracle,
+    "knobs": knobs_oracle,
     "engine": engine_oracle,
     "serve": serve_oracle,
     "certify": certify_oracle,

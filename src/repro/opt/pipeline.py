@@ -38,6 +38,8 @@ The sub-phases are tracer-visible as ``optimize.constraints``,
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -76,10 +78,29 @@ from repro.sched.machine import MachineModel
 from repro.smarq.allocator import AllocationSummary, SmarqAllocator
 
 
+def canonical_config(obj):
+    """JSON-serializable, deterministic form of a config object tree."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: canonical_config(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
+    if isinstance(obj, enum.Enum):
+        return obj.name
+    if isinstance(obj, Mapping):
+        items = {str(canonical_config(k)): canonical_config(v) for k, v in obj.items()}
+        return dict(sorted(items.items()))
+    if isinstance(obj, (list, tuple)):
+        return [canonical_config(x) for x in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted((canonical_config(x) for x in obj), key=str)
+    if obj is None or isinstance(obj, (str, int, float, bool)):
+        return obj
+    return repr(obj)
+
+
 def _digest(obj) -> str:
     """Stable hash of a config-like object tree (see ``canonical_config``)."""
-    from repro.engine.jobs import canonical_config
-
     blob = json.dumps(canonical_config(obj), sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -106,15 +127,8 @@ class OptimizerConfig:
     #: the paper's "larger region / loop level" future-work direction
     unroll_factor: int = 1
     #: statically certify non-aliasing pairs and drop their constraints
-    #: (see :mod:`repro.analysis.certify`; kill switch SMARQ_NO_CERTIFY)
+    #: (see :mod:`repro.analysis.certify`; kill switch in :mod:`repro.knobs`)
     certify: bool = False
-
-
-#: version of the pickled translation classes (:class:`OptimizedRegion`
-#: and everything it holds), folded into every full-tier key so that a
-#: persisted blob of an older shape misses instead of loading. Bump it
-#: whenever one of those classes changes.
-TRANSLATION_FORMAT = 3
 
 
 @dataclass
@@ -210,7 +224,6 @@ class OptimizationPipeline:
     def _full_key(self, content, hints_key, banned_key) -> Tuple:
         key = (
             "full",
-            TRANSLATION_FORMAT,
             self._machine_digest,
             self._env_digest,
             self._config_digest(),

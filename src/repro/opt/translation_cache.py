@@ -25,44 +25,31 @@ from memory:
   hints are excluded from ``deps``/``ddg`` keys because classification
   ignores them, which is what lets an alias-exception re-optimization
   reuse the DDG while recomputing constraints and allocation.
-* **persistent tier** (opt-in, full translations only) — blobs under
-  ``$REPRO_CACHE_DIR``/``~/.cache/repro`` in ``translations/``, enabled
-  with ``SMARQ_TRANSLATION_CACHE_PERSIST=1``. Corrupt entries degrade to
-  misses (and are unlinked best-effort), mirroring the report cache, and
-  entries of another :data:`~repro.opt.pipeline.TRANSLATION_FORMAT` are
-  never found: the format is part of every full-tier key.
-  Loads reserve the blob's uid range
-  (:func:`repro.ir.instruction.reserve_uids`) so deserialized
-  instructions never collide with freshly allocated ones.
 
-Kill switch: ``SMARQ_NO_TRANSLATION_CACHE=1`` disables every tier —
-checked per translation, mirroring ``SMARQ_NO_TIMING_PLANS``. Both paths
-are byte-identical by construction and by lock
-(``tests/test_translation_cache.py``, fuzz oracle ``translate``).
+Blobs live in this process only, so every one was pickled by the running
+code. A hit reserves the blob's uid range
+(:func:`repro.ir.instruction.reserve_uids`) so deserialized instructions
+never collide with freshly allocated ones.
+
+Kill switch: the neutral ``SMARQ_NO_TRANSLATION_CACHE`` knob
+(:mod:`repro.knobs`) disables every tier, read per translation. Both
+paths are byte-identical by construction and by lock
+(``tests/test_translation_cache.py``, fuzz oracle ``knobs``).
 
 Counters (via the engine tracer): ``translate.cache_hits`` /
-``cache_misses`` / ``cache_stores`` for the full tier,
-``translate.<stage>_hits`` / ``_misses`` per stage tier, and
-``translate.persist_hits`` / ``persist_misses`` / ``persist_stores`` for
-the persistent tier.
+``cache_misses`` / ``cache_stores`` for the full tier and
+``translate.<stage>_hits`` / ``_misses`` per stage tier.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import pickle
-import tempfile
 from collections import OrderedDict
-from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro import knobs
 from repro.ir.instruction import reserve_uids, uid_watermark
 
-_KILL_ENV = "SMARQ_NO_TRANSLATION_CACHE"
-_PERSIST_ENV = "SMARQ_TRANSLATION_CACHE_PERSIST"
-_CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-_DEFAULT_ROOT = "~/.cache/repro"
 #: entries kept per in-process LRU tier
 _DEFAULT_ENTRIES = 512
 
@@ -107,7 +94,7 @@ def region_content_key(block) -> Tuple:
 
 
 class TranslationCache:
-    """In-process LRU tiers + optional persistent full-translation tier."""
+    """In-process LRU tiers: full translations and stage products."""
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
         if max_entries is None:
@@ -117,18 +104,13 @@ class TranslationCache:
         self._stages: Dict[str, "OrderedDict[Any, Any]"] = {
             name: OrderedDict() for name in STAGES
         }
-        self._warned_unwritable = False
 
     # -- policy --------------------------------------------------------
     @staticmethod
     def enabled() -> bool:
         """Kill switch, read per translation so tests/bisection can flip
         it mid-process."""
-        return os.environ.get(_KILL_ENV, "") != "1"
-
-    @staticmethod
-    def persist_enabled() -> bool:
-        return os.environ.get(_PERSIST_ENV, "") == "1"
+        return knobs.value(knobs.NO_TRANSLATION_CACHE) != "1"
 
     def clear(self) -> None:
         self._full.clear()
@@ -152,10 +134,6 @@ class TranslationCache:
     def get_translation(self, key: Any, tracer) -> Optional[Any]:
         """A private clone of the cached translation, or None."""
         payload = self._lookup(self._full, key)
-        if payload is None and self.persist_enabled():
-            payload = self._persist_load(key, tracer)
-            if payload is not None:
-                self._insert(self._full, key, payload)
         if payload is None:
             tracer.count("translate.cache_misses")
             return None
@@ -178,8 +156,6 @@ class TranslationCache:
             return
         self._insert(self._full, key, payload)
         tracer.count("translate.cache_stores")
-        if self.persist_enabled():
-            self._persist_store(key, payload, tracer)
 
     # -- stage tiers ---------------------------------------------------
     def get_stage(self, stage: str, key: Any, tracer) -> Any:
@@ -212,61 +188,6 @@ class TranslationCache:
             tracer.count("translate.store_errors")
             return
         self._insert(self._stages[stage], key, payload)
-
-    # -- persistent tier -----------------------------------------------
-    def _persist_root(self) -> Path:
-        root = os.environ.get(_CACHE_DIR_ENV, _DEFAULT_ROOT)
-        return Path(root).expanduser() / "translations"
-
-    def _persist_path(self, key: Any) -> Path:
-        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-        return self._persist_root() / f"{digest}.pkl"
-
-    def _persist_load(self, key: Any, tracer) -> Optional[bytes]:
-        path = self._persist_path(key)
-        try:
-            payload = path.read_bytes()
-            # Validate eagerly so a truncated/corrupt blob is dropped here
-            # (miss + unlink) instead of crashing the caller.
-            pickle.loads(payload)
-        except FileNotFoundError:
-            tracer.count("translate.persist_misses")
-            return None
-        except Exception:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            tracer.count("translate.persist_misses")
-            return None
-        tracer.count("translate.persist_hits")
-        return payload
-
-    def _persist_store(self, key: Any, payload: bytes, tracer) -> None:
-        root = self._persist_root()
-        tmp = None
-        try:
-            root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(root), suffix=".tmp")
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, self._persist_path(key))
-            tracer.count("translate.persist_stores")
-        except OSError:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            if not self._warned_unwritable:
-                self._warned_unwritable = True
-                import sys
-
-                print(
-                    f"repro: translation cache at {root} is unwritable; "
-                    f"continuing without persistence",
-                    file=sys.stderr,
-                )
 
 
 #: process-wide instance — the pipeline is constructed per DbtSystem but

@@ -29,8 +29,9 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from repro import knobs
+
 FAULT_PREFIX = "fault:"
-_ENV = "SMARQ_FAULT_BENCHMARKS"
 
 #: what the post-crash retry actually simulates (tiny but real)
 _FALLBACK_BENCHMARK = "art"
@@ -41,10 +42,10 @@ def make_fault_benchmark(name: str, scale: float):
     """Resolve a ``fault:`` benchmark name (see module docstring)."""
     from repro.workloads import make_benchmark
 
-    if os.environ.get(_ENV) != "1":
+    if knobs.value(knobs.FAULT_BENCHMARKS) != "1":
         raise ValueError(
             f"unknown benchmark {name!r} (fault benchmarks require "
-            f"{_ENV}=1)"
+            f"{knobs.FAULT_BENCHMARKS}=1)"
         )
     mode, _, arg = name[len(FAULT_PREFIX):].partition(":")
     if mode == "error":

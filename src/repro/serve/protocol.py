@@ -24,23 +24,24 @@ Requests (the ``op`` field selects the operation):
     exits.
 
 A ``<job>`` is the wire form of :class:`~repro.engine.jobs.JobSpec`
-produced by :func:`spec_to_wire`. Variant schemes (prebuilt
-:class:`~repro.sim.schemes.Scheme` objects, e.g. Figure 16's
-no-store-reorder configuration) travel as base64 pickle — acceptable
-only because the daemon binds loopback by default and the protocol is
-explicitly trusted-local (see docs/SERVE.md for the threat model).
+produced by :func:`spec_to_wire`: plain JSON naming the benchmark, the
+scheme (one of :data:`~repro.sim.schemes.SCHEME_NAMES`), the scale and
+the hot threshold. Nothing on the wire is deserialized beyond JSON, and
+a job with any other field is rejected (see docs/SERVE.md for the
+threat model).
 """
 
 from __future__ import annotations
 
-import base64
 import json
-import pickle
 from typing import Any, Dict, Optional
 
 from repro.engine.jobs import JobSpec
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+#: the fields of one wire job; any other field is rejected
+JOB_FIELDS = ("benchmark", "scheme_key", "scale", "hot_threshold")
 
 #: default cap on one request line (a full figures sweep batch is ~20 KB)
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
@@ -87,23 +88,8 @@ def error_message(code: str, detail: str) -> Dict[str, Any]:
 # JobSpec <-> wire form
 # ----------------------------------------------------------------------
 def spec_to_wire(spec: JobSpec) -> Dict[str, Any]:
-    """JSON-safe form of one job spec.
-
-    The prebuilt variant ``scheme`` (when present) is pickled: it is the
-    one field with no canonical JSON reconstruction, and the protocol is
-    trusted-local by design.
-    """
-    wire: Dict[str, Any] = {
-        "benchmark": spec.benchmark,
-        "scheme_key": spec.scheme_key,
-        "scale": spec.scale,
-        "hot_threshold": spec.hot_threshold,
-    }
-    if spec.scheme is not None:
-        wire["scheme_pickle"] = base64.b64encode(
-            pickle.dumps(spec.scheme)
-        ).decode("ascii")
-    return wire
+    """JSON-safe form of one job spec."""
+    return {name: getattr(spec, name) for name in JOB_FIELDS}
 
 
 def spec_from_wire(wire: Any) -> JobSpec:
@@ -114,6 +100,12 @@ def spec_from_wire(wire: Any) -> JobSpec:
     """
     if not isinstance(wire, dict):
         raise ProtocolError(E_BAD_SPEC, "job must be a JSON object")
+    unknown = wire.keys() - JOB_FIELDS
+    if unknown:
+        raise ProtocolError(
+            E_BAD_SPEC,
+            f"unknown job fields {sorted(unknown)}; expected {JOB_FIELDS}",
+        )
     benchmark = wire.get("benchmark")
     scheme_key = wire.get("scheme_key")
     if not isinstance(benchmark, str) or not benchmark:
@@ -128,25 +120,11 @@ def spec_from_wire(wire: Any) -> JobSpec:
         raise ProtocolError(
             E_BAD_SPEC, "job.hot_threshold must be an integer"
         )
-    scheme = None
-    packed = wire.get("scheme_pickle")
-    if packed is not None:
-        if not isinstance(packed, str):
-            raise ProtocolError(
-                E_BAD_SPEC, "job.scheme_pickle must be a base64 string"
-            )
-        try:
-            scheme = pickle.loads(base64.b64decode(packed.encode("ascii")))
-        except Exception as exc:
-            raise ProtocolError(
-                E_BAD_SPEC, f"job.scheme_pickle does not decode: {exc}"
-            )
     spec = JobSpec(
         benchmark=benchmark,
         scheme_key=scheme_key,
         scale=float(scale),
         hot_threshold=hot_threshold,
-        scheme=scheme,
     )
     try:
         spec.validate()

@@ -222,7 +222,7 @@ class DbtSystem:
         tracer=None,
     ) -> None:
         """``scheme_name`` is a scheme name string or a prebuilt
-        :class:`~repro.sim.schemes.Scheme` (for experiment variants).
+        :class:`~repro.sim.schemes.Scheme` (for library callers; jobs name one).
         ``alias_profiling`` observes runtime addresses during
         interpretation and pre-pins frequently-aliasing pairs, trading
         profiling work for fewer first-translation rollbacks.

@@ -1,7 +1,7 @@
 """Alias-detection scheme descriptors.
 
 A :class:`Scheme` binds together everything that varies between the
-configurations the paper's Figure 15 compares:
+configurations the paper's Figures 15 and 16 compare:
 
 * ``smarq``   — order-based queue, 64 registers, full speculation;
 * ``smarq16`` — same, 16 registers (the Efficeon-scale configuration);
@@ -9,7 +9,9 @@ configurations the paper's Figure 15 compares:
   reordering, load-sourced forwarding only, store elimination off,
   detection with false positives;
 * ``none``    — no alias hardware: conservative scheduling, check-free
-  eliminations only.
+  eliminations only;
+* ``smarq-nostreorder`` — ``smarq`` with speculative store-store
+  reordering disabled (Figure 16).
 
 Each scheme supplies the optimizer configuration and a hardware *adapter*
 the VLIW simulator drives during region execution.
@@ -37,6 +39,7 @@ SCHEME_NAMES = (
     "efficeon",
     "plainorder",
     "smarq-cert",
+    "smarq-nostreorder",
 )
 
 #: shared empty required-target set (avoids one allocation per store check)
@@ -441,10 +444,9 @@ class EfficeonAdapter(HardwareAdapter):
 class Scheme:
     """A complete alias-detection configuration.
 
-    ``adapter_factory`` should be a picklable callable (a class or a
-    :func:`functools.partial` over one, not a lambda) so the scheme can
-    ship to process-pool workers; unpicklable schemes still work but
-    force the engine's per-job serial fallback.
+    Jobs and the serve wire name a scheme (:data:`SCHEME_NAMES`); a
+    prebuilt ``Scheme`` goes straight to
+    :class:`~repro.sim.dbt.DbtSystem` for library callers.
     """
 
     name: str
@@ -459,23 +461,20 @@ class Scheme:
 def make_scheme(name: str, machine: Optional[MachineModel] = None) -> Scheme:
     """Build one of the named schemes over ``machine`` (default VLIW)."""
     base = machine or MachineModel()
-    if name == "smarq":
+    if name in ("smarq", "smarq-cert", "smarq-nostreorder"):
+        # Same hardware for all three. smarq-cert adds the static alias
+        # certifier: provably disjoint pairs lose their check constraints
+        # entirely (best-case bound when everything provable is dropped).
+        # smarq-nostreorder never reorders two stores speculatively.
         m = base.with_alias_registers(base.alias_registers or 64)
         return Scheme(
             name=name,
             machine=m,
-            optimizer_config=OptimizerConfig(speculate=True),
-            adapter_factory=partial(SmarqAdapter, m.alias_registers),
-        )
-    if name == "smarq-cert":
-        # SMARQ plus the static alias certifier: provably disjoint pairs
-        # lose their check constraints entirely (best-case bound when
-        # everything provable is dropped). Hardware is unchanged.
-        m = base.with_alias_registers(base.alias_registers or 64)
-        return Scheme(
-            name=name,
-            machine=m,
-            optimizer_config=OptimizerConfig(speculate=True, certify=True),
+            optimizer_config=OptimizerConfig(
+                speculate=True,
+                allow_store_reorder=name != "smarq-nostreorder",
+                certify=name == "smarq-cert",
+            ),
             adapter_factory=partial(SmarqAdapter, m.alias_registers),
         )
     if name == "smarq16":

@@ -85,17 +85,17 @@ attached by :mod:`repro.opt.pipeline`) so content-identical clones from
 the translation cache never recompile.
 Every tier produces byte-identical reports — locked by
 ``tests/test_replay_ir.py``, ``tests/test_batch_replay.py`` and the
-``backends`` fuzz oracle.
+``knobs`` fuzz oracle.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import knobs
 from repro.hw.exceptions import AliasException
 from repro.ir.instruction import Instruction, Opcode
 from repro.sched.machine import FunctionalUnit, MachineModel
@@ -172,15 +172,6 @@ _CBR_CODE = {Opcode.BEQ: 0, Opcode.BNE: 1, Opcode.BLT: 2, Opcode.BGE: 3}
 # Exit kinds recorded in a replay signature: the canonical X_* constants
 # live in repro.sim.replay_ir (shared with the backends) and are aliased
 # as _X_* by the import above.
-
-#: kill switch — set SMARQ_NO_TIMING_PLANS=1 to force the fully
-#: interpreted scoreboard loop (read once per VliwSimulator construction)
-_NO_PLANS_ENV = "SMARQ_NO_TIMING_PLANS"
-
-#: backend selector — SMARQ_REPLAY_BACKEND=interp|py|vec|batch forces
-#: one replay tier for every region (read once per VliwSimulator
-#: construction); unset or unknown values select by per-trace promotion
-_BACKEND_ENV = "SMARQ_REPLAY_BACKEND"
 
 #: max iterations per batched kernel call
 _BATCH_WIDTH = 16
@@ -516,11 +507,10 @@ class VliwSimulator:
         self.memory = memory
         self.stats = VliwStats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._plans_enabled = os.environ.get(_NO_PLANS_ENV) != "1"
-        backend = os.environ.get(_BACKEND_ENV)
-        self._backend = (
-            backend if backend in ("interp", "py", "vec", "batch") else None
-        )
+        # both knobs are read once per construction (see repro.knobs)
+        self._plans_enabled = knobs.value(knobs.NO_TIMING_PLANS) != "1"
+        backend = knobs.value(knobs.REPLAY_BACKEND)
+        self._backend = None if backend == "auto" else backend
         # planned executions before a plan promotes: forced tiers promote
         # on the first one, a forced interp never does
         if self._backend is None:

@@ -22,10 +22,10 @@ kernel call. These tests pin its contract:
 
 import pytest
 
+from repro import knobs
 from repro.engine.instrumentation import Tracer
 from repro.frontend.profiler import ProfilerConfig
 from repro.fuzz.generator import generate_case
-from repro.fuzz.oracles import backend_forced
 from repro.ir.instruction import Opcode, binop, branch, load, movi, store
 from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
@@ -101,7 +101,7 @@ def bench_report(benchmark, scheme, tier=None, tracer=None):
 
     if tier is None:
         return run()
-    with backend_forced(tier):
+    with knobs.overridden(knobs.REPLAY_BACKEND, tier):
         return run()
 
 
@@ -158,7 +158,7 @@ class TestMidBatchAbort:
                 hot_threshold=case.config.hot_threshold
             )
             tracer = Tracer()
-            with backend_forced("batch"):
+            with knobs.overridden(knobs.REPLAY_BACKEND, "batch"):
                 system = DbtSystem(
                     case.program(), "smarq",
                     profiler_config=profiler, tracer=tracer,
@@ -166,7 +166,7 @@ class TestMidBatchAbort:
                 batch = system.run(max_guest_steps=MAX_STEPS).to_dict()
             if not tracer.counters.get("vliw.batch_trims"):
                 continue
-            with backend_forced("py"):
+            with knobs.overridden(knobs.REPLAY_BACKEND, "py"):
                 system = DbtSystem(
                     case.program(), "smarq", profiler_config=profiler
                 )
@@ -182,7 +182,7 @@ class TestStepsBudget:
     def test_budget_bounds_batched_iterations(self):
         """The kernel never runs more iterations than the budget
         affords at the scalar loop's max(1, instructions) charge."""
-        with backend_forced("batch"):
+        with knobs.overridden(knobs.REPLAY_BACKEND, "batch"):
             sim = VliwSimulator(MACHINE, Memory(4096))
             region = loop_region()
             # warm up: compiles the kernel and computes the loop site
@@ -209,11 +209,11 @@ class TestStepsBudget:
         whether the tail ran batched or interpreted."""
         program = make_benchmark("pchase", scale=0.05)
         tracer = Tracer()
-        with backend_forced("batch"):
+        with knobs.overridden(knobs.REPLAY_BACKEND, "batch"):
             system = DbtSystem(program, "smarq", tracer=tracer)
             batch = system.run(max_guest_steps=3_000).to_dict()
         assert tracer.counters.get("vliw.backend_batch", 0) > 0
-        with backend_forced("interp"):
+        with knobs.overridden(knobs.REPLAY_BACKEND, "interp"):
             system = DbtSystem(program, "smarq")
             oracle = system.run(max_guest_steps=3_000).to_dict()
         assert batch == oracle
@@ -268,7 +268,7 @@ class TestPromotionDemotion:
         """A trace whose alias sweep fires every iteration trims at
         iteration 0 each time; after BATCH_TRIM_LIMIT early trims the
         artifact demotes and the tier stops trying."""
-        with backend_forced("batch"):
+        with knobs.overridden(knobs.REPLAY_BACKEND, "batch"):
             tracer = Tracer()
             sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
             region = alias_loop_region()
@@ -285,7 +285,7 @@ class TestPromotionDemotion:
 class TestKillSwitches:
     def test_width_env_caps_batch(self):
         """One kernel call runs at most ``_BATCH_WIDTH`` iterations."""
-        with backend_forced("batch"):
+        with knobs.overridden(knobs.REPLAY_BACKEND, "batch"):
             sim = VliwSimulator(MACHINE, Memory(4096))
             region = loop_region()
             # _BATCH_WIDTH - 1 batched commits + the final scalar-path
@@ -296,7 +296,7 @@ class TestKillSwitches:
 
     def test_forced_scalar_backend_never_batches(self):
         for tier in ("interp", "py", "vec"):
-            with backend_forced(tier):
+            with knobs.overridden(knobs.REPLAY_BACKEND, tier):
                 sim = VliwSimulator(MACHINE, Memory(4096))
                 region = loop_region()
                 for _ in range(_REPLAY_THRESHOLD + 2):
@@ -314,7 +314,7 @@ class TestInvalidation:
     def test_reoptimize_drops_batch_kernel(self):
         """Plan invalidation (re-optimization) drops the shared artifact
         for the region's replay key — the next run recompiles."""
-        with backend_forced("batch"):
+        with knobs.overridden(knobs.REPLAY_BACKEND, "batch"):
             tracer = Tracer()
             sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
             region = loop_region()

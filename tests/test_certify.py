@@ -19,6 +19,7 @@ Covers the contracts ``docs/CERTIFY.md`` promises:
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import knobs
 from repro.analysis.certify import (
     CERTIFIED,
     REFUSED,
@@ -35,7 +36,6 @@ from repro.analysis.certify import (
 from repro.analysis.dependence import Dependence
 from repro.frontend.profiler import ProfilerConfig
 from repro.fuzz.generator import generate_case
-from repro.fuzz.oracles import certify_disabled
 from repro.ir.instruction import Instruction, Opcode, load, store
 from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
@@ -303,7 +303,7 @@ class TestKillSwitchParity:
         report — to every scheme that does not certify."""
         case = generate_case(7)
         on, _ = _report_and_state(case.program(), scheme)
-        with certify_disabled():
+        with knobs.overridden(knobs.NO_CERTIFY, "1"):
             off, _ = _report_and_state(case.program(), scheme)
         assert on == off
 
@@ -311,7 +311,7 @@ class TestKillSwitchParity:
         """Certification may change counts, never architectural state."""
         case = generate_case(7)
         _, state_on = _report_and_state(case.program(), "smarq-cert")
-        with certify_disabled():
+        with knobs.overridden(knobs.NO_CERTIFY, "1"):
             _, state_off = _report_and_state(case.program(), "smarq-cert")
         assert state_on == state_off
 

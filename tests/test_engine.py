@@ -3,14 +3,15 @@
 Covers the engine acceptance properties: parallel and serial executors
 produce identical reports; a warm persistent cache serves reports with
 zero simulations (asserted via the injected tracer counters); corrupted
-cache entries degrade to fresh runs; re-registering a suite variant
-invalidates stale memoized reports.
+cache entries degrade to fresh runs; every keyed knob is in the job
+fingerprint.
 """
 
 import json
 
 import pytest
 
+from repro import knobs
 from repro.engine import (
     ExecutionEngine,
     NullCache,
@@ -23,11 +24,10 @@ from repro.engine import (
     make_executor,
 )
 from repro.engine.jobs import JobSpec
-from repro.eval.fig16 import register_variant
+from repro.eval.fig16 import NO_STORE_REORDER_KEY
 from repro.eval.suite import SuiteConfig, SuiteRunner
-from repro.opt.pipeline import OptimizerConfig
 from repro.sim.dbt import REPORT_SCHEMA_VERSION, DbtReport
-from repro.sim.schemes import Scheme, SmarqAdapter, make_scheme
+from repro.sim.schemes import make_scheme
 
 SCALE = 0.04
 HOT = 12
@@ -50,23 +50,6 @@ class TestExecutors:
         for a, b in zip(serial, parallel):
             assert a.fingerprint == b.fingerprint
             assert a.report == b.report
-
-    def test_parallel_falls_back_on_unpicklable_scheme(self):
-        base = make_scheme("smarq")
-        registers = base.machine.alias_registers
-        unpicklable = Scheme(
-            "smarq-lambda",
-            base.machine,
-            OptimizerConfig(speculate=True),
-            lambda: SmarqAdapter(registers),  # defeats pickling
-        )
-        specs = [_spec("art", "smarq-lambda", scheme=unpicklable),
-                 _spec("art", "smarq")]
-        executor = ParallelExecutor(max_workers=2)
-        results = executor.run(specs)
-        assert len(results) == 2
-        assert results[0].report.scheme == "smarq-lambda"
-        assert executor.fallbacks >= 1
 
     def test_make_executor_selects_by_job_count(self):
         assert isinstance(make_executor(1), SerialExecutor)
@@ -159,15 +142,26 @@ class TestFingerprint:
         assert job_fingerprint(other_hot) != base
 
     def test_variant_parameters_hashed(self):
+        """The store-reorder variant differs from smarq only in one
+        optimizer parameter, and still gets its own key."""
         base = make_scheme("smarq")
-        a = Scheme("v", base.machine, OptimizerConfig(speculate=True),
-                   base.adapter_factory)
-        b = Scheme("v", base.machine,
-                   OptimizerConfig(speculate=True, allow_store_reorder=False),
-                   base.adapter_factory)
-        fa = job_fingerprint(_spec("art", "v", scheme=a))
-        fb = job_fingerprint(_spec("art", "v", scheme=b))
+        variant = make_scheme(NO_STORE_REORDER_KEY)
+        assert variant.machine == base.machine
+        assert variant.optimizer_config != base.optimizer_config
+        fa = job_fingerprint(_spec("art", "smarq"))
+        fb = job_fingerprint(_spec("art", NO_STORE_REORDER_KEY))
         assert fa != fb
+
+    @pytest.mark.parametrize(
+        "knob", knobs.of_role(knobs.KEYED), ids=lambda knob: knob.name
+    )
+    def test_every_keyed_knob_value_is_keyed(self, knob, monkeypatch):
+        """Each value of a keyed knob gives the same job its own key."""
+        fingerprints = set()
+        for value in knob.values:
+            monkeypatch.setenv(knob.name, value)
+            fingerprints.add(job_fingerprint(_spec()))
+        assert len(fingerprints) == len(knob.values)
 
     def test_stable_across_calls(self):
         assert job_fingerprint(_spec()) == job_fingerprint(_spec())
@@ -224,31 +218,6 @@ class TestSuiteRunnerOnEngine:
             SuiteConfig(benchmarks=["art"], scale=SCALE, hot_threshold=HOT),
             engine=ExecutionEngine(**engine_kwargs),
         )
-
-    def test_reregistering_variant_invalidates_stale_reports(self):
-        runner = self._runner()
-        base = make_scheme("smarq")
-        v1 = Scheme("v1", base.machine, OptimizerConfig(speculate=True),
-                    base.adapter_factory)
-        runner.register_variant("exp", v1)
-        first = runner.report("art", "exp")
-        assert first.scheme == "v1"
-
-        v2 = Scheme("v2", base.machine,
-                    OptimizerConfig(speculate=True,
-                                    allow_store_reorder=False),
-                    base.adapter_factory)
-        runner.register_variant("exp", v2)
-        second = runner.report("art", "exp")
-        assert second.scheme == "v2"  # not the stale v1 report
-
-    def test_reregistering_identical_variant_keeps_memo(self):
-        runner = self._runner()
-        register_variant(runner)
-        key = "smarq-nostreorder"
-        first = runner.report("art", key)
-        register_variant(runner)  # same canonical config, new object
-        assert runner.report("art", key) is first
 
     def test_prefetch_fills_memo_in_one_batch(self):
         runner = self._runner()

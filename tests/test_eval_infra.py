@@ -1,11 +1,9 @@
-"""Tests for eval infrastructure: region extraction and suite variants."""
+"""Tests for eval infrastructure: region extraction and the suite runner."""
 
 import pytest
 
 from repro.eval.regions import form_hot_regions
 from repro.eval.suite import SuiteConfig, SuiteRunner
-from repro.opt.pipeline import OptimizerConfig
-from repro.sim.schemes import Scheme, SmarqAdapter, make_scheme
 
 
 class TestFormHotRegions:
@@ -27,22 +25,6 @@ class TestFormHotRegions:
 
 
 class TestSuiteVariants:
-    def test_registered_variant_used(self):
-        runner = SuiteRunner(
-            SuiteConfig(benchmarks=["art"], scale=0.05, hot_threshold=15)
-        )
-        base = make_scheme("smarq")
-        variant = Scheme(
-            "smarq-nospec-elim",
-            base.machine,
-            OptimizerConfig(speculate=True, enable_load_elimination=False,
-                            enable_store_elimination=False),
-            lambda: SmarqAdapter(base.machine.alias_registers),
-        )
-        runner.register_variant("myvariant", variant)
-        report = runner.report("art", "myvariant")
-        assert report.scheme == "smarq-nospec-elim"
-
     def test_sweep_covers_all_cells(self):
         runner = SuiteRunner(
             SuiteConfig(benchmarks=["art"], scale=0.05, hot_threshold=15)

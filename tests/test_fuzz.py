@@ -103,7 +103,7 @@ class TestOraclesHealthy:
     @pytest.mark.parametrize("seed", range(6))
     def test_all_fast_oracles_agree(self, seed):
         run = CaseRun(generate_case(seed))
-        for name in ("alloc", "queue", "schemes", "plans", "translate"):
+        for name in ("alloc", "queue", "schemes", "knobs"):
             assert ORACLES[name](run) == [], f"oracle {name} seed {seed}"
 
     def test_engine_oracle_agrees(self):

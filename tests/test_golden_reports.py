@@ -14,6 +14,11 @@ Regenerating (only when an intentional behaviour change lands):
         tests/test_golden_reports.py -q
 
 and commit the rewritten files under ``tests/goldens/``.
+
+The same goldens must hold under every output-neutral knob leg of
+:mod:`repro.knobs` (timing plans off, translation cache off, each forced
+replay tier). Each (leg, cell) starts from empty process-wide caches, as
+a fresh process would.
 """
 
 import json
@@ -22,8 +27,11 @@ import pathlib
 
 import pytest
 
+from repro import knobs
 from repro.frontend.profiler import ProfilerConfig
-from repro.sim.dbt import DbtSystem
+from repro.opt.translation_cache import reset_translation_cache
+from repro.sim.dbt import DbtSystem, reset_prefix_memo
+from repro.sim.replay_backends import reset_artifact_cache
 from repro.workloads import make_benchmark
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
@@ -88,6 +96,34 @@ def test_report_matches_golden(bench, scheme, scale):
         f"DbtReport for ({bench}, {scheme}) diverged from the committed "
         f"golden — the simulation core's observable output changed. If "
         f"intentional, regenerate with SMARQ_REGEN_GOLDENS=1."
+    )
+
+
+def _reset_process_caches() -> None:
+    reset_translation_cache()
+    reset_artifact_cache()
+    reset_prefix_memo()
+
+
+#: every golden cell under every neutral knob leg; the id carries the
+#: scheme, so ``-k "not cert"`` drops the smarq-cert cells here too
+KNOB_CELLS = [
+    pytest.param(leg, cell, id="-".join(("=".join(leg),) + tuple(map(str, cell))))
+    for leg in knobs.legs()
+    for cell in GOLDEN_CELLS
+]
+
+
+@pytest.mark.parametrize("leg,cell", KNOB_CELLS)
+def test_golden_holds_under_neutral_knob(leg, cell):
+    _reset_process_caches()
+    try:
+        with knobs.overridden(*leg):
+            rendered = render_report(*cell)
+    finally:
+        _reset_process_caches()
+    assert rendered == golden_path(*cell).read_text(), (
+        f"{'='.join(leg)} changed the report of {cell}"
     )
 
 

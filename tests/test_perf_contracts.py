@@ -327,7 +327,7 @@ class TestPrefixSharing:
         before the first install, so it compiles no handler for it."""
         from repro.engine.cache import NullCache
         from repro.eval.fig15 import SCHEMES
-        from repro.eval.fig16 import NO_STORE_REORDER_KEY, register_variant
+        from repro.eval.fig16 import NO_STORE_REORDER_KEY
         from repro.eval.suite import SuiteConfig, SuiteRunner
         from repro.sim.dbt import reset_prefix_memo
 
@@ -337,7 +337,6 @@ class TestPrefixSharing:
             SuiteConfig(benchmarks=list(self.BENCHMARKS), scale=0.05),
             engine,
         )
-        register_variant(runner)
         keys = ("none",) + tuple(SCHEMES) + (NO_STORE_REORDER_KEY,)
         assert len(keys) == 6
         runner.prefetch(keys)
@@ -425,7 +424,7 @@ class TestPerProgramNotPerJob:
         import repro.workloads.specfp as specfp
         from repro.engine.cache import NullCache
         from repro.eval.fig15 import SCHEMES
-        from repro.eval.fig16 import NO_STORE_REORDER_KEY, register_variant
+        from repro.eval.fig16 import NO_STORE_REORDER_KEY
         from repro.eval.suite import SuiteConfig, SuiteRunner
 
         builds = []
@@ -442,7 +441,6 @@ class TestPerProgramNotPerJob:
             SuiteConfig(benchmarks=list(self.BENCHMARKS), scale=0.05),
             engine,
         )
-        register_variant(runner)
         keys = ("none",) + tuple(SCHEMES) + (NO_STORE_REORDER_KEY,)
         runner.prefetch(keys)
         assert engine.tracer.counters.get("dbt.runs", 0) == 2 * len(keys)

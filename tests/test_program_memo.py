@@ -17,7 +17,7 @@ import repro.workloads.specfp as specfp
 from repro.engine.cache import NullCache
 from repro.engine.core import ExecutionEngine
 from repro.eval.fig15 import SCHEMES
-from repro.eval.fig16 import NO_STORE_REORDER_KEY, register_variant
+from repro.eval.fig16 import NO_STORE_REORDER_KEY
 from repro.eval.suite import SuiteConfig, SuiteRunner
 from repro.frontend.program import GuestProgram
 from repro.ir.instruction import Opcode, branch, movi
@@ -110,7 +110,6 @@ class TestImmutable:
             SuiteConfig(benchmarks=list(names), scale=0.05),
             ExecutionEngine(cache=NullCache()),
         )
-        register_variant(runner)
         runner.prefetch(("none",) + tuple(SCHEMES) + (NO_STORE_REORDER_KEY,))
         for name, program in built.items():
             assert make_benchmark(name, scale=0.05) is program

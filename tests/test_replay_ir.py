@@ -16,7 +16,7 @@ same residue in an iteration loop). These tests pin:
   execution that escapes the kernel on the dispatch loop without
   generating ``py`` code, and ``SMARQ_REPLAY_BACKEND`` forces/kills
   tiers (with a forced ``vec`` degrading to ``py`` for non-lowerable
-  traces);
+  traces) and rejects a value it does not know;
 * re-optimization/blacklisting invalidation drops the shared artifacts
   along with the timing plans.
 """
@@ -389,10 +389,10 @@ class TestBackendKillSwitch:
         assert tracer.counters.get("vliw.backend_py", 0) == 1
         assert tracer.counters.get("vliw.backend_vec", 0) == 0
 
-    def test_unknown_value_falls_back_to_auto(self, monkeypatch):
+    def test_unknown_value_is_rejected(self, monkeypatch):
         monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "jit")
-        sim = VliwSimulator(MACHINE, Memory(4096))
-        assert sim._backend is None
+        with pytest.raises(ValueError, match="interp, py, vec, batch"):
+            VliwSimulator(MACHINE, Memory(4096))
 
 
 class TestArtifactInvalidation:

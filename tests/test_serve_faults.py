@@ -5,9 +5,10 @@ daemon promises to absorb, provoked deliberately.
   retried serially, every job completes, and the daemon keeps serving;
 * a job that always errors (``fault:error``): a structured per-job
   failure while its batch-mates complete;
-* malformed, oversized, and truncated requests: structured ``error``
-  responses (connection closed only where the stream is unrecoverable),
-  never a crash;
+* malformed, oversized, and truncated requests, and jobs with unknown
+  fields: structured ``error`` responses (connection closed only where
+  the stream is unrecoverable), never a crash — and no daemon module
+  imports ``pickle``;
 * a client disconnecting mid-stream: its jobs finish anyway and land in
   the memo, so the follow-up retry is served warm;
 * graceful shutdown: accepted work drains, new work is refused with
@@ -18,10 +19,12 @@ The ``fault:`` benchmarks are gated behind ``SMARQ_FAULT_BENCHMARKS=1``
 unknown benchmark.
 """
 
+import ast
 import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -131,14 +134,31 @@ class TestMalformedRequests:
         assert json.loads(lines[1])["code"] == protocol.E_BAD_REQUEST
 
     def test_bad_spec_rejected_structurally(self):
+        bad_jobs = [
+            {"benchmark": 42},
+            # a protocol-1 variant scheme: unknown fields fail closed
+            {"benchmark": "art", "scheme_key": "smarq",
+             "scheme_pickle": "gASVAAAAAAAAAAAu"},
+        ]
         with running_server(ServeConfig(cache=False)) as server:
-            lines = raw_exchange(
-                server.address,
-                protocol.encode_line(
-                    {"op": "submit", "jobs": [{"benchmark": 42}]}
-                ),
-            )
-        assert json.loads(lines[0])["code"] == protocol.E_BAD_SPEC
+            for job in bad_jobs:
+                lines = raw_exchange(
+                    server.address,
+                    protocol.encode_line({"op": "submit", "jobs": [job]}),
+                )
+                assert json.loads(lines[0])["code"] == protocol.E_BAD_SPEC
+
+    def test_serve_never_imports_pickle(self):
+        """No module of the daemon can deserialize client bytes."""
+        for path in Path(protocol.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert "pickle" not in names, path.name
 
     def test_oversized_request_answered_then_closed(self):
         config = ServeConfig(cache=False, max_request_bytes=1024)

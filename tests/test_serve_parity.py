@@ -68,8 +68,8 @@ class TestFiguresParity:
         assert pooled == serial_output
 
     def test_variant_scheme_travels(self, serial_output):
-        """fig16 registers a variant Scheme object per run; it must
-        survive the wire (pickle transport) and render identically."""
+        """fig16's no-store-reorder scheme travels by name and renders
+        identically through the daemon."""
         serial = run_cli(
             ["figures", "--only", "fig16", "--scale", SCALE,
              "--suite", SUITE, "--no-cache"]

@@ -7,8 +7,7 @@ the cache's own behavioral contracts — fingerprint sensitivity (a hit
 must never be served across differing config, hints, or instruction
 content), the incremental re-optimization guarantee (an alias-exception
 re-translation reuses the DDG but never stale scheduling constraints),
-the ``SMARQ_NO_TRANSLATION_CACHE=1`` kill switch, and the persistent
-tier's corrupt-entry and older-format fallbacks.
+and the ``SMARQ_NO_TRANSLATION_CACHE=1`` kill switch.
 """
 
 import pytest
@@ -207,93 +206,6 @@ class TestKillSwitch:
         }
         assert translate_counters == {}
         assert not TranslationCache.enabled()
-
-
-class TestPersistentTier:
-    @pytest.fixture(autouse=True)
-    def persist_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("SMARQ_TRANSLATION_CACHE_PERSIST", "1")
-        self.root = tmp_path
-
-    def test_round_trip_across_processes(self):
-        """A fresh in-process cache (simulating a new process) serves
-        the translation from disk, identically."""
-        tracer = Tracer()
-        pipeline = OptimizationPipeline(MachineModel(), tracer=tracer)
-        first = pipeline.optimize(_spec_block())
-        assert tracer.counters.get("translate.persist_stores", 0) >= 1
-        stored = list((self.root / "translations").glob("*.pkl"))
-        assert stored
-
-        reset_translation_cache()
-        tracer2 = Tracer()
-        second = OptimizationPipeline(
-            MachineModel(), tracer=tracer2
-        ).optimize(_spec_block())
-        assert tracer2.counters.get("translate.persist_hits", 0) == 1
-        assert tracer2.counters.get("translate.cache_hits", 0) == 1
-        assert _fingerprint(second) == _fingerprint(first)
-
-    def test_corrupt_entry_degrades_to_miss(self):
-        pipeline = OptimizationPipeline(MachineModel())
-        first = pipeline.optimize(_spec_block())
-        entries = list((self.root / "translations").glob("*.pkl"))
-        assert entries
-        for path in entries:
-            path.write_bytes(b"not a pickle")
-
-        reset_translation_cache()
-        tracer = Tracer()
-        second = OptimizationPipeline(
-            MachineModel(), tracer=tracer
-        ).optimize(_spec_block())
-        assert tracer.counters.get("translate.persist_hits", 0) == 0
-        assert tracer.counters.get("translate.persist_misses", 0) >= 1
-        assert _fingerprint(second) == _fingerprint(first)
-        # the corrupt entry was dropped, then re-stored by the fresh
-        # translation
-        for path in entries:
-            assert (
-                not path.exists() or path.read_bytes() != b"not a pickle"
-            )
-
-    def test_older_format_blob_misses(self, monkeypatch):
-        """Blobs persisted under another translation format are never
-        loaded (a blob of an older class shape would fail at install or
-        report time): the run misses the persistent tier and reports
-        exactly what a cold run does."""
-        import repro.opt.pipeline as pipeline_mod
-
-        monkeypatch.delenv("SMARQ_TRANSLATION_CACHE_PERSIST")
-        cold, _ = _run_cell("smarq")
-
-        current = pipeline_mod.TRANSLATION_FORMAT
-        monkeypatch.setenv("SMARQ_TRANSLATION_CACHE_PERSIST", "1")
-        monkeypatch.setattr(pipeline_mod, "TRANSLATION_FORMAT", current - 1)
-        reset_translation_cache()
-        _report, older = _run_cell("smarq")
-        assert older.counters.get("translate.persist_stores", 0) >= 1
-
-        monkeypatch.setattr(pipeline_mod, "TRANSLATION_FORMAT", current)
-        reset_translation_cache()
-        report, tracer = _run_cell("smarq")
-        assert tracer.counters.get("translate.persist_hits", 0) == 0
-        assert tracer.counters.get("translate.persist_misses", 0) >= 1
-        assert report == cold
-
-    def test_unwritable_root_is_nonfatal(self, monkeypatch):
-        # A plain file where the cache directory should be: every mkdir
-        # under it fails with OSError.
-        blocker = self.root / "blocker"
-        blocker.write_text("in the way")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker))
-        # optimizing must neither raise nor store
-        tracer = Tracer()
-        OptimizationPipeline(MachineModel(), tracer=tracer).optimize(
-            _spec_block()
-        )
-        assert tracer.counters.get("translate.persist_stores", 0) == 0
 
 
 class TestLruBound:
