@@ -15,7 +15,11 @@ the situations that historically break alias machinery:
   against alias register files as small as 4);
 * **boundary-size accesses**: sizes 1/2/4/8 with displacement jitter drawn
   from ``{0, 1, size-1, size, ...}`` so generated ranges are frequently
-  exactly adjacent or overlap by exactly one byte.
+  exactly adjacent or overlap by exactly one byte;
+* **word-shaped cases** (every third seed, see :func:`word_shaped`):
+  the same draw with every access widened to one aligned 8-byte word,
+  the only shape the simulator's replay kernels lower — so the kernels,
+  their guards and their mid-batch trims stay under fuzz.
 
 A :class:`FuzzCase` is fully determined by its JSON-serializable form
 (:meth:`FuzzCase.to_dict`), so any case — including one reduced by the
@@ -361,8 +365,30 @@ def _emit_forwarding_chain(
     ops.append(["ld", v3, u_b, disp_b, size])
 
 
+def word_shaped(seed: int) -> bool:
+    """Whether ``seed`` draws a word-shaped case: every third seed.
+
+    The replay kernels lower only traces whose every access is 8 bytes
+    wide at a displacement that is a multiple of 8, and the boundary-size
+    draw almost never yields such a trace."""
+    return seed % 3 == 0
+
+
+def _to_words(cfg: CaseConfig, ops: List[list]) -> None:
+    """Widen every access to one aligned word, in place: size 8, its
+    displacement and every base shift rounded down to a multiple of 8
+    (pointer-bump deltas already are), so every address stays inside its
+    region and 8-aligned."""
+    cfg.base_shifts = tuple(s // WORD * WORD for s in cfg.base_shifts)
+    for op in ops:
+        if op[0] in ("ld", "st"):
+            op[3] = op[3] // WORD * WORD
+            op[4] = WORD
+
+
 def generate_case(seed: int) -> FuzzCase:
-    """Deterministically generate one adversarial case from ``seed``."""
+    """Deterministically generate one adversarial case from ``seed``
+    (word-shaped when :func:`word_shaped` says so)."""
     rng = random.Random(seed)
     unknown_bases = rng.randint(1, 4)
     known_bases = rng.randint(0, 2)
@@ -431,6 +457,8 @@ def generate_case(seed: int) -> FuzzCase:
                 ["ld", _data_reg(rng), _base_ref(rng, cfg),
                  cell + rng.choice((0, 1)), size]
             )
+    if word_shaped(seed):
+        _to_words(cfg, ops)
     return FuzzCase(config=cfg, ops=ops)
 
 

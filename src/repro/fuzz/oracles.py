@@ -63,6 +63,7 @@ from repro.analysis.constraints import ConstraintCycleError, derive_constraints
 from repro.analysis.dependence import DependenceSet, compute_dependences
 from repro.analysis.liveness import working_set_lower_bound
 from repro.analysis.constraints import CheckConstraint
+from repro.engine.instrumentation import Tracer
 from repro.frontend.interpreter import Interpreter
 from repro.frontend.profiler import ProfilerConfig
 from repro.fuzz.generator import FuzzCase
@@ -129,6 +130,9 @@ class CaseRun:
     _reference_state: Optional[tuple] = None
     #: (scheme,) or (scheme, knob, value) -> (state, report dict)
     _runs: Dict[Tuple[str, ...], tuple] = field(default_factory=dict)
+    #: region executions that ran a batch or vec replay kernel, over
+    #: every whole-program run so far (the campaign's kernel coverage)
+    kernel_runs: int = 0
 
     # -- superblock-level allocation -----------------------------------
     def build_inputs(self):
@@ -198,8 +202,15 @@ class CaseRun:
                     # A neutral leg interprets the warm-up too: the
                     # default runs restore it from the process-wide memo.
                     reset_prefix_memo()
-                system = DbtSystem(program, scheme, profiler_config=profiler)
+                tracer = Tracer()
+                system = DbtSystem(
+                    program, scheme, profiler_config=profiler, tracer=tracer
+                )
                 report = system.run(max_guest_steps=_MAX_GUEST_STEPS)
+            counters = tracer.counters
+            self.kernel_runs += counters.get(
+                "vliw.backend_batch", 0
+            ) + counters.get("vliw.backend_vec", 0)
             state = (
                 list(system.interpreter.registers),
                 bytes(system.memory._data),

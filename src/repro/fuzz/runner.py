@@ -15,7 +15,9 @@ case.
 
 Statistics flow through the PR 1 :class:`~repro.engine.instrumentation`
 Tracer: per-oracle counts and wall time, cases generated, disagreements,
-minimizer tests.
+minimizer tests, and kernel coverage — the cases whose whole-program
+runs executed a batch or vec replay kernel (the kernels lower only
+word-shaped traces, so a generator change can silently starve them).
 """
 
 from __future__ import annotations
@@ -152,6 +154,8 @@ class FuzzRunner:
                         )
                         stats.failures.append(failure)
                         break  # a broken case re-fails everywhere; move on
+                if run.kernel_runs:
+                    tracer.count("fuzz.kernel_cases")
                 stats.cases_run += 1
                 if cfg.max_failures and len(stats.failures) >= cfg.max_failures:
                     break
@@ -229,6 +233,8 @@ def render_stats(stats: FuzzStats, config: FuzzConfig) -> str:
             else ""
         ),
         f"ops generated         : {t.counters.get('fuzz.ops', 0)}",
+        f"kernel coverage       : {t.counters.get('fuzz.kernel_cases', 0)}"
+        f" of {stats.cases_run} cases ran a batch or vec replay kernel",
         f"disagreements         : {stats.disagreements}",
         f"wall time             : {stats.wall_seconds:.2f}s",
     ]

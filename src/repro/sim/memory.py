@@ -3,7 +3,8 @@
 Little-endian byte-addressable memory backed by a ``bytearray``. Values are
 unsigned integers of 1/2/4/8 bytes; register-level signedness is the
 interpreter's business. The memory also exposes raw byte access for the
-atomic-region undo log.
+atomic-region undo log, and :attr:`Memory.words`, a view of the same
+bytes as native-endian 64-bit words for the replay kernels.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ class Memory:
             raise ValueError("memory size must be positive")
         self._data = bytearray(size)
         self.size = size
+        #: the same bytes as native-endian unsigned 64-bit words, over
+        #: the first ``size & ~7`` bytes: word ``i`` is bytes ``8*i`` to
+        #: ``8*i + 8``. On a little-endian host ``words[addr >> 3]`` is
+        #: ``read(addr)`` for an 8-aligned ``addr``; the replay kernels
+        #: read, write and roll back memory through it, and lower only on
+        #: such a host. Writes through either view show in the other.
+        self.words = memoryview(self._data)[: size & ~7].cast("Q")
 
     def _check(self, addr: int, size: int) -> None:
         if addr < 0 or addr + size > self.size:
@@ -36,8 +44,10 @@ class Memory:
         """The backing bytearray, for hot-path consumers that inline
         accesses (the VLIW simulator's compiled replay functions). The
         object is stable for the memory's lifetime — mutations always go
-        through slice assignment. Callers must enforce bounds via
-        :meth:`check_bounds` to preserve :class:`MemoryFault` semantics."""
+        through same-length slice assignment (:attr:`words` holds an
+        export of it, so a resize raises :class:`BufferError`). Callers
+        must enforce bounds via :meth:`check_bounds` to preserve
+        :class:`MemoryFault` semantics."""
         return self._data
 
     def check_bounds(self, addr: int, size: int) -> None:

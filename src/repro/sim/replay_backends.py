@@ -9,26 +9,28 @@ A hot trace's functional replay runs on one of four tiers (selected by
     oracle, not compiled here;
 ``py``
     :func:`compile_py` — a straight-line Python function generated from
-    the IR: inlined 64-bit ALU arithmetic, little-endian memory access
-    with undo logging, and the adapter's hardware events lowered to
-    direct scalar model calls (dynamic escapes fall back to the
-    ``on_mem_op``/``on_rotate``/``on_amov`` callbacks). It is exact by
-    construction; it runs the traces neither kernel below can lower (or
-    that a kernel demoted after repeated escapes) and the forced ``py``
-    tier;
+    the IR: inlined 64-bit ALU arithmetic, little-endian byte access
+    with ``(addr, bytes)`` undo logging, and the adapter's hardware
+    events lowered to direct scalar model calls (dynamic escapes fall
+    back to the ``on_mem_op``/``on_rotate``/``on_amov`` callbacks). It
+    is exact by construction; it runs the traces neither kernel below
+    can lower (or that a kernel demoted after repeated escapes) and the
+    forced ``py`` tier;
 ``vec``
     :func:`compile_vec` — the alias hardware is **simulated statically at
     compile time** over the IR's event stream (every queue/ALAT/bit-mask
     operand is trace-static), reducing each region execution to register
-    locals, guarded address computation, and the irreducible runtime
-    residue: pairwise address-overlap tests (pruned when two addresses
-    provably share a base register) plus constant hardware-stat deltas
-    and a precomputed event fingerprint at each exit. Anything the
-    static model cannot decide — a bounds violation, a possible alias
-    overlap — returns :data:`FALLBACK` and the caller rolls back and
-    re-executes that one execution on the dispatch loop (far cheaper
-    than generating ``py`` code for a one-off run); the kernel itself
-    never touches adapter state;
+    locals, word-indexed memory access and the irreducible runtime
+    residue: one bounds-and-alignment guard per base register and
+    segment, word-index equality tests for the alias pairs (pruned when
+    two accesses provably share a base register), plus constant
+    hardware-stat deltas and a precomputed event fingerprint at each
+    exit. Anything the static model cannot decide — a bounds violation,
+    a misaligned base, a possible alias overlap — returns
+    :data:`FALLBACK` and the caller rolls back and re-executes that one
+    execution on the dispatch loop (far cheaper than generating ``py``
+    code for a one-off run); the kernel itself never touches adapter
+    state;
 ``batch``
     :func:`compile_batch` — the vec residue wrapped in an iteration
     loop over the trace's structural back-edge: when a region's commit
@@ -45,14 +47,28 @@ A hot trace's functional replay runs on one of four tiers (selected by
 The two kernels share one lowering (:class:`_ResidueEmitter`), so they
 accept and reject the same traces; ``compile_batch`` additionally needs a
 structural back-edge (:func:`repro.sim.replay_ir.loop_candidate`).
+
+Kernels address guest memory as 64-bit words
+(:attr:`repro.sim.memory.Memory.words`), so they lower only traces whose
+every access is 8 bytes wide at a displacement that is a multiple of 8,
+and only on a little-endian host (the word view is native-endian). For
+such accesses two byte ranges overlap exactly when their word indexes
+are equal, so an alias check is one ``==`` or ``in`` test; a store's
+undo entry is ``(word index, old word)``. Accesses through one base
+register version within one *segment* (the ops between two exits) share
+one guard at the first of them: it checks the whole group's
+displacement range and the base's alignment, then binds the base's word
+index. A segment holds no exit, and every escape re-runs the whole
+execution on the dispatch loop, so a guard that fires earlier than the
+access it protects yields the same escape of the same execution.
+
 Kernel source is a translation cost paid at run time, and ``compile()``
 time tracks AST nodes, so the emitter keeps the rare paths small: a
-long overlap sweep runs only after a bloom probe hit and is one
-:func:`_overlaps` call per pair size instead of an inline or-chain, the
-bloom itself is a per-iteration ``bytearray`` (no 256-bit int traffic
-per insert and probe), and a batch kernel spells its committed-state
-restore once, in one abort epilogue shared by every side exit and guard
-escape.
+batch kernel spells its committed-state restore once, in one abort
+epilogue shared by every side exit and guard escape. Per iteration, a
+batch kernel's back edge normalizes a deferred wrap only when the next
+iteration reads the register before writing it; the others are
+normalized once, where they leave the kernel.
 
 The module also owns the process-wide **replay artifact cache**: lowered
 IR and compiled backend functions are keyed by the region's translation
@@ -66,7 +82,7 @@ signature state and stay on the region object.
 
 from __future__ import annotations
 
-import struct
+import sys
 from collections import OrderedDict
 from typing import Callable, List, Optional, Tuple
 
@@ -80,7 +96,9 @@ _TOP = 1 << 64
 #: shared empty required-target set for ALAT store checks
 _EMPTY_TARGETS = frozenset()
 
-_U64 = struct.Struct("<Q")
+#: the word view kernels index is native-endian; guest memory is
+#: little-endian, so kernels lower only on a little-endian host
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 #: sentinel returned by a vec kernel when a runtime fact escapes its
 #: static model; the caller rolls back and re-runs the dispatch loop
@@ -308,7 +326,7 @@ class _StaticHw:
     access *addresses* is trace-static, so entry liveness, scan lengths,
     rotation, eviction and the full stat stream can be resolved at
     compile time. The one runtime residue is pairwise address overlap;
-    :meth:`check` returns the (address-local, size) pairs each check must
+    each check returns the (word-index expression, size) pairs it must
     test, and the kernel falls back when any test fires (the dispatch
     loop then reproduces the exact exception, ordering and partial
     stats).
@@ -321,7 +339,7 @@ class _StaticHw:
         self.family = family
         self.limit = limit
         self.stats = {}
-        self.entries = {}  # key -> (addr_local, size, is_load)
+        self.entries = {}  # key -> (word-index expression, size, is_load)
         self.orders: List[int] = []  # sorted keys (queue orders/ALAT keys)
         self.base = 0
         self.max_live = 0
@@ -468,19 +486,26 @@ _WRAP_KINDS = frozenset(
 )
 
 
+def _wrapped(expr: str) -> str:
+    """Branchless signed wrap of ``expr``: ((v + 2**63) mod 2**64) - 2**63."""
+    return f"({expr} + {_HIGH} & {_MASK64}) - {_HIGH}"
+
+
 def _defer_wraps(ir: R.ReplayIR):
     """Op indices whose ALU wrap may be deferred to the consumer.
 
     The signed wrap is congruence-preserving (mod 2**64), so a wrapped
     def whose every use is *wrap-transparent* — an operand of another
     wrapped op, a shift amount or shifted value (only the low bits
-    matter), or a memory address/store value (masked at the access) —
-    can stay as the raw Python int and let each consumer normalize.
-    Opaque uses (signed compares, bitwise ops on the raw mixed-sign
-    representation, floor division, plain moves) force the wrap at the
-    def so the interp tier's exact value representation is reproduced.
-    Commit-time register writeback of a deferred value wraps at the exit
-    site instead (executed once per region, not once per def).
+    matter), a store value (masked at the access) or a memory base (a
+    raw base outside the signed range fails its group guard, and the
+    execution escapes) — can stay as the raw Python int and let each
+    consumer normalize. Opaque uses (signed compares, bitwise ops on the
+    raw mixed-sign representation, floor division, plain moves) force
+    the wrap at the def so the interp tier's exact value representation
+    is reproduced. Commit-time register writeback of a deferred value
+    wraps at the exit site instead (executed once per region, not once
+    per def).
     """
     live = {}  # reg -> candidate wrap-def op index
     wraps = set()
@@ -517,7 +542,7 @@ def _defer_wraps(ir: R.ReplayIR):
             else:
                 live.pop(d, None)
         elif t == R.OP_LD:
-            u(op[2])  # base: masked at the access
+            u(op[2])  # base: a raw one fails its guard
             live.pop(op[1], None)  # loaded value is canonical unsigned
         elif t == R.OP_ST:
             u(op[1])  # store value: masked at the access
@@ -529,79 +554,66 @@ def _defer_wraps(ir: R.ReplayIR):
     return wraps - bad
 
 
-def _max_sweep(ir: R.ReplayIR, family: str, limit: int) -> int:
-    """Largest pair-sweep any check in ``ir`` will emit (dry run of the
-    static hardware simulation; addresses are irrelevant to the count).
-    Also returns 0 if any tracked access is wider than 8 bytes, which
-    the bloom prefilter's two-bucket probes cannot cover."""
-    hw = _StaticHw(family, limit)
-    widest = 0
-    biggest = 0
+def _word_only(ir: R.ReplayIR) -> bool:
+    """True when every access is one aligned word: 8 bytes at a
+    displacement that is a multiple of 8. Kernels lower nothing else;
+    the alias events of an access carry the access's own size."""
+    return all(
+        op[4] == 8 and not op[3] & 7
+        for op in ir.ops
+        if op[0] == R.OP_LD or op[0] == R.OP_ST
+    )
+
+
+#: ops that end a guard segment: every exit site
+_SEGMENT_ENDS = frozenset((R.OP_CBR, R.OP_BR, R.OP_EXIT))
+
+
+def _access_groups(ir: R.ReplayIR):
+    """Group the accesses by (base register, base version, segment); a
+    segment ends at every exit site.
+
+    Returns ``(group_of, spans)``: ``group_of[k]`` is ``(base, version,
+    g)`` for access ``k``, where ``g`` is the op index of the group's
+    first access, and ``spans[g]`` is the group's ``[smallest, largest]``
+    displacement, the range its one guard checks."""
+    version: dict = {}
+    first: dict = {}
+    group_of: dict = {}
+    spans: dict = {}
+    seg = 0
     for k, op in enumerate(ir.ops):
         t = op[0]
         if t == R.OP_LD or t == R.OP_ST:
-            evt = op[5]
-        elif t == R.OP_EVT:
-            evt = op[1]
-        else:
-            continue
-        if evt is None:
-            continue
-        for ev in ir.events[evt]:
-            e = ev[0]
-            pairs = None
-            if e == R.E_QCHK:
-                pairs = hw.q_check(ev[1], ev[2], ev[3])
-                widest = max(widest, ev[2])
-            elif e == R.E_QSET:
-                hw.q_set(ev[1], f"a{k}", ev[2], ev[3])
-                widest = max(widest, ev[2])
-            elif e == R.E_ROT:
-                hw.q_rotate(ev[1])
-            elif e == R.E_AMOV:
-                hw.q_amov(ev[1], ev[2])
-            elif e == R.E_ACHK:
-                pairs = hw.alat_store_check(ev[1])
-                widest = max(widest, ev[1])
-            elif e == R.E_AINS:
-                hw.alat_insert(ev[1], f"a{k}", ev[2], ev[3])
-                widest = max(widest, ev[2])
-            elif e == R.E_BCHK:
-                pairs = hw.bm_check(ev[1], ev[2])
-                widest = max(widest, ev[2])
-            elif e == R.E_BSET:
-                hw.bm_set(ev[1], f"a{k}", ev[2], ev[3])
-                widest = max(widest, ev[2])
-            if pairs:
-                biggest = max(biggest, len(pairs))
-    return 0 if widest > 8 else biggest
+            base, disp = op[2], op[3]
+            ver = version.get(base, 0)
+            g = first.setdefault((base, ver, seg), k)
+            group_of[k] = (base, ver, g)
+            span = spans.setdefault(g, [disp, disp])
+            span[0] = min(span[0], disp)
+            span[1] = max(span[1], disp)
+            if t == R.OP_LD:
+                version[op[1]] = version.get(op[1], 0) + 1
+        elif t == R.OP_ALU:
+            version[op[2]] = version.get(op[2], 0) + 1
+        elif t in _SEGMENT_ENDS:
+            seg += 1
+    return group_of, spans
 
 
-#: pair count at/above which a sweep hides behind the bloom prefilter
-_BLOOM_SWEEP_MIN = 4
-
-
-def _overlaps(a: int, size: int, psize: int, addrs) -> bool:
-    """True when the access ``[a, a + size)`` shares a byte with some
-    ``[p, p + psize)``, ``p`` in ``addrs``: the pairwise kernel test
-    ``p < a + size and a < p + psize``, rewritten as ``a - psize < p <
-    a + size``. Kernels call it out of line, behind a bloom probe hit,
-    so the rare full sweep costs one call instead of inline code."""
-    lo = a - psize
-    hi = a + size
-    for p in addrs:
-        if lo < p < hi:
-            return True
-    return False
+def _reach_name(reach: int) -> str:
+    """The local holding ``msize - reach``: the largest base a guard
+    admits for a group whose accesses end ``reach`` bytes past it."""
+    return f"hi{reach}" if reach >= 0 else f"hin{-reach}"
 
 
 class _ResidueEmitter:
     """Codegen core shared by the ``vec`` and ``batch`` kernels.
 
-    Owns one body's emission state — register locals, symbolic address
-    identity, CSE value numbers, deferred wraps, bounds/sweep guards and
-    the static hardware simulation — and walks the IR emitting residue
-    statements into ``lines``. Exit sites are delegated to the caller's
+    Owns one body's emission state — register locals, access groups and
+    their word indexes, CSE value numbers, deferred wraps and the static
+    hardware simulation — and walks the IR emitting residue statements
+    into ``lines``. Exit sites are delegated to the caller's
     ``exit_emit`` hook so the two kernels can disagree about what an
     exit does (vec: write back + return; batch: continue the iteration
     loop at the back-edge site, record a side exit and break to the
@@ -613,21 +625,19 @@ class _ResidueEmitter:
     """
 
     __slots__ = (
-        "ir", "adapter", "guest_count", "family", "hw", "bloom", "emit",
-        "pad", "fb", "defer_ok", "bound", "written", "written_set",
-        "version", "syms", "rsym", "asizes", "guards", "deferred_now",
-        "cse", "exit_fps",
+        "ir", "adapter", "guest_count", "family", "hw", "emit", "pad", "fb",
+        "defer_ok", "bound", "written", "written_set", "version",
+        "group_of", "spans", "syms", "deferred_now", "cse", "exit_fps",
     )
 
     def __init__(self, ir: R.ReplayIR, adapter, guest_count: int, family,
-                 limit: int, bloom: bool, lines: List[str], pad: str,
-                 fb: str = "return _FB", hoisted_sizes=None) -> None:
+                 limit: int, lines: List[str], pad: str,
+                 fb: str = "return _FB") -> None:
         self.ir = ir
         self.adapter = adapter
         self.guest_count = guest_count
         self.family = family
         self.hw = _StaticHw(family, limit) if family else None
-        self.bloom = bloom
         self.emit = lines.append
         self.pad = pad
         self.fb = fb
@@ -635,16 +645,19 @@ class _ResidueEmitter:
         self.bound = set()  # registers with a live local
         self.written: List[int] = []  # registers written, in first-write order
         self.written_set = set()
-        self.version: dict = {}  # register -> def count (symbolic addr identity)
-        self.syms: dict = {}  # address local -> (base reg, base version, disp)
-        self.rsym: dict = {}  # (base reg, base version, disp) -> address local
-        self.asizes = set()  # (address local, size) pairs already guarded
-        # access sizes whose bounds-limit local is already in scope (the
-        # batch kernel hoists every mlim outside its iteration loop)
-        self.guards = set(hoisted_sizes) if hoisted_sizes else set()
+        self.version: dict = {}  # register -> def count (CSE validity)
+        self.group_of, self.spans = _access_groups(ir)
+        self.syms: dict = {}  # word-index expression -> (base, version, disp)
         self.deferred_now = set()  # regs whose local holds a raw (unwrapped) value
         self.cse: dict = {}  # value-number key -> (reg, version at def, raw?)
         self.exit_fps: dict = {}
+
+    def limit_lines(self, pad: str) -> List[str]:
+        """Bind each guard's upper bound, ``msize`` minus a group's reach
+        (largest displacement + 8). They are loop invariant: a kernel
+        binds them once, in its prologue."""
+        reaches = sorted({hi + 8 for _lo, hi in self.spans.values()})
+        return [f"{pad}{_reach_name(r)} = msize - {r}" for r in reaches]
 
     # -- register locals -----------------------------------------------
     def use(self, reg: int) -> str:
@@ -667,11 +680,8 @@ class _ResidueEmitter:
         return f"r{reg}"
 
     def emit_wrap(self, dest: int, expr: str) -> None:
-        # branchless signed wrap: ((v + 2**63) mod 2**64) - 2**63
         name = self.define(dest)
-        self.emit(
-            f"{self.pad}{name} = (({expr}) + {_HIGH} & {_MASK64}) - {_HIGH}"
-        )
+        self.emit(f"{self.pad}{name} = {_wrapped(f'({expr})')}")
 
     def alu_op(self, k: int, kind: int, d: int, a, b, imm) -> None:
         """One ALU op: value-numbered (a repeat of a still-valid pure
@@ -694,8 +704,7 @@ class _ResidueEmitter:
                     sname = f"r{s_reg}"
                     name = self.define(d)
                     if s_raw and not want_defer:
-                        emit(f"{pad}{name} = ({sname} + {_HIGH} "
-                             f"& {_MASK64}) - {_HIGH}")
+                        emit(f"{pad}{name} = {_wrapped(sname)}")
                         s_raw = False
                     elif name != sname:
                         emit(f"{pad}{name} = {sname}")
@@ -747,62 +756,49 @@ class _ResidueEmitter:
         if key is not None:
             cse[key] = (d, version[d], d in self.deferred_now)
 
-    # -- addresses and guards ------------------------------------------
-    def emit_addr(self, k: int, base: int, disp: int, size: int) -> str:
-        """Access address for op ``k``, bounds-guarded.
+    # -- word indexes and guards ---------------------------------------
+    def emit_index(self, k: int, disp: int, store: bool) -> str:
+        """Word-index expression of access ``k``.
 
-        Pre-masking folds the negative-address case into the upper-bound
-        compare (a negative or wrapped address masks to a huge value):
-        one comparison per access instead of two.
+        The first access of a group emits the group's one guard — every
+        displacement of the group in bounds and the base 8-aligned, else
+        escape via ``fb`` — and binds the base's word index ``i<g>``. A
+        store binds its own index ``j<k>``: its undo entry and its write
+        both read it.
         """
-        keyt = (base, self.version.get(base, 0), disp)
-        addr = self.rsym.get(keyt)
-        if addr is not None:
-            if (addr, size) not in self.asizes:
-                self.asizes.add((addr, size))
-                self._guard(addr, size)
-            return addr
-        bname = self.use(base)
-        addr = f"a{k}"
-        self.syms[addr] = keyt
-        self.rsym[keyt] = addr
-        if disp:
-            self.emit(f"{self.pad}{addr} = {bname} + {disp} & {_MASK64}")
-        else:
-            self.emit(f"{self.pad}{addr} = {bname} & {_MASK64}")
-        self.asizes.add((addr, size))
-        self._guard(addr, size)
-        return addr
-
-    def _guard(self, addr: str, size: int) -> None:
-        if size not in self.guards:
-            self.guards.add(size)
-            self.emit(f"{self.pad}mlim{size} = msize - {size}")
-        self.emit(f"{self.pad}if {addr} > mlim{size}: {self.fb}")
-
-    def bloom_add(self, addr: str, size: int) -> None:
-        if not self.bloom:
-            return
-        lo = f"_bf[{addr} >> 3 & 255]"
-        if size > 1:
+        base, ver, g = self.group_of[k]
+        pad = self.pad
+        ig = f"i{g}"
+        if k == g:
+            lo, hi = self.spans[g]
+            b = self.use(base)
             self.emit(
-                f"{self.pad}{lo} = _bf[{addr} + {size - 1} >> 3 & 255] = 1"
+                f"{pad}if not {-lo} <= {b} <= {_reach_name(hi + 8)} "
+                f"or {b} & 7: {self.fb}"
             )
+            self.emit(f"{pad}{ig} = {b} >> 3")
+        off = disp >> 3
+        if not off:
+            idx = ig
         else:
-            self.emit(f"{self.pad}{lo} = 1")
+            idx = f"{ig} + {off}" if off > 0 else f"{ig} - {-off}"
+            if store:
+                self.emit(f"{pad}j{k} = {idx}")
+                idx = f"j{k}"
+        self.syms[idx] = (base, ver, disp)
+        return idx
 
-    def emit_sweep(self, addr: str, size: int, pairs) -> bool:
-        """Alias pair tests for one check; any runtime overlap escapes
-        via ``fb``. Pairs whose addresses share a base register resolve
-        statically: disjoint displacements drop the test, an unavoidable
-        overlap rejects vectorization (returns False). A long sweep runs
-        only after a bloom probe hit, out of line: one
-        :func:`_overlaps` call per distinct pair size."""
+    def emit_sweep(self, idx: str, size: int, pairs) -> bool:
+        """Alias tests for one check: escape via ``fb`` when the access
+        shares its word with an earlier tracked one. Pairs whose
+        accesses share a base register version resolve statically:
+        disjoint displacements drop the test, an unavoidable overlap
+        rejects the lowering (returns False)."""
         syms = self.syms
-        own = syms.get(addr)
-        tests = []
-        for p_addr, p_size in pairs:
-            p_sym = syms.get(p_addr)
+        own = syms.get(idx)
+        tests: List[str] = []
+        for p_idx, p_size in pairs:
+            p_sym = syms.get(p_idx)
             if (
                 own is not None
                 and p_sym is not None
@@ -813,33 +809,17 @@ class _ResidueEmitter:
                 if d_own < d_p + p_size and d_p < d_own + size:
                     return False  # certain overlap: every run would FB
                 continue  # certain disjoint: no runtime test needed
-            tests.append((p_addr, p_size))
-        if not tests:
-            return True
-        emit = self.emit
-        pad = self.pad
-        if self.bloom and len(tests) >= _BLOOM_SWEEP_MIN:
-            by_size: dict = {}
-            for p_addr, p_size in tests:
-                by_size.setdefault(p_size, []).append(p_addr)
-            calls = " or ".join(
-                f"_overlaps({addr}, {size}, {p_size}, ({', '.join(group)},))"
-                for p_size, group in by_size.items()
+            if p_idx not in tests:
+                tests.append(p_idx)
+        if len(tests) == 1:
+            self.emit(f"{self.pad}if {idx} == {tests[0]}: {self.fb}")
+        elif tests:
+            self.emit(
+                f"{self.pad}if {idx} in ({', '.join(tests)}): {self.fb}"
             )
-            probe = f"_bf[{addr} >> 3 & 255]"
-            if size > 1:
-                probe += f" or _bf[{addr} + {size - 1} >> 3 & 255]"
-            emit(f"{pad}if {probe}:")
-            emit(f"{pad}    if {calls}: {self.fb}")
-        else:
-            chain = " or ".join(
-                f"({p_addr} < {addr} + {size} and {addr} < {p_addr} + {p_size})"
-                for p_addr, p_size in tests
-            )
-            emit(f"{pad}if {chain}: {self.fb}")
         return True
 
-    def emit_events(self, evt: Optional[int], addr: str) -> bool:
+    def emit_events(self, evt: Optional[int], idx: str) -> bool:
         """Statically apply one op's events; False aborts the lowering."""
         if evt is None:
             return True
@@ -849,13 +829,12 @@ class _ResidueEmitter:
             if e == R.E_QCHK:
                 _, off, size, il, _mi = ev
                 pairs = hw.q_check(off, size, il)
-                if pairs is None or not self.emit_sweep(addr, size, pairs):
+                if pairs is None or not self.emit_sweep(idx, size, pairs):
                     return False
             elif e == R.E_QSET:
                 _, off, size, il, _mi = ev
-                if not hw.q_set(off, addr, size, il):
+                if not hw.q_set(off, idx, size, il):
                     return False
-                self.bloom_add(addr, size)
             elif e == R.E_ROT:
                 if not hw.q_rotate(ev[1]):
                     return False
@@ -865,23 +844,21 @@ class _ResidueEmitter:
             elif e == R.E_ACHK:
                 _, size, _il, _mi = ev
                 pairs = hw.alat_store_check(size)
-                if pairs is None or not self.emit_sweep(addr, size, pairs):
+                if pairs is None or not self.emit_sweep(idx, size, pairs):
                     return False
             elif e == R.E_AINS:
                 _, mi, size, il = ev
-                if not hw.alat_insert(mi, addr, size, il):
+                if not hw.alat_insert(mi, idx, size, il):
                     return False
-                self.bloom_add(addr, size)
             elif e == R.E_BCHK:
                 _, mask, size, il, _mi = ev
                 pairs = hw.bm_check(mask, size)
-                if pairs is None or not self.emit_sweep(addr, size, pairs):
+                if pairs is None or not self.emit_sweep(idx, size, pairs):
                     return False
             elif e == R.E_BSET:
-                _, idx, size, il, _mi = ev
-                if not hw.bm_set(idx, addr, size, il):
+                _, bit, size, il, _mi = ev
+                if not hw.bm_set(bit, idx, size, il):
                     return False
-                self.bloom_add(addr, size)
             else:  # E_DYN: unreachable (ir.dyn rejected by the compilers)
                 return False
         return True
@@ -933,10 +910,7 @@ class _ResidueEmitter:
         for reg in self.written:
             if reg < self.guest_count:
                 if reg in self.deferred_now:
-                    out.append(
-                        f"{indent}regs[{reg}] = (r{reg} + {_HIGH} "
-                        f"& {_MASK64}) - {_HIGH}"
-                    )
+                    out.append(f"{indent}regs[{reg}] = {_wrapped(f'r{reg}')}")
                 else:
                     out.append(f"{indent}regs[{reg}] = r{reg}")
         return out
@@ -949,8 +923,6 @@ class _ResidueEmitter:
         ir = self.ir
         emit = self.emit
         pad = self.pad
-        if self.bloom:
-            emit(f"{pad}_bf = bytearray(256)")
         for k, op in enumerate(ir.ops):
             t = op[0]
             if t == R.OP_ALU:
@@ -958,33 +930,16 @@ class _ResidueEmitter:
                     return False
                 self.alu_op(k, op[1], op[2], op[3], op[4], op[5])
             elif t == R.OP_LD or t == R.OP_ST:
-                _, vreg, base, disp, size, evt = op
-                addr = self.emit_addr(k, base, disp, size)
-                if not self.emit_events(evt, addr):
+                _, vreg, _base, disp, _size, evt = op
+                idx = self.emit_index(k, disp, t == R.OP_ST)
+                if not self.emit_events(evt, idx):
                     return False
                 if t == R.OP_LD:
-                    name = self.define(vreg)
-                    if size == 8:
-                        emit(f"{pad}{name} = u64(data, {addr})[0]")
-                    else:
-                        emit(
-                            f"{pad}{name} = "
-                            f"ifb(data[{addr}:{addr} + {size}], 'little')"
-                        )
+                    emit(f"{pad}{self.define(vreg)} = W[{idx}]")
                 else:
                     sname = self.use(vreg)
-                    mask = (1 << (8 * size)) - 1
-                    emit(
-                        f"{pad}undo_append(({addr}, "
-                        f"data[{addr}:{addr} + {size}]))"
-                    )
-                    if size == 8:
-                        emit(f"{pad}p64(data, {addr}, {sname} & {mask})")
-                    else:
-                        emit(
-                            f"{pad}data[{addr}:{addr} + {size}] = "
-                            f"({sname} & {mask}).to_bytes({size}, 'little')"
-                        )
+                    emit(f"{pad}undo_append(({idx}, W[{idx}]))")
+                    emit(f"{pad}W[{idx}] = {sname} & {_MASK64}")
             elif t == R.OP_CBR:
                 _, code, a, b, pay = op
                 cmp_op = ("==", "!=", "<", ">=")[code]
@@ -1021,22 +976,6 @@ def _family_limit(adapter, family) -> int:
     return 0
 
 
-def _wants_bloom(ir: R.ReplayIR, family, limit: int) -> bool:
-    """Whether a kernel gets the bloom prefilter over 8-byte granules.
-
-    When any sweep is long, every tracked set also marks its two buckets
-    in the ``_bf`` bytearray and long sweeps probe their buckets first:
-    disjoint accesses (the common case) skip the whole sweep. Sound
-    because an overlap implies a shared byte, whose granule is among the
-    two buckets of both accesses (all tracked accesses are <= 8 bytes
-    wide here, see :func:`_max_sweep`).
-    """
-    return (
-        family is not None
-        and _max_sweep(ir, family, limit) >= _BLOOM_SWEEP_MIN
-    )
-
-
 def _vec_exit(em: _ResidueEmitter, k: int, xkind: int, payload,
               commit: bool, indent: str) -> None:
     emit = em.emit
@@ -1052,40 +991,39 @@ def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
     """Compile the vectorized kernel for one lowered trace.
 
     Returns ``None`` when the trace cannot be statically lowered: a
-    dynamic escape (unknown adapter/opcode), a hardware operand the
-    static model rejects (the ``py`` tier then reproduces the model's
-    runtime error exactly), or a pair of accesses that provably always
-    overlap (the trace would fall back on every execution anyway).
-    Otherwise returns ``(fn, exit_fps)``: the kernel, with signature
-    ``(regs, data, msize, ad, undo_append)``, and a dict mapping each
-    ``(exit_idx, exit_kind)`` to the adapter event fingerprint of a
-    clean execution reaching that exit — precomputed so the caller can
-    skip the adapter's region-enter/exit bookkeeping entirely on this
-    tier. ``regs`` is the *guest* register file itself — scratch
-    registers live entirely in locals and guest registers are written
-    back only on commit-kind exits, so an abort or :data:`FALLBACK`
-    leaves it untouched (memory writes are undo-logged exactly like the
-    other tiers and rolled back by the caller).
+    dynamic escape (unknown adapter/opcode), an access that is not one
+    aligned word (:func:`_word_only`) or a big-endian host, a hardware
+    operand the static model rejects (the ``py`` tier then reproduces
+    the model's runtime error exactly), or a pair of accesses that
+    provably always overlap (the trace would fall back on every
+    execution anyway). Otherwise returns ``(fn, exit_fps)``: the kernel,
+    with signature ``(regs, words, msize, ad, undo_append)``, and a dict
+    mapping each ``(exit_idx, exit_kind)`` to the adapter event
+    fingerprint of a clean execution reaching that exit — precomputed so
+    the caller can skip the adapter's region-enter/exit bookkeeping
+    entirely on this tier. ``regs`` is the *guest* register file itself —
+    scratch registers live entirely in locals and guest registers are
+    written back only on commit-kind exits, so an abort or
+    :data:`FALLBACK` leaves it untouched. ``words`` is the memory's word
+    view (:attr:`repro.sim.memory.Memory.words`); each store logs
+    ``(word index, old word)`` and the caller rolls those back.
     """
-    if ir.dyn:
+    if ir.dyn or not _LITTLE_ENDIAN or not _word_only(ir):
         return None
     family = _hw_family(ir)
     if family == "dyn":
         return None
-    limit = _family_limit(adapter, family)
-    env: dict = {"ifb": int.from_bytes, "u64": _U64.unpack_from,
-                 "p64": _U64.pack_into, "_FB": FALLBACK,
-                 "_overlaps": _overlaps}
+    env: dict = {"_FB": FALLBACK}
     lines: List[str] = [
-        # default args bind the helpers as locals (LOAD_FAST, not
-        # LOAD_GLOBAL, on every use); callers pass only the first five
-        "def _replay_vec(regs, data, msize, ad, undo_append, "
-        "u64=u64, p64=p64, ifb=ifb, _FB=_FB, _overlaps=_overlaps):",
+        # the default arg binds the sentinel as a local (LOAD_FAST, not
+        # LOAD_GLOBAL); callers pass only the first five
+        "def _replay_vec(regs, W, msize, ad, undo_append, _FB=_FB):",
     ]
     em = _ResidueEmitter(
-        ir, adapter, guest_count, family, limit,
-        _wants_bloom(ir, family, limit), lines, "    ",
+        ir, adapter, guest_count, family, _family_limit(adapter, family),
+        lines, "    ",
     )
+    lines.extend(em.limit_lines("    "))
     if not em.walk(_vec_exit):
         return None
     exec(compile("\n".join(lines), "<vliw-replay-vec>", "exec"), env)
@@ -1199,55 +1137,55 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     committed iterations stay committed, and the caller re-runs the
     broken iteration on the dispatch loop after rolling back its undo
     slice. Register locals are **loop-carried**: every referenced guest
-    register is bound once above the loop, the back-edge site only
-    normalizes deferred wraps in place (plus a ``prev`` snapshot tuple
-    of the committed state), and ``regs`` is written exactly once per
-    kernel call — at the exit that actually leaves the loop.
-    Hardware-stat deltas are likewise applied once per call, multiplied
-    by the number of committed iterations, instead of per back-edge.
-    Every way out of the loop but a full batch — a side exit (which
-    records its exit in ``_x`` after applying its own stat deltas) and a
-    guard escape (``_x`` stays None) — shares one abort epilogue after
-    the loop, so the committed-state restore is spelled once per kernel.
-    With ``n = 1`` the kernel is one vec execution (0 batched
-    iterations), which is how scalar uses of the trace run it.
+    register is bound once above the loop, the back-edge site normalizes
+    only the deferred wraps the next iteration reads before writing (plus
+    a ``prev`` snapshot tuple of the committed state), and ``regs`` is
+    written exactly once per kernel call — at the exit that actually
+    leaves the loop, which also normalizes the deferred wraps the back
+    edge left raw. Hardware-stat deltas are likewise applied once per
+    call, multiplied by the number of committed iterations, instead of
+    per back-edge. Every way out of the loop but a full batch — a side
+    exit (which records its exit in ``_x`` after applying its own stat
+    deltas) and a guard escape (``_x`` stays None) — shares one abort
+    epilogue after the loop, so the committed-state restore is spelled
+    once per kernel. With ``n = 1`` the kernel is one vec execution (0
+    batched iterations), which is how scalar uses of the trace run it.
 
     Returns ``None`` when the trace has no structural back-edge
     candidate (:func:`repro.sim.replay_ir.loop_candidate`) or the static
     lowering rejects it for the vec tier's reasons. Otherwise returns
-    ``(fn, exit_fps)``; the kernel signature is ``(regs, data, msize,
+    ``(fn, exit_fps)``; the kernel signature is ``(regs, words, msize,
     ad, undo_log, n)`` and it returns ``(iters, mark, exit_idx,
     exit_kind, payload)``: ``iters`` back-edge iterations committed in
     full (registers written back, memory kept, hardware-stat deltas
     applied), ``mark`` the undo-log length at the final iteration's
     start, and the final iteration's exit — with ``exit_kind ==``
     :data:`BATCH_TRIM` when a guard fired and the caller must roll back
-    ``undo_log[mark:]`` and re-run the final iteration exactly. Every
-    committed iteration is indistinguishable from one scalar vec
-    execution exiting at the back-edge site — the exact-accounting
-    contract the goldens and the ``backends`` fuzz oracle pin.
+    the ``(word index, old word)`` entries of ``undo_log[mark:]`` and
+    re-run the final iteration exactly. Every committed iteration is
+    indistinguishable from one scalar vec execution exiting at the
+    back-edge site — the exact-accounting contract the goldens and the
+    ``knobs`` fuzz oracle pin.
     """
-    if ir.dyn:
+    if ir.dyn or not _LITTLE_ENDIAN or not _word_only(ir):
         return None
     family = _hw_family(ir)
     if family == "dyn":
         return None
     if R.loop_candidate(ir) is None:
         return None
-    limit = _family_limit(adapter, family)
-    env: dict = {"ifb": int.from_bytes, "u64": _U64.unpack_from,
-                 "p64": _U64.pack_into, "len": len, "_overlaps": _overlaps}
+    env: dict = {"len": len}
     lines: List[str] = [
-        "def _replay_batch(regs, data, msize, ad, undo_log, n, "
-        "u64=u64, p64=p64, ifb=ifb, len=len, _overlaps=_overlaps):",
+        "def _replay_batch(regs, W, msize, ad, undo_log, n, len=len):",
+        "    undo_append = undo_log.append",
     ]
     emit = lines.append
-    emit("    undo_append = undo_log.append")
-    # bounds-limit locals are loop-invariant: hoist them above the
-    # iteration loop
-    sizes = sorted({op[4] for op in ir.ops if op[0] in (R.OP_LD, R.OP_ST)})
-    for size in sizes:
-        emit(f"    mlim{size} = msize - {size}")
+    em = _ResidueEmitter(
+        ir, adapter, guest_count, family, _family_limit(adapter, family),
+        lines, "        ", fb="break",
+    )
+    # guard bounds are loop-invariant: bind them above the iteration loop
+    lines.extend(em.limit_lines("    "))
     # loop-carried register locals: bind every referenced register once
     # above the iteration loop. Exits restore/write back explicitly, so
     # the back edge never touches ``regs`` at all.
@@ -1261,8 +1199,8 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     emit("        mark = len(undo_log)")
 
     # capture at the back-edge site: the written guest registers' slots
-    # (in first-write order), hardware stats of one full iteration, and
-    # max_live
+    # (in first-write order), the ones whose locals stay raw there,
+    # hardware stats of one full iteration, and max_live
     cap: dict = {}
 
     def mult_lines(pad: str) -> List[str]:
@@ -1284,6 +1222,16 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
                        f"_hs.max_live = {max_live}")
         return out
 
+    def normalize_lines(pad: str) -> List[str]:
+        """Wrap the written-back registers the back edge left raw: once
+        per kernel call, as one loop over their slots."""
+        if not cap["raw"]:
+            return []
+        return [
+            f"{pad}for _k in ({''.join(f'{r}, ' for r in cap['raw'])}):",
+            f"{pad}    regs[_k] = {_wrapped('regs[_k]')}",
+        ]
+
     def batch_exit(em: _ResidueEmitter, k: int, xkind: int, payload,
                    commit: bool, indent: str) -> None:
         e = em.emit
@@ -1304,21 +1252,23 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
             return
         # the trace's first commit-kind exit is the back-edge site
         # (loop_candidate: a program exit before it leaves no candidate,
-        # and everything after it is dead). Normalize deferred locals to
-        # canonical signed form (the next iteration's reads assume it),
-        # re-zero scratch registers the body reads before writing,
-        # snapshot the committed state for the abort epilogue, and loop
-        for reg in em.written:
-            if reg in em.deferred_now and reg < guest_count:
-                e(f"{indent}r{reg} = (r{reg} + {_HIGH} "
-                  f"& {_MASK64}) - {_HIGH}")
+        # and everything after it is dead). Normalize the deferred locals
+        # the next iteration reads before writing (its reads assume
+        # canonical signed form) and leave the rest raw, re-zero scratch
+        # registers the body reads before writing, snapshot the
+        # committed state for the abort epilogue, and loop
+        wr = [r for r in em.written if r < guest_count]
+        raw = [r for r in wr if r in em.deferred_now and r not in rbw]
+        for reg in wr:
+            if reg in em.deferred_now and reg in rbw:
+                e(f"{indent}r{reg} = {_wrapped(f'r{reg}')}")
         if rbw_temps:
             e(indent + " = ".join(f"r{r}" for r in rbw_temps) + " = 0")
-        wr = [r for r in em.written if r < guest_count]
         # tuple displays of the written guest registers' locals and
         # slots; the trailing comma keeps a one-register tuple a tuple
         live = "".join(f"r{r}, " for r in wr).rstrip()
         cap["slots"] = "".join(f"regs[{r}], " for r in wr).rstrip()
+        cap["raw"] = raw
         hw = em.hw
         cap["stats"] = dict(hw.stats) if hw is not None else {}
         cap["max_live"] = (hw.max_live
@@ -1329,27 +1279,26 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
         e(f"{indent}it += 1")
         e(f"{indent}if it < n:")
         e(f"{indent}    continue")
-        # full batch: every iteration committed, locals canonical
+        # full batch: every iteration committed
         if wr:
             e(f"{indent}{cap['slots']} = {live}")
+            for line in normalize_lines(indent):
+                e(line)
         for line in mult_lines(indent):
             e(line)
         e(f"{indent}return (it - 1, mark, {k}, {xkind}, {payload!r})")
 
-    em = _ResidueEmitter(
-        ir, adapter, guest_count, family, limit,
-        _wants_bloom(ir, family, limit), lines, "        ", fb="break",
-        hoisted_sizes=sizes,
-    )
     em.bound |= refs
     if not em.walk(batch_exit) or not cap:
         return None
     # abort epilogue, shared by every side exit and guard escape: restore
     # the last committed register state (memory rolls back in the caller
-    # via the undo slice) and apply the committed iterations' stat deltas
+    # via the undo slice), normalizing the locals the back edge left raw,
+    # and apply the committed iterations' stat deltas
     body = mult_lines("        ")
     if cap["slots"]:
         body.append(f"        {cap['slots']} = prev")
+        body.extend(normalize_lines("        "))
     if body:
         emit("    if it:")
         lines.extend(body)

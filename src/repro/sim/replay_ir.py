@@ -11,9 +11,10 @@ never look at :class:`~repro.ir.instruction.Instruction` objects again:
   emits today's straight-line replay function from the IR;
 * the ``vec`` backend (:func:`repro.sim.replay_backends.compile_vec`)
   statically simulates the alias hardware over the IR's event stream and
-  compiles the residue — register locals, guarded address computations,
-  bloom-prefiltered alias pair sweeps — into a kernel that falls back to
-  the dispatch loop whenever a runtime fact (bounds violation, possible
+  compiles the residue — register locals, word-indexed memory access
+  behind one guard per base register, alias checks by word-index
+  equality — into a kernel that falls back to the dispatch loop
+  whenever a runtime fact (bounds violation, misaligned base, possible
   alias overlap) escapes the static model;
 * the ``batch`` backend (:func:`repro.sim.replay_backends.compile_batch`)
   wraps the same residue in an iteration loop over the trace's
@@ -232,7 +233,8 @@ def batch_legality(ir: ReplayIR) -> dict:
 
 def _lower_alu(inst: Instruction, k: int, aux, dyn) -> Tuple:
     """Lower one ALU instruction to its IR tuple (mirrors the opcode
-    dispatch of the simulator's replay codegen / ``_execute_alu``)."""
+    dispatch of :func:`repro.sim.vliw._compile_alu_fn`, the dispatch
+    loop's ALU closures)."""
     op = inst.opcode
     d = inst.dest
     srcs = inst.srcs

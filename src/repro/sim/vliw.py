@@ -65,15 +65,20 @@ kernel from :mod:`repro.sim.replay_backends`:
   at its own entry pc and the step budget affords it, and at ``n = 1``
   for every scalar use (which is exactly one ``vec`` execution);
 * ``vec`` otherwise — the same statically pre-simulated residue
-  (register locals, guarded addresses, alias pair sweeps) without the
-  iteration loop.
+  (register locals, guarded word indexes, alias tests by word-index
+  equality) without the iteration loop.
 
-Any runtime fact that escapes a kernel's static model (bounds violation,
-possible alias overlap) rolls back and re-runs that one execution on the
-dispatch loop — the ``interp`` oracle, exact by construction, and far
-cheaper for one run than generating ``py`` code for it. Traces that
-keep escaping are demoted to the straight-line ``py`` function for good,
-and a trace neither kernel can lower runs ``py`` from the threshold on.
+Kernels address memory through :attr:`~repro.sim.memory.Memory.words`
+and log ``(word index, old word)`` undo entries, which
+:func:`_restore_words` rolls back; the ``interp`` and ``py`` tiers keep
+``(addr, bytes)`` entries. Any runtime fact that escapes a kernel's
+static model (bounds violation, misaligned base, possible alias overlap)
+rolls back and re-runs that one execution on the dispatch loop — the
+``interp`` oracle, exact by construction, and far cheaper for one run
+than generating ``py`` code for it. Traces that keep escaping are
+demoted to the straight-line ``py`` function for good, and a trace
+neither kernel can lower — one with an access that is not an aligned
+8-byte word, for instance — runs ``py`` from the threshold on.
 
 ``SMARQ_REPLAY_BACKEND=interp|py|vec|batch`` forces a tier for every
 region from its first execution (the kill switch / oracle selector:
@@ -119,6 +124,14 @@ def _wrap(value: int) -> int:
     if value >= 1 << 63:
         value -= 1 << 64
     return value
+
+
+def _restore_words(words, undo_log) -> None:
+    """Roll back a kernel's stores, newest first: a kernel's undo
+    entries are ``(word index, old word)`` into the memory's word view
+    (the ``interp`` and ``py`` tiers log ``(addr, bytes)`` instead)."""
+    for i, old in reversed(undo_log):
+        words[i] = old
 
 
 @dataclass
@@ -310,10 +323,11 @@ def invalidate_timing_plans(region) -> bool:
 def _compile_alu_fn(inst: Instruction) -> Callable[[List[int]], None]:
     """Specialized register-effect closure for one ALU instruction.
 
-    Mirrors the opcode dispatch of :meth:`VliwSimulator._execute_alu`
-    exactly; unsupported opcodes compile to a closure that raises the same
-    error at execution time (not compile time), preserving any partial
-    side effects of the instructions before it.
+    Mirrors the opcode dispatch of the replay IR's ALU lowering
+    (:func:`repro.sim.replay_ir._lower_alu`) exactly; unsupported
+    opcodes compile to a closure that raises the same error at execution
+    time (not compile time), preserving any partial side effects of the
+    instructions before it.
     """
     op = inst.opcode
     dest = inst.dest
@@ -761,9 +775,9 @@ class VliwSimulator:
         pristine (the kernel mutates them only on success)."""
         memory = self.memory
         tracer = self.tracer
-        undo_log: List[Tuple[int, bytes]] = []
+        undo_log: List[Tuple[int, int]] = []
         idx, exit_kind, payload = fn(
-            registers, memory.buffer, memory.size, adapter, undo_log.append
+            registers, memory.words, memory.size, adapter, undo_log.append
         )
         if idx != -2:
             plan.executions += 1
@@ -779,8 +793,7 @@ class VliwSimulator:
                 region, undo_log, trace, fall_through, plan, idx,
                 exit_kind, payload,
             )
-        for addr, old in reversed(undo_log):
-            memory.write_bytes(addr, old)
+        _restore_words(memory.words, undo_log)
         art = plan.artifact
         art.vec_fallbacks += 1
         if art.vec_fallbacks >= _backends.VEC_FALLBACK_LIMIT:
@@ -805,9 +818,9 @@ class VliwSimulator:
         stats = self.stats
         tracer = self.tracer
         active = tracer.active
-        undo_log: List[Tuple[int, bytes]] = []
+        undo_log: List[Tuple[int, int]] = []
         iters, mark, idx, kind, payload = fn(
-            registers, memory.buffer, memory.size, adapter, undo_log, n
+            registers, memory.words, memory.size, adapter, undo_log, n
         )
         loop_out: Optional[RegionOutcome] = None
         if iters:
@@ -829,8 +842,7 @@ class VliwSimulator:
             # the final iteration escaped the static model: roll back
             # its own undo slice (committed iterations keep theirs) and
             # re-run it exactly on the dispatch loop
-            for addr, old in reversed(undo_log[mark:]):
-                memory.write_bytes(addr, old)
+            _restore_words(memory.words, undo_log[mark:])
             if active:
                 tracer.count("vliw.batch_trims")
             if iters * 2 < n:
@@ -1081,7 +1093,7 @@ class VliwSimulator:
     def _finish_vec(
         self,
         region,
-        undo_log: List[Tuple[int, bytes]],
+        undo_log: List[Tuple[int, int]],
         trace,
         fall_through,
         plan: _TimingPlan,
@@ -1110,9 +1122,7 @@ class VliwSimulator:
             stats.instructions += out.instructions_executed
             stats.total_cycles += out.cycles
             if exit_kind == _X_SIDE:
-                memory = self.memory
-                for addr, old in reversed(undo_log):
-                    memory.write_bytes(addr, old)
+                _restore_words(self.memory.words, undo_log)
                 stats.side_exit_aborts += 1
             else:
                 stats.commits += 1
@@ -1143,9 +1153,7 @@ class VliwSimulator:
         stats.instructions += executed
 
         if exit_kind == _X_SIDE:
-            memory = self.memory
-            for addr, old in reversed(undo_log):
-                memory.write_bytes(addr, old)
+            _restore_words(self.memory.words, undo_log)
             cycles += machine.rollback_penalty
             stats.side_exit_aborts += 1
             stats.total_cycles += cycles
@@ -1457,65 +1465,3 @@ class VliwSimulator:
             exit_code=exit_code,
             instructions_executed=executed,
         )
-
-    # ------------------------------------------------------------------
-    # Reference implementations, kept for direct use in unit tests and as
-    # the executable specification the compiled trace must match.
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _branch_taken(inst: Instruction, regs: List[int]) -> bool:
-        a = regs[inst.srcs[0]]
-        b = regs[inst.srcs[1]] if len(inst.srcs) > 1 else 0
-        return {
-            Opcode.BEQ: a == b,
-            Opcode.BNE: a != b,
-            Opcode.BLT: a < b,
-            Opcode.BGE: a >= b,
-        }[inst.opcode]
-
-    @staticmethod
-    def _execute_alu(inst: Instruction, regs: List[int]) -> None:
-        op = inst.opcode
-        if op is Opcode.MOVI:
-            regs[inst.dest] = inst.imm or 0
-        elif op is Opcode.MOV:
-            regs[inst.dest] = regs[inst.srcs[0]]
-        elif op in (Opcode.ADD, Opcode.SUB) and inst.imm is not None:
-            delta = inst.imm if op is Opcode.ADD else -inst.imm
-            regs[inst.dest] = _wrap(regs[inst.srcs[0]] + delta)
-        elif op is Opcode.ADD:
-            regs[inst.dest] = _wrap(regs[inst.srcs[0]] + regs[inst.srcs[1]])
-        elif op is Opcode.SUB:
-            regs[inst.dest] = _wrap(regs[inst.srcs[0]] - regs[inst.srcs[1]])
-        elif op is Opcode.MUL:
-            regs[inst.dest] = _wrap(regs[inst.srcs[0]] * regs[inst.srcs[1]])
-        elif op is Opcode.AND:
-            regs[inst.dest] = regs[inst.srcs[0]] & regs[inst.srcs[1]]
-        elif op is Opcode.OR:
-            regs[inst.dest] = regs[inst.srcs[0]] | regs[inst.srcs[1]]
-        elif op is Opcode.XOR:
-            regs[inst.dest] = regs[inst.srcs[0]] ^ regs[inst.srcs[1]]
-        elif op is Opcode.SHL:
-            regs[inst.dest] = _wrap(regs[inst.srcs[0]] << (regs[inst.srcs[1]] & 63))
-        elif op is Opcode.SHR:
-            regs[inst.dest] = (regs[inst.srcs[0]] & _MASK64) >> (
-                regs[inst.srcs[1]] & 63
-            )
-        elif op is Opcode.CMP:
-            a, b = regs[inst.srcs[0]], regs[inst.srcs[1]]
-            regs[inst.dest] = (a > b) - (a < b)
-        elif op is Opcode.FADD:
-            regs[inst.dest] = _wrap(regs[inst.srcs[0]] + regs[inst.srcs[1]])
-        elif op is Opcode.FSUB:
-            regs[inst.dest] = _wrap(regs[inst.srcs[0]] - regs[inst.srcs[1]])
-        elif op is Opcode.FMUL:
-            regs[inst.dest] = _wrap(regs[inst.srcs[0]] * regs[inst.srcs[1]])
-        elif op is Opcode.FDIV:
-            b = regs[inst.srcs[1]]
-            regs[inst.dest] = regs[inst.srcs[0]] // b if b else 0
-        elif op is Opcode.FMA:
-            regs[inst.dest] = _wrap(
-                regs[inst.dest] + regs[inst.srcs[0]] * regs[inst.srcs[1]]
-            )
-        else:
-            raise ValueError(f"VLIW simulator cannot execute {inst!r}")

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.fuzz.generator import word_shaped
 from repro.fuzz import (
     CaseRun,
     FuzzCase,
@@ -76,6 +77,63 @@ class TestGenerator:
         counts = {generate_case(s).config.alias_registers for s in range(60)}
         assert any(n <= 8 for n in counts)
         assert 64 in counts
+
+
+#: ``generate_case(seed).to_dict()`` in JSON form for three seeds. Seed
+#: 3 is word shaped: the same draw as before word shaping, with its
+#: sub-word load and its 9-byte base shift rounded to whole words.
+#: Seeds 4 and 8 are drawn exactly as before word-shaped seeds existed.
+PINNED_CASES = {
+    3: {"schema": 1, "config": {
+        "seed": 3, "alias_registers": 16, "known_bases": 2,
+        "unknown_bases": 2, "base_regions": [1, 0], "base_shifts": [8, 0],
+        "base_walks": [False, True], "iterations": 41, "hot_threshold": 10},
+        "ops": [["pmov", 1, "u0", 64], ["pmov", 1, "u0", 16],
+                ["pmov", 1, "u1", 8], ["fop", "fmul", 33, 32, 38],
+                ["fop", "fmul", 23, 21, 24], ["ld", 29, "u1", 40, 8],
+                ["fop", "fadd", 28, 39, 25], ["st", "u0", 26, 40, 8],
+                ["pmov", 1, "k0", 64], ["ld", 33, "u0", 0, 8],
+                ["movi", 37, 142]]},
+    4: {"schema": 1, "config": {
+        "seed": 4, "alias_registers": 12, "known_bases": 1,
+        "unknown_bases": 2, "base_regions": [0, 0], "base_shifts": [0, 0],
+        "base_walks": [True, False], "iterations": 33, "hot_threshold": 10},
+        "ops": [["pmov", 1, "u0", 32], ["fop", "fadd", 28, 28, 26],
+                ["pmov", 1, "k0", 32], ["st", "k0", 22, 32, 2],
+                ["movi", 29, 99], ["st", "u0", 27, 49, 8],
+                ["ld", 28, "u0", 48, 8], ["st", "u1", 36, 51, 4],
+                ["ld", 35, "u0", 48, 4], ["st", "u0", 34, 49, 4],
+                ["ld", 25, "u1", 48, 4]]},
+    8: {"schema": 1, "config": {
+        "seed": 8, "alias_registers": 6, "known_bases": 1,
+        "unknown_bases": 2, "base_regions": [0, 0], "base_shifts": [1, 1],
+        "base_walks": [False, False], "iterations": 36, "hot_threshold": 10},
+        "ops": [["st", "u1", 22, 55, 8], ["fop", "fmul", 35, 32, 23],
+                ["ld", 32, "u1", 0, 1], ["fop", "fmul", 36, 26, 38]]},
+}
+
+
+class TestWordShapedSeeds:
+    """Every third seed draws a word-shaped case, the only shape the
+    replay kernels lower; every other seed draws exactly as before."""
+
+    def test_every_third_seed(self):
+        assert [s for s in range(12) if word_shaped(s)] == [0, 3, 6, 9]
+
+    def test_word_shaped_accesses_are_whole_aligned_words(self):
+        for seed in range(0, 60, 3):
+            case = generate_case(seed)
+            accesses = [op for op in case.ops if op[0] in ("ld", "st")]
+            assert accesses
+            assert all(op[4] == 8 and op[3] % 8 == 0 for op in accesses)
+            assert all(s % 8 == 0 for s in case.config.base_shifts)
+            assert all(op[3] % 8 == 0 for op in case.ops if op[0] == "pmov")
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_CASES))
+    def test_pinned_cases(self, seed):
+        # compared in its JSON form, the one corpus entries store
+        blob = json.loads(json.dumps(generate_case(seed).to_dict()))
+        assert blob == PINNED_CASES[seed]
 
 
 class TestBenchmarkTransport:
@@ -209,6 +267,22 @@ class TestRunner:
         stats = run_fuzz(config)
         assert stats.stopped_by_budget
         assert stats.cases_run < 10_000
+
+    def test_a_quarter_of_the_cases_run_a_kernel(self, tmp_path):
+        """Kernel coverage: at least a quarter of a 40-case seed-0
+        campaign runs a batch or vec replay kernel (14 do: the
+        word-shaped seeds), and the rendered stats say how many."""
+        config = FuzzConfig(
+            seed=0, cases=40, oracles=("schemes",), out_dir=tmp_path
+        )
+        stats = run_fuzz(config)
+        assert stats.ok
+        covered = stats.tracer.counters.get("fuzz.kernel_cases", 0)
+        assert covered * 4 >= stats.cases_run == 40
+        assert (
+            f"kernel coverage       : {covered} of 40 cases ran a batch or "
+            f"vec replay kernel" in render_stats(stats, config)
+        )
 
     def test_unknown_oracle_rejected(self):
         with pytest.raises(ValueError, match="unknown oracle"):

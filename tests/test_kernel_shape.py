@@ -1,18 +1,25 @@
-"""Kernel-shape tests: the replay kernels stay small without changing
-what escapes.
+"""Kernel-shape tests: the replay kernels index guest memory as words
+without changing what escapes.
 
-The batch and vec kernels (:mod:`repro.sim.replay_backends`) keep their
-rare paths out of line: a long overlap sweep runs after a bloom probe
-hit as :func:`~repro.sim.replay_backends._overlaps` calls, and a batch
-kernel restores its committed state in one shared abort epilogue. These
-tests pin:
+The batch and vec kernels (:mod:`repro.sim.replay_backends`) read and
+write :attr:`~repro.sim.memory.Memory.words`, guard each group of
+accesses through one base register version within one segment once, and
+test alias pairs by word-index equality. A batch kernel restores its
+committed state in one shared abort epilogue. These tests pin:
 
-* ``_overlaps`` decides exactly what the inline pairwise chain decides,
-  at the boundaries that matter: spans that touch, overlap by one byte,
-  or nest;
-* a check that really overlaps an earlier set passes the bloom probe,
-  trims the kernel, and the re-run execution equals the ``interp``
-  oracle's, hardware stats included;
+* for 8-aligned 8-byte accesses, word-index equality decides exactly
+  what the pairwise byte-range test decides;
+* a check whose word index equals an earlier set's trims the kernel,
+  and the re-run execution equals the ``interp`` oracle's, hardware
+  stats included;
+* a misaligned base escapes its guard, and the run equals ``interp``;
+* a side exit taken before an out-of-bounds access in a later segment
+  still side-exits: the later segment's guard never runs;
+* an out-of-bounds access anywhere in its group escapes at the group's
+  guard, and the re-run raises the ``interp`` tier's fault;
+* a trace with a sub-word or unaligned access is rejected by both
+  kernels, and the run equals ``interp``;
+* ``Memory.words`` and ``Memory.buffer`` alias each other both ways;
 * every batch kernel generated on the golden cells has at most one
   ``= prev`` restore statement — exactly one when it writes a guest
   register.
@@ -32,84 +39,48 @@ from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
 from repro.sched.machine import MachineModel
 from repro.sim.dbt import DbtSystem
-from repro.sim.memory import Memory
-from repro.sim.replay_backends import _overlaps
+from repro.sim.memory import Memory, MemoryFault
+from repro.sim.replay_ir import lower_trace
 from repro.sim.schemes import SmarqAdapter
-from repro.sim.vliw import _REPLAY_THRESHOLD, VliwSimulator
+from repro.sim.vliw import _REPLAY_THRESHOLD, VliwSimulator, _compile_trace
 from repro.workloads import make_benchmark
 
 from tests.test_golden_reports import GOLDEN_CELLS, GOLDEN_HOT_THRESHOLD
 
 MACHINE = MachineModel()
+MEMORY_BYTES = 4096
 
 
 @pytest.fixture(autouse=True)
-def _fresh_artifacts():
+def _fresh_artifacts(monkeypatch):
+    monkeypatch.delenv("SMARQ_REPLAY_BACKEND", raising=False)
     backends_mod.reset_artifact_cache()
     yield
     backends_mod.reset_artifact_cache()
 
 
-def _inline_chain(a, size, psize, addrs):
-    """The pairwise test a kernel emits inline for a short sweep."""
-    return any(p < a + size and a < p + psize for p in addrs)
-
-
 @st.composite
-def _span_near(draw, a, size):
-    """An earlier access's start that touches, overlaps by one byte,
-    nests with, or lands anywhere near ``[a, a + size)``."""
-    psize = draw(st.integers(1, 8))
-    relation = draw(st.sampled_from(
-        ("touch_below", "touch_above", "one_below", "one_above",
-         "nest", "near")
-    ))
-    if relation == "touch_below":
-        p = a - psize
-    elif relation == "touch_above":
-        p = a + size
-    elif relation == "one_below":
-        p = a - psize + 1
-    elif relation == "one_above":
-        p = a + size - 1
-    elif relation == "nest":
-        # the smaller span sits anywhere inside the larger one
-        lo, hi = sorted((0, size - psize))
-        p = a + draw(st.integers(lo, hi))
-    else:
-        p = a + draw(st.integers(-16, 16))
-    return psize, p
+def _word_pairs(draw):
+    """Two 8-byte accesses as a kernel sees them: an 8-aligned base plus
+    a displacement that is a multiple of 8, the second placed anywhere
+    from disjoint to identical relative to the first."""
+    base = 8 * draw(st.integers(0, 1 << 40))
+    disp = 8 * draw(st.integers(-4, 4))
+    p_base = base + 8 * draw(st.integers(-6, 6))
+    p_disp = 8 * draw(st.integers(-4, 4))
+    return base, disp, p_base, p_disp
 
 
-@st.composite
-def _sweeps(draw):
-    a = draw(st.integers(0, (1 << 64) - 9))
-    size = draw(st.integers(1, 8))
-    spans = draw(st.lists(_span_near(a, size), max_size=8))
-    return a, size, spans
-
-
-class TestOverlapsHelper:
+class TestWordIndexEquality:
     @settings(max_examples=400, deadline=None)
-    @given(sweep=_sweeps())
-    def test_matches_inline_pairwise_chain(self, sweep):
-        a, size, spans = sweep
-        by_size = {}
-        for psize, p in spans:
-            by_size.setdefault(psize, []).append(p)
-        for psize, addrs in by_size.items():
-            assert _overlaps(a, size, psize, tuple(addrs)) == _inline_chain(
-                a, size, psize, addrs
-            )
-        # the kernel joins one call per distinct pair size with ``or``
-        out_of_line = any(
-            _overlaps(a, size, psize, tuple(addrs))
-            for psize, addrs in by_size.items()
-        )
-        inline = any(
-            p < a + size and a < p + psize for psize, p in spans
-        )
-        assert out_of_line == inline
+    @given(pair=_word_pairs())
+    def test_matches_pairwise_byte_range_test(self, pair):
+        base, disp, p_base, p_disp = pair
+        a, p = base + disp, p_base + p_disp
+        # the kernel's word index: the guard binds ``base >> 3`` and each
+        # access adds its displacement in words
+        same_word = (base >> 3) + disp // 8 == (p_base >> 3) + p_disp // 8
+        assert same_word == (p < a + 8 and a < p + 8)
 
 
 def _translate(insts):
@@ -119,12 +90,12 @@ def _translate(insts):
     ).optimize(block)
 
 
-def bloom_region():
+def sweep_region():
     """A store whose value waits on a load, then five loads from
     distinct base registers that speculation hoists above it: the
-    store's check sweeps five earlier sets, so the kernel guards it with
-    the bloom probe. ``r3 == 0x100`` makes the first hoisted load
-    really overlap the store."""
+    store's check tests its word index against five earlier sets.
+    ``r3 == 0x100`` makes the first hoisted load really overlap the
+    store."""
     return _translate(
         [
             movi(1, 0x100),
@@ -140,63 +111,227 @@ def bloom_region():
     )
 
 
-def _run(region, sim, r3):
-    memory = Memory(4096)
+def misaligned_region():
+    """A load through ``r3`` and a store through ``r1``; any ``r3`` that
+    is not a multiple of 8 fails the load's guard."""
+    return _translate(
+        [
+            movi(1, 0x100),
+            load(2, 3),
+            store(1, 2),
+            branch(Opcode.BR, 0),
+        ]
+    )
+
+
+def two_segment_region():
+    """``r5`` is read before the side exit and written 8 KB past itself
+    after it: one base register version, two segments. With ``r3 != 0``
+    the side exit is taken and the out-of-bounds store never runs."""
+    return _translate(
+        [
+            load(2, 5),
+            branch(Opcode.BNE, 7, srcs=(3, 0)),
+            store(5, 2, disp=8192),
+            branch(Opcode.BR, 0),
+        ]
+    )
+
+
+def _run(region, sim, **regs):
+    memory = Memory(MEMORY_BYTES)
     memory.write(0x100, 0xAB, 8)
     memory.write(0x300, 0xCD, 8)
     registers = [0] * 64
-    registers[3] = r3
+    for name, value in regs.items():
+        registers[int(name[1:])] = value
     sim.memory = memory
     adapter = SmarqAdapter(64)
     outcome = sim.execute_region(region, adapter, registers)
     return (
-        outcome, registers, memory.read_bytes(0, 4096),
+        outcome, registers, memory.read_bytes(0, MEMORY_BYTES),
         adapter.queue.stats,
     )
 
 
-class TestBloomHitTrims:
-    def test_real_overlap_after_probe_hit_trims_and_matches_interp(
-        self, monkeypatch
-    ):
-        monkeypatch.delenv("SMARQ_REPLAY_BACKEND", raising=False)
-        calls = []
-        real = backends_mod._overlaps
+def _against_interp(make_region, pattern, monkeypatch):
+    """Run ``pattern`` (one register dict per execution) on a fresh
+    simulator in auto mode, then on the ``interp`` oracle; return the
+    auto run's tracer counters and captured batch-kernel sources after
+    asserting the two runs are identical, stats included."""
+    sources = []
+    real_compile = compile
 
-        def recording(a, size, psize, addrs):
-            hit = real(a, size, psize, addrs)
-            calls.append((len(addrs), hit))
-            return hit
+    def recording(src, filename, mode, *args, **kwargs):
+        if filename == "<vliw-replay-batch>":
+            sources.append(src)
+        return real_compile(src, filename, mode, *args, **kwargs)
 
-        # kernels bind the helper from the module when they compile
-        monkeypatch.setattr(backends_mod, "_overlaps", recording)
-        region = bloom_region()
-        tracer = Tracer()
-        sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
+    monkeypatch.setattr(backends_mod, "compile", recording, raising=False)
+    tracer = Tracer()
+    sim = VliwSimulator(MACHINE, Memory(MEMORY_BYTES), tracer=tracer)
+    region = make_region()
+    runs = [_run(region, sim, **regs) for regs in pattern]
+
+    monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "interp")
+    oracle = VliwSimulator(MACHINE, Memory(MEMORY_BYTES))
+    oracle_region = make_region()
+    expected = [_run(oracle_region, oracle, **regs) for regs in pattern]
+    assert runs == expected
+    assert sim.stats == oracle.stats
+    return tracer.counters, sources, runs
+
+
+def _alias_tests(src):
+    """The word-index count of each of a batch kernel's alias tests,
+    ``if j == p: break`` (1) or ``if j in (p1, p2, ...): break``."""
+    out = []
+    for node in ast.walk(ast.parse(src)):
+        if (
+            isinstance(node, ast.If)
+            and isinstance(node.test, ast.Compare)
+            and isinstance(node.test.ops[0], (ast.Eq, ast.In))
+            and len(node.body) == 1
+            and isinstance(node.body[0], ast.Break)
+        ):
+            other = node.test.comparators[0]
+            out.append(len(other.elts) if isinstance(other, ast.Tuple) else 1)
+    return out
+
+
+class TestWordKernelEscapes:
+    def test_index_sweep_hit_trims_and_matches_interp(self, monkeypatch):
         # dispatch-loop runs below the threshold, a clean kernel run at
         # it, then colliding and clean kernel runs
-        pattern = [0x300] * _REPLAY_THRESHOLD + [0x100, 0x300, 0x100]
-        runs = [_run(region, sim, r3) for r3 in pattern]
-
-        c = tracer.counters
+        pattern = (
+            [{"r3": 0x300}] * _REPLAY_THRESHOLD
+            + [{"r3": 0x100}, {"r3": 0x300}, {"r3": 0x100}]
+        )
+        c, sources, runs = _against_interp(sweep_region, pattern,
+                                           monkeypatch)
         assert c.get("vliw.batch_compiles", 0) == 1
         assert c.get("vliw.batch_trims", 0) == 2
         assert c.get("vliw.replay_compiles", 0) == 0
-        # the helper runs only behind a passed probe (a sweep shorter
-        # than _BLOOM_SWEEP_MIN stays inline): the clean kernel runs
-        # never called it, and each colliding run swept all five sets
-        # and found the overlap
-        assert calls == [(5, True), (5, True)]
+        # the store's one check: a membership test over five word indexes
+        assert [_alias_tests(src) for src in sources] == [[5]]
         assert [run[0].status for run in runs] == (
             ["commit"] * _REPLAY_THRESHOLD + ["alias", "commit", "alias"]
         )
 
+    def test_misaligned_base_escapes_and_matches_interp(self, monkeypatch):
+        pattern = (
+            [{"r3": 0x300}] * _REPLAY_THRESHOLD
+            + [{"r3": 0x304}, {"r3": 0x300}, {"r3": 0x2FF}]
+        )
+        c, _sources, runs = _against_interp(misaligned_region, pattern,
+                                            monkeypatch)
+        assert c.get("vliw.batch_compiles", 0) == 1
+        # the two misaligned runs escape the kernel and re-run exactly
+        assert c.get("vliw.batch_trims", 0) == 2
+        assert c.get("vliw.replay_compiles", 0) == 0
+        assert [run[0].status for run in runs] == ["commit"] * len(pattern)
+
+    def test_side_exit_before_a_later_segments_fault_side_exits(
+        self, monkeypatch
+    ):
+        """The load and the out-of-bounds store share ``r5``'s version
+        but not a segment, so the load's guard checks only its own
+        displacement: the kernel takes the side exit instead of
+        trimming. A guard spanning both segments would escape on every
+        run."""
+        pattern = [{"r3": 1, "r5": 0x300}] * (_REPLAY_THRESHOLD + 3)
+        c, _sources, runs = _against_interp(two_segment_region, pattern,
+                                            monkeypatch)
+        assert c.get("vliw.batch_compiles", 0) == 1
+        assert c.get("vliw.backend_batch", 0) == 4
+        assert c.get("vliw.batch_trims", 0) == 0
+        assert {run[0].status for run in runs} == {"side_exit"}
+
+    @pytest.mark.parametrize("disps,r5", [((0, 1024), 0xC00), ((8, -8), 0)])
+    def test_fault_in_a_group_escapes_at_its_guard(
+        self, disps, r5, monkeypatch
+    ):
+        """The group's one guard covers its largest and its smallest
+        displacement: at the faulting ``r5`` one load of the group is in
+        bounds and the other is not (past the end, or below address 0),
+        so the kernel escapes at the group's first access and the
+        dispatch loop's re-run raises the ``interp`` tier's fault."""
+        def region():
+            return _translate(
+                [load(2, 5, disp=disps[0]), load(4, 5, disp=disps[1]),
+                 branch(Opcode.BR, 0)]
+            )
+
+        tracer = Tracer()
+        sim = VliwSimulator(MACHINE, Memory(MEMORY_BYTES), tracer=tracer)
+        translated = region()
+        for _ in range(_REPLAY_THRESHOLD):
+            _run(translated, sim, r5=0x300)
+        with pytest.raises(MemoryFault) as got:
+            _run(translated, sim, r5=r5)
+        assert tracer.counters.get("vliw.batch_compiles", 0) == 1
+        assert tracer.counters.get("vliw.batch_trims", 0) == 1
+
         monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "interp")
-        oracle = VliwSimulator(MACHINE, Memory(4096))
-        oracle_region = bloom_region()
-        expected = [_run(oracle_region, oracle, r3) for r3 in pattern]
-        assert runs == expected
-        assert sim.stats == oracle.stats
+        oracle = VliwSimulator(MACHINE, Memory(MEMORY_BYTES))
+        with pytest.raises(MemoryFault) as want:
+            _run(region(), oracle, r5=r5)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("size,disp", [(4, 0), (8, 4)])
+    def test_sub_word_access_is_rejected_and_matches_interp(
+        self, size, disp, monkeypatch
+    ):
+        def region():
+            return _translate(
+                [
+                    movi(1, 0x100),
+                    load(2, 3, disp=disp, size=size),
+                    store(1, 2),
+                    branch(Opcode.BR, 0),
+                ]
+            )
+
+        pattern = [{"r3": 0x300}] * (_REPLAY_THRESHOLD + 2)
+        c, sources, _runs = _against_interp(region, pattern, monkeypatch)
+        assert sources == []
+        assert c.get("vliw.batch_compiles", 0) == 0
+        assert c.get("vliw.vec_compiles", 0) == 0
+        # the trace runs the py tier from the threshold on
+        assert c.get("vliw.replay_compiles", 0) == 1
+        assert c.get("vliw.backend_py", 0) == 3
+        # and the lowering rejects it for both kernels
+        linear = region().schedule.linear
+        trace = _compile_trace(MACHINE, linear, SmarqAdapter)[0]
+        ir = lower_trace(linear, trace, SmarqAdapter)
+        adapter = SmarqAdapter(64)
+        assert backends_mod.compile_batch(ir, adapter, 64) is None
+        assert backends_mod.compile_vec(ir, adapter, 64) is None
+
+
+class TestWordView:
+    @pytest.mark.parametrize("size", [64, 61, 7])
+    def test_words_and_buffer_alias_both_ways(self, size):
+        memory = Memory(size)
+        words, buffer = memory.words, memory.buffer
+        # the view covers every whole word and nothing past it
+        assert len(words) == size // 8
+        assert words.nbytes == size & ~7
+        for i in range(len(words)):
+            value = 0x0102030405060708 * (i + 1) & (1 << 64) - 1
+            words[i] = value
+            assert memory.read(8 * i) == value
+            assert bytes(buffer[8 * i:8 * i + 8]) == value.to_bytes(
+                8, "little"
+            )
+            memory.write(8 * i, i + 5)
+            assert words[i] == i + 5
+            buffer[8 * i:8 * i + 8] = (1 << 63 | i).to_bytes(8, "little")
+            assert words[i] == 1 << 63 | i
+        # the tail bytes stay reachable through the byte view only
+        buffer[size & ~7:] = b"\xff" * (size % 8)
+        assert bytes(buffer[size & ~7:]) == b"\xff" * (size % 8)
+        assert all(words[i] == 1 << 63 | i for i in range(len(words)))
 
 
 def _batch_sources(monkeypatch):
@@ -250,7 +385,6 @@ def _writes_guest_register(tree):
 
 class TestOneAbortEpilogue:
     def test_golden_batch_kernels_restore_once(self, monkeypatch):
-        monkeypatch.delenv("SMARQ_REPLAY_BACKEND", raising=False)
         sources = _batch_sources(monkeypatch)
         assert sources, "the golden cells compiled no batch kernel"
         writers = 0

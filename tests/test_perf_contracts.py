@@ -42,10 +42,11 @@ quadratic, an allocator that re-heapifies) fails deterministically:
     job is freed by reference counting;
 11. replay kernels stay lean: over item 6's cold cells, the generated
     replay source is at most half of what it was before the kernels
-    moved their rare paths out of line (``compile()`` time tracks AST
-    nodes, not bytes, so both are pinned), a kernel escape generates no
-    ``py`` code, and the out-of-line overlap sweep runs at most twice
-    per batch execution — it stays behind its bloom probe.
+    moved their rare paths out of line, and no larger than the word
+    kernels made it (``compile()`` time tracks AST nodes, not bytes, so
+    both are pinned), a kernel escape generates no ``py`` code, and
+    every kernel indexes memory as words: no byte accessor, bloom filter
+    or masked address, and one guard per access group.
 """
 
 import ast
@@ -199,23 +200,28 @@ def cold_kernel_run():
     scale 0.2: the tracer counters, the codegen calls of
     :func:`_count_codegen`, every artifact the run created, each
     generated replay source (``compile`` rebound in
-    ``repro.sim.replay_backends``), and the number of
-    :func:`~repro.sim.replay_backends._overlaps` calls."""
+    ``repro.sim.replay_backends``), and each compiled kernel as its
+    ``(ir, source)`` pair."""
     import repro.sim.replay_backends as backends
 
     sources = []
     artifacts = []
-    overlaps = []
+    kernels = []
     real_compile = compile
-    real_overlaps = backends._overlaps
 
     def recording_compile(src, filename, mode, *args, **kwargs):
         sources.append(src)
         return real_compile(src, filename, mode, *args, **kwargs)
 
-    def counting_overlaps(*args):
-        overlaps.append(args)
-        return real_overlaps(*args)
+    def pairing(fn):
+        def wrapper(ir, *args):
+            before = len(sources)
+            out = fn(ir, *args)
+            if out is not None:
+                kernels.append((ir, sources[before]))
+            return out
+
+        return wrapper
 
     class RecordingArtifact(backends.ReplayArtifact):
         def __init__(self):
@@ -225,8 +231,8 @@ def cold_kernel_run():
     with pytest.MonkeyPatch.context() as mp:
         codegen = _count_codegen(mp)
         mp.setattr(backends, "compile", recording_compile, raising=False)
-        # kernels bind the helper from the module when they compile
-        mp.setattr(backends, "_overlaps", counting_overlaps)
+        for name in ("compile_vec", "compile_batch"):
+            mp.setattr(backends, name, pairing(getattr(backends, name)))
         mp.setattr(backends, "ReplayArtifact", RecordingArtifact)
         backends.reset_artifact_cache()
         tracer = Tracer()
@@ -241,7 +247,7 @@ def cold_kernel_run():
         "codegen": codegen,
         "artifacts": artifacts,
         "sources": sources,
-        "overlaps": len(overlaps),
+        "kernels": kernels,
     }
 
 
@@ -284,6 +290,20 @@ class TestOneKernelPerTrace:
 #: moved their rare paths out of line: 10 compiles (8 batch, 2 ``py``)
 PRIOR_SOURCE_BYTES = 260_104
 PRIOR_SOURCE_NODES = 102_827
+#: AST nodes of the same cells' word kernels (8 batch compiles)
+WORD_SOURCE_NODES = 33_526
+
+
+def _guards(tree):
+    """A kernel's group guards: ``if not LO <= rB <= HI or rB & 7``."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.BoolOp)
+        and isinstance(node.test.op, ast.Or)
+        and isinstance(node.test.values[0], ast.UnaryOp)
+        and isinstance(node.test.values[0].operand, ast.Compare)
+    ]
 
 
 class TestLeanKernels:
@@ -299,6 +319,7 @@ class TestLeanKernels:
         )
         assert size <= PRIOR_SOURCE_BYTES // 2, size
         assert nodes <= PRIOR_SOURCE_NODES // 2, nodes
+        assert nodes <= WORD_SOURCE_NODES, nodes
 
     def test_escapes_compile_no_py(self, cold_kernel_run):
         """The run does escape its kernels, and each escape re-runs on
@@ -308,12 +329,35 @@ class TestLeanKernels:
         assert cold_kernel_run["codegen"]["compile_py"] == 0
         assert c.get("vliw.replay_compiles", 0) == 0
 
-    def test_overlap_sweeps_stay_behind_the_probe(self, cold_kernel_run):
-        """A long sweep runs only after its bloom probe passes; without
-        the probe this run makes ~10 calls per batch execution."""
-        batch = cold_kernel_run["counters"].get("vliw.backend_batch", 0)
-        assert batch > 0
-        assert cold_kernel_run["overlaps"] <= 2 * batch
+    def test_kernels_index_words_behind_one_guard_per_group(
+        self, cold_kernel_run
+    ):
+        """No byte accessor, bloom filter or masked address is left in
+        a kernel: every memory subscript is a word index, and each
+        group of accesses (one base register version within one
+        segment) has exactly one guard."""
+        import repro.sim.replay_backends as backends
+
+        kernels = cold_kernel_run["kernels"]
+        assert kernels
+        for ir, src in kernels:
+            for gone in ("u64(", "p64(", "_bf", "_overlaps", "mlim"):
+                assert gone not in src, gone
+            tree = ast.parse(src)
+            _group_of, spans = backends._access_groups(ir)
+            assert len(_guards(tree)) == len(spans), src
+            subscripts = [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "W"
+            ]
+            assert subscripts, src
+            for node in subscripts:
+                assert not any(
+                    isinstance(n, ast.BinOp) and isinstance(n.op, ast.BitAnd)
+                    for n in ast.walk(node.slice)
+                ), src
 
 
 class TestPrefixSharing:
