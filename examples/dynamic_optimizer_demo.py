@@ -73,7 +73,7 @@ def main() -> None:
     print()
 
     same_regs = system.interpreter.registers == ref.registers
-    same_mem = bytes(system.memory._data) == bytes(ref_mem._data)
+    same_mem = system.memory.to_bytes() == ref_mem.to_bytes()
     print(f"architectural state matches pure interpretation: "
           f"registers={same_regs}, memory={same_mem}")
     assert same_regs and same_mem

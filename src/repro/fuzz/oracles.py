@@ -174,7 +174,7 @@ class CaseRun:
             interp = Interpreter(program, memory)
             interp.run(max_steps=_MAX_GUEST_STEPS)
             self._reference_state = (
-                list(interp.registers), bytes(memory._data)
+                list(interp.registers), memory.to_bytes()
             )
         return self._reference_state
 
@@ -213,7 +213,7 @@ class CaseRun:
             ) + counters.get("vliw.backend_vec", 0)
             state = (
                 list(system.interpreter.registers),
-                bytes(system.memory._data),
+                system.memory.to_bytes(),
             )
             self._runs[key] = (state, report.to_dict())
         return self._runs[key]

@@ -14,6 +14,9 @@ that the constraint machinery forces a runtime check between S and X
 
 Safety conditions enforced here (non-speculative, must hold statically):
 
+* X is a load or an 8-byte store: a narrower store's value register
+  holds more than Z reads back (its low bytes, zero-extended), while a
+  load's register already holds exactly that;
 * X's value register is not redefined between X and Z;
 * no MUST-alias store to the same location between X and Z (forwarding
   would be *always* wrong — there is nothing to speculate on);
@@ -156,6 +159,8 @@ class LoadElimination:
         if index is None:
             return None
         source = mem_ops[index]
+        if source.is_store and source.size != 8:
+            return None  # the load reads back only the stored low bytes
         if analysis.speculation_banned(source):
             return None  # runtime banned this op from speculation
         if not self._value_register_live(source, emitted):

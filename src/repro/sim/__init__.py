@@ -1,6 +1,8 @@
 """Execution substrate: memory, VLIW timing simulation, DBT runtime.
 
-* :mod:`repro.sim.memory` — flat little-endian guest memory.
+* :mod:`repro.sim.memory` — flat little-endian guest memory, held as one
+  list of unsigned 64-bit words that every replay tier reads, writes and
+  rolls back the same way.
 * :mod:`repro.sim.schemes` — alias-detection scheme descriptors binding an
   optimizer policy to a hardware adapter (smarq / smarq16 / itanium / none).
 * :mod:`repro.sim.vliw` — bundle-level in-order VLIW timing simulator that

@@ -181,7 +181,8 @@ class _Prefix:
     ``interp_stats["instructions"]``. ``formed`` excludes the head being
     installed: a restored run re-forms that region itself."""
 
-    memory: bytes
+    #: the memory's words (:attr:`repro.sim.memory.Memory.words`)
+    memory: Tuple[int, ...]
     registers: Tuple[int, ...]
     pc: int
     interp_stats: Dict[str, int]
@@ -304,8 +305,8 @@ class DbtSystem:
             pc = interp.pc
             if runtime.has_translation(pc):
                 # Batched dispatch: a self-looping region may commit up
-                # to vliw._BATCH_WIDTH (16) back-edge iterations inside one
-                # call (each accounted exactly like a scalar commit —
+                # to vliw._BATCH_WIDTH (256) back-edge iterations inside
+                # one call (each accounted exactly like a scalar commit —
                 # the budget math below is the scalar loop's, applied
                 # ``batched`` extra times), then returns the final
                 # execution's outcome for normal policy handling.
@@ -413,7 +414,7 @@ class DbtSystem:
                 tuple(ap._window), dict(ap.alias_events), dict(ap.executions)
             )
         _PREFIXES[self._prefix_key] = _Prefix(
-            memory=bytes(self.memory.buffer),
+            memory=tuple(self.memory.words),
             registers=tuple(interp.registers),
             pc=interp.pc,
             interp_stats=dict(vars(interp.stats)),
@@ -434,7 +435,7 @@ class DbtSystem:
         simulator and the interpreter's handler closures hold those
         objects."""
         interp = self.interpreter
-        self.memory.buffer[:] = prefix.memory
+        self.memory.words[:] = prefix.memory
         interp.registers[:] = prefix.registers
         interp.pc = prefix.pc
         vars(interp.stats).update(prefix.interp_stats)

@@ -1,15 +1,26 @@
 """Flat guest memory.
 
-Little-endian byte-addressable memory backed by a ``bytearray``. Values are
-unsigned integers of 1/2/4/8 bytes; register-level signedness is the
-interpreter's business. The memory also exposes raw byte access for the
-atomic-region undo log, and :attr:`Memory.words`, a view of the same
-bytes as native-endian 64-bit words for the replay kernels.
+Little-endian byte-addressable memory held as one Python ``list`` of
+unsigned 64-bit words: word ``i`` is bytes ``8*i`` to ``8*i + 8``, as an
+int in ``[0, 2**64)``. Values are unsigned integers of 1/2/4/8 bytes;
+register-level signedness is the interpreter's business.
+
+Every consumer reads, writes and rolls back the same representation. An
+aligned 8-byte access is one list subscript; any other size or alignment
+shifts and masks over the words it touches. The replay kernels index
+:attr:`Memory.words` directly, and every replay tier logs ``(word index,
+old word)`` undo entries (:meth:`Memory.write_logged`), which one loop
+rolls back. Raw byte access (:meth:`Memory.read_bytes` /
+:meth:`Memory.write_bytes`) serves the atomic-region undo log of
+:mod:`repro.hw.atomic`, and :meth:`Memory.to_bytes` the whole memory to
+oracles and tests.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from struct import pack, unpack
+
+_MASK64 = (1 << 64) - 1
 
 
 class MemoryFault(Exception):
@@ -17,20 +28,18 @@ class MemoryFault(Exception):
 
 
 class Memory:
-    """Byte-addressable little-endian guest memory."""
+    """Byte-addressable little-endian guest memory of 64-bit words."""
 
     def __init__(self, size: int) -> None:
         if size <= 0:
             raise ValueError("memory size must be positive")
-        self._data = bytearray(size)
+        #: the byte bound every access is checked against
         self.size = size
-        #: the same bytes as native-endian unsigned 64-bit words, over
-        #: the first ``size & ~7`` bytes: word ``i`` is bytes ``8*i`` to
-        #: ``8*i + 8``. On a little-endian host ``words[addr >> 3]`` is
-        #: ``read(addr)`` for an 8-aligned ``addr``; the replay kernels
-        #: read, write and roll back memory through it, and lower only on
-        #: such a host. Writes through either view show in the other.
-        self.words = memoryview(self._data)[: size & ~7].cast("Q")
+        #: ``ceil(size / 8)`` canonical unsigned words; the bytes of the
+        #: last word past ``size`` stay 0, since no access reaches them.
+        #: The list object is stable for the memory's lifetime (restores
+        #: assign a slice), so kernels may hold it.
+        self.words = [0] * ((size + 7) >> 3)
 
     def _check(self, addr: int, size: int) -> None:
         if addr < 0 or addr + size > self.size:
@@ -39,47 +48,64 @@ class Memory:
                 f"{self.size:#x} bytes"
             )
 
-    @property
-    def buffer(self) -> bytearray:
-        """The backing bytearray, for hot-path consumers that inline
-        accesses (the VLIW simulator's compiled replay functions). The
-        object is stable for the memory's lifetime — mutations always go
-        through same-length slice assignment (:attr:`words` holds an
-        export of it, so a resize raises :class:`BufferError`). Callers
-        must enforce bounds via :meth:`check_bounds` to preserve
-        :class:`MemoryFault` semantics."""
-        return self._data
-
-    def check_bounds(self, addr: int, size: int) -> None:
-        """Public bounds check: raises :class:`MemoryFault` exactly as the
-        read/write accessors would for an out-of-range access."""
-        self._check(addr, size)
+    def _span(self, addr: int, size: int):
+        """``(i, j, value)``: the words ``[i, j)`` an access touches, as
+        one little-endian int."""
+        i = addr >> 3
+        j = (addr + size + 7) >> 3
+        raw = pack(f"<{j - i}Q", *self.words[i:j])
+        return i, j, int.from_bytes(raw, "little")
 
     def read(self, addr: int, size: int = 8) -> int:
         """Read an unsigned little-endian integer."""
+        if size == 8 and not addr & 7 and 0 <= addr <= self.size - 8:
+            return self.words[addr >> 3]
         self._check(addr, size)
-        return int.from_bytes(self._data[addr : addr + size], "little")
+        return self._span(addr, size)[2] >> ((addr & 7) << 3) & (
+            (1 << (size << 3)) - 1
+        )
 
     def write(self, addr: int, value: int, size: int = 8) -> None:
         """Write an unsigned little-endian integer (value masked to size)."""
+        if size == 8 and not addr & 7 and 0 <= addr <= self.size - 8:
+            self.words[addr >> 3] = value & _MASK64
+            return
         self._check(addr, size)
-        mask = (1 << (8 * size)) - 1
-        self._data[addr : addr + size] = (int(value) & mask).to_bytes(
-            size, "little"
-        )
+        i, j, old = self._span(addr, size)
+        shift = (addr & 7) << 3
+        mask = ((1 << (size << 3)) - 1) << shift
+        new = old & ~mask | value << shift & mask
+        n = j - i
+        self.words[i:j] = unpack(f"<{n}Q", new.to_bytes(n << 3, "little"))
+
+    def write_logged(self, addr: int, value: int, size: int, log) -> None:
+        """:meth:`write`, first passing ``(word index, old word)`` to
+        ``log`` for each word the access touches — the undo entry of
+        every replay tier. A fault logs nothing."""
+        words = self.words
+        i = addr >> 3
+        if size == 8 and not addr & 7 and 0 <= addr <= self.size - 8:
+            log((i, words[i]))
+            words[i] = value & _MASK64
+            return
+        self._check(addr, size)
+        for k in range(i, (addr + size + 7) >> 3):
+            log((k, words[k]))
+        self.write(addr, value, size)
 
     def read_bytes(self, addr: int, size: int) -> bytes:
-        self._check(addr, size)
-        return bytes(self._data[addr : addr + size])
+        return self.read(addr, size).to_bytes(size, "little")
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        self._check(addr, len(data))
-        self._data[addr : addr + len(data)] = data
+        self.write(addr, int.from_bytes(data, "little"), len(data))
 
     def fill(self, addr: int, size: int, pattern: int = 0) -> None:
         """Fill a span with a repeating byte pattern."""
-        self._check(addr, size)
-        self._data[addr : addr + size] = bytes([pattern & 0xFF]) * size
+        self.write_bytes(addr, bytes([pattern & 0xFF]) * size)
+
+    def to_bytes(self) -> bytes:
+        """The whole memory, ``size`` bytes."""
+        return pack(f"<{len(self.words)}Q", *self.words)[: self.size]
 
     def __repr__(self) -> str:
         return f"<Memory {self.size:#x} bytes>"

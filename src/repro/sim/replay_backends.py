@@ -9,10 +9,11 @@ A hot trace's functional replay runs on one of four tiers (selected by
     oracle, not compiled here;
 ``py``
     :func:`compile_py` — a straight-line Python function generated from
-    the IR: inlined 64-bit ALU arithmetic, little-endian byte access
-    with ``(addr, bytes)`` undo logging, and the adapter's hardware
-    events lowered to direct scalar model calls (dynamic escapes fall
-    back to the ``on_mem_op``/``on_rotate``/``on_amov`` callbacks). It
+    the IR: inlined 64-bit ALU arithmetic, memory through the
+    :class:`~repro.sim.memory.Memory` accessors the dispatch loop calls,
+    and the adapter's hardware events lowered to direct scalar model
+    calls (dynamic escapes fall back to the
+    ``on_mem_op``/``on_rotate``/``on_amov`` callbacks). It
     is exact by construction; it runs the traces neither kernel below
     can lower (or that a kernel demoted after repeated escapes) and the
     forced ``py`` tier;
@@ -34,7 +35,7 @@ A hot trace's functional replay runs on one of four tiers (selected by
 ``batch``
     :func:`compile_batch` — the vec residue wrapped in an iteration
     loop over the trace's structural back-edge: when a region's commit
-    exit re-enters the region itself, up to ``vliw._BATCH_WIDTH`` (16)
+    exit re-enters the region itself, up to ``vliw._BATCH_WIDTH`` (256)
     consecutive iterations run inside one kernel call, amortizing the
     per-execution call/plan/outcome ceremony. Called with ``n = 1`` it
     is exactly one vec execution, so it is the one kernel of every
@@ -48,24 +49,26 @@ The two kernels share one lowering (:class:`_ResidueEmitter`), so they
 accept and reject the same traces; ``compile_batch`` additionally needs a
 structural back-edge (:func:`repro.sim.replay_ir.loop_candidate`).
 
-Kernels address guest memory as 64-bit words
+Kernels index guest memory's word list
 (:attr:`repro.sim.memory.Memory.words`), so they lower only traces whose
-every access is 8 bytes wide at a displacement that is a multiple of 8,
-and only on a little-endian host (the word view is native-endian). For
-such accesses two byte ranges overlap exactly when their word indexes
-are equal, so an alias check is one ``==`` or ``in`` test; a store's
-undo entry is ``(word index, old word)``. Accesses through one base
-register version within one *segment* (the ops between two exits) share
-one guard at the first of them: it checks the whole group's
-displacement range and the base's alignment, then binds the base's word
-index. A segment holds no exit, and every escape re-runs the whole
-execution on the dispatch loop, so a guard that fires earlier than the
-access it protects yields the same escape of the same execution.
+every access is 8 bytes wide at a displacement that is a multiple of 8.
+For such accesses two byte ranges overlap exactly when their word
+indexes are equal. Accesses through one base register version within
+one *segment* (the ops between two exits) share one guard at the first
+of them: it checks the whole group's displacement range and the base's
+alignment, then binds the group's word index, the word at its smallest
+displacement, of which each access is a constant offset. A segment
+holds no exit, and every escape re-runs the whole execution on the
+dispatch loop, so a guard that fires earlier than the access it
+protects yields the same escape of the same execution. An alias check
+tests each base group of its targets once: one comparison, or one
+subtraction and one constant-set test. A store's undo entry is ``(word
+index, old word)``, as on every tier.
 
 Kernel source is a translation cost paid at run time, and ``compile()``
 time tracks AST nodes, so the emitter keeps the rare paths small: a
-batch kernel spells its committed-state restore once, in one abort
-epilogue shared by every side exit and guard escape. Per iteration, a
+batch kernel spells its register writeback once, in one epilogue shared
+by the full batch, every side exit and guard escape. Per iteration, a
 batch kernel's back edge normalizes a deferred wrap only when the next
 iteration reads the register before writing it; the others are
 normalized once, where they leave the kernel.
@@ -82,7 +85,6 @@ signature state and stay on the region object.
 
 from __future__ import annotations
 
-import sys
 from collections import OrderedDict
 from typing import Callable, List, Optional, Tuple
 
@@ -95,10 +97,6 @@ _TOP = 1 << 64
 
 #: shared empty required-target set for ALAT store checks
 _EMPTY_TARGETS = frozenset()
-
-#: the word view kernels index is native-endian; guest memory is
-#: little-endian, so kernels lower only on a little-endian host
-_LITTLE_ENDIAN = sys.byteorder == "little"
 
 #: sentinel returned by a vec kernel when a runtime fact escapes its
 #: static model; the caller rolls back and re-runs the dispatch loop
@@ -205,13 +203,15 @@ def compile_py(ir: R.ReplayIR) -> Callable:
     commit target pc, the program exit code, or the caught
     :class:`~repro.hw.exceptions.AliasException`; ``idx`` is the index of
     the last op whose effect ran (the replay signature's exit index).
-    Out-of-bounds accesses delegate to ``mcheck`` so the raised
-    :class:`~repro.sim.memory.MemoryFault` is byte-identical to the
-    accessor path's.
+    Memory goes through the accessors the dispatch loop calls —
+    ``mread`` is :meth:`~repro.sim.memory.Memory.read` and ``mstore``
+    :meth:`~repro.sim.memory.Memory.write_logged` — so an out-of-bounds
+    access raises the same :class:`~repro.sim.memory.MemoryFault` and a
+    store logs the same ``(word index, old word)`` undo entries.
     """
-    env: dict = {"A": AliasException, "ifb": int.from_bytes}
+    env: dict = {"A": AliasException}
     lines: List[str] = [
-        "def _replay(regs, data, msize, mcheck, ad, undo_append):",
+        "def _replay(regs, mread, mstore, ad, undo_append):",
     ]
     emit = lines.append
     for stmt in _prologue(ir):
@@ -275,8 +275,7 @@ def compile_py(ir: R.ReplayIR) -> Callable:
                     emit(f"{pad}i = {k}")
                     for stmt in stmts:
                         emit(f"{pad}{stmt}")
-            emit(f"{pad}if a < 0 or a + {size} > msize: mcheck(a, {size})")
-            emit(f"{pad}regs[{dreg}] = ifb(data[a:a + {size}], 'little')")
+            emit(f"{pad}regs[{dreg}] = mread(a, {size})")
         elif t == R.OP_ST:
             _, sreg, base, disp, size, evt = op
             addr = f"regs[{base}] + {disp}" if disp else f"regs[{base}]"
@@ -287,13 +286,7 @@ def compile_py(ir: R.ReplayIR) -> Callable:
                     emit(f"{pad}i = {k}")
                     for stmt in stmts:
                         emit(f"{pad}{stmt}")
-            emit(f"{pad}if a < 0 or a + {size} > msize: mcheck(a, {size})")
-            emit(f"{pad}undo_append((a, bytes(data[a:a + {size}])))")
-            mask = (1 << (8 * size)) - 1
-            emit(
-                f"{pad}data[a:a + {size}] = "
-                f"(regs[{sreg}] & {mask}).to_bytes({size}, 'little')"
-            )
+            emit(f"{pad}mstore(a, regs[{sreg}], {size}, undo_append)")
         elif t == R.OP_CBR:
             _, code, a, b, pay = op
             cmp_op = ("==", "!=", "<", ">=")[code]
@@ -601,6 +594,13 @@ def _access_groups(ir: R.ReplayIR):
     return group_of, spans
 
 
+def _plus(expr: str, n: int) -> str:
+    """``expr + n`` as source, with no ``+ 0`` and no ``+ -n``."""
+    if not n:
+        return expr
+    return f"{expr} + {n}" if n > 0 else f"{expr} - {-n}"
+
+
 def _reach_name(reach: int) -> str:
     """The local holding ``msize - reach``: the largest base a guard
     admits for a group whose accesses end ``reach`` bytes past it."""
@@ -616,12 +616,12 @@ class _ResidueEmitter:
     into ``lines``. Exit sites are delegated to the caller's
     ``exit_emit`` hook so the two kernels can disagree about what an
     exit does (vec: write back + return; batch: continue the iteration
-    loop at the back-edge site, record a side exit and break to the
-    shared abort epilogue).
+    loop at the back-edge site, record a side exit or a full batch and
+    break to the shared epilogue).
 
     ``fb`` is the statement executed when a runtime fact escapes the
     static model (vec: ``return _FB``; batch: ``break`` out of the
-    iteration loop into the abort epilogue).
+    iteration loop into the epilogue).
     """
 
     __slots__ = (
@@ -647,7 +647,7 @@ class _ResidueEmitter:
         self.written_set = set()
         self.version: dict = {}  # register -> def count (CSE validity)
         self.group_of, self.spans = _access_groups(ir)
-        self.syms: dict = {}  # word-index expression -> (base, version, disp)
+        self.syms: dict = {}  # index -> (base, version, disp, group, offset)
         self.deferred_now = set()  # regs whose local holds a raw (unwrapped) value
         self.cse: dict = {}  # value-number key -> (reg, version at def, raw?)
         self.exit_fps: dict = {}
@@ -762,30 +762,28 @@ class _ResidueEmitter:
 
         The first access of a group emits the group's one guard — every
         displacement of the group in bounds and the base 8-aligned, else
-        escape via ``fb`` — and binds the base's word index ``i<g>``. A
-        store binds its own index ``j<k>``: its undo entry and its write
-        both read it.
+        escape via ``fb`` — and binds the group's word index ``i<g>``, the
+        word at its smallest displacement; every access of the group is
+        a constant word offset from it. A store at an offset binds its
+        own index ``j<k>``: its undo entry and its write both read it.
         """
         base, ver, g = self.group_of[k]
         pad = self.pad
         ig = f"i{g}"
+        lo, hi = self.spans[g]
         if k == g:
-            lo, hi = self.spans[g]
             b = self.use(base)
             self.emit(
                 f"{pad}if not {-lo} <= {b} <= {_reach_name(hi + 8)} "
                 f"or {b} & 7: {self.fb}"
             )
-            self.emit(f"{pad}{ig} = {b} >> 3")
-        off = disp >> 3
-        if not off:
-            idx = ig
-        else:
-            idx = f"{ig} + {off}" if off > 0 else f"{ig} - {-off}"
-            if store:
-                self.emit(f"{pad}j{k} = {idx}")
-                idx = f"j{k}"
-        self.syms[idx] = (base, ver, disp)
+            self.emit(f"{pad}{ig} = {_plus(b, lo)} >> 3")
+        off = (disp - lo) >> 3
+        idx = _plus(ig, off)
+        if off and store:
+            self.emit(f"{pad}j{k} = {idx}")
+            idx = f"j{k}"
+        self.syms[idx] = (base, ver, disp, g, off)
         return idx
 
     def emit_sweep(self, idx: str, size: int, pairs) -> bool:
@@ -793,30 +791,39 @@ class _ResidueEmitter:
         shares its word with an earlier tracked one. Pairs whose
         accesses share a base register version resolve statically:
         disjoint displacements drop the test, an unavoidable overlap
-        rejects the lowering (returns False)."""
+        rejects the lowering (returns False).
+
+        The other targets are tested once per base group. The access is
+        word ``J`` (its bound index, or ``iA + a`` for a load at an
+        offset) and a target of group ``iT`` is word ``iT + o``, so the
+        two collide exactly when ``J - iT == o`` (word indexes are
+        Python ints): a group with several targets costs one subtraction
+        and one test against a constant set, one with a single target
+        one comparison — ``J == iT`` for a group's lowest word."""
         syms = self.syms
-        own = syms.get(idx)
-        tests: List[str] = []
+        base, ver, disp, g, own = syms[idx]
+        name, shift = (idx, 0) if idx.isidentifier() else (f"i{g}", own)
+        groups: dict = {}  # target group -> word offsets from ``name``
         for p_idx, p_size in pairs:
-            p_sym = syms.get(p_idx)
-            if (
-                own is not None
-                and p_sym is not None
-                and own[0] == p_sym[0]
-                and own[1] == p_sym[1]
-            ):
-                d_own, d_p = own[2], p_sym[2]
-                if d_own < d_p + p_size and d_p < d_own + size:
+            p_base, p_ver, p_disp, p_g, p_off = syms[p_idx]
+            if p_base == base and p_ver == ver:
+                if disp < p_disp + p_size and p_disp < disp + size:
                     return False  # certain overlap: every run would FB
                 continue  # certain disjoint: no runtime test needed
-            if p_idx not in tests:
-                tests.append(p_idx)
-        if len(tests) == 1:
-            self.emit(f"{self.pad}if {idx} == {tests[0]}: {self.fb}")
-        elif tests:
-            self.emit(
-                f"{self.pad}if {idx} in ({', '.join(tests)}): {self.fb}"
-            )
+            offs = groups.setdefault(p_g, [])
+            if p_off - shift not in offs:
+                offs.append(p_off - shift)
+        tests: List[str] = []
+        for p_g, offs in groups.items():
+            if len(offs) > 1:
+                consts = ", ".join(map(str, offs))
+                tests.append(f"{name} - i{p_g} in {{{consts}}}")
+            elif offs[0]:
+                tests.append(f"{name} - i{p_g} == {offs[0]}")
+            else:
+                tests.append(f"{name} == i{p_g}")
+        if tests:
+            self.emit(f"{self.pad}if {' or '.join(tests)}: {self.fb}")
         return True
 
     def emit_events(self, evt: Optional[int], idx: str) -> bool:
@@ -992,9 +999,9 @@ def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
 
     Returns ``None`` when the trace cannot be statically lowered: a
     dynamic escape (unknown adapter/opcode), an access that is not one
-    aligned word (:func:`_word_only`) or a big-endian host, a hardware
-    operand the static model rejects (the ``py`` tier then reproduces
-    the model's runtime error exactly), or a pair of accesses that
+    aligned word (:func:`_word_only`), a hardware operand the static
+    model rejects (the ``py`` tier then reproduces the model's runtime
+    error exactly), or a pair of accesses that
     provably always overlap (the trace would fall back on every
     execution anyway). Otherwise returns ``(fn, exit_fps)``: the kernel,
     with signature ``(regs, words, msize, ad, undo_append)``, and a dict
@@ -1005,10 +1012,10 @@ def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
     scratch registers live entirely in locals and guest registers are
     written back only on commit-kind exits, so an abort or
     :data:`FALLBACK` leaves it untouched. ``words`` is the memory's word
-    view (:attr:`repro.sim.memory.Memory.words`); each store logs
+    list (:attr:`repro.sim.memory.Memory.words`); each store logs
     ``(word index, old word)`` and the caller rolls those back.
     """
-    if ir.dyn or not _LITTLE_ENDIAN or not _word_only(ir):
+    if ir.dyn or not _word_only(ir):
         return None
     family = _hw_family(ir)
     if family == "dyn":
@@ -1144,12 +1151,13 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     leaves the loop, which also normalizes the deferred wraps the back
     edge left raw. Hardware-stat deltas are likewise applied once per
     call, multiplied by the number of committed iterations, instead of
-    per back-edge. Every way out of the loop but a full batch — a side
-    exit (which records its exit in ``_x`` after applying its own stat
-    deltas) and a guard escape (``_x`` stays None) — shares one abort
-    epilogue after the loop, so the committed-state restore is spelled
-    once per kernel. With ``n = 1`` the kernel is one vec execution (0
-    batched iterations), which is how scalar uses of the trace run it.
+    per back-edge. Every way out of the loop — a full batch and a side
+    exit (each records its exit in ``_x``; a side exit first applies its
+    own stat deltas) and a guard escape (``_x`` stays a trim) — shares
+    one epilogue after the loop, so the committed-state writeback is
+    spelled once per kernel. With ``n = 1`` the kernel is one vec
+    execution (0 batched iterations), which is how scalar uses of the
+    trace run it.
 
     Returns ``None`` when the trace has no structural back-edge
     candidate (:func:`repro.sim.replay_ir.loop_candidate`) or the static
@@ -1167,7 +1175,7 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     back-edge site — the exact-accounting contract the goldens and the
     ``knobs`` fuzz oracle pin.
     """
-    if ir.dyn or not _LITTLE_ENDIAN or not _word_only(ir):
+    if ir.dyn or not _word_only(ir):
         return None
     family = _hw_family(ir)
     if family == "dyn":
@@ -1194,7 +1202,9 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     for stmt in _bind_lines(sorted(refs), guest_count):
         emit(f"    {stmt}")
     emit("    it = 0")
-    emit("    _x = None")
+    # the way out of the loop: (iterations to hold back from ``it``,
+    # exit index, exit kind, payload); a guard escape leaves it a trim
+    emit(f"    _x = (0, {BATCH_TRIM}, {BATCH_TRIM}, None)")
     emit("    while 1:")
     emit("        mark = len(undo_log)")
 
@@ -1202,35 +1212,6 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     # (in first-write order), the ones whose locals stay raw there,
     # hardware stats of one full iteration, and max_live
     cap: dict = {}
-
-    def mult_lines(pad: str) -> List[str]:
-        """Stat deltas of ``it`` committed iterations, applied at once."""
-        stats, max_live = cap["stats"], cap["max_live"]
-        out: List[str] = []
-        if stats:
-            target, fields = _STAT_TARGETS[family]
-            body = [
-                f"{pad}_hs.{name} += "
-                + ("it" if stats[name] == 1 else f"{stats[name]} * it")
-                for name in fields if stats.get(name)
-            ]
-            if body or max_live:
-                out.append(f"{pad}_hs = {target}")
-                out.extend(body)
-        if max_live:
-            out.append(f"{pad}if _hs.max_live < {max_live}: "
-                       f"_hs.max_live = {max_live}")
-        return out
-
-    def normalize_lines(pad: str) -> List[str]:
-        """Wrap the written-back registers the back edge left raw: once
-        per kernel call, as one loop over their slots."""
-        if not cap["raw"]:
-            return []
-        return [
-            f"{pad}for _k in ({''.join(f'{r}, ' for r in cap['raw'])}):",
-            f"{pad}    regs[_k] = {_wrapped('regs[_k]')}",
-        ]
 
     def batch_exit(em: _ResidueEmitter, k: int, xkind: int, payload,
                    commit: bool, indent: str) -> None:
@@ -1244,10 +1225,10 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
         if not commit:
             # a side exit discards the broken iteration's register
             # effects: apply its own stat deltas and leave the loop; the
-            # abort epilogue restores the last committed state
+            # epilogue restores the last committed state
             for line in em.stat_lines(indent):
                 e(line)
-            e(f"{indent}_x = ({k}, {xkind}, {payload!r})")
+            e(f"{indent}_x = (0, {k}, {xkind}, {payload!r})")
             e(f"{indent}break")
             return
         # the trace's first commit-kind exit is the back-edge site
@@ -1256,7 +1237,7 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
         # the next iteration reads before writing (its reads assume
         # canonical signed form) and leave the rest raw, re-zero scratch
         # registers the body reads before writing, snapshot the
-        # committed state for the abort epilogue, and loop
+        # committed state for the epilogue, and loop
         wr = [r for r in em.written if r < guest_count]
         raw = [r for r in wr if r in em.deferred_now and r not in rbw]
         for reg in wr:
@@ -1279,32 +1260,44 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
         e(f"{indent}it += 1")
         e(f"{indent}if it < n:")
         e(f"{indent}    continue")
-        # full batch: every iteration committed
-        if wr:
-            e(f"{indent}{cap['slots']} = {live}")
-            for line in normalize_lines(indent):
-                e(line)
-        for line in mult_lines(indent):
-            e(line)
-        e(f"{indent}return (it - 1, mark, {k}, {xkind}, {payload!r})")
+        # full batch: every iteration committed, and ``prev`` holds the
+        # live locals, so the epilogue's restore is this exit's
+        # writeback; the last iteration is reported as the final exit
+        e(f"{indent}_x = (1, {k}, {xkind}, {payload!r})")
+        e(f"{indent}break")
 
     em.bound |= refs
     if not em.walk(batch_exit) or not cap:
         return None
-    # abort epilogue, shared by every side exit and guard escape: restore
-    # the last committed register state (memory rolls back in the caller
-    # via the undo slice), normalizing the locals the back edge left raw,
-    # and apply the committed iterations' stat deltas
-    body = mult_lines("        ")
+    # one epilogue for every way out — a full batch, a side exit, a
+    # guard escape: apply the stat deltas of ``it`` committed iterations
+    # at once, write back the last committed register state (memory
+    # rolls back in the caller via the undo slice) and wrap the
+    # registers the back edge left raw, as one loop over their slots
+    stats, max_live, raw = cap["stats"], cap["max_live"], cap["raw"]
+    pad = "        "
+    body: List[str] = []
+    if stats:
+        target, fields = _STAT_TARGETS[family]
+        body = [
+            f"{pad}_hs.{name} += "
+            + ("it" if stats[name] == 1 else f"{stats[name]} * it")
+            for name in fields if stats.get(name)
+        ]
+        if body or max_live:
+            body.insert(0, f"{pad}_hs = {target}")
+    if max_live:
+        body.append(f"{pad}if _hs.max_live < {max_live}: "
+                    f"_hs.max_live = {max_live}")
     if cap["slots"]:
-        body.append(f"        {cap['slots']} = prev")
-        body.extend(normalize_lines("        "))
+        body.append(f"{pad}{cap['slots']} = prev")
+    if raw:
+        body.append(f"{pad}for _k in ({''.join(f'{r}, ' for r in raw)}):")
+        body.append(f"{pad}    regs[_k] = {_wrapped('regs[_k]')}")
     if body:
         emit("    if it:")
         lines.extend(body)
-    emit("    if _x is None:")
-    emit(f"        return (it, mark, {BATCH_TRIM}, {BATCH_TRIM}, None)")
-    emit("    return (it, mark) + _x")
+    emit("    return (it - _x[0], mark) + _x[1:]")
     exec(compile("\n".join(lines), "<vliw-replay-batch>", "exec"), env)
     return env["_replay_batch"], em.exit_fps
 
@@ -1353,10 +1346,13 @@ class ReplayArtifact:
 #: vec kernels falling back this many times are demoted to the py tier
 VEC_FALLBACK_LIMIT = 4
 
-#: batch kernels trimming early (under half the requested width; every
-#: trim of an ``n = 1`` run is early) this many times are demoted to the
-#: py tier
+#: batch kernels trimming early this many times are demoted to the py
+#: tier. A trim is early when it comes after fewer than half of
+#: ``min(n, BATCH_EARLY_SPAN)`` committed iterations — every trim of an
+#: ``n = 1`` run is early, and one after 8 or more iterations never is,
+#: however wide the batch
 BATCH_TRIM_LIMIT = 4
+BATCH_EARLY_SPAN = 16
 
 _CACHE_LIMIT = 256
 _artifacts: "OrderedDict[Tuple, ReplayArtifact]" = OrderedDict()

@@ -68,17 +68,19 @@ kernel from :mod:`repro.sim.replay_backends`:
   (register locals, guarded word indexes, alias tests by word-index
   equality) without the iteration loop.
 
-Kernels address memory through :attr:`~repro.sim.memory.Memory.words`
-and log ``(word index, old word)`` undo entries, which
-:func:`_restore_words` rolls back; the ``interp`` and ``py`` tiers keep
-``(addr, bytes)`` entries. Any runtime fact that escapes a kernel's
-static model (bounds violation, misaligned base, possible alias overlap)
-rolls back and re-runs that one execution on the dispatch loop — the
-``interp`` oracle, exact by construction, and far cheaper for one run
-than generating ``py`` code for it. Traces that keep escaping are
-demoted to the straight-line ``py`` function for good, and a trace
-neither kernel can lower — one with an access that is not an aligned
-8-byte word, for instance — runs ``py`` from the threshold on.
+Every tier logs ``(word index, old word)`` undo entries into the
+memory's word list (:attr:`~repro.sim.memory.Memory.words`): kernels
+index it directly, the dispatch loop and ``py`` store through
+:meth:`~repro.sim.memory.Memory.write_logged`, and one function,
+:func:`_restore_words`, rolls every tier back. Any runtime fact that
+escapes a kernel's static model (bounds violation, misaligned base,
+possible alias overlap) rolls back and re-runs that one execution on
+the dispatch loop — the ``interp`` oracle, exact by construction, and
+far cheaper for one run than generating ``py`` code for it. Traces that
+keep escaping are demoted to the straight-line ``py`` function for
+good, and a trace neither kernel can lower — one with an access that is
+not an aligned 8-byte word, for instance — runs ``py`` from the
+threshold on.
 
 ``SMARQ_REPLAY_BACKEND=interp|py|vec|batch`` forces a tier for every
 region from its first execution (the kill switch / oracle selector:
@@ -127,9 +129,8 @@ def _wrap(value: int) -> int:
 
 
 def _restore_words(words, undo_log) -> None:
-    """Roll back a kernel's stores, newest first: a kernel's undo
-    entries are ``(word index, old word)`` into the memory's word view
-    (the ``interp`` and ``py`` tiers log ``(addr, bytes)`` instead)."""
+    """Roll back stores, newest first: every tier's undo entries are
+    ``(word index, old word)`` into the memory's word list."""
     for i, old in reversed(undo_log):
         words[i] = old
 
@@ -187,7 +188,7 @@ _CBR_CODE = {Opcode.BEQ: 0, Opcode.BNE: 1, Opcode.BLT: 2, Opcode.BGE: 3}
 # as _X_* by the import above.
 
 #: max iterations per batched kernel call
-_BATCH_WIDTH = 16
+_BATCH_WIDTH = 256
 
 #: scratch-register extension appended to the guest file per execution
 #: (a tuple so list.extend copies without allocating a fresh [0]*64)
@@ -845,7 +846,7 @@ class VliwSimulator:
             _restore_words(memory.words, undo_log[mark:])
             if active:
                 tracer.count("vliw.batch_trims")
-            if iters * 2 < n:
+            if iters * 2 < min(n, _backends.BATCH_EARLY_SPAN):
                 art = plan.artifact
                 art.batch_trims += 1
                 if art.batch_trims >= _backends.BATCH_TRIM_LIMIT:
@@ -935,7 +936,7 @@ class VliwSimulator:
             tracer.count("vliw.regions_executed")
 
         guest_count = len(registers)
-        undo_log: List[Tuple[int, bytes]] = []
+        undo_log: List[Tuple[int, int]] = []
         plan.executions += 1
 
         # A plan runs the dispatch loop until it is promoted. After that
@@ -965,11 +966,7 @@ class VliwSimulator:
             if active:
                 tracer.count("vliw.backend_py")
             idx, exit_kind, payload = replay(
-                regs,
-                memory.buffer,
-                memory.size,
-                memory.check_bounds,
-                adapter,
+                regs, memory.read, memory.write_logged, adapter,
                 undo_log.append,
             )
             if exit_kind == _X_SIDE:
@@ -992,8 +989,7 @@ class VliwSimulator:
             tracer.count("vliw.backend_interp")
 
         mem_read = memory.read
-        mem_write = memory.write
-        read_bytes = memory.read_bytes
+        mem_store = memory.write_logged
         on_mem_op = adapter.on_mem_op
         undo_append = undo_log.append
 
@@ -1013,8 +1009,7 @@ class VliwSimulator:
                     addr = regs[base] + disp
                     if call_adapter:
                         on_mem_op(inst, addr)
-                    undo_append((addr, read_bytes(addr, size)))
-                    mem_write(addr, regs[sreg], size)
+                    mem_store(addr, regs[sreg], size, undo_append)
                 elif kind == _K_CBR:
                     code, a, b, target = aux
                     av = regs[a]
@@ -1199,7 +1194,7 @@ class VliwSimulator:
         registers: List[int],
         regs: List[int],
         guest_count: int,
-        undo_log: List[Tuple[int, bytes]],
+        undo_log: List[Tuple[int, int]],
         trace,
         fall_through,
         plan: _TimingPlan,
@@ -1241,8 +1236,7 @@ class VliwSimulator:
         executed = idx + 1
 
         if alias_exc is not None:
-            for addr, old in reversed(undo_log):
-                memory.write_bytes(addr, old)
+            _restore_words(memory.words, undo_log)
             adapter.on_region_exit()
             cycles = cycle + machine.rollback_penalty
             stats.alias_aborts += 1
@@ -1269,8 +1263,7 @@ class VliwSimulator:
         cycles = cycle + 1
         stats.instructions += executed
         if outcome_status == "side_exit":
-            for addr, old in reversed(undo_log):
-                memory.write_bytes(addr, old)
+            _restore_words(memory.words, undo_log)
             adapter.on_region_exit()
             cycles += machine.rollback_penalty
             stats.side_exit_aborts += 1
@@ -1320,7 +1313,7 @@ class VliwSimulator:
         # state is private to the region and never committed.
         guest_count = len(registers)
         regs = list(registers) + [0] * 64
-        undo_log: List[Tuple[int, bytes]] = []
+        undo_log: List[Tuple[int, int]] = []
         adapter.on_region_enter(region)
 
         reg_ready = [0] * len(regs)
@@ -1332,7 +1325,8 @@ class VliwSimulator:
         executed = 0
 
         mem_read = memory.read
-        mem_write = memory.write
+        mem_store = memory.write_logged
+        undo_append = undo_log.append
         on_mem_op = adapter.on_mem_op
 
         outcome_status: Optional[str] = None
@@ -1378,8 +1372,7 @@ class VliwSimulator:
                     addr = regs[base] + disp
                     if call_adapter:
                         on_mem_op(inst, addr)
-                    undo_log.append((addr, memory.read_bytes(addr, size)))
-                    mem_write(addr, regs[sreg], size)
+                    mem_store(addr, regs[sreg], size, undo_append)
                 elif kind == _K_CBR:
                     code, a, b, target = aux
                     av = regs[a]
@@ -1410,8 +1403,7 @@ class VliwSimulator:
                     adapter.on_amov(aux)
                 # _K_NOP: issue accounting only
         except AliasException as exc:
-            for addr, old in reversed(undo_log):
-                memory.write_bytes(addr, old)
+            _restore_words(memory.words, undo_log)
             adapter.on_region_exit()
             cycles = cycle + machine.rollback_penalty
             stats.alias_aborts += 1
@@ -1440,8 +1432,7 @@ class VliwSimulator:
         cycles = cycle + 1
         stats.instructions += executed
         if outcome_status == "side_exit":
-            for addr, old in reversed(undo_log):
-                memory.write_bytes(addr, old)
+            _restore_words(memory.words, undo_log)
             adapter.on_region_exit()
             cycles += machine.rollback_penalty
             stats.side_exit_aborts += 1

@@ -103,10 +103,13 @@ class BitmaskAllocator(AllocatorHook):
             self._pending_checkers.setdefault(inst.uid, set()).add(checker.uid)
             self._targets_of.setdefault(checker.uid, set()).add(inst.uid)
 
-        # If inst is itself a checker, build its mask and release targets.
+        # If inst is itself a checker, build its mask and release targets
+        # in uid (creation) order: the free list's order picks the next
+        # register, so it must not follow a set's hash order, which
+        # depends on the uid values themselves.
         if inst.uid in self._targets_of:
             mask = inst.ar_mask or 0
-            for target_uid in self._targets_of.pop(inst.uid):
+            for target_uid in sorted(self._targets_of.pop(inst.uid)):
                 mask |= 1 << self._index[target_uid]
                 pending = self._pending_checkers.get(target_uid)
                 if pending is not None:

@@ -102,7 +102,7 @@ class TestEndToEnd:
         )
         system.run()
         assert system.interpreter.registers == ref.registers
-        assert bytes(system.memory._data) == bytes(mem._data)
+        assert system.memory.to_bytes() == mem.to_bytes()
 
     def test_profiled_hints_pin_hot_alias_pair(self):
         """A program whose store/load pair aliases every iteration: the

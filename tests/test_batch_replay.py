@@ -1,7 +1,7 @@
 """Batch replay tier tests: N batched iterations ≡ N scalar executions.
 
 The ``batch`` backend (see :mod:`repro.sim.replay_backends`) executes up
-to ``_BATCH_WIDTH`` (16) iterations of a self-looping hot region in one
+to ``_BATCH_WIDTH`` (256) iterations of a self-looping hot region in one
 kernel call. These tests pin its contract:
 
 * reports are byte-identical to the scalar tiers for every scheme;
@@ -16,7 +16,9 @@ kernel call. These tests pin its contract:
   normalized at the back edge — 64-bit overflow included;
 * auto promotion compiles the batch kernel — the one kernel of a trace
   with a back-edge — at ``_REPLAY_THRESHOLD`` executions, and
-  early-trimming traces demote at ``BATCH_TRIM_LIMIT``;
+  early-trimming traces demote at ``BATCH_TRIM_LIMIT``, where a trim is
+  early after fewer than half of ``min(n, BATCH_EARLY_SPAN)`` committed
+  iterations, however wide the batch;
 * one kernel call runs at most ``_BATCH_WIDTH`` iterations, and forced
   scalar backends are kill switches;
 * re-optimization (plan invalidation) drops the compiled batch kernel;
@@ -30,14 +32,26 @@ from repro import knobs
 from repro.engine.instrumentation import Tracer
 from repro.frontend.profiler import ProfilerConfig
 from repro.fuzz.generator import generate_case, word_shaped
-from repro.ir.instruction import Opcode, binop, branch, load, movi, store
+from repro.ir.instruction import (
+    Instruction,
+    Opcode,
+    binop,
+    branch,
+    load,
+    movi,
+    store,
+)
 from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
 from repro.sched.machine import MachineModel
 from repro.sim import replay_ir as R
 from repro.sim.dbt import DbtSystem
 from repro.sim.memory import Memory
-from repro.sim.replay_backends import BATCH_TRIM_LIMIT, reset_artifact_cache
+from repro.sim.replay_backends import (
+    BATCH_EARLY_SPAN,
+    BATCH_TRIM_LIMIT,
+    reset_artifact_cache,
+)
 from repro.sim.schemes import SmarqAdapter
 from repro.sim.vliw import (
     _BATCH_WIDTH,
@@ -82,6 +96,23 @@ def alias_loop_region():
             load(9, 8),
             store(1, 9),
             load(2, 3),
+            branch(Opcode.BR, 0),
+        ]
+    )
+
+
+def walking_alias_region():
+    """:func:`alias_loop_region` with ``r3`` stepping one word per
+    iteration and the store at ``0x800``: started ``k`` words below it,
+    the hoisted load collides with the store in iteration ``k``, after
+    ``k`` commits."""
+    return translate(
+        [
+            movi(1, 0x800),
+            load(9, 8),
+            store(1, 9),
+            load(2, 3),
+            Instruction(Opcode.ADD, dest=3, srcs=(3,), imm=8),
             branch(Opcode.BR, 0),
         ]
     )
@@ -349,6 +380,28 @@ class TestPromotionDemotion:
                 BATCH_TRIM_LIMIT
             )
             assert region._vliw_trace[6].artifact.batch_state == -1
+
+    @pytest.mark.parametrize("k", [BATCH_EARLY_SPAN // 2 - 1,
+                                   BATCH_EARLY_SPAN // 2, 100])
+    def test_trim_after_half_the_early_span_is_not_early(self, k):
+        """In a full-width batch, a trim after 7 committed iterations is
+        early and one after 8 or 100 is not, as when batches were 16
+        wide: ``BATCH_TRIM_LIMIT`` such trims demote only the first."""
+        reset_artifact_cache()  # each k starts from a fresh kernel
+        with knobs.overridden(knobs.REPLAY_BACKEND, "batch"):
+            tracer = Tracer()
+            sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
+            region = walking_alias_region()
+            for _ in range(BATCH_TRIM_LIMIT):
+                out, _, batched = batch_once(sim, region, r3=0x800 - 8 * k)
+                assert (out.status, batched) == ("alias", k)
+            assert tracer.counters.get("vliw.batch_trims") == (
+                BATCH_TRIM_LIMIT
+            )
+            early = 2 * k < BATCH_EARLY_SPAN
+            assert region._vliw_trace[6].artifact.batch_state == (
+                -1 if early else 1
+            )
 
 
 class TestKillSwitches:

@@ -292,7 +292,7 @@ def _report_and_state(program, scheme):
     report = system.run(max_guest_steps=5_000_000)
     return (
         report.to_dict(),
-        (list(system.interpreter.registers), bytes(system.memory._data)),
+        (list(system.interpreter.registers), system.memory.to_bytes()),
     )
 
 

@@ -22,14 +22,14 @@ def reference_state(bench):
     mem = Memory(prog.memory_size() + 4096)
     interp = Interpreter(prog, mem)
     interp.run(max_steps=10_000_000)
-    return interp.registers, bytes(mem._data)
+    return interp.registers, mem.to_bytes()
 
 
 def dbt_state(bench, scheme):
     prog = make_benchmark(bench, scale=SCALE)
     system = DbtSystem(prog, scheme, profiler_config=PROFILER)
     report = system.run()
-    return system.interpreter.registers, bytes(system.memory._data), report
+    return system.interpreter.registers, system.memory.to_bytes(), report
 
 
 class TestFunctionalEquivalence:

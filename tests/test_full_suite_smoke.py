@@ -51,7 +51,7 @@ def test_remaining_benchmarks_equivalent_under_smarq(bench):
     system = DbtSystem(program2, "smarq", profiler_config=PROFILER)
     system.run()
     assert system.interpreter.registers == ref.registers
-    assert bytes(system.memory._data) == bytes(memory._data)
+    assert system.memory.to_bytes() == memory.to_bytes()
 
 
 def test_all_schemes_agree_on_guest_instruction_count():

@@ -4,14 +4,18 @@ without changing what escapes.
 The batch and vec kernels (:mod:`repro.sim.replay_backends`) read and
 write :attr:`~repro.sim.memory.Memory.words`, guard each group of
 accesses through one base register version within one segment once, and
-test alias pairs by word-index equality. A batch kernel restores its
-committed state in one shared abort epilogue. These tests pin:
+test alias pairs by word-index equality, once per base group. A batch
+kernel writes its register state back in one shared epilogue. These
+tests pin:
 
 * for 8-aligned 8-byte accesses, word-index equality decides exactly
   what the pairwise byte-range test decides;
+* a load at an offset in its group checks from the group's index
+  shifted by its own offset, escaping exactly on a byte-range overlap;
 * a check whose word index equals an earlier set's trims the kernel,
   and the re-run execution equals the ``interp`` oracle's, hardware
-  stats included;
+  stats included — for targets in five base groups (five comparisons)
+  and for three targets in one group (one constant-set test);
 * a misaligned base escapes its guard, and the run equals ``interp``;
 * a side exit taken before an out-of-bounds access in a later segment
   still side-exits: the later segment's guard never runs;
@@ -19,10 +23,9 @@ committed state in one shared abort epilogue. These tests pin:
   guard, and the re-run raises the ``interp`` tier's fault;
 * a trace with a sub-word or unaligned access is rejected by both
   kernels, and the run equals ``interp``;
-* ``Memory.words`` and ``Memory.buffer`` alias each other both ways;
 * every batch kernel generated on the golden cells has at most one
-  ``= prev`` restore statement — exactly one when it writes a guest
-  register.
+  ``= prev`` restore statement and at most one assignment to the guest
+  register slots — exactly one of each when it writes a guest register.
 """
 
 import ast
@@ -38,6 +41,7 @@ from repro.ir.instruction import Opcode, branch, load, movi, store
 from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
 from repro.sched.machine import MachineModel
+from repro.sim import replay_ir as R
 from repro.sim.dbt import DbtSystem
 from repro.sim.memory import Memory, MemoryFault
 from repro.sim.replay_ir import lower_trace
@@ -183,19 +187,33 @@ def _against_interp(make_region, pattern, monkeypatch):
 
 
 def _alias_tests(src):
-    """The word-index count of each of a batch kernel's alias tests,
-    ``if j == p: break`` (1) or ``if j in (p1, p2, ...): break``."""
+    """A batch kernel's alias tests, ``if <term> or ...: break``, each as
+    the target-word count of its terms: ``iA == iT`` and ``iA - iT ==
+    o`` test one word, ``iA - iT in {o1, o2, ...}`` one per constant."""
     out = []
     for node in ast.walk(ast.parse(src)):
-        if (
+        if not (
             isinstance(node, ast.If)
-            and isinstance(node.test, ast.Compare)
-            and isinstance(node.test.ops[0], (ast.Eq, ast.In))
             and len(node.body) == 1
             and isinstance(node.body[0], ast.Break)
         ):
-            other = node.test.comparators[0]
-            out.append(len(other.elts) if isinstance(other, ast.Tuple) else 1)
+            continue
+        test = node.test
+        terms = (
+            test.values
+            if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or)
+            else [test]
+        )
+        if all(
+            isinstance(t, ast.Compare)
+            and isinstance(t.ops[0], (ast.Eq, ast.In))
+            for t in terms
+        ):
+            out.append([
+                len(t.comparators[0].elts)
+                if isinstance(t.comparators[0], ast.Set) else 1
+                for t in terms
+            ])
     return out
 
 
@@ -212,11 +230,68 @@ class TestWordKernelEscapes:
         assert c.get("vliw.batch_compiles", 0) == 1
         assert c.get("vliw.batch_trims", 0) == 2
         assert c.get("vliw.replay_compiles", 0) == 0
-        # the store's one check: a membership test over five word indexes
-        assert [_alias_tests(src) for src in sources] == [[5]]
+        # the store's one check: one comparison per hoisted load's group
+        assert [_alias_tests(src) for src in sources] == [[[1] * 5]]
         assert [run[0].status for run in runs] == (
             ["commit"] * _REPLAY_THRESHOLD + ["alias", "commit", "alias"]
         )
+
+    def test_group_set_test_trims_exactly_and_matches_interp(
+        self, monkeypatch
+    ):
+        """Three loads through ``r3`` (words ``r3/8`` to ``r3/8 + 2``)
+        are hoisted above a store to word ``0x21``: the store's check is
+        one subtraction and one constant-set test, which fires exactly
+        when one of the three words is the store's."""
+        def region():
+            return _translate(
+                [
+                    movi(1, 0x100),
+                    load(9, 8),
+                    store(1, 9, disp=8),
+                    load(2, 3),
+                    load(4, 3, disp=8),
+                    load(6, 3, disp=16),
+                    branch(Opcode.BR, 0),
+                ]
+            )
+
+        bases = [0xF0, 0xF8, 0x100, 0x108, 0x110]
+        pattern = [{"r3": 0x300}] * _REPLAY_THRESHOLD + [
+            {"r3": r3} for r3 in bases
+        ]
+        c, sources, runs = _against_interp(region, pattern, monkeypatch)
+        assert [_alias_tests(src) for src in sources] == [[[3]]]
+        assert c.get("vliw.batch_trims", 0) == 3
+        assert c.get("vliw.replay_compiles", 0) == 0
+        assert [run[0].status for run in runs[_REPLAY_THRESHOLD:]] == [
+            "commit", "alias", "alias", "alias", "commit"
+        ]
+
+    def test_load_at_an_offset_checks_from_its_groups_index(self):
+        """A load at ``r3 + 8``, the second word of its group, checks a
+        store through ``r1``: the test spells the load's word as the
+        group's index plus one, so the kernel escapes exactly when
+        ``r1 == r3 + 8``, the byte-range overlap."""
+        ir = R.ReplayIR(
+            [
+                (R.OP_LD, 2, 3, 0, 8, None),
+                (R.OP_ST, 9, 1, 0, 8, 0),
+                (R.OP_LD, 4, 3, 8, 8, 1),
+                (R.OP_BR, 0),
+            ],
+            [((R.E_QSET, 0, 8, 0, 1),), ((R.E_QCHK, 0, 8, 1, 2),)],
+            [0],
+            [],
+        )
+        fn, _fps = backends_mod.compile_vec(ir, SmarqAdapter(64), 64)
+        for r1 in range(0x100, 0x120, 8):
+            registers = [0] * 64
+            registers[1], registers[3] = r1, 0x100
+            memory = Memory(MEMORY_BYTES)
+            out = fn(registers, memory.words, memory.size, SmarqAdapter(64),
+                     [].append)
+            assert (out == backends_mod.FALLBACK) == (r1 == 0x108), r1
 
     def test_misaligned_base_escapes_and_matches_interp(self, monkeypatch):
         pattern = (
@@ -309,31 +384,6 @@ class TestWordKernelEscapes:
         assert backends_mod.compile_vec(ir, adapter, 64) is None
 
 
-class TestWordView:
-    @pytest.mark.parametrize("size", [64, 61, 7])
-    def test_words_and_buffer_alias_both_ways(self, size):
-        memory = Memory(size)
-        words, buffer = memory.words, memory.buffer
-        # the view covers every whole word and nothing past it
-        assert len(words) == size // 8
-        assert words.nbytes == size & ~7
-        for i in range(len(words)):
-            value = 0x0102030405060708 * (i + 1) & (1 << 64) - 1
-            words[i] = value
-            assert memory.read(8 * i) == value
-            assert bytes(buffer[8 * i:8 * i + 8]) == value.to_bytes(
-                8, "little"
-            )
-            memory.write(8 * i, i + 5)
-            assert words[i] == i + 5
-            buffer[8 * i:8 * i + 8] = (1 << 63 | i).to_bytes(8, "little")
-            assert words[i] == 1 << 63 | i
-        # the tail bytes stay reachable through the byte view only
-        buffer[size & ~7:] = b"\xff" * (size % 8)
-        assert bytes(buffer[size & ~7:]) == b"\xff" * (size % 8)
-        assert all(words[i] == 1 << 63 | i for i in range(len(words)))
-
-
 def _batch_sources(monkeypatch):
     """Run every golden cell from an empty artifact cache, returning the
     source of each batch kernel generated."""
@@ -383,17 +433,45 @@ def _writes_guest_register(tree):
     )
 
 
-class TestOneAbortEpilogue:
-    def test_golden_batch_kernels_restore_once(self, monkeypatch):
+def _slot_writes(tree):
+    """Assignments to guest register slots, ``regs[k] = ...`` or
+    ``regs[a], regs[b], ... = ...`` with constant slots (the wrap loop's
+    ``regs[_k]`` normalizes slots already written)."""
+    def slot(node):
+        return (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "regs"
+            and isinstance(node.slice, ast.Constant)
+        )
+
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(
+            slot(t) or isinstance(t, ast.Tuple) and all(map(slot, t.elts))
+            for t in node.targets
+        )
+    ]
+
+
+class TestOneEpilogue:
+    def test_golden_batch_kernels_write_back_once(self, monkeypatch):
+        """A full batch, a side exit and a guard escape leave through
+        one epilogue: the committed state is restored and written back
+        by one statement per kernel."""
         sources = _batch_sources(monkeypatch)
         assert sources, "the golden cells compiled no batch kernel"
         writers = 0
         for src in sources:
             tree = ast.parse(src)
             restores = len(_restores(tree))
+            slot_writes = len(_slot_writes(tree))
             if _writes_guest_register(tree):
                 writers += 1
                 assert restores == 1, src
+                assert slot_writes == 1, src
             else:
                 assert restores == 0, src
+                assert slot_writes == 0, src
         assert writers > 0

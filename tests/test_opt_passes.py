@@ -30,6 +30,23 @@ class TestLoadElimination:
         assert result.eliminated == 1
         assert block.instructions[2].srcs == (3,)
 
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_narrow_store_is_not_forwarded(self, size):
+        """A narrow load reads back the stored low bytes, zero-extended,
+        not the store's whole value register; narrow load-to-load
+        forwarding stays (the first load's register holds exactly
+        that)."""
+        block, a = block_of(
+            [store(5, 3, disp=16, size=size), load(2, 5, disp=16, size=size)]
+        )
+        assert LoadElimination().run(block, a).eliminated == 0
+        assert block.instructions[1].opcode is Opcode.LD
+        block, a = block_of(
+            [load(1, 5, disp=16, size=size), load(2, 5, disp=16, size=size)]
+        )
+        assert LoadElimination().run(block, a).eliminated == 1
+        assert block.instructions[1].srcs == (1,)
+
     def test_no_forwarding_across_must_alias_store(self):
         block, a = block_of(
             [load(1, 5, disp=0), store(5, 9, disp=0), load(2, 5, disp=0)]

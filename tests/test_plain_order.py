@@ -96,7 +96,7 @@ class TestPlainOrderScheme:
         )
         system.run()
         assert system.interpreter.registers == ref.registers
-        assert bytes(system.memory._data) == bytes(mem._data)
+        assert system.memory.to_bytes() == mem.to_bytes()
 
     def test_ammp_cannot_speculate(self):
         """ammp's superblock exceeds 64 memory ops: plain order-based

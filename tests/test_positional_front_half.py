@@ -101,6 +101,8 @@ class ReferenceLoadElimination(LoadElimination):
         for source in reversed(mem_ops):
             klass = analysis.classify(source, load)
             if klass is AliasClass.MUST and source.size == load.size:
+                if source.is_store and source.size != 8:
+                    return None
                 if analysis.speculation_banned(source):
                     return None
                 if self._value_register_live(source, emitted):

@@ -100,7 +100,7 @@ def _run(
     return Outcome(
         report.to_dict(),
         list(system.interpreter.registers),
-        bytes(system.memory.buffer),
+        system.memory.to_bytes(),
         tracer.counters.get("dbt.prefix_hits", 0),
         tracer.counters.get("dbt.prefix_misses", 0),
         system,
@@ -178,7 +178,7 @@ class TestRestoredRunIsIdentical:
                     interp, profiler = system.interpreter, system.profiler
                     ap = system.alias_profiler
                     seen.append((
-                        bytes(system.memory.buffer), list(interp.registers),
+                        system.memory.to_bytes(), list(interp.registers),
                         interp.pc, vars(interp.stats).copy(),
                         dict(profiler.block_counts),
                         dict(profiler.edge_counts), profiler._last_pc,

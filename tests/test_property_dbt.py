@@ -48,7 +48,7 @@ def reference(program_traits):
     memory = Memory(program.memory_size() + 4096)
     interp = Interpreter(program, memory)
     interp.run(max_steps=5_000_000)
-    return interp.registers, bytes(memory._data)
+    return interp.registers, memory.to_bytes()
 
 
 def under_scheme(program_traits, scheme):
@@ -57,7 +57,7 @@ def under_scheme(program_traits, scheme):
     system.run()
     return (
         system.interpreter.registers,
-        bytes(system.memory._data),
+        system.memory.to_bytes(),
     )
 
 

@@ -143,7 +143,7 @@ class TestUnrolledExecution:
         )
         system.run()
         assert system.interpreter.registers == ref.registers
-        assert bytes(system.memory._data) == bytes(mem._data)
+        assert system.memory.to_bytes() == mem.to_bytes()
 
     def test_unrolled_region_is_larger(self):
         from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
