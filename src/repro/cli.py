@@ -47,7 +47,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from repro.eval import (
     render_fig14,
@@ -96,20 +97,23 @@ _FIGURES = {
 }
 
 
-def _make_engine(args: argparse.Namespace):
+@contextmanager
+def _engine(args: argparse.Namespace) -> Iterator:
     """Engine configured from the shared --jobs/--no-cache/--serve flags.
 
-    With ``--serve host:port`` the returned engine is a
+    With ``--serve host:port`` the engine is a
     :class:`~repro.serve.client.RemoteEngine` that ships every job to
-    the daemon; the local flags (--jobs/--no-cache) are the server's
-    business then.
+    the daemon, and its connection closes when the block exits; the
+    local flags (--jobs/--no-cache) are the server's business then.
     """
     if getattr(args, "serve", None):
         from repro.serve import RemoteEngine, ServeClient, parse_address
 
-        return RemoteEngine(ServeClient(parse_address(args.serve)))
+        with ServeClient(parse_address(args.serve)) as client:
+            yield RemoteEngine(client)
+        return
     cache = NullCache() if args.no_cache else ReportCache()
-    return ExecutionEngine(executor=make_executor(args.jobs), cache=cache)
+    yield ExecutionEngine(executor=make_executor(args.jobs), cache=cache)
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -179,74 +183,79 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    runner = SuiteRunner(
-        SuiteConfig(
-            benchmarks=[args.benchmark], scale=args.scale, hot_threshold=20
-        ),
-        engine=_make_engine(args),
-    )
-    runner.prefetch(SCHEME_NAMES)
-    reports = {
-        scheme: runner.report(args.benchmark, scheme)
-        for scheme in SCHEME_NAMES
-    }
-    baseline = reports["none"].total_cycles
-    rows = [
-        [
-            scheme,
-            r.total_cycles,
-            f"{baseline / r.total_cycles:.3f}x",
-            r.alias_exceptions,
-            r.reoptimizations,
-        ]
-        for scheme, r in reports.items()
-    ]
-    print(
-        render_table(
-            f"Scheme comparison: {args.benchmark} (scale {args.scale})",
-            ["scheme", "cycles", "speedup", "alias exc", "re-opts"],
-            rows,
+    with _engine(args) as engine:
+        runner = SuiteRunner(
+            SuiteConfig(
+                benchmarks=[args.benchmark], scale=args.scale,
+                hot_threshold=20,
+            ),
+            engine=engine,
         )
-    )
-    if args.stats:
-        print()
-        print(runner.engine.render_stats())
-    return 0
+        runner.prefetch(SCHEME_NAMES)
+        reports = {
+            scheme: runner.report(args.benchmark, scheme)
+            for scheme in SCHEME_NAMES
+        }
+        baseline = reports["none"].total_cycles
+        rows = [
+            [
+                scheme,
+                r.total_cycles,
+                f"{baseline / r.total_cycles:.3f}x",
+                r.alias_exceptions,
+                r.reoptimizations,
+            ]
+            for scheme, r in reports.items()
+        ]
+        print(
+            render_table(
+                f"Scheme comparison: {args.benchmark} (scale {args.scale})",
+                ["scheme", "cycles", "speedup", "alias exc", "re-opts"],
+                rows,
+            )
+        )
+        if args.stats:
+            print()
+            print(runner.engine.render_stats())
+        return 0
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    benchmarks = (
-        [b.strip() for b in args.suite.split(",") if b.strip()]
-        if args.suite
-        else list(SPECFP_BENCHMARKS)
-    )
-    runner = SuiteRunner(
-        SuiteConfig(benchmarks=benchmarks, scale=args.scale, hot_threshold=20),
-        engine=_make_engine(args),
-    )
-    names = [args.only] if args.only else list(_FIGURES)
-    for name in names:
-        if name not in _FIGURES:
-            print(f"unknown figure {name!r}; choose from {list(_FIGURES)}",
-                  file=sys.stderr)
-            return 2
+    with _engine(args) as engine:
+        benchmarks = (
+            [b.strip() for b in args.suite.split(",") if b.strip()]
+            if args.suite
+            else list(SPECFP_BENCHMARKS)
+        )
+        runner = SuiteRunner(
+            SuiteConfig(
+                benchmarks=benchmarks, scale=args.scale, hot_threshold=20
+            ),
+            engine=engine,
+        )
+        names = [args.only] if args.only else list(_FIGURES)
+        for name in names:
+            if name not in _FIGURES:
+                print(f"unknown figure {name!r}; choose from {list(_FIGURES)}",
+                      file=sys.stderr)
+                return 2
 
-    # Batch every needed cell up front so the executor can fan them
-    # out; rendering below then hits the memo.
-    keys: List[str] = []
-    for name in names:
-        needed = _FIGURES[name][2]
-        keys.extend(k for k in needed if k not in keys)
-    if keys:
-        runner.prefetch(keys)
+        # Batch every needed cell up front so the executor can fan them
+        # out; rendering below then hits the memo.
+        keys: List[str] = []
+        for name in names:
+            needed = _FIGURES[name][2]
+            keys.extend(k for k in needed if k not in keys)
+        if keys:
+            runner.prefetch(keys)
 
-    for name in names:
-        run, render, _needed = _FIGURES[name]
-        print(render(run(runner)))
-        print()
-    if args.stats:
-        print(runner.engine.render_stats())
-    return 0
+        for name in names:
+            run, render, _needed = _FIGURES[name]
+            print(render(run(runner)))
+            print()
+        if args.stats:
+            print(runner.engine.render_stats())
+        return 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:

@@ -291,6 +291,8 @@ def _compile_alu(
         return lambda: regs.__setitem__(dest, value)
     if op is Opcode.MOV:
         s0 = srcs[0]
+        if imm is not None:
+            return lambda: regs.__setitem__(dest, regs[s0] & imm)
         return lambda: regs.__setitem__(dest, regs[s0])
     if op in (Opcode.ADD, Opcode.SUB) and imm is not None:
         s0 = srcs[0]

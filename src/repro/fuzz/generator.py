@@ -19,7 +19,13 @@ the situations that historically break alias machinery:
 * **word-shaped cases** (every third seed, see :func:`word_shaped`):
   the same draw with every access widened to one aligned 8-byte word,
   the only shape the simulator's replay kernels lower — so the kernels,
-  their guards and their mid-batch trims stay under fuzz.
+  their guards and their mid-batch trims stay under fuzz;
+* **overflow cases** (every fifth word-shaped seed, see
+  :func:`overflowing`): seed data near ``2**63``, so sums and products
+  leave the signed 64-bit range, a register that wraps every iteration
+  and is read opaquely at the top of the next one, and a loop tested
+  at its top, so the registers the last replay left are the final
+  state — the shapes that show a kernel's missing wrap.
 
 A :class:`FuzzCase` is fully determined by its JSON-serializable form
 (:meth:`FuzzCase.to_dict`), so any case — including one reduced by the
@@ -43,6 +49,10 @@ Ops are compact JSON lists:
     pointers at provable constant separation — the certifier's
     bread and butter — while staying inside the region bounds
     (generation caps the per-case delta sum).
+``["bop", name, dest, lhs, rhs]``
+    bitwise ``and``/``or``/``xor``: reads its operands' exact signed
+    values, so a replay tier that hands it an unwrapped value computes
+    another result (overflow cases only).
 """
 
 from __future__ import annotations
@@ -82,6 +92,8 @@ MAX_UNKNOWN_BASES = 6
 #: data registers the op soup reads/writes: r20 .. r39
 DATA_REG = 20
 DATA_REGS = 20
+#: registers only the overflow class's own ops use: r40 .. r43
+_OVERFLOW_REG = 40
 #: program-harness registers (setup + loop induction)
 _PARAMS_REG = 16
 _COUNTER_REG = 48
@@ -98,6 +110,7 @@ _REGION_BYTES = 1024
 _OFFSET_MASK = 511
 
 _FOP_NAMES = {"fadd": Opcode.FADD, "fmul": Opcode.FMUL}
+_BOP_NAMES = {"and": Opcode.AND, "or": Opcode.OR, "xor": Opcode.XOR}
 
 CASE_SCHEMA_VERSION = 1
 
@@ -122,6 +135,10 @@ class CaseConfig:
     base_walks: Tuple[bool, ...] = ()
     iterations: int = 32
     hot_threshold: int = 10
+    #: the overflow class: seed data just below ``2**63`` instead of
+    #: below ``2**30``, and the loop tested at its top; serialized only
+    #: when set
+    overflow: bool = False
 
 
 @dataclass
@@ -136,9 +153,12 @@ class FuzzCase:
     # round-trip through this form)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
+        config = asdict(self.config)
+        if not config["overflow"]:
+            del config["overflow"]  # a case outside the class: as before
         return {
             "schema": CASE_SCHEMA_VERSION,
-            "config": asdict(self.config),
+            "config": config,
             "ops": [list(op) for op in self.ops],
         }
 
@@ -190,6 +210,9 @@ class FuzzCase:
         if kind == "movi":
             _, dest, imm = op
             return movi(dest, imm)
+        if kind == "bop":
+            _, name, dest, lhs, rhs = op
+            return binop(_BOP_NAMES[name], dest, lhs, rhs)
         if kind == "pmov":
             _, u_index, ref, delta = op
             return Instruction(
@@ -250,12 +273,10 @@ class FuzzCase:
         rng = random.Random(cfg.seed ^ 0x5EED)
         for base in known_bases + unknown_regions:
             for j in range(8):
-                b.init_word(
-                    base + j * WORD,
-                    rng.randrange(1, 1 << 30),
-                    _TADDR_REG,
-                    _TVAL_REG,
-                )
+                value = rng.randrange(1, 1 << 30)
+                if cfg.overflow:
+                    value = (1 << 63) - value
+                b.init_word(base + j * WORD, value, _TADDR_REG, _TVAL_REG)
 
         # Loop-invariant registers.
         for i, base in enumerate(known_bases):
@@ -270,6 +291,14 @@ class FuzzCase:
         b.emit(movi(_OFFSET_REG, 0))
 
         head = b.here()
+        # An overflow case tests at the top of the loop instead: its last
+        # pass leaves there, before the body runs, so the registers the
+        # last replay of the body left are the program's final state.
+        leave = (
+            b.emit(branch(Opcode.BGE, 0, srcs=(_COUNTER_REG, _LIMIT_REG)))
+            if cfg.overflow
+            else None
+        )
         for i in range(cfg.unknown_bases):
             reg = UNKNOWN_BASE_REG + i
             b.emit(load(reg, _PARAMS_REG, disp=i * WORD, size=WORD))
@@ -287,7 +316,11 @@ class FuzzCase:
                 Opcode.ADD, dest=_COUNTER_REG, srcs=(_COUNTER_REG,), imm=1
             )
         )
-        b.emit(branch(Opcode.BLT, head, srcs=(_COUNTER_REG, _LIMIT_REG)))
+        if leave is None:
+            b.emit(branch(Opcode.BLT, head, srcs=(_COUNTER_REG, _LIMIT_REG)))
+        else:
+            b.emit(branch(Opcode.BR, head))
+            leave.target = b.here()
         b.emit(branch(Opcode.EXIT, 0))
         return b.build()
 
@@ -374,6 +407,38 @@ def word_shaped(seed: int) -> bool:
     return seed % 3 == 0
 
 
+def overflowing(seed: int) -> bool:
+    """Whether ``seed`` draws an overflow case: every fifth word-shaped
+    seed (9, 24, 39, ...; a residue no seed pinned in the tests has).
+
+    Seed data below ``2**30`` never leaves the signed 64-bit range, and
+    every other op reads a register through a wrap-transparent use
+    (``fadd``/``fmul`` operands, store values), so no other case can
+    tell a kernel that skips a wrap from one that does not."""
+    return seed % 15 == 9
+
+
+def _add_overflow_ops(rng: random.Random, cfg: CaseConfig,
+                      ops: List[list]) -> None:
+    """Make ``ops`` an overflow case, in place.
+
+    ``t`` is loaded from a seed-data word (each just below ``2**63``),
+    ``acc = t + t`` and ``sq = t * t`` wrap, and a bitwise op at the top
+    of the body reads ``acc`` and ``t`` as the previous iteration left
+    them. A batch kernel defers both wraps; it must normalize ``acc`` at
+    its back edge (the next iteration reads it opaquely) and ``sq``
+    where it leaves the kernel (nothing reads it)."""
+    cfg.overflow = True
+    cfg.known_bases = max(cfg.known_bases, 1)
+    t, acc, sq, out = range(_OVERFLOW_REG, _OVERFLOW_REG + 4)
+    # a known base does not walk, so the load stays on the seed data
+    ref = f"k{rng.randrange(cfg.known_bases)}"
+    ops.insert(0, ["bop", rng.choice(("or", "xor")), out, acc, t])
+    ops.append(["ld", t, ref, rng.randrange(8) * WORD, WORD])
+    ops.append(["fop", "fadd", acc, t, t])
+    ops.append(["fop", "fmul", sq, t, t])
+
+
 def _to_words(cfg: CaseConfig, ops: List[list]) -> None:
     """Widen every access to one aligned word, in place: size 8, its
     displacement and every base shift rounded down to a multiple of 8
@@ -388,7 +453,8 @@ def _to_words(cfg: CaseConfig, ops: List[list]) -> None:
 
 def generate_case(seed: int) -> FuzzCase:
     """Deterministically generate one adversarial case from ``seed``
-    (word-shaped when :func:`word_shaped` says so)."""
+    (word-shaped when :func:`word_shaped` says so, an overflow case
+    when :func:`overflowing` does)."""
     rng = random.Random(seed)
     unknown_bases = rng.randint(1, 4)
     known_bases = rng.randint(0, 2)
@@ -459,6 +525,8 @@ def generate_case(seed: int) -> FuzzCase:
             )
     if word_shaped(seed):
         _to_words(cfg, ops)
+    if overflowing(seed):
+        _add_overflow_ops(rng, cfg, ops)
     return FuzzCase(config=cfg, ops=ops)
 
 

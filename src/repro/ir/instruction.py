@@ -276,9 +276,9 @@ def fbinop(opcode: Opcode, dest: int, lhs: int, rhs: int) -> Instruction:
     return Instruction(opcode, dest=dest, srcs=(lhs, rhs))
 
 
-def mov(dest: int, src: int) -> Instruction:
-    """Register move."""
-    return Instruction(Opcode.MOV, dest=dest, srcs=(src,))
+def mov(dest: int, src: int, mask: Optional[int] = None) -> Instruction:
+    """Register move; with ``mask`` (kept in ``imm``), ``dest = src & mask``."""
+    return Instruction(Opcode.MOV, dest=dest, srcs=(src,), imm=mask)
 
 
 def movi(dest: int, imm: int) -> Instruction:

@@ -31,7 +31,8 @@ def format_instruction(inst: Instruction) -> str:
     if op is Opcode.MOVI:
         return f"r{inst.dest} = {inst.imm}"
     if op is Opcode.MOV:
-        return f"r{inst.dest} = r{inst.srcs[0]}"
+        mask = "" if inst.imm is None else f" & {inst.imm:#x}"
+        return f"r{inst.dest} = r{inst.srcs[0]}{mask}"
     if op is Opcode.ROTATE:
         return f"rotate {inst.rotate_by}"
     if op is Opcode.AMOV:

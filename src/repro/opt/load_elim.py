@@ -2,7 +2,9 @@
 
 For each load Z, find the nearest earlier memory access X that MUST alias Z
 (same location, same size) with no MUST-alias store in between. Replace Z
-with a register move from X's value register. MUST aliasing is exactly
+with a register move from X's value register (from a store, a move that
+zero-extends it: Z reads the word back unsigned, while the store's
+register may hold it as a negative value). MUST aliasing is exactly
 equality of :meth:`~repro.analysis.aliasinfo.AliasAnalysis.must_key`, so
 the forward scan keeps the latest surviving access per key and finds X in
 O(1); a load with no earlier same-key access costs no classification.
@@ -40,6 +42,9 @@ from repro.analysis.dependence import (
 )
 from repro.ir.instruction import Instruction, Opcode, mov
 from repro.ir.superblock import Superblock
+
+#: what an 8-byte load of a stored register reads back
+_WORD_MASK = (1 << 64) - 1
 
 
 @dataclass
@@ -119,10 +124,13 @@ class LoadElimination:
                     if usable and self.sources == "loads" and not source.is_load:
                         usable = False
                     if usable:
-                        value_reg = (
-                            source.dest if source.is_load else source.srcs[0]
+                        # a load reads a stored word back unsigned, and
+                        # the store's value register may hold it signed
+                        replaced = (
+                            mov(inst.dest, source.dest)
+                            if source.is_load
+                            else mov(inst.dest, source.srcs[0], _WORD_MASK)
                         )
-                        replaced = mov(inst.dest, value_reg)
                         replaced.speculative = True
                         replaced.guest_pc = inst.guest_pc
                         result.extended.extend(ext)

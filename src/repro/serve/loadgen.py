@@ -270,3 +270,4 @@ def spawned_server(
         except Exception:
             proc.kill()
             proc.wait(timeout=10)
+        proc.stdout.close()

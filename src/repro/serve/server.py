@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro import knobs
 from repro.engine.cache import NullCache, ReportCache
 from repro.engine.core import ExecutionEngine
 from repro.engine.executor import ParallelExecutor, SerialExecutor
@@ -438,6 +439,8 @@ class ReproServer:
             "plans": _plan_summary(counters),
             "backends": _backend_summary(counters),
             "counters": counters,
+            # the daemon's environment decides every knob of its runs
+            "knobs": {k.name: knobs.value(k.name) for k in knobs.KNOBS},
         }
 
 

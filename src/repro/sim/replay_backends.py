@@ -81,6 +81,13 @@ translation cache's content-identical region clones (one per repeated
 run of a benchmark, for instance) stop re-generating identical replay code.
 Timing plans are deliberately *not* shared — they memoize per-region
 signature state and stay on the region object.
+
+Each ``compile_*`` pops its kernel out of the globals dict it was
+``exec``-ed in. The kernel keeps that dict as its ``__globals__``, so a
+kernel left in it too would make every dropped artifact a reference
+cycle that only the cyclic collector frees, and
+:meth:`repro.sim.dbt.DbtSystem.run` pauses that collector. No kernel
+refers to itself by name.
 """
 
 from __future__ import annotations
@@ -231,7 +238,8 @@ def compile_py(ir: R.ReplayIR) -> Callable:
             if kind == R.A_MOVI:
                 emit(f"{pad}regs[{d}] = {imm}")
             elif kind == R.A_MOV:
-                emit(f"{pad}regs[{d}] = regs[{a}]")
+                mask = "" if imm is None else f" & {imm}"
+                emit(f"{pad}regs[{d}] = regs[{a}]{mask}")
             elif kind == R.A_ADDI:
                 emit_wrap(d, f"regs[{a}] + {imm}")
             elif kind == R.A_ADD:
@@ -306,7 +314,7 @@ def compile_py(ir: R.ReplayIR) -> Callable:
     emit("    except A as e:")
     emit(f"        return (i, {R.X_ALIAS}, e)")
     exec(compile("\n".join(lines), "<vliw-replay-py>", "exec"), env)
-    return env["_replay"]  # type: ignore[return-value]
+    return env.pop("_replay")  # type: ignore[return-value]
 
 
 # ----------------------------------------------------------------------
@@ -490,7 +498,8 @@ def _defer_wraps(ir: R.ReplayIR):
     The signed wrap is congruence-preserving (mod 2**64), so a wrapped
     def whose every use is *wrap-transparent* — an operand of another
     wrapped op, a shift amount or shifted value (only the low bits
-    matter), a store value (masked at the access) or a memory base (a
+    matter), a store value (masked at the access), the source of a
+    masked move (a forwarded store value) or a memory base (a
     raw base outside the signed range fails its group guard, and the
     execution escapes) — can stay as the raw Python int and let each
     consumer normalize. Opaque uses (signed compares, bitwise ops on the
@@ -514,9 +523,9 @@ def _defer_wraps(ir: R.ReplayIR):
     for k, op in enumerate(ir.ops):
         t = op[0]
         if t == R.OP_ALU:
-            _, kind, d, a, b, _imm = op
+            _, kind, d, a, b, imm = op
             if kind == R.A_MOV:
-                u(a, False)
+                u(a, imm is not None)  # a masked move reads the low bits
             elif kind == R.A_ADDI:
                 u(a)
             elif kind in (R.A_ADD, R.A_SUB, R.A_MUL, R.A_SHL, R.A_SHR):
@@ -715,7 +724,7 @@ class _ResidueEmitter:
         if kind == R.A_MOVI:
             emit(f"{pad}{self.define(d)} = {imm}")
         elif kind == R.A_MOV:
-            src = use(a)
+            src = use(a) if imm is None else f"{use(a)} & {imm}"
             emit(f"{pad}{self.define(d)} = {src}")
         else:
             wrapped = kind in _WRAP_KINDS
@@ -1034,7 +1043,7 @@ def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
     if not em.walk(_vec_exit):
         return None
     exec(compile("\n".join(lines), "<vliw-replay-vec>", "exec"), env)
-    return env["_replay_vec"], em.exit_fps
+    return env.pop("_replay_vec"), em.exit_fps
 
 
 # ----------------------------------------------------------------------
@@ -1299,7 +1308,7 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
         lines.extend(body)
     emit("    return (it - _x[0], mark) + _x[1:]")
     exec(compile("\n".join(lines), "<vliw-replay-batch>", "exec"), env)
-    return env["_replay_batch"], em.exit_fps
+    return env.pop("_replay_batch"), em.exit_fps
 
 
 # ----------------------------------------------------------------------

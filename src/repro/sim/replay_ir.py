@@ -57,7 +57,7 @@ OP_NOP = 7  # (OP_NOP,)
 # -- ALU kinds ----------------------------------------------------------
 (
     A_MOVI,  # dest = imm
-    A_MOV,  # dest = a
+    A_MOV,  # dest = a, or a & imm when imm is set
     A_ADDI,  # dest = wrap(a + imm)   (SUB-immediate folds a negative imm)
     A_ADD,  # dest = wrap(a + b)     (FADD shares the integer model)
     A_SUB,  # dest = wrap(a - b)     (FSUB likewise)
@@ -242,7 +242,7 @@ def _lower_alu(inst: Instruction, k: int, aux, dyn) -> Tuple:
     if op is Opcode.MOVI:
         return (OP_ALU, A_MOVI, d, None, None, imm or 0)
     if op is Opcode.MOV:
-        return (OP_ALU, A_MOV, d, srcs[0], None, None)
+        return (OP_ALU, A_MOV, d, srcs[0], None, imm)
     if op in (Opcode.ADD, Opcode.SUB) and imm is not None:
         delta = imm if op is Opcode.ADD else -imm
         return (OP_ALU, A_ADDI, d, srcs[0], None, delta)

@@ -344,6 +344,12 @@ def _compile_alu_fn(inst: Instruction) -> Callable[[List[int]], None]:
         return fn
     if op is Opcode.MOV:
         s0 = srcs[0]
+        if imm is not None:
+
+            def fn(regs: List[int]) -> None:
+                regs[dest] = regs[s0] & imm
+
+            return fn
 
         def fn(regs: List[int]) -> None:
             regs[dest] = regs[s0]
@@ -979,7 +985,13 @@ class VliwSimulator:
                 outcome_status = "exit"
                 exit_code = payload
             elif exit_kind == _X_ALIAS:
-                alias_exc = payload
+                # Keep the exception, not its traceback: the traceback's
+                # frames reach this one through ``f_back``, and this
+                # frame holds the exception, a cycle that would pin the
+                # frames, the undo log, the registers and the job's
+                # memory until the cyclic collector ran, which
+                # ``DbtSystem.run`` pauses.
+                alias_exc = payload.with_traceback(None)
             return self._finish_planned(
                 region, adapter, registers, regs, guest_count, undo_log,
                 trace, fall_through, plan, idx, exit_kind, alias_exc,
@@ -1044,7 +1056,8 @@ class VliwSimulator:
                 # _K_NOP: no functional effect (still occupies its issue
                 # slot — accounted by the timing plan)
         except AliasException as exc:
-            alias_exc = exc
+            # not its traceback, which holds this frame (as above)
+            alias_exc = exc.with_traceback(None)
             exit_kind = _X_ALIAS
 
         return self._finish_planned(

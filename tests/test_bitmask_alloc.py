@@ -13,17 +13,19 @@ from repro.hw.efficeon import BitmaskAliasFile
 from repro.hw.exceptions import AliasException
 from repro.fuzz import CaseRun, FuzzCase
 from repro.hw.ranges import AccessRange
-from repro.ir.instruction import load, reserve_uids, store, uid_watermark
-from repro.opt.translation_cache import reset_translation_cache
+from repro.ir.instruction import load, store
 from repro.ir.superblock import Superblock
 from repro.sched.ddg import DataDependenceGraph
 from repro.sched.list_scheduler import ListScheduler, SchedulerConfig
 from repro.sched.machine import MachineModel
-from repro.sim.dbt import reset_prefix_memo
-from repro.sim.replay_backends import reset_artifact_cache
 from repro.smarq.bitmask_alloc import BitmaskAllocator
 
 from tests.test_golden_reports import GOLDEN_CELLS, render_report
+from tests.uid_offsets import (
+    FEW_UID_OFFSETS,
+    UID_OFFSETS,
+    report_from_uid_offset,
+)
 
 
 def run_bitmask(insts, num_registers=15):
@@ -127,23 +129,9 @@ class TestBitmaskAllocation:
         assert all(not i.is_queue_op for i in result.linear)
 
 
-#: uid-counter offsets a run starts from: set iteration order over small
-#: ints follows their values, so an allocator that released registers in
-#: a set's order assigned other registers at most of these
-UID_OFFSETS = tuple(range(0, 4000, 250))
-
-#: a fuzz case whose efficeon report depended on that order
+#: a fuzz case whose efficeon report depended on the order a set of
+#: uids iterates in (see ``tests/uid_offsets.py``)
 UID_ORDER_CASE = Path(__file__).parent / "corpus" / "seed5280_knobs.json"
-
-
-def _report_from_uid_offset(offset, run):
-    """``run()`` translated from scratch, with every uid it allocates
-    shifted by ``offset`` past the counter."""
-    reset_translation_cache()
-    reset_prefix_memo()
-    reset_artifact_cache()
-    reserve_uids(uid_watermark() + offset)
-    return run()
 
 
 class TestRegisterAssignmentIgnoresUidValues:
@@ -155,7 +143,7 @@ class TestRegisterAssignmentIgnoresUidValues:
             report = CaseRun(case).knob_report("efficeon")
             return json.dumps(report, sort_keys=True)
 
-        reports = {_report_from_uid_offset(k, run) for k in UID_OFFSETS}
+        reports = {report_from_uid_offset(k, run) for k in UID_OFFSETS}
         assert len(reports) == 1
 
     @pytest.mark.parametrize(
@@ -165,9 +153,9 @@ class TestRegisterAssignmentIgnoresUidValues:
     )
     def test_golden_cells(self, bench, scheme, scale):
         reports = {
-            _report_from_uid_offset(
+            report_from_uid_offset(
                 k, lambda: render_report(bench, scheme, scale)
             )
-            for k in UID_OFFSETS[::5]
+            for k in FEW_UID_OFFSETS
         }
         assert len(reports) == 1

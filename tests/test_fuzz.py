@@ -11,7 +11,10 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fuzz.generator import word_shaped
+from repro.frontend.interpreter import Interpreter
+from repro.fuzz.generator import overflowing, word_shaped
+from repro.ir.instruction import Opcode
+from repro.sim.memory import Memory
 from repro.fuzz import (
     CaseRun,
     FuzzCase,
@@ -134,6 +137,64 @@ class TestWordShapedSeeds:
         # compared in its JSON form, the one corpus entries store
         blob = json.loads(json.dumps(generate_case(seed).to_dict()))
         assert blob == PINNED_CASES[seed]
+
+
+def _opaque_reads_of_overflowed(case):
+    """Interpret ``case`` one instruction at a time: the number of
+    arithmetic results that left the signed 64-bit range (before their
+    wrap), and how many times a bitwise op read a register whose value
+    came from such a result."""
+    program = case.program()
+    interp = Interpreter(program, Memory(program.memory_size() + 4096))
+    regs = interp.registers
+    overflowed = set()  # registers holding a wrapped result
+    wraps = opaque = 0
+    while not interp.exited:
+        inst = program.at(interp.pc)
+        op = inst.opcode
+        if op in (Opcode.AND, Opcode.OR, Opcode.XOR):
+            opaque += any(src in overflowed for src in inst.srcs)
+        exact = None
+        if op in (Opcode.FADD, Opcode.FMUL):
+            a, b = (regs[src] for src in inst.srcs)
+            exact = a + b if op is Opcode.FADD else a * b
+        interp.step()
+        if inst.dest is not None:
+            overflowed.discard(inst.dest)
+            if exact is not None and not -(1 << 63) <= exact < 1 << 63:
+                overflowed.add(inst.dest)
+                wraps += 1
+    return wraps, opaque
+
+
+class TestOverflowSeeds:
+    """Every fifth word-shaped seed draws an overflow case: its
+    arithmetic leaves the signed 64-bit range, and a bitwise op reads the
+    wrapped value, so a replay tier that skips a wrap computes another
+    result."""
+
+    def test_every_fifth_word_shaped_seed(self):
+        seeds = [s for s in range(60) if overflowing(s)]
+        assert seeds == [9, 24, 39, 54]
+        assert all(word_shaped(s) for s in seeds)
+        # corpus entries store their whole case, so only the pinned
+        # seeds could change
+        assert not any(overflowing(s) for s in PINNED_CASES)
+
+    @pytest.mark.parametrize("seed", [9, 24, 39, 54])
+    def test_overflow_is_read_opaquely(self, seed):
+        case = generate_case(seed)
+        assert case.config.overflow
+        wraps, opaque = _opaque_reads_of_overflowed(case)
+        assert wraps >= case.config.iterations
+        assert opaque >= case.config.iterations - 1
+
+    def test_other_seeds_never_overflow(self):
+        for seed in (0, 3, 4, 8, 10):
+            case = generate_case(seed)
+            assert not case.config.overflow
+            assert "overflow" not in case.to_dict()["config"]
+            assert _opaque_reads_of_overflowed(case) == (0, 0)
 
 
 class TestBenchmarkTransport:

@@ -68,15 +68,20 @@ def golden_path(bench: str, scheme: str, scale: float = GOLDEN_SCALE) -> pathlib
     return GOLDEN_DIR / f"{bench}_{scheme}_s{int(round(scale * 100)):03d}.json"
 
 
-def render_report(bench: str, scheme: str, scale: float = GOLDEN_SCALE) -> str:
-    """Run one cell and serialize its report canonically."""
+def run_cell(bench: str, scheme: str, scale: float = GOLDEN_SCALE):
+    """Run one cell; returns its :class:`~repro.sim.dbt.DbtReport`."""
     program = make_benchmark(bench, scale=scale)
     system = DbtSystem(
         program,
         scheme,
         profiler_config=ProfilerConfig(hot_threshold=GOLDEN_HOT_THRESHOLD),
     )
-    report = system.run()
+    return system.run()
+
+
+def render_report(bench: str, scheme: str, scale: float = GOLDEN_SCALE) -> str:
+    """Run one cell and serialize its report canonically."""
+    report = run_cell(bench, scheme, scale)
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
@@ -99,7 +104,8 @@ def test_report_matches_golden(bench, scheme, scale):
     )
 
 
-def _reset_process_caches() -> None:
+def reset_process_caches() -> None:
+    """Empty the process-wide caches a run fills, as in a fresh process."""
     reset_translation_cache()
     reset_artifact_cache()
     reset_prefix_memo()
@@ -116,12 +122,12 @@ KNOB_CELLS = [
 
 @pytest.mark.parametrize("leg,cell", KNOB_CELLS)
 def test_golden_holds_under_neutral_knob(leg, cell):
-    _reset_process_caches()
+    reset_process_caches()
     try:
         with knobs.overridden(*leg):
             rendered = render_report(*cell)
     finally:
-        _reset_process_caches()
+        reset_process_caches()
     assert rendered == golden_path(*cell).read_text(), (
         f"{'='.join(leg)} changed the report of {cell}"
     )

@@ -4,7 +4,9 @@
   constant in ``src/repro`` (docstrings aside) contains ``SMARQ_``;
 * a value outside a knob's accepted set raises, naming the accepted
   values, and an unset or empty variable reads as the default;
-* :func:`repro.knobs.overridden` validates, then restores the old value.
+* :func:`repro.knobs.overridden` validates, then restores the old value;
+* the serve daemon's ``stats`` reports the value of every knob it runs
+  under.
 
 That every keyed knob reaches the job fingerprint is locked in
 ``tests/test_engine.py``; the neutral legs run in the ``knobs`` fuzz
@@ -93,3 +95,19 @@ def test_neutral_legs_cover_every_non_default_value():
         (knobs.REPLAY_BACKEND, "vec"),
         (knobs.REPLAY_BACKEND, "batch"),
     )
+
+
+def test_daemon_stats_report_every_knob(monkeypatch):
+    from repro.serve import ServeClient, ServeConfig, running_server
+
+    for knob in knobs.KNOBS:
+        monkeypatch.delenv(knob.name, raising=False)
+    with knobs.overridden(knobs.REPLAY_BACKEND, "interp"):
+        with running_server(ServeConfig(cache=False)) as server:
+            with ServeClient(server.address) as client:
+                reported = client.stats()["knobs"]
+    assert reported == {
+        knob.name: "interp" if knob.name == knobs.REPLAY_BACKEND
+        else knob.values[0]
+        for knob in knobs.KNOBS
+    }

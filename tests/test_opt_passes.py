@@ -47,6 +47,21 @@ class TestLoadElimination:
         assert LoadElimination().run(block, a).eliminated == 1
         assert block.instructions[1].srcs == (1,)
 
+    def test_store_forwarding_zero_extends(self):
+        """A load reads a stored word back unsigned, but the store's
+        value register may hold it as a negative number: the move that
+        replaces the load masks the value to 64 bits. A load-to-load
+        move copies, the first load's register being unsigned already."""
+        block, a = block_of([store(5, 3, disp=16), load(2, 5, disp=16)])
+        assert LoadElimination().run(block, a).eliminated == 1
+        forwarded = block.instructions[1]
+        assert forwarded.opcode is Opcode.MOV
+        assert forwarded.srcs == (3,)
+        assert forwarded.imm == (1 << 64) - 1
+        block, a = block_of([load(1, 5, disp=16), load(2, 5, disp=16)])
+        assert LoadElimination().run(block, a).eliminated == 1
+        assert block.instructions[1].imm is None
+
     def test_no_forwarding_across_must_alias_store(self):
         block, a = block_of(
             [load(1, 5, disp=0), store(5, 9, disp=0), load(2, 5, disp=0)]

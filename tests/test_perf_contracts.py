@@ -46,10 +46,17 @@ quadratic, an allocator that re-heapifies) fails deterministically:
     kernels made it (``compile()`` time tracks AST nodes, not bytes, so
     both are pinned), a kernel escape generates no ``py`` code, and
     every kernel indexes memory as words: no byte accessor, bloom filter
-    or masked address, and one guard per access group.
+    or masked address, and one guard per access group;
+12. a run makes no reference cycles, so it runs with automatic cyclic
+    collection paused: from empty caches, the golden cells under every
+    replay backend, and cells whose alias exception re-optimizes a region
+    after its kernel compiled, leave ``gc.garbage`` empty under
+    ``gc.DEBUG_SAVEALL``; and ``DbtSystem.run`` leaves the collector
+    enabled or disabled as it found it, also when the run raises.
 """
 
 import ast
+import gc
 import os
 import subprocess
 import sys
@@ -59,7 +66,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+import repro.sim.replay_backends as backends
 import repro.smarq.allocator as allocator_mod
+from repro import knobs
 from repro.engine.cache import ReportCache
 from repro.engine.core import ExecutionEngine
 from repro.engine.instrumentation import Tracer
@@ -70,6 +79,11 @@ from repro.sim.dbt import DbtSystem
 from repro.workloads import make_benchmark
 
 from tests.test_differential_alloc import integrated_allocation
+from tests.test_golden_reports import (
+    GOLDEN_CELLS,
+    reset_process_caches,
+    run_cell,
+)
 from tests.test_property_smarq import program_body
 
 SPEC = JobSpec(benchmark="art", scheme_key="smarq", scale=0.05)
@@ -590,6 +604,93 @@ class TestPerProgramNotPerJob:
         assert result.report.total_cycles > 0
         assert len(refs) == 2
         assert alive == [False, False]
+
+
+#: cells in which an alias exception re-optimizes a region whose kernel
+#: had already compiled, so the run drops that kernel
+DROPPED_KERNEL_CELLS = [("ammp", "smarq", 0.05), ("ammp", "itanium", 0.05)]
+
+#: every replay backend, the default (``auto``) first
+BACKENDS = next(
+    knob.values for knob in knobs.KNOBS if knob.name == knobs.REPLAY_BACKEND
+)
+
+
+class TestRunsMakeNoCycles:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_runs_leave_no_cyclic_garbage(self, monkeypatch, backend):
+        """Everything a run drops is freed by reference counting: with
+        the collector saving what it finds instead of freeing it, a
+        sweep of cells from empty caches leaves ``gc.garbage`` empty.
+        A kernel left in its own globals, or an alias exception kept
+        with its traceback, would each leave a cycle here."""
+        dropped = []
+        invalidate = backends.invalidate_artifacts
+
+        def recording(replay_key):
+            dropped.extend(
+                backends._artifacts[key]
+                for key in backends._by_replay_key.get(replay_key, ())
+            )
+            return invalidate(replay_key)
+
+        monkeypatch.setattr(backends, "invalidate_artifacts", recording)
+        reset_process_caches()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            with knobs.overridden(knobs.REPLAY_BACKEND, backend):
+                for cell in GOLDEN_CELLS + DROPPED_KERNEL_CELLS:
+                    run_cell(*cell)
+            compiled = sum(
+                art.batch_fn is not None or art.vec_fn is not None
+                or art.py_fn is not None
+                for art in dropped
+            )
+            del dropped[:]  # let the dropped artifacts go before collecting
+            gc.collect()
+            garbage = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            reset_process_caches()
+        if backend != "interp":
+            assert compiled > 0, "no run dropped a compiled kernel"
+        assert garbage == []
+
+    @pytest.mark.parametrize("raises", [False, True])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_restores_the_collector_state(
+        self, monkeypatch, enabled, raises
+    ):
+        """The collector is paused inside the run and left as the caller
+        had it: enabled or disabled, whether or not the run raises."""
+        inside = []
+        run = DbtSystem._run
+
+        def observing(system, max_guest_steps):
+            inside.append(gc.isenabled())
+            if raises:
+                raise RuntimeError("guest fault")
+            return run(system, max_guest_steps)
+
+        monkeypatch.setattr(DbtSystem, "_run", observing)
+        system = DbtSystem(make_benchmark("art", scale=0.05), "smarq")
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        try:
+            if raises:
+                with pytest.raises(RuntimeError, match="guest fault"):
+                    system.run()
+            else:
+                assert system.run().total_cycles > 0
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert inside == [False]
+        assert after is enabled
 
 
 class TestStartupImports:

@@ -77,10 +77,12 @@ class ReferenceLoadElimination(LoadElimination):
                     ):
                         usable = False
                     if usable:
-                        value_reg = (
-                            source.dest if source.is_load else source.srcs[0]
+                        # a load reads a stored word back unsigned
+                        replaced = (
+                            mov(inst.dest, source.dest)
+                            if source.is_load
+                            else mov(inst.dest, source.srcs[0], (1 << 64) - 1)
                         )
-                        replaced = mov(inst.dest, value_reg)
                         replaced.speculative = True
                         replaced.guest_pc = inst.guest_pc
                         result.extended.extend(ext)
