@@ -169,7 +169,7 @@ class ExecutionEngine:
                 f"timing-plan lookups   : {plan_hits} hits / "
                 f"{plan_misses} misses{rate}",
                 f"timing-plan compiles  : "
-                f"{c.get('vliw.plan_compiles', 0)} signatures, "
+                f"{c.get('vliw.plan_compiles', 0)} cycle arrays, "
                 f"{c.get('vliw.replay_compiles', 0)} replay fns, "
                 f"{c.get('vliw.plan_invalidations', 0)} invalidations",
             ]

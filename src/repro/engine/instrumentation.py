@@ -19,11 +19,12 @@ Counter names used by the simulation stack:
 ``vliw.regions_executed``
     translated-region entries;
 ``vliw.plan_hits`` / ``vliw.plan_misses``
-    timing-plan replay signatures served in O(1) vs first-seen (a miss
-    consults the compiled cumulative plan once, then memoizes);
+    planned executions, one count each: a hit returns the shared outcome
+    of the exit it left by; a miss is the first execution to leave by
+    that exit, which builds the outcome from the plan's cycle array;
 ``vliw.plan_compiles``
-    per-trace cumulative timing-plan compilations (at most one per
-    compiled region trace);
+    per-trace cycle-array compilations (at most one per compiled region
+    trace);
 ``vliw.plan_invalidations``
     translations whose cached trace + plans were dropped on
     re-optimization or blacklisting;

@@ -1,6 +1,6 @@
 """Hardware alias-detection models.
 
-Executable models of the four detection schemes the paper compares
+Executable models of the alias-detection hardware the paper compares
 (Table 1):
 
 * :class:`~repro.hw.queue_model.AliasRegisterQueue` — the order-based queue
@@ -10,8 +10,11 @@ Executable models of the four detection schemes the paper compares
   live entries (false positives possible), store-store aliases undetectable.
 * :class:`~repro.hw.efficeon.BitmaskAliasFile` — Efficeon-like bit-mask file:
   precise but capped at 15 registers by instruction encoding.
-* :class:`~repro.hw.none.NoAliasHardware` — no detection; the optimizer must
-  not speculate.
+
+The scheme without detection has no model: its adapter
+(:class:`~repro.sim.schemes.NullAdapter`) ignores every callback, and
+the optimizer does not speculate for it. Atomic-region checkpoint and
+rollback live in the simulator (:mod:`repro.sim.vliw`), not here.
 
 All models raise :class:`~repro.hw.exceptions.AliasException` when a runtime
 alias is detected, which the runtime turns into an atomic-region rollback.
@@ -26,8 +29,6 @@ from repro.hw.ranges import AccessRange
 from repro.hw.queue_model import AliasRegisterQueue
 from repro.hw.itanium import AlatModel
 from repro.hw.efficeon import BitmaskAliasFile, EFFICEON_MAX_REGISTERS
-from repro.hw.none import NoAliasHardware
-from repro.hw.atomic import AtomicRegionSupport, Checkpoint
 
 __all__ = [
     "AccessRange",
@@ -35,10 +36,7 @@ __all__ = [
     "AliasException",
     "AliasRegisterOverflow",
     "AliasRegisterQueue",
-    "AtomicRegionSupport",
     "BitmaskAliasFile",
-    "Checkpoint",
     "EFFICEON_MAX_REGISTERS",
     "HardwareError",
-    "NoAliasHardware",
 ]

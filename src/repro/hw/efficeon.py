@@ -144,13 +144,6 @@ class BitmaskAliasFile:
     def reset(self) -> None:
         self.clear()
 
-    def event_signature(self):
-        """Cumulative event counters for timing-plan replay signatures
-        (timing-transparent contract; comparisons excluded as
-        data-dependent)."""
-        s = self.stats
-        return (s.sets, s.checks, s.exceptions)
-
     def __repr__(self) -> str:
         live = ", ".join(
             f"AR{i}:{AccessRange(start=s, size=n, is_load=ld)}"

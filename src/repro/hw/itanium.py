@@ -190,16 +190,6 @@ class AlatModel:
         self._entries.clear()
         self._keys.clear()
 
-    def event_signature(self):
-        """Cumulative event counters for timing-plan replay signatures.
-
-        ALAT operations are timing-transparent (table state plus possible
-        :class:`AliasException` only); comparisons are excluded because a
-        store's scan length before an overlap is data-dependent.
-        """
-        s = self.stats
-        return (s.inserts, s.store_checks, s.exceptions, s.false_positives)
-
     @property
     def live_count(self) -> int:
         return len(self._entries)

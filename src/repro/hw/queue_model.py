@@ -82,28 +82,6 @@ class AliasRegisterQueue:
         """Absolute orders of currently live entries (sorted)."""
         return list(self._orders)
 
-    def event_signature(self) -> Tuple[int, int, int, int, int, int]:
-        """Cumulative event counters for timing-plan replay signatures.
-
-        Queue operations never influence issue timing (they are
-        timing-transparent: state changes plus possible
-        :class:`AliasException` only), so an adapter can summarize one
-        region execution's events as the componentwise delta of this
-        tuple across the region. Comparison counts are deliberately
-        excluded: how many live entries a check scans before an overlap
-        is data-dependent, while the *architectural* event stream below
-        is trace-determined.
-        """
-        s = self.stats
-        return (
-            s.sets,
-            s.checks,
-            s.rotations,
-            s.rotated_registers,
-            s.amovs,
-            s.exceptions,
-        )
-
     def entry_at_offset(self, offset: int) -> Optional[AccessRange]:
         """The access range stored at ``offset``, if any."""
         self._check_offset(offset)

@@ -233,7 +233,7 @@ class OptimizationPipeline:
         )
         if self.config.certify:
             # The kill switch and any mutant-prover override change what
-            # the certify stage produces; fold both in so flipping either
+            # the certify pass produces; fold both in so flipping either
             # cannot serve a translation built under the other. Schemes
             # with certification off keep their pre-certify keys.
             key += (("certify", certify_enabled(), prover_token()),)
@@ -426,34 +426,18 @@ class OptimizationPipeline:
         cert_sig: Tuple = ()
         if config.certify and certify_enabled():
             with tracer.phase("optimize.certify"):
-                cert = None
-                if cache is not None:
-                    # Keyed like deps plus the profile state the prover's
-                    # refusal predicates read, plus the override token.
-                    cert_key = (
-                        "certify",
-                        self._env_digest,
-                        content2,
-                        hints_key,
-                        banned_key,
-                        prover_token(),
-                    )
-                    cert = cache.get_stage("certify", cert_key, tracer)
                 # The certifier reads Dependence views of the triples.
                 base_views = dependence_views(block, base)
-                if cert is None:
-                    cert = certify_region(
-                        block,
-                        base_views,
-                        region_map=self.region_map,
-                        initial_regions=self.register_regions,
-                        alias_hints=hints,
-                        banned=banned,
-                    )
-                    if cache is not None:
-                        cache.put_stage("certify", cert_key, cert, tracer)
-                # The checker reruns even on cache hits: a certificate is
-                # never trusted, only a (certificate, accepted) pair.
+                cert = certify_region(
+                    block,
+                    base_views,
+                    region_map=self.region_map,
+                    initial_regions=self.register_regions,
+                    alias_hints=hints,
+                    banned=banned,
+                )
+                # A certificate is never trusted, only a (certificate,
+                # accepted) pair: the independent checker re-runs on it.
                 problems = check_certificate(
                     cert,
                     block,

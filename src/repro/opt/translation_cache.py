@@ -54,7 +54,7 @@ from repro.ir.instruction import reserve_uids, uid_watermark
 _DEFAULT_ENTRIES = 512
 
 #: stage tier names (each an independent LRU)
-STAGES = ("elim", "deps", "ddg", "prep", "certify")
+STAGES = ("elim", "deps", "ddg", "prep")
 
 
 def region_content_key(block) -> Tuple:

@@ -227,7 +227,7 @@ class RemoteEngine:
         queue = stats.get("queue", {})
         memo = stats.get("memo", {})
         engine = stats.get("engine", {})
-        translate = stats.get("translate", {})
+        counters = stats.get("counters", {})
         lines = [
             "Server statistics",
             "=================",
@@ -248,7 +248,8 @@ class RemoteEngine:
             f"report cache          : {engine.get('cache_hits', 0)} hits / "
             f"{engine.get('cache_misses', 0)} misses "
             f"({engine.get('simulated_runs', 0)} simulated)",
-            f"translation cache     : {translate.get('hits', 0)} hits / "
-            f"{translate.get('misses', 0)} misses",
+            f"translation cache     : "
+            f"{counters.get('translate.cache_hits', 0)} hits / "
+            f"{counters.get('translate.cache_misses', 0)} misses",
         ]
         return "\n".join(lines)

@@ -46,7 +46,6 @@ from repro.engine.core import ExecutionEngine
 from repro.engine.executor import ParallelExecutor, SerialExecutor
 from repro.engine.instrumentation import Tracer
 from repro.engine.jobs import JobResult
-from repro.opt.translation_cache import STAGES
 from repro.serve import protocol
 from repro.serve.jobqueue import JobQueue, Ticket, VIA_NEW
 from repro.serve.protocol import ProtocolError, error_message
@@ -232,64 +231,6 @@ class _Handler(socketserver.StreamRequestHandler):
         threading.Thread(target=server.stop, daemon=True).start()
 
 
-def _translate_summary(counters: Dict[str, int]) -> Dict[str, object]:
-    """Translation-cache counters of one cell, plus derived hit rates."""
-    hits = counters.get("translate.cache_hits", 0)
-    misses = counters.get("translate.cache_misses", 0)
-    lookups = hits + misses
-    summary: Dict[str, object] = {
-        "hits": hits,
-        "misses": misses,
-        "stores": counters.get("translate.cache_stores", 0),
-        "hit_rate": (hits / lookups) if lookups else 0.0,
-    }
-    for stage in STAGES:
-        summary[f"{stage}_hits"] = counters.get(f"translate.{stage}_hits", 0)
-        summary[f"{stage}_misses"] = counters.get(
-            f"translate.{stage}_misses", 0
-        )
-    return summary
-
-
-def _plan_summary(counters: Dict[str, int]) -> Dict[str, object]:
-    """Timing-plan counters of one cell, plus the derived hit rate."""
-    hits = counters.get("vliw.plan_hits", 0)
-    misses = counters.get("vliw.plan_misses", 0)
-    lookups = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "compiles": counters.get("vliw.plan_compiles", 0),
-        "invalidations": counters.get("vliw.plan_invalidations", 0),
-        "replay_compiles": counters.get("vliw.replay_compiles", 0),
-        "hit_rate": (hits / lookups) if lookups else 0.0,
-    }
-
-
-def _backend_summary(counters: Dict[str, int]) -> Dict[str, object]:
-    """Replay backend-tier counters of one cell, plus derived shares."""
-    interp = counters.get("vliw.backend_interp", 0)
-    py = counters.get("vliw.backend_py", 0)
-    vec = counters.get("vliw.backend_vec", 0)
-    batch = counters.get("vliw.backend_batch", 0)
-    total = interp + py + vec + batch
-    return {
-        "interp": interp,
-        "py": py,
-        "vec": vec,
-        "batch": batch,
-        "vec_compiles": counters.get("vliw.vec_compiles", 0),
-        "vec_fallbacks": counters.get("vliw.vec_fallbacks", 0),
-        "batch_compiles": counters.get("vliw.batch_compiles", 0),
-        "batch_iterations": counters.get("vliw.batch_iterations", 0),
-        "batch_trims": counters.get("vliw.batch_trims", 0),
-        "replay_compiles": counters.get("vliw.replay_compiles", 0),
-        "replay_cache_hits": counters.get("vliw.replay_cache_hits", 0),
-        "vec_share": (vec / total) if total else 0.0,
-        "batch_share": (batch / total) if total else 0.0,
-    }
-
-
 class ReproServer:
     """Lifecycle owner: engine + queue + dispatcher + TCP accept loop."""
 
@@ -404,7 +345,6 @@ class ReproServer:
     def stats_snapshot(self) -> Dict[str, Any]:
         """The ``stats`` endpoint payload (see docs/SERVE.md)."""
         stats = self.engine.stats
-        counters = dict(self.engine.tracer.counters)
         return {
             "type": "stats",
             "protocol": protocol.PROTOCOL_VERSION,
@@ -435,10 +375,7 @@ class ReproServer:
                 "serial_fallbacks": stats.serial_fallbacks,
                 "wall_seconds": stats.wall_seconds,
             },
-            "translate": _translate_summary(counters),
-            "plans": _plan_summary(counters),
-            "backends": _backend_summary(counters),
-            "counters": counters,
+            "counters": dict(self.engine.tracer.counters),
             # the daemon's environment decides every knob of its runs
             "knobs": {k.name: knobs.value(k.name) for k in knobs.KNOBS},
         }

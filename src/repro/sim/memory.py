@@ -11,9 +11,8 @@ shifts and masks over the words it touches. The replay kernels index
 :attr:`Memory.words` directly, and every replay tier logs ``(word index,
 old word)`` undo entries (:meth:`Memory.write_logged`), which one loop
 rolls back. Raw byte access (:meth:`Memory.read_bytes` /
-:meth:`Memory.write_bytes`) serves the atomic-region undo log of
-:mod:`repro.hw.atomic`, and :meth:`Memory.to_bytes` the whole memory to
-oracles and tests.
+:meth:`Memory.write_bytes`) serves tests, and :meth:`Memory.to_bytes`
+the whole memory to oracles and tests.
 """
 
 from __future__ import annotations

@@ -25,13 +25,12 @@ A hot trace's functional replay runs on one of four tiers (selected by
     residue: one bounds-and-alignment guard per base register and
     segment, word-index equality tests for the alias pairs (pruned when
     two accesses provably share a base register), plus constant
-    hardware-stat deltas and a precomputed event fingerprint at each
-    exit. Anything the static model cannot decide — a bounds violation,
-    a misaligned base, a possible alias overlap — returns
-    :data:`FALLBACK` and the caller rolls back and re-executes that one
-    execution on the dispatch loop (far cheaper than generating ``py``
-    code for a one-off run); the kernel itself never touches adapter
-    state;
+    hardware-stat deltas at each exit. Anything the static model cannot
+    decide — a bounds violation, a misaligned base, a possible alias
+    overlap — returns :data:`FALLBACK` and the caller rolls back and
+    re-executes that one execution on the dispatch loop (far cheaper
+    than generating ``py`` code for a one-off run); the kernel itself
+    never touches adapter state;
 ``batch``
     :func:`compile_batch` — the vec residue wrapped in an iteration
     loop over the trace's structural back-edge: when a region's commit
@@ -79,8 +78,8 @@ key (content + config + hints), the adapter class, and the adapter's
 :meth:`~repro.sim.schemes.HardwareAdapter.replay_config_key`, so the
 translation cache's content-identical region clones (one per repeated
 run of a benchmark, for instance) stop re-generating identical replay code.
-Timing plans are deliberately *not* shared — they memoize per-region
-signature state and stay on the region object.
+Timing plans are deliberately *not* shared — they hold per-region exit
+outcomes and stay on the region object.
 
 Each ``compile_*`` pops its kernel out of the globals dict it was
 ``exec``-ed in. The kernel keeps that dict as its ``__globals__``, so a
@@ -209,7 +208,8 @@ def compile_py(ir: R.ReplayIR) -> Callable:
     ``(idx, exit_kind, payload)`` where ``payload`` is the side-exit /
     commit target pc, the program exit code, or the caught
     :class:`~repro.hw.exceptions.AliasException`; ``idx`` is the index of
-    the last op whose effect ran (the replay signature's exit index).
+    the last op whose effect ran (with ``exit_kind``, the key of the
+    timing plan's exit outcome).
     Memory goes through the accessors the dispatch loop calls —
     ``mread`` is :meth:`~repro.sim.memory.Memory.read` and ``mstore``
     :meth:`~repro.sim.memory.Memory.write_logged` — so an out-of-bounds
@@ -634,16 +634,15 @@ class _ResidueEmitter:
     """
 
     __slots__ = (
-        "ir", "adapter", "guest_count", "family", "hw", "emit", "pad", "fb",
+        "ir", "guest_count", "family", "hw", "emit", "pad", "fb",
         "defer_ok", "bound", "written", "written_set", "version",
-        "group_of", "spans", "syms", "deferred_now", "cse", "exit_fps",
+        "group_of", "spans", "syms", "deferred_now", "cse",
     )
 
-    def __init__(self, ir: R.ReplayIR, adapter, guest_count: int, family,
+    def __init__(self, ir: R.ReplayIR, guest_count: int, family,
                  limit: int, lines: List[str], pad: str,
                  fb: str = "return _FB") -> None:
         self.ir = ir
-        self.adapter = adapter
         self.guest_count = guest_count
         self.family = family
         self.hw = _StaticHw(family, limit) if family else None
@@ -659,7 +658,6 @@ class _ResidueEmitter:
         self.syms: dict = {}  # index -> (base, version, disp, group, offset)
         self.deferred_now = set()  # regs whose local holds a raw (unwrapped) value
         self.cse: dict = {}  # value-number key -> (reg, version at def, raw?)
-        self.exit_fps: dict = {}
 
     def limit_lines(self, pad: str) -> List[str]:
         """Bind each guard's upper bound, ``msize`` minus a group's reach
@@ -880,27 +878,6 @@ class _ResidueEmitter:
         return True
 
     # -- exit-site building blocks -------------------------------------
-    def fp_now(self):
-        """Fingerprint of a clean execution reaching this point, in each
-        adapter family's ``event_fingerprint()`` component order
-        (exception components are 0 by construction: kernels escape via
-        ``fb`` instead of raising)."""
-        hw = self.hw
-        if hw is None:
-            # no hardware events anywhere in the trace: replicate the
-            # adapter's zero-delta fingerprint shape
-            shape = self.adapter.event_fingerprint()
-            return (0,) * len(shape) if isinstance(shape, tuple) else 0
-        s = hw.stats
-        family = self.family
-        if family == "queue":
-            return (s.get("sets", 0), s.get("checks", 0),
-                    s.get("rotations", 0), s.get("rotated_registers", 0),
-                    s.get("amovs", 0), 0)
-        if family == "alat":
-            return (s.get("inserts", 0), s.get("store_checks", 0), 0, 0)
-        return (s.get("sets", 0), s.get("checks", 0), 0)
-
     def stat_lines(self, indent: str) -> List[str]:
         """Constant hardware-stat deltas of a clean execution reaching
         the current exit site."""
@@ -962,24 +939,18 @@ class _ResidueEmitter:
                 lhs = self.use(a)
                 rhs = self.use(b) if b is not None else "0"
                 emit(f"{pad}if {lhs} {cmp_op} {rhs}:")
-                self._exit(exit_emit, k, R.X_SIDE, ir.payloads[pay],
-                           False, pad + "    ")
+                exit_emit(self, k, R.X_SIDE, ir.payloads[pay], False,
+                          pad + "    ")
             elif t == R.OP_BR:
-                self._exit(exit_emit, k, R.X_BR, ir.payloads[op[1]],
-                           True, pad)
+                exit_emit(self, k, R.X_BR, ir.payloads[op[1]], True, pad)
             elif t == R.OP_EXIT:
-                self._exit(exit_emit, k, R.X_EXIT, ir.payloads[op[1]],
-                           True, pad)
+                exit_emit(self, k, R.X_EXIT, ir.payloads[op[1]], True, pad)
             elif t == R.OP_EVT:
                 if not self.emit_events(op[1], "0"):
                     return False
             # OP_NOP: no functional effect
-        self._exit(exit_emit, len(ir.ops) - 1, R.X_FALL, None, True, pad)
+        exit_emit(self, len(ir.ops) - 1, R.X_FALL, None, True, pad)
         return True
-
-    def _exit(self, exit_emit, k, xkind, payload, commit, indent) -> None:
-        self.exit_fps[(k, xkind)] = self.fp_now()
-        exit_emit(self, k, xkind, payload, commit, indent)
 
 
 def _family_limit(adapter, family) -> int:
@@ -1012,12 +983,11 @@ def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
     model rejects (the ``py`` tier then reproduces the model's runtime
     error exactly), or a pair of accesses that
     provably always overlap (the trace would fall back on every
-    execution anyway). Otherwise returns ``(fn, exit_fps)``: the kernel,
-    with signature ``(regs, words, msize, ad, undo_append)``, and a dict
-    mapping each ``(exit_idx, exit_kind)`` to the adapter event
-    fingerprint of a clean execution reaching that exit — precomputed so
-    the caller can skip the adapter's region-enter/exit bookkeeping
-    entirely on this tier. ``regs`` is the *guest* register file itself —
+    execution anyway). Otherwise returns the kernel, with signature
+    ``(regs, words, msize, ad, undo_append)``; it returns ``(exit_idx,
+    exit_kind, payload)`` like ``py``, and it never touches adapter
+    state, so the caller skips the adapter's region enter and exit on
+    this tier. ``regs`` is the *guest* register file itself —
     scratch registers live entirely in locals and guest registers are
     written back only on commit-kind exits, so an abort or
     :data:`FALLBACK` leaves it untouched. ``words`` is the memory's word
@@ -1036,14 +1006,14 @@ def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
         "def _replay_vec(regs, W, msize, ad, undo_append, _FB=_FB):",
     ]
     em = _ResidueEmitter(
-        ir, adapter, guest_count, family, _family_limit(adapter, family),
-        lines, "    ",
+        ir, guest_count, family, _family_limit(adapter, family), lines,
+        "    ",
     )
     lines.extend(em.limit_lines("    "))
     if not em.walk(_vec_exit):
         return None
     exec(compile("\n".join(lines), "<vliw-replay-vec>", "exec"), env)
-    return env.pop("_replay_vec"), em.exit_fps
+    return env.pop("_replay_vec")
 
 
 # ----------------------------------------------------------------------
@@ -1171,12 +1141,11 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     Returns ``None`` when the trace has no structural back-edge
     candidate (:func:`repro.sim.replay_ir.loop_candidate`) or the static
     lowering rejects it for the vec tier's reasons. Otherwise returns
-    ``(fn, exit_fps)``; the kernel signature is ``(regs, words, msize,
-    ad, undo_log, n)`` and it returns ``(iters, mark, exit_idx,
-    exit_kind, payload)``: ``iters`` back-edge iterations committed in
-    full (registers written back, memory kept, hardware-stat deltas
-    applied), ``mark`` the undo-log length at the final iteration's
-    start, and the final iteration's exit — with ``exit_kind ==``
+    the kernel; its signature is ``(regs, words, msize, ad, undo_log,
+    n)`` and it returns ``(iters, mark, exit_idx, exit_kind, payload)``:
+    ``iters`` back-edge iterations committed in full (registers written
+    back, memory kept, hardware-stat deltas applied), ``mark`` the
+    undo-log length at the final iteration's start, and the final iteration's exit — with ``exit_kind ==``
     :data:`BATCH_TRIM` when a guard fired and the caller must roll back
     the ``(word index, old word)`` entries of ``undo_log[mark:]`` and
     re-run the final iteration exactly. Every committed iteration is
@@ -1198,8 +1167,8 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     ]
     emit = lines.append
     em = _ResidueEmitter(
-        ir, adapter, guest_count, family, _family_limit(adapter, family),
-        lines, "        ", fb="break",
+        ir, guest_count, family, _family_limit(adapter, family), lines,
+        "        ", fb="break",
     )
     # guard bounds are loop-invariant: bind them above the iteration loop
     lines.extend(em.limit_lines("    "))
@@ -1308,7 +1277,7 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
         lines.extend(body)
     emit("    return (it - _x[0], mark) + _x[1:]")
     exec(compile("\n".join(lines), "<vliw-replay-batch>", "exec"), env)
-    return env.pop("_replay_batch"), em.exit_fps
+    return env.pop("_replay_batch")
 
 
 # ----------------------------------------------------------------------
@@ -1324,29 +1293,26 @@ class ReplayArtifact:
     dispatch loop, so ``py`` is generated only for a trace no kernel can
     lower, a demoted one, or a forced ``py`` tier. The slots exist for
     both kernels because simulators that force a tier or disable
-    batching share the artifact. Timing plans (signature memos,
-    execution counts) are per-region and never live here.
+    batching share the artifact. Timing plans (exit outcomes, execution
+    counts) are per-region and never live here.
     ``vec_state``/``batch_state``: 0 untried, 1 compiled, -1 unavailable
     (a trace the shared lowering rejects — both kernels then — or a
     demoted one: vec after repeated fallbacks, batch after repeated
     early trims).
     """
 
-    __slots__ = ("ir", "py_fn", "vec_fn", "vec_fps", "vec_state",
-                 "vec_fallbacks", "vec_guest_count", "batch_fn",
-                 "batch_fps", "batch_state", "batch_trims",
-                 "batch_guest_count")
+    __slots__ = ("ir", "py_fn", "vec_fn", "vec_state", "vec_fallbacks",
+                 "vec_guest_count", "batch_fn", "batch_state",
+                 "batch_trims", "batch_guest_count")
 
     def __init__(self) -> None:
         self.ir: Optional[R.ReplayIR] = None
         self.py_fn: Optional[Callable] = None
         self.vec_fn: Optional[Callable] = None
-        self.vec_fps: Optional[dict] = None
         self.vec_state = 0
         self.vec_fallbacks = 0
         self.vec_guest_count = 0
         self.batch_fn: Optional[Callable] = None
-        self.batch_fps: Optional[dict] = None
         self.batch_state = 0
         self.batch_trims = 0
         self.batch_guest_count = 0

@@ -21,14 +21,13 @@ never look at :class:`~repro.ir.instruction.Instruction` objects again:
   structural back-edge (:func:`loop_candidate`);
 * the ``interp`` tier keeps using the trace directly (it is the oracle).
 
-The IR is serializable (:meth:`ReplayIR.to_payload` /
-:func:`ReplayIR.from_payload`) exactly when it contains no dynamic
-escapes; ``None`` operand slots are encoded as ``-1`` (no legal operand
-is negative) and payload entries keep ``None`` as-is (they may be
-legitimately absent exit codes).
+The IR is a transient lowering: built once per shared replay artifact,
+which keeps it for the backends' code generators, and never serialized.
 
-Exit kinds (shared with the simulator's replay signatures) live here so
-the backends and :mod:`repro.sim.vliw` agree on one vocabulary.
+The compiled trace's entry kinds (``K_*``) and the replay exit kinds
+(``X_*``) are defined here, once, so the trace compiler and dispatch
+loop in :mod:`repro.sim.vliw`, this lowering and the backends agree on
+one vocabulary.
 """
 
 from __future__ import annotations
@@ -37,7 +36,19 @@ from typing import List, Optional, Tuple
 
 from repro.ir.instruction import Instruction, Opcode
 
-# -- replay exit kinds (the signature vocabulary) -----------------------
+# -- compiled trace entry kinds (plain ints: no enum hashing on the
+# execution path) -------------------------------------------------------
+K_ALU = 0
+K_LD = 1
+K_ST = 2
+K_CBR = 3
+K_BR = 4
+K_EXIT = 5
+K_ROTATE = 6
+K_AMOV = 7
+K_NOP = 8
+
+# -- replay exit kinds (a timing plan keys its exit outcomes by them) ---
 X_FALL = 0  # ran off the end of the trace
 X_SIDE = 1  # taken conditional branch (side exit)
 X_BR = 2  # unconditional region exit (commit)
@@ -91,25 +102,13 @@ QUEUE_EVENTS = frozenset((E_QCHK, E_QSET, E_ROT, E_AMOV))
 ALAT_EVENTS = frozenset((E_ACHK, E_AINS))
 BITMASK_EVENTS = frozenset((E_BCHK, E_BSET))
 
-# trace entry kinds — mirror repro.sim.vliw's _K_* constants (kept in
-# lock step by lower_trace's consumption of the compiled trace)
-_K_ALU = 0
-_K_LD = 1
-_K_ST = 2
-_K_CBR = 3
-_K_BR = 4
-_K_EXIT = 5
-_K_ROTATE = 6
-_K_AMOV = 7
-_K_NOP = 8
-
 
 class ReplayIR:
     """One hot trace lowered to flat numeric form.
 
     ``ops`` is positionally parallel to the compiled trace (op ``k``
     lowers trace entry ``k``), so backend exit indexes line up with the
-    timing plan's ``cycle_after`` array and replay signatures without
+    timing plan's ``cycle_after`` array and exit outcomes without
     translation. ``events``/``payloads`` are side tables referenced by
     index from the op tuples; ``dyn`` holds ``(kind, object)`` escapes
     (``"alu"`` → raising closure, ``"mem"``/``"rot"``/``"amov"`` →
@@ -126,56 +125,6 @@ class ReplayIR:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    @property
-    def serializable(self) -> bool:
-        """True when the IR is pure numbers (no dynamic escapes)."""
-        return not self.dyn
-
-    # -- serialization --------------------------------------------------
-    def to_payload(self) -> dict:
-        """Flat JSON-able encoding (``None`` op/event slots become -1).
-
-        Raises :class:`ValueError` when the IR carries dynamic escapes —
-        those hold live closures/Instructions and cannot round-trip.
-        """
-        if self.dyn:
-            raise ValueError(
-                "replay IR with dynamic escapes is not serializable "
-                f"({len(self.dyn)} escape(s))"
-            )
-
-        def enc(t):
-            return [-1 if v is None else int(v) for v in t]
-
-        return {
-            "version": 1,
-            "ops": [enc(op) for op in self.ops],
-            "events": [[enc(ev) for ev in grp] for grp in self.events],
-            "payloads": list(self.payloads),
-            # Advisory batch-tier legality bits (additive; readers that
-            # predate the batch tier ignore the key, from_payload never
-            # requires it — everything here is re-derivable from the ops).
-            "batch": batch_legality(self),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ReplayIR":
-        """Inverse of :meth:`to_payload` (``-1`` slots become None)."""
-        if payload.get("version") != 1:
-            raise ValueError(
-                f"unknown replay IR payload version {payload.get('version')!r}"
-            )
-
-        def dec(t):
-            return tuple(None if v == -1 else v for v in t)
-
-        return cls(
-            ops=[dec(op) for op in payload["ops"]],
-            events=[tuple(dec(ev) for ev in grp) for grp in payload["events"]],
-            payloads=list(payload["payloads"]),
-            dyn=[],
-        )
 
 
 def loop_candidate(ir: ReplayIR) -> Optional[Tuple[int, int]]:
@@ -198,37 +147,6 @@ def loop_candidate(ir: ReplayIR) -> Optional[Tuple[int, int]]:
         if t == OP_EXIT:
             return None
     return (len(ir.ops) - 1, X_FALL) if ir.ops else None
-
-
-def batch_legality(ir: ReplayIR) -> dict:
-    """Batch-tier legality bits for one trace (serialized in the payload).
-
-    ``family`` is the single hardware family the event stream touches
-    (``"dyn"`` marks dynamic escapes, which no compiled backend accepts);
-    ``loop`` is :func:`loop_candidate`'s ``[exit_idx, exit_kind]``;
-    ``legal`` folds both: a batch kernel can only be compiled from a
-    dyn-free trace with a structural back-edge candidate.
-    """
-    kinds = set()
-    for grp in ir.events:
-        for ev in grp:
-            kinds.add(ev[0])
-    if ir.dyn or E_DYN in kinds:
-        family: Optional[str] = "dyn"
-    elif kinds & QUEUE_EVENTS:
-        family = "queue"
-    elif kinds & ALAT_EVENTS:
-        family = "alat"
-    elif kinds & BITMASK_EVENTS:
-        family = "bitmask"
-    else:
-        family = None
-    cand = loop_candidate(ir)
-    return {
-        "legal": family != "dyn" and cand is not None,
-        "family": family,
-        "loop": None if cand is None else [cand[0], cand[1]],
-    }
 
 
 def _lower_alu(inst: Instruction, k: int, aux, dyn) -> Tuple:
@@ -305,33 +223,33 @@ def lower_trace(linear: List[Instruction], trace, adapter_cls) -> ReplayIR:
         return len(payloads) - 1
 
     for k, (kind, _uses, _dest, _lat, _ui, aux) in enumerate(trace):
-        if kind == _K_ALU:
+        if kind == K_ALU:
             ops.append(_lower_alu(linear[k], k, aux, dyn))
-        elif kind == _K_LD:
+        elif kind == K_LD:
             base, disp, size, dreg, inst, call_adapter = aux
             evt = None
             if call_adapter:
                 evt = add_events(adapter_cls.lower_mem_event(inst), "mem", inst)
             ops.append((OP_LD, dreg, base, disp, size, evt))
-        elif kind == _K_ST:
+        elif kind == K_ST:
             base, disp, size, sreg, inst, call_adapter = aux
             evt = None
             if call_adapter:
                 evt = add_events(adapter_cls.lower_mem_event(inst), "mem", inst)
             ops.append((OP_ST, sreg, base, disp, size, evt))
-        elif kind == _K_CBR:
+        elif kind == K_CBR:
             code, a, b, target = aux
             ops.append((OP_CBR, code, a, b, add_payload(target)))
-        elif kind == _K_BR:
+        elif kind == K_BR:
             ops.append((OP_BR, add_payload(aux)))
-        elif kind == _K_EXIT:
+        elif kind == K_EXIT:
             ops.append((OP_EXIT, add_payload(aux)))
-        elif kind == _K_ROTATE:
+        elif kind == K_ROTATE:
             evt = add_events(adapter_cls.lower_rotate_event(aux), "rot", aux)
             ops.append((OP_EVT, evt))
-        elif kind == _K_AMOV:
+        elif kind == K_AMOV:
             evt = add_events(adapter_cls.lower_amov_event(aux), "amov", aux)
             ops.append((OP_EVT, evt))
-        else:  # _K_NOP: no functional effect
+        else:  # K_NOP: no functional effect
             ops.append((OP_NOP,))
     return ReplayIR(ops, events, payloads, dyn)

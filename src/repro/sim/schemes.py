@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from repro.hw.efficeon import EFFICEON_MAX_REGISTERS, BitmaskAliasFile
 from repro.hw.exceptions import AliasException
@@ -60,11 +60,10 @@ class HardwareAdapter:
     (``docs/PERF.md``): when True, the adapter promises its callbacks
     never influence the simulator's issue/scoreboard timing — they only
     mutate alias-hardware state and may raise :class:`AliasException`.
-    The simulator may then replay a region functionally and account
-    cycles from a memoized per-trace timing plan. Subclasses default to
-    False (full interpreted loop) unless they opt in; adapters that opt
-    in should also implement :meth:`event_fingerprint` from their
-    hardware model's ``event_signature()`` counters.
+    The simulator may then replay a region functionally and charge each
+    execution the memoized outcome of the exit it leaves by, whatever
+    the callbacks did before it. Subclasses default to False (full
+    interpreted loop) unless they opt in.
     """
 
     skip_unannotated_loads = False
@@ -86,16 +85,6 @@ class HardwareAdapter:
 
     def on_region_exit(self) -> None:
         pass
-
-    def event_fingerprint(self):
-        """Hashable summary of the events fired since region entry.
-
-        Part of the timing-plan replay signature: two executions of the
-        same trace that exit at the same point with equal fingerprints
-        are charged the same memoized cycle count. Adapters without
-        per-region event tracking return 0 (no events to distinguish).
-        """
-        return 0
 
     # ------------------------------------------------------------------
     # Structured replay-lowering protocol (consumed by
@@ -145,7 +134,7 @@ class NullAdapter(HardwareAdapter):
     skip_unannotated_loads = True
     skip_unannotated_stores = True
     # No callbacks ever fire state changes, so replay is trivially
-    # timing-transparent and the fingerprint is the base class's 0.
+    # timing-transparent.
     timing_transparent = True
 
     # every callback is a no-op, so replay lowers to no events at all
@@ -176,11 +165,9 @@ class SmarqAdapter(HardwareAdapter):
 
     def __init__(self, num_registers: int) -> None:
         self.queue = AliasRegisterQueue(num_registers)
-        self._entry_events = self.queue.event_signature()
 
     def on_region_enter(self, region) -> None:
         self.queue.reset()
-        self._entry_events = self.queue.event_signature()
 
     def on_mem_op(self, inst: Instruction, addr: int) -> None:
         # scalar queue entry points: skip the AccessRange allocation on
@@ -208,20 +195,6 @@ class SmarqAdapter(HardwareAdapter):
 
     def on_region_exit(self) -> None:
         self.queue.clear()
-
-    def event_fingerprint(self):
-        # direct componentwise delta (one fingerprint per region
-        # execution — avoids building the "now" signature tuple)
-        s = self.queue.stats
-        e = self._entry_events
-        return (
-            s.sets - e[0],
-            s.checks - e[1],
-            s.rotations - e[2],
-            s.rotated_registers - e[3],
-            s.amovs - e[4],
-            s.exceptions - e[5],
-        )
 
     # static lowering: the queue's scalar entry points with the P/C
     # dispatch and every static operand folded into the event tuples
@@ -272,11 +245,9 @@ class ItaniumAdapter(HardwareAdapter):
     def __init__(self, num_entries: int = 32) -> None:
         self.alat = AlatModel(num_entries)
         self._required: Dict[int, Set[int]] = {}
-        self._entry_events = self.alat.event_signature()
 
     def on_region_enter(self, region) -> None:
         self.alat.reset()
-        self._entry_events = self.alat.event_signature()
         # The required-target map is a pure function of the region's
         # allocation; regions re-enter thousands of times, so it is built
         # once and cached on the region object (a re-optimized schedule is
@@ -323,16 +294,6 @@ class ItaniumAdapter(HardwareAdapter):
     def on_region_exit(self) -> None:
         self.alat.clear()
 
-    def event_fingerprint(self):
-        s = self.alat.stats
-        e = self._entry_events
-        return (
-            s.inserts - e[0],
-            s.store_checks - e[1],
-            s.exceptions - e[2],
-            s.false_positives - e[3],
-        )
-
     # static lowering: direct scalar ALAT events. The required-target
     # map is per-region runtime state (``ad._required``, rebound by
     # on_region_enter), so the event only carries the checker's index —
@@ -377,11 +338,9 @@ class EfficeonAdapter(HardwareAdapter):
 
     def __init__(self, num_registers: int = EFFICEON_MAX_REGISTERS) -> None:
         self.file = BitmaskAliasFile(num_registers)
-        self._entry_events = self.file.event_signature()
 
     def on_region_enter(self, region) -> None:
         self.file.reset()
-        self._entry_events = self.file.event_signature()
 
     def on_mem_op(self, inst: Instruction, addr: int) -> None:
         # scalar bit-mask entry points: no AccessRange allocation per op
@@ -404,11 +363,6 @@ class EfficeonAdapter(HardwareAdapter):
 
     def on_region_exit(self) -> None:
         self.file.clear()
-
-    def event_fingerprint(self):
-        s = self.file.stats
-        e = self._entry_events
-        return (s.sets - e[0], s.checks - e[1], s.exceptions - e[2])
 
     # static lowering: direct scalar bit-mask file events
     @classmethod

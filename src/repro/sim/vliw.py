@@ -36,19 +36,22 @@ executed in two separable halves:
 
 * **functional replay** — register/memory effects, undo logging, and the
   adapter's alias callbacks, still per instruction (they depend on data);
-* **timing plan** — cumulative cycle accounting per control-flow exit
-  point, compiled once per region trace (``_compile_timing``) and cached
-  alongside ``_vliw_trace``.
+* **timing plan** — the cycle counter after each trace entry, compiled
+  once per region trace (``_compile_timing``) and cached alongside
+  ``_vliw_trace``.
 
-Each replay records a compact *signature*: the exit index and kind plus
-the adapter's event fingerprint (alias checks fired, exceptions, rotate /
-AMOV effects — see :meth:`HardwareAdapter.event_fingerprint`). A known
-signature applies its memoized cycle count in O(1)
-(``vliw.plan_hits``); a novel one consults the compiled cumulative plan
-once and is memoized (``vliw.plan_misses`` / ``vliw.plan_compiles``).
-The planned path requires the adapter to declare
-``timing_transparent = True`` (its callbacks never influence issue
-timing); any other adapter — and every run with
+The alias hardware changes a region's time only by raising the exception
+that rolls it back, so everything an execution reports except an alias
+exception's faulting pair is a function of the exit it leaves by: its
+trace index and kind. The plan keeps one shared, frozen
+:class:`RegionOutcome` per exit. The first execution to leave by an exit
+builds it from the cycle array (``vliw.plan_misses``; a plan's first
+miss compiles the array, ``vliw.plan_compiles``), and every later one
+returns the same object (``vliw.plan_hits``); an alias exit's outcome is
+a template each execution copies with its own pair. Every replay tier
+finishes through that one table. The planned path requires the adapter
+to declare ``timing_transparent = True`` (its callbacks never influence
+issue timing); any other adapter — and every run with
 ``SMARQ_NO_TIMING_PLANS=1`` in the environment — takes the original
 fully interpreted scoreboard loop. Both paths produce byte-identical
 :class:`RegionOutcome`/:class:`VliwStats` numbers — locked by
@@ -99,7 +102,7 @@ from __future__ import annotations
 
 import time
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import knobs
@@ -109,6 +112,15 @@ from repro.sched.machine import FunctionalUnit, MachineModel
 from repro.sim import replay_backends as _backends
 from repro.sim.memory import Memory
 from repro.sim.replay_ir import (
+    K_ALU as _K_ALU,
+    K_AMOV as _K_AMOV,
+    K_BR as _K_BR,
+    K_CBR as _K_CBR,
+    K_EXIT as _K_EXIT,
+    K_LD as _K_LD,
+    K_NOP as _K_NOP,
+    K_ROTATE as _K_ROTATE,
+    K_ST as _K_ST,
     X_ALIAS as _X_ALIAS,
     X_BR as _X_BR,
     X_EXIT as _X_EXIT,
@@ -135,9 +147,12 @@ def _restore_words(words, undo_log) -> None:
         words[i] = old
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegionOutcome:
-    """Result of attempting one region execution."""
+    """Result of attempting one region execution.
+
+    Frozen: a timing plan hands the same object to every execution that
+    leaves its trace by the same exit."""
 
     status: str  # "commit" | "side_exit" | "alias" | "exit"
     cycles: int
@@ -161,17 +176,6 @@ class VliwStats:
     instructions: int = 0
 
 
-# Trace entry kinds (plain ints: no enum hashing on the execution path).
-_K_ALU = 0
-_K_LD = 1
-_K_ST = 2
-_K_CBR = 3
-_K_BR = 4
-_K_EXIT = 5
-_K_ROTATE = 6
-_K_AMOV = 7
-_K_NOP = 8
-
 #: functional-unit index order used by the compiled trace's slot vectors
 _UNIT_ORDER = (
     FunctionalUnit.MEM,
@@ -183,9 +187,9 @@ _UNIT_INDEX = {unit: idx for idx, unit in enumerate(_UNIT_ORDER)}
 
 _CBR_CODE = {Opcode.BEQ: 0, Opcode.BNE: 1, Opcode.BLT: 2, Opcode.BGE: 3}
 
-# Exit kinds recorded in a replay signature: the canonical X_* constants
-# live in repro.sim.replay_ir (shared with the backends) and are aliased
-# as _X_* by the import above.
+# Trace entry kinds (K_*) and exit kinds (X_*), aliased as _K_*/_X_* by
+# the import above, are defined once, in repro.sim.replay_ir, which
+# lowers the trace and shares the exit vocabulary with the backends.
 
 #: max iterations per batched kernel call
 _BATCH_WIDTH = 256
@@ -196,14 +200,17 @@ _SCRATCH64 = (0,) * 64
 
 
 class _TimingPlan:
-    """Per-trace memoized cycle accounting and tiered replay.
+    """Per-trace cycle accounting, exit outcomes and tiered replay.
 
     ``cycle_after[i]`` is the scoreboard cycle counter immediately after
     issue-accounting trace entry ``i`` (compiled lazily, once per trace,
-    by :func:`_compile_timing`). ``signatures`` memoizes the raw cycle
-    value per replay signature so repeat executions along a known exit
-    path never consult the array again — and, more importantly, never
-    re-run the per-instruction scoreboard loop.
+    by :func:`_compile_timing`). ``exits`` maps each ``(exit index, exit
+    kind)`` that an execution has left by to the shared outcome of a
+    clean execution leaving there (built by
+    :meth:`VliwSimulator._exit_outcome`), so repeat executions along a
+    known exit never consult the array again — and never re-run the
+    per-instruction scoreboard loop. Every replay tier finishes through
+    this one table.
 
     ``executions`` counts planned replays of the trace; the execution
     that reaches :data:`_REPLAY_THRESHOLD` promotes the plan to its
@@ -219,20 +226,15 @@ class _TimingPlan:
     the process-wide shared :class:`~repro.sim.replay_backends
     .ReplayArtifact` holding the lowered IR and compiled kernels
     (content-identical region clones share one artifact; the plan itself
-    — signature memos, execution count, tier — stays per-region).
+    — exit outcomes, execution count, tier — stays per-region).
     """
 
-    __slots__ = ("cycle_after", "signatures", "executions", "tier",
-                 "replay_fn", "artifact", "vec_outcomes", "batch_loop")
+    __slots__ = ("cycle_after", "exits", "executions", "tier",
+                 "replay_fn", "artifact", "batch_loop")
 
     def __init__(self) -> None:
         self.cycle_after: Optional[List[int]] = None
-        self.signatures: Dict[tuple, int] = {}
-        #: (exit_idx, exit_kind) -> shared RegionOutcome for the vec
-        #: tier, whose exits are static: every field of the outcome is a
-        #: pure function of the exit, so repeat executions return the
-        #: same (never-mutated) object without re-deriving anything.
-        self.vec_outcomes: Dict[tuple, RegionOutcome] = {}
+        self.exits: Dict[Tuple[int, int], RegionOutcome] = {}
         self.executions = 0
         #: None until promotion (dispatch loop), then "batch"/"vec"/"py"
         self.tier: Optional[str] = None
@@ -751,20 +753,19 @@ class VliwSimulator:
                 tracer.count("vliw.replay_cache_hits")
             return True
         if batch:
-            compiled = _backends.compile_batch(ir, adapter, guest_count)
+            fn = _backends.compile_batch(ir, adapter, guest_count)
         else:
-            compiled = _backends.compile_vec(ir, adapter, guest_count)
-        if compiled is None:
+            fn = _backends.compile_vec(ir, adapter, guest_count)
+        if fn is None:
             # one lowering backs both kernels: neither can run the trace
             art.batch_state = art.vec_state = -1
             return False
-        fn, fps = compiled
         if batch:
-            art.batch_fn, art.batch_fps = fn, fps
+            art.batch_fn = fn
             art.batch_state, art.batch_guest_count = 1, guest_count
             tracer.count("vliw.batch_compiles")
         else:
-            art.vec_fn, art.vec_fps = fn, fps
+            art.vec_fn = fn
             art.vec_state, art.vec_guest_count = 1, guest_count
             tracer.count("vliw.vec_compiles")
         return True
@@ -793,11 +794,9 @@ class VliwSimulator:
                 tracer.count("vliw.regions_executed")
                 tracer.count("vliw.backend_vec")
             # vec never raises aliases (a possible overlap falls back)
-            # and never touches adapter state, so the whole
-            # region-enter/exit + fingerprint ceremony is skipped: the
-            # artifact carries each exit's fingerprint.
-            return self._finish_vec(
-                region, undo_log, trace, fall_through, plan, idx,
+            # and never touches adapter state: no region enter or exit
+            return self._finish(
+                region, trace, fall_through, plan, undo_log, idx,
                 exit_kind, payload,
             )
         _restore_words(memory.words, undo_log)
@@ -834,9 +833,15 @@ class VliwSimulator:
             # ``iters`` full back-edge commits ran inside the kernel:
             # account each exactly as one scalar vec execution exiting
             # at the loop site (the kernel already applied per-iteration
-            # hardware-stat deltas and register writebacks)
+            # hardware-stat deltas and register writebacks). The site
+            # continues at the region's own entry pc: an X_BR's target
+            # is that pc, and an X_FALL's fall-through pc equals it
             plan.executions += iters
-            loop_out = self._batch_loop_outcome(region, trace, plan, iters)
+            loop_idx, loop_kind = plan.batch_loop
+            loop_out = self._exit_outcome(
+                region, trace, fall_through, plan, loop_idx, loop_kind,
+                region.block.entry_pc, iters,
+            )
             stats.regions_executed += iters
             stats.commits += iters
             stats.instructions += loop_out.instructions_executed * iters
@@ -867,57 +872,11 @@ class VliwSimulator:
             if active:
                 tracer.count("vliw.regions_executed")
                 tracer.count("vliw.backend_batch")
-            final = self._finish_vec(
-                region, undo_log[mark:] if mark else undo_log, trace,
-                fall_through, plan, idx, kind, payload,
-                fps=plan.artifact.batch_fps,
+            final = self._finish(
+                region, trace, fall_through, plan,
+                undo_log[mark:] if mark else undo_log, idx, kind, payload,
             )
         return final, loop_out, iters
-
-    def _batch_loop_outcome(
-        self, region, trace, plan: _TimingPlan, iters: int
-    ) -> RegionOutcome:
-        """The shared commit outcome at the plan's back-edge site (the
-        same object :meth:`_finish_vec` would memoize for a scalar vec
-        execution exiting there). Stats application is the caller's job
-        — it multiplies by the batch length."""
-        key = plan.batch_loop
-        tracer = self.tracer
-        out = plan.vec_outcomes.get(key)
-        if out is not None:
-            if tracer.active:
-                tracer.count("vliw.plan_hits", iters)
-            return out
-        idx, exit_kind = key
-        signature = (
-            idx, exit_kind, plan.artifact.batch_fps.get(key, 0)
-        )
-        cycle = plan.signatures.get(signature)
-        if cycle is None:
-            cycle_after = plan.cycle_after
-            if cycle_after is None:
-                cycle_after = plan.cycle_after = _compile_timing(
-                    self.machine, trace
-                )
-                tracer.count("vliw.plan_compiles")
-            cycle = cycle_after[idx]
-            plan.signatures[signature] = cycle
-            tracer.count("vliw.plan_misses")
-            if iters > 1 and tracer.active:
-                tracer.count("vliw.plan_hits", iters - 1)
-        elif tracer.active:
-            tracer.count("vliw.plan_hits", iters)
-        # a back-edge site is a commit whose target is the region's own
-        # entry pc (X_BR by construction; X_FALL only when fall_through
-        # re-enters the region)
-        out = RegionOutcome(
-            status="commit",
-            cycles=cycle + 1,
-            next_pc=region.block.entry_pc,
-            instructions_executed=idx + 1,
-        )
-        plan.vec_outcomes[key] = out
-        return out
 
     # ------------------------------------------------------------------
     # Planned path: functional replay + memoized timing
@@ -934,8 +893,7 @@ class VliwSimulator:
         escape: bool = False,
     ) -> RegionOutcome:
         memory = self.memory
-        stats = self.stats
-        stats.regions_executed += 1
+        self.stats.regions_executed += 1
         tracer = self.tracer
         active = tracer.active
         if active:
@@ -954,13 +912,6 @@ class VliwSimulator:
         if replay is None and plan.tier is not None and not escape:
             replay = self._ensure_py(region, trace, plan, adapter, tracer)
 
-        outcome_status: Optional[str] = None
-        next_pc: Optional[int] = None
-        exit_code: Optional[int] = None
-        exit_kind = _X_FALL
-        alias_exc: Optional[AliasException] = None
-        idx = -1
-
         # The py tier and the dispatch loop drive the adapter's real
         # hardware models; the region-enter reset the kernels skip
         # happens here (including after an escape).
@@ -975,96 +926,85 @@ class VliwSimulator:
                 regs, memory.read, memory.write_logged, adapter,
                 undo_log.append,
             )
-            if exit_kind == _X_SIDE:
-                outcome_status = "side_exit"
-                next_pc = payload
-            elif exit_kind == _X_BR:
-                outcome_status = "commit"
-                next_pc = payload
-            elif exit_kind == _X_EXIT:
-                outcome_status = "exit"
-                exit_code = payload
-            elif exit_kind == _X_ALIAS:
-                # Keep the exception, not its traceback: the traceback's
-                # frames reach this one through ``f_back``, and this
-                # frame holds the exception, a cycle that would pin the
-                # frames, the undo log, the registers and the job's
-                # memory until the cyclic collector ran, which
-                # ``DbtSystem.run`` pauses.
-                alias_exc = payload.with_traceback(None)
-            return self._finish_planned(
-                region, adapter, registers, regs, guest_count, undo_log,
-                trace, fall_through, plan, idx, exit_kind, alias_exc,
-                outcome_status, next_pc, exit_code,
-            )
-        if active:
-            tracer.count("vliw.backend_interp")
-
-        mem_read = memory.read
-        mem_store = memory.write_logged
-        on_mem_op = adapter.on_mem_op
-        undo_append = undo_log.append
-
-        try:
-            for kind, aux in ftrace:
-                idx += 1
-                if kind == _K_ALU:
-                    aux(regs)
-                elif kind == _K_LD:
-                    base, disp, size, dreg, inst, call_adapter = aux
-                    addr = regs[base] + disp
-                    if call_adapter:
-                        on_mem_op(inst, addr)
-                    regs[dreg] = mem_read(addr, size)
-                elif kind == _K_ST:
-                    base, disp, size, sreg, inst, call_adapter = aux
-                    addr = regs[base] + disp
-                    if call_adapter:
-                        on_mem_op(inst, addr)
-                    mem_store(addr, regs[sreg], size, undo_append)
-                elif kind == _K_CBR:
-                    code, a, b, target = aux
-                    av = regs[a]
-                    bv = regs[b] if b is not None else 0
-                    if code == 0:
-                        taken = av == bv
-                    elif code == 1:
-                        taken = av != bv
-                    elif code == 2:
-                        taken = av < bv
-                    else:
-                        taken = av >= bv
-                    if taken:
-                        outcome_status = "side_exit"
-                        next_pc = target
-                        exit_kind = _X_SIDE
+        else:
+            if active:
+                tracer.count("vliw.backend_interp")
+            # the dispatch loop reports its exit as py and the kernels
+            # do: the index of the last entry whose effect ran, the exit
+            # kind, and the target pc, exit code or alias exception
+            idx = -1
+            exit_kind = _X_FALL
+            payload = None
+            mem_read = memory.read
+            mem_store = memory.write_logged
+            on_mem_op = adapter.on_mem_op
+            undo_append = undo_log.append
+            try:
+                for kind, aux in ftrace:
+                    idx += 1
+                    if kind == _K_ALU:
+                        aux(regs)
+                    elif kind == _K_LD:
+                        base, disp, size, dreg, inst, call_adapter = aux
+                        addr = regs[base] + disp
+                        if call_adapter:
+                            on_mem_op(inst, addr)
+                        regs[dreg] = mem_read(addr, size)
+                    elif kind == _K_ST:
+                        base, disp, size, sreg, inst, call_adapter = aux
+                        addr = regs[base] + disp
+                        if call_adapter:
+                            on_mem_op(inst, addr)
+                        mem_store(addr, regs[sreg], size, undo_append)
+                    elif kind == _K_CBR:
+                        code, a, b, target = aux
+                        av = regs[a]
+                        bv = regs[b] if b is not None else 0
+                        if code == 0:
+                            taken = av == bv
+                        elif code == 1:
+                            taken = av != bv
+                        elif code == 2:
+                            taken = av < bv
+                        else:
+                            taken = av >= bv
+                        if taken:
+                            exit_kind = _X_SIDE
+                            payload = target
+                            break
+                    elif kind == _K_BR:
+                        exit_kind = _X_BR
+                        payload = aux
                         break
-                elif kind == _K_BR:
-                    outcome_status = "commit"
-                    next_pc = aux
-                    exit_kind = _X_BR
-                    break
-                elif kind == _K_EXIT:
-                    outcome_status = "exit"
-                    exit_code = aux
-                    exit_kind = _X_EXIT
-                    break
-                elif kind == _K_ROTATE:
-                    adapter.on_rotate(aux)
-                elif kind == _K_AMOV:
-                    adapter.on_amov(aux)
-                # _K_NOP: no functional effect (still occupies its issue
-                # slot — accounted by the timing plan)
-        except AliasException as exc:
-            # not its traceback, which holds this frame (as above)
-            alias_exc = exc.with_traceback(None)
-            exit_kind = _X_ALIAS
+                    elif kind == _K_EXIT:
+                        exit_kind = _X_EXIT
+                        payload = aux
+                        break
+                    elif kind == _K_ROTATE:
+                        adapter.on_rotate(aux)
+                    elif kind == _K_AMOV:
+                        adapter.on_amov(aux)
+                    # _K_NOP: no functional effect (still occupies its
+                    # issue slot — accounted by the timing plan)
+            except AliasException as exc:
+                exit_kind = _X_ALIAS
+                payload = exc
 
-        return self._finish_planned(
-            region, adapter, registers, regs, guest_count, undo_log,
-            trace, fall_through, plan, idx, exit_kind, alias_exc,
-            outcome_status, next_pc, exit_code,
+        if exit_kind == _X_ALIAS:
+            # Keep the exception, not its traceback: the traceback's
+            # frames reach this one through ``f_back``, and this frame
+            # holds the exception, a cycle that would pin the frames,
+            # the undo log, the registers and the job's memory until the
+            # cyclic collector ran, which ``DbtSystem.run`` pauses.
+            payload = payload.with_traceback(None)
+        out = self._finish(
+            region, trace, fall_through, plan, undo_log, idx, exit_kind,
+            payload,
         )
+        adapter.on_region_exit()
+        if exit_kind != _X_SIDE and exit_kind != _X_ALIAS:
+            registers[:] = regs[:guest_count]
+        return out
 
     def _ensure_ir(self, region, trace, art, adapter):
         ir = art.ir
@@ -1098,207 +1038,108 @@ class VliwSimulator:
             tracer.count("vliw.replay_compiles")
         return fn
 
-    def _finish_vec(
+    def _exit_outcome(
+        self, region, trace, fall_through, plan: _TimingPlan, idx: int,
+        exit_kind: int, payload, n: int = 1,
+    ) -> RegionOutcome:
+        """The shared outcome of ``n`` planned executions leaving by exit
+        ``(idx, exit_kind)``: ``n`` plan hits, or — when no execution has
+        left there before — one plan miss that builds the outcome and
+        ``n - 1`` hits. The one place an exit's cycles are derived.
+
+        Every field is a function of the exit: the cycle counter after
+        trace entry ``idx`` (``checkpoint_cycles`` when none issued) plus
+        one, plus the rollback penalty on a side exit; an alias abort
+        charges the counter plus the penalty. ``payload`` is the exit's
+        target pc or exit code; an ``X_FALL`` continues at the trace's
+        fall-through pc. An alias exit's outcome is a template that
+        :meth:`_finish` copies with the execution's faulting pair.
+        """
+        key = (idx, exit_kind)
+        out = plan.exits.get(key)
+        tracer = self.tracer
+        if out is not None:
+            if tracer.active:
+                tracer.count("vliw.plan_hits", n)
+            return out
+        machine = self.machine
+        cycle_after = plan.cycle_after
+        if cycle_after is None:
+            cycle_after = plan.cycle_after = _compile_timing(machine, trace)
+            tracer.count("vliw.plan_compiles")
+        tracer.count("vliw.plan_misses")
+        if n > 1 and tracer.active:
+            tracer.count("vliw.plan_hits", n - 1)
+        cycle = cycle_after[idx] if idx >= 0 else machine.checkpoint_cycles
+        executed = idx + 1
+        if exit_kind == _X_ALIAS:
+            out = RegionOutcome(
+                "alias", cycle + machine.rollback_penalty,
+                instructions_executed=executed,
+            )
+        elif exit_kind == _X_SIDE:
+            out = RegionOutcome(
+                "side_exit", cycle + 1 + machine.rollback_penalty,
+                next_pc=payload, instructions_executed=executed,
+            )
+        elif exit_kind == _X_EXIT:
+            out = RegionOutcome(
+                "exit", cycle + 1, exit_code=payload,
+                instructions_executed=executed,
+            )
+        else:
+            if exit_kind == _X_FALL:
+                payload = (
+                    fall_through if fall_through is not None
+                    else region.block.entry_pc + 1
+                )
+            out = RegionOutcome(
+                "commit", cycle + 1, next_pc=payload,
+                instructions_executed=executed,
+            )
+        plan.exits[key] = out
+        return out
+
+    def _finish(
         self,
         region,
-        undo_log: List[Tuple[int, int]],
         trace,
         fall_through,
         plan: _TimingPlan,
+        undo_log: List[Tuple[int, int]],
         idx: int,
         exit_kind: int,
         payload,
-        fps: Optional[dict] = None,
     ) -> RegionOutcome:
-        """Planned-path epilogue for a successful vec execution.
-
-        The kernel already applied its static hardware-stat deltas and
-        wrote registers back (commit-kind exits only), and it never
-        raises aliases, so this skips the adapter region-enter/exit and
-        runtime fingerprint of :meth:`_finish_planned`: the signature's
-        fingerprint component comes from the compiled artifact's
-        per-exit table and is identical to what the hardware models
-        would have produced on a clean run.
-        """
+        """Account one planned execution that left by ``(idx,
+        exit_kind)`` and return its outcome; an abort rolls its stores
+        back. Every tier's executions end here, except the back-edge
+        commits a batch kernel accounts in bulk. An adapter-driven tier
+        still owes the region exit and, on commit, the register
+        writeback."""
+        out = self._exit_outcome(
+            region, trace, fall_through, plan, idx, exit_kind, payload
+        )
         stats = self.stats
-        out = plan.vec_outcomes.get((idx, exit_kind))
-        if out is not None:
-            # every outcome field is a pure function of the exit on this
-            # tier, so repeats return the shared (never-mutated) object
-            if self.tracer.active:
-                self.tracer.count("vliw.plan_hits")
-            stats.instructions += out.instructions_executed
-            stats.total_cycles += out.cycles
-            if exit_kind == _X_SIDE:
-                _restore_words(self.memory.words, undo_log)
-                stats.side_exit_aborts += 1
-            else:
-                stats.commits += 1
-            return out
-
-        machine = self.machine
-        tracer = self.tracer
-        if fps is None:
-            fps = plan.artifact.vec_fps
-        signature = (idx, exit_kind, fps.get((idx, exit_kind), 0))
-        cycle = plan.signatures.get(signature)
-        if cycle is None:
-            cycle_after = plan.cycle_after
-            if cycle_after is None:
-                cycle_after = plan.cycle_after = _compile_timing(
-                    machine, trace
-                )
-                tracer.count("vliw.plan_compiles")
-            cycle = (
-                cycle_after[idx] if idx >= 0 else machine.checkpoint_cycles
-            )
-            plan.signatures[signature] = cycle
-            tracer.count("vliw.plan_misses")
-        elif tracer.active:
-            tracer.count("vliw.plan_hits")
-        executed = idx + 1
-        cycles = cycle + 1
-        stats.instructions += executed
-
+        stats.instructions += out.instructions_executed
+        stats.total_cycles += out.cycles
         if exit_kind == _X_SIDE:
             _restore_words(self.memory.words, undo_log)
-            cycles += machine.rollback_penalty
             stats.side_exit_aborts += 1
-            stats.total_cycles += cycles
-            out = RegionOutcome(
-                status="side_exit",
-                cycles=cycles,
-                next_pc=payload,
-                instructions_executed=executed,
-            )
-            plan.vec_outcomes[(idx, exit_kind)] = out
-            return out
-
-        exit_code = None
-        if exit_kind == _X_BR:
-            status = "commit"
-            next_pc = payload
-        elif exit_kind == _X_EXIT:
-            status = "exit"
-            next_pc = None
-            exit_code = payload
-        else:  # _X_FALL
-            status = "commit"
-            if fall_through is not None:
-                next_pc = fall_through
-            else:
-                next_pc = region.block.entry_pc + 1
-        stats.commits += 1
-        stats.total_cycles += cycles
-        out = RegionOutcome(
-            status=status,
-            cycles=cycles,
-            next_pc=next_pc,
-            exit_code=exit_code,
-            instructions_executed=executed,
-        )
-        plan.vec_outcomes[(idx, exit_kind)] = out
-        return out
-
-    def _finish_planned(
-        self,
-        region,
-        adapter,
-        registers: List[int],
-        regs: List[int],
-        guest_count: int,
-        undo_log: List[Tuple[int, int]],
-        trace,
-        fall_through,
-        plan: _TimingPlan,
-        idx: int,
-        exit_kind: int,
-        alias_exc: Optional[AliasException],
-        outcome_status: Optional[str],
-        next_pc: Optional[int],
-        exit_code: Optional[int],
-    ) -> RegionOutcome:
-        """Shared planned-path epilogue: signature lookup + commit/abort.
-
-        Both replay tiers (the dispatch loop and the generated function)
-        funnel here, so the timing and outcome construction are spelled
-        once.
-        """
-        machine = self.machine
-        memory = self.memory
-        stats = self.stats
-        tracer = self.tracer
-
-        # -- timing: signature lookup instead of the scoreboard loop ---
-        signature = (idx, exit_kind, adapter.event_fingerprint())
-        cycle = plan.signatures.get(signature)
-        if cycle is None:
-            cycle_after = plan.cycle_after
-            if cycle_after is None:
-                cycle_after = plan.cycle_after = _compile_timing(
-                    machine, trace
-                )
-                tracer.count("vliw.plan_compiles")
-            cycle = (
-                cycle_after[idx] if idx >= 0 else machine.checkpoint_cycles
-            )
-            plan.signatures[signature] = cycle
-            tracer.count("vliw.plan_misses")
-        elif tracer.active:
-            tracer.count("vliw.plan_hits")
-        executed = idx + 1
-
-        if alias_exc is not None:
-            _restore_words(memory.words, undo_log)
-            adapter.on_region_exit()
-            cycles = cycle + machine.rollback_penalty
+        elif exit_kind == _X_ALIAS:
+            _restore_words(self.memory.words, undo_log)
             stats.alias_aborts += 1
-            if alias_exc.false_positive:
+            if payload.false_positive:
                 stats.false_positive_aborts += 1
-            stats.total_cycles += cycles
-            stats.instructions += executed
-            return RegionOutcome(
-                status="alias",
-                cycles=cycles,
-                alias_setter=alias_exc.setter_mem_index,
-                alias_checker=alias_exc.checker_mem_index,
-                false_positive=alias_exc.false_positive,
-                instructions_executed=executed,
+            out = replace(
+                out,
+                alias_setter=payload.setter_mem_index,
+                alias_checker=payload.checker_mem_index,
+                false_positive=payload.false_positive,
             )
-
-        if outcome_status is None:
-            if fall_through is not None:
-                next_pc = fall_through
-            else:
-                next_pc = region.block.entry_pc + 1
-            outcome_status = "commit"
-
-        cycles = cycle + 1
-        stats.instructions += executed
-        if outcome_status == "side_exit":
-            _restore_words(memory.words, undo_log)
-            adapter.on_region_exit()
-            cycles += machine.rollback_penalty
-            stats.side_exit_aborts += 1
-            stats.total_cycles += cycles
-            return RegionOutcome(
-                status="side_exit",
-                cycles=cycles,
-                next_pc=next_pc,
-                instructions_executed=executed,
-            )
-
-        adapter.on_region_exit()
-        registers[:] = regs[:guest_count]
-        stats.commits += 1
-        stats.total_cycles += cycles
-        return RegionOutcome(
-            status=outcome_status,
-            cycles=cycles,
-            next_pc=next_pc,
-            exit_code=exit_code,
-            instructions_executed=executed,
-        )
+        else:
+            stats.commits += 1
+        return out
 
     # ------------------------------------------------------------------
     # Interpreted path: fused scoreboard + functional loop (the

@@ -473,19 +473,6 @@ class TestIrHelpers:
         assert R.loop_candidate(ir) is None
         assert R.loop_candidate(self.ir([])) is None
 
-    def test_batch_legality_bits(self):
-        ir = self.ir([(R.OP_BR, 0)])
-        bits = R.batch_legality(ir)
-        assert bits == {"legal": True, "family": None, "loop": [0, R.X_BR]}
-        assert R.batch_legality(self.ir([(R.OP_EXIT, 0)]))["legal"] is False
-
-    def test_payload_roundtrip_carries_batch_bits(self):
-        ir = self.ir([(R.OP_ALU, R.A_ADDI, 2, 1, None, 8), (R.OP_BR, 0)])
-        payload = ir.to_payload()
-        assert payload["batch"] == R.batch_legality(ir)
-        back = R.ReplayIR.from_payload(payload)
-        assert back.ops == ir.ops
-
 
 class TestServeBatchWarm:
     def test_repeat_batch_reuses_batch_kernels(self):

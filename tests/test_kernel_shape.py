@@ -284,7 +284,7 @@ class TestWordKernelEscapes:
             [0],
             [],
         )
-        fn, _fps = backends_mod.compile_vec(ir, SmarqAdapter(64), 64)
+        fn = backends_mod.compile_vec(ir, SmarqAdapter(64), 64)
         for r1 in range(0x100, 0x120, 8):
             registers = [0] * 64
             registers[1], registers[3] = r1, 0x100

@@ -7,8 +7,6 @@ Hot traces lower once into the numeric replay IR
 and the statically pre-simulated kernels (``vec``, and ``batch`` — the
 same residue in an iteration loop). These tests pin:
 
-* the IR round-trips through its numeric payload encoding exactly when
-  it carries no dynamic escapes;
 * all four tiers are byte-identical — outcome, registers, memory and
   stats — for every shipped scheme and every exit kind;
 * auto mode promotes a plan at one execution-count threshold to its
@@ -21,12 +19,9 @@ same residue in an iteration loop). These tests pin:
   along with the timing plans.
 """
 
-import json
-
 import pytest
 
 import repro.sim.replay_backends as backends_mod
-import repro.sim.replay_ir as R
 import repro.sim.vliw as vliw_mod
 from repro.engine.instrumentation import Tracer
 from repro.ir.instruction import Opcode, binop, branch, load, movi, store
@@ -117,47 +112,6 @@ def run_once(region, r3=0, adapter=None, sim=None, tracer=None):
     adapter = adapter or SmarqAdapter(64)
     outcome = sim.execute_region(region, adapter, registers)
     return outcome, registers, memory, sim
-
-
-def lowered_ir(region, adapter_cls=SmarqAdapter):
-    """Lower a region's compiled trace (populating the trace cache)."""
-    run_once(region)
-    linear, _cls, _machine, trace, _ft, _ftrace, _plan = region._vliw_trace
-    return R.lower_trace(linear, trace, adapter_cls)
-
-
-class TestIRRoundTrip:
-    def test_payload_round_trip_is_exact(self):
-        ir = lowered_ir(side_exit_region())
-        assert ir.serializable
-        payload = ir.to_payload()
-        json.dumps(payload)  # JSON-able end to end
-        back = R.ReplayIR.from_payload(payload)
-        assert back.ops == ir.ops
-        assert back.events == ir.events
-        assert back.payloads == ir.payloads
-        assert back.dyn == []
-
-    def test_round_trip_for_every_scheme(self):
-        for name, factory in SCHEME_FACTORIES.items():
-            adapter_cls = type(factory())
-            ir = lowered_ir(alias_region(), adapter_cls)
-            back = R.ReplayIR.from_payload(ir.to_payload())
-            assert back.ops == ir.ops, name
-            assert back.events == ir.events, name
-
-    def test_dynamic_escapes_refuse_serialization(self):
-        ir = R.ReplayIR(ops=[], events=[], payloads=[], dyn=[("alu", None)])
-        assert not ir.serializable
-        with pytest.raises(ValueError):
-            ir.to_payload()
-
-    def test_unknown_payload_version_raises(self):
-        ir = lowered_ir(side_exit_region())
-        payload = ir.to_payload()
-        payload["version"] = 99
-        with pytest.raises(ValueError):
-            R.ReplayIR.from_payload(payload)
 
 
 class TestTierByteIdentity:

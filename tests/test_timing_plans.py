@@ -1,19 +1,22 @@
 """Timing-plan tests: the planned path is a memoization, not a model.
 
 The VLIW simulator splits region execution into functional replay plus a
-path-keyed timing plan (see :mod:`repro.sim.vliw`). These tests pin the
-contract:
+timing plan that keeps one outcome per exit (see :mod:`repro.sim.vliw`).
+These tests pin the contract:
 
-* re-executing a region along a seen path is a plan *hit* — the
+* re-executing a region along a seen exit is a plan *hit* — the
   scoreboard loop must not run again;
-* distinct control-flow exits (and distinct adapter event streams) get
-  distinct signatures, each with its own memoized cycle count;
+* one exit yields one shared, frozen outcome on every replay tier, and
+  distinct control-flow exits get distinct outcomes; an alias exit hands
+  each execution a copy of its template carrying the faulting pair;
 * outcomes are field-identical to the interpreted scoreboard loop, for
   commits, side exits and alias aborts, on both replay tiers (generic
   dispatch and the generated straight-line function);
 * ``SMARQ_NO_TIMING_PLANS=1`` disables the machinery entirely;
 * re-translation invalidates the cached trace + plans.
 """
+
+import dataclasses
 
 import pytest
 
@@ -24,6 +27,7 @@ from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
 from repro.sched.machine import MachineModel
 from repro.sim.memory import Memory
+from repro.sim.replay_ir import X_ALIAS, X_BR, X_SIDE
 from repro.sim.schemes import (
     EfficeonAdapter,
     ItaniumAdapter,
@@ -98,19 +102,7 @@ class TestPlanMemoization:
         # hits never recompile the cumulative plan
         assert tracer.counters.get("vliw.plan_compiles") == 1
         second = run_once(region, r3=0, sim=sim)[0]
-        assert first == second
-
-    def test_distinct_exits_distinct_signatures(self):
-        region = side_exit_region()
-        sim = VliwSimulator(MACHINE, Memory(4096))
-        commit = run_once(region, r3=0, sim=sim)[0]
-        side = run_once(region, r3=1, sim=sim)[0]
-        assert commit.status == "commit"
-        assert side.status == "side_exit"
-        plan = region._vliw_trace[6]
-        exits = {(idx, kind) for idx, kind, _events in plan.signatures}
-        assert len(plan.signatures) == 2
-        assert len(exits) == 2
+        assert first is second
 
     def test_invalidation_drops_cached_plans(self):
         region = side_exit_region()
@@ -124,6 +116,68 @@ class TestPlanMemoization:
         # the next execution recompiles from scratch and still works
         outcome = run_once(region, r3=0, sim=sim)[0]
         assert outcome.status == "commit"
+
+class TestOneOutcomePerExit:
+    """A plan keeps one outcome per ``(exit index, exit kind)``, shared
+    by every execution and every replay tier that leaves there."""
+
+    def test_kernel_returns_the_dispatch_loops_outcome(self, monkeypatch):
+        monkeypatch.setattr(vliw_mod, "_REPLAY_THRESHOLD", 2)
+        for r3 in (0, 1):  # the commit exit, then the side exit
+            region = side_exit_region()
+            sim = VliwSimulator(MACHINE, Memory(4096))
+            loop = run_once(region, r3=r3, sim=sim)[0]  # dispatch loop
+            kernel = run_once(region, r3=r3, sim=sim)[0]  # batch kernel
+            assert region._vliw_trace[6].tier == "batch"
+            assert kernel is loop
+
+    @pytest.mark.parametrize("backend", ["interp", "py", "vec", "batch"])
+    def test_every_tier_repeats_one_object(self, monkeypatch, backend):
+        monkeypatch.setenv("SMARQ_REPLAY_BACKEND", backend)
+        region = side_exit_region()
+        sim = VliwSimulator(MACHINE, Memory(4096))
+        commit, commit2, side, side2 = (
+            run_once(region, r3=r3, sim=sim)[0] for r3 in (0, 0, 1, 1)
+        )
+        assert commit is commit2 and side is side2
+
+    def test_distinct_exits_distinct_outcomes(self):
+        region = side_exit_region()
+        sim = VliwSimulator(MACHINE, Memory(4096))
+        commit = run_once(region, r3=0, sim=sim)[0]
+        side = run_once(region, r3=1, sim=sim)[0]
+        assert commit.status == "commit"
+        assert side.status == "side_exit"
+        exits = region._vliw_trace[6].exits
+        assert sorted(kind for _idx, kind in exits) == [X_SIDE, X_BR]
+        assert [id(out) for out in exits.values()] == [id(commit), id(side)]
+        assert commit.cycles != side.cycles  # the rollback penalty
+
+    def test_alias_exit_copies_its_template_with_the_pair(self):
+        region = alias_region()
+        sim = VliwSimulator(MACHINE, Memory(4096))
+        first, second = (
+            run_once(region, r3=0x100, sim=sim)[0] for _ in range(2)
+        )
+        (template,) = [
+            out for (_idx, kind), out in region._vliw_trace[6].exits.items()
+            if kind == X_ALIAS
+        ]
+        assert template.alias_setter is None
+        assert template.alias_checker is None
+        for out in (first, second):
+            assert out.status == "alias"
+            assert out is not template
+            assert out.alias_setter is not None
+            assert out.alias_checker is not None
+            assert out.cycles == template.cycles
+            assert out.instructions_executed == template.instructions_executed
+        assert first == second and first is not second
+
+    def test_outcomes_are_frozen(self):
+        outcome = run_once(side_exit_region(), r3=0)[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.cycles = 0
 
 
 class TestPlannedMatchesInterpreted:
@@ -225,10 +279,6 @@ class TestKillSwitch:
         assert outcome.status == "commit"
         assert tracer.counters.get("vliw.plan_misses", 0) == 0
 
-
-class TestEventFingerprints:
-    """The adapter fingerprint is the replay signature's event stream."""
-
     def test_all_shipped_adapters_are_transparent(self):
         for adapter in (
             NullAdapter(),
@@ -237,28 +287,3 @@ class TestEventFingerprints:
             EfficeonAdapter(),
         ):
             assert adapter.timing_transparent
-
-    def test_smarq_fingerprint_tracks_region_events(self):
-        adapter = SmarqAdapter(64)
-        adapter.on_region_enter(region=None)
-        clean = adapter.event_fingerprint()
-        adapter.queue.check_then_set_range(0, 0x10, 8, False, 0)
-        dirty = adapter.event_fingerprint()
-        assert dirty != clean
-        # re-entering a region re-baselines the delta
-        adapter.on_region_enter(region=None)
-        assert adapter.event_fingerprint() == clean
-
-    def test_fingerprint_excludes_data_dependent_comparisons(self):
-        """Two executions that differ only in how many live entries a
-        check scanned must produce the same fingerprint."""
-        a = SmarqAdapter(64)
-        a.on_region_enter(region=None)
-        a.queue.check_then_set_range(0, 0x10, 8, False, 0)
-        a.queue.check_then_set_range(1, 0x20, 8, False, 1)
-
-        b = SmarqAdapter(64)
-        b.on_region_enter(region=None)
-        b.queue.check_then_set_range(0, 0x110, 8, False, 0)
-        b.queue.check_then_set_range(1, 0x120, 8, False, 1)
-        assert a.event_fingerprint() == b.event_fingerprint()

@@ -11,6 +11,7 @@ memory it replaced, kept here as the reference. These tests pin:
   is not a multiple of 8, and out of range;
 * ``write_logged`` logs one ``(word index, old word)`` entry per word
   it touches, and rolling those back restores the words exactly;
+* a memory of no bytes is refused;
 * every word is canonical — an int in ``[0, 2**64)`` — and the list
   keeps its length after the golden cells run under each replay tier.
 """
@@ -165,6 +166,10 @@ class TestWordsMatchBytes:
                 _call(reference, ("write", addr, -1, size))
             )
             assert memory.to_bytes() == reference.to_bytes(), addr
+
+    def test_rejects_a_nonpositive_size(self):
+        with pytest.raises(ValueError):
+            Memory(0)
 
 
 def _reset_caches():
