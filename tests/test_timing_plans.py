@@ -10,8 +10,8 @@ These tests pin the contract:
   distinct control-flow exits get distinct outcomes; an alias exit hands
   each execution a copy of its template carrying the faulting pair;
 * outcomes are field-identical to the interpreted scoreboard loop, for
-  commits, side exits and alias aborts, on both replay tiers (generic
-  dispatch and the generated straight-line function);
+  commits, side exits, guest exits, fall-through and alias aborts, on
+  every replay tier (the dispatch loop, ``py``, ``vec`` and ``batch``);
 * ``SMARQ_NO_TIMING_PLANS=1`` disables the machinery entirely;
 * re-translation invalidates the cached trace + plans.
 """
@@ -27,7 +27,7 @@ from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
 from repro.sched.machine import MachineModel
 from repro.sim.memory import Memory
-from repro.sim.replay_ir import X_ALIAS, X_BR, X_SIDE
+from repro.sim.replay_ir import X_ALIAS, X_BR, X_EXIT, X_FALL, X_SIDE
 from repro.sim.schemes import (
     EfficeonAdapter,
     ItaniumAdapter,
@@ -73,6 +73,43 @@ def alias_region():
             branch(Opcode.BR, 0),
         ]
     )
+
+
+def exit_region():
+    """Leaves by the guest ``exit`` instruction with exit code 3."""
+    return translate(
+        [
+            movi(1, 0x100),
+            load(2, 1),
+            binop(Opcode.ADD, 4, 2, 2),
+            store(1, 4),
+            branch(Opcode.EXIT, 3),
+        ]
+    )
+
+
+def fall_through_region():
+    """Has no terminating branch: it falls off the end of its trace."""
+    return translate(
+        [
+            movi(1, 0x100),
+            load(2, 1),
+            binop(Opcode.ADD, 4, 2, 2),
+            store(1, 4),
+        ]
+    )
+
+
+# one region and r3 value per exit kind a trace can leave by
+EXIT_CASES = {
+    "commit": (side_exit_region, 0, X_BR),
+    "side_exit": (side_exit_region, 1, X_SIDE),
+    "exit": (exit_region, 0, X_EXIT),
+    "fall_through": (fall_through_region, 0, X_FALL),
+    "alias": (alias_region, 0x100, X_ALIAS),
+}
+
+BACKENDS = ["interp", "py", "vec", "batch"]
 
 
 def run_once(region, r3=0, adapter=None, tracer=None, sim=None):
@@ -131,15 +168,45 @@ class TestOneOutcomePerExit:
             assert region._vliw_trace[6].tier == "batch"
             assert kernel is loop
 
-    @pytest.mark.parametrize("backend", ["interp", "py", "vec", "batch"])
-    def test_every_tier_repeats_one_object(self, monkeypatch, backend):
+    @pytest.mark.parametrize("case", list(EXIT_CASES))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_tier_repeats_one_object(self, monkeypatch, backend, case):
+        """Each tier, each exit kind: every execution equals the
+        interpreted scoreboard's, the plan keeps one outcome for the
+        exit, and a clean exit hands every execution that one object
+        (an alias exit, an equal copy of it)."""
+        make_region, r3, kind = EXIT_CASES[case]
         monkeypatch.setenv("SMARQ_REPLAY_BACKEND", backend)
-        region = side_exit_region()
-        sim = VliwSimulator(MACHINE, Memory(4096))
-        commit, commit2, side, side2 = (
-            run_once(region, r3=r3, sim=sim)[0] for r3 in (0, 0, 1, 1)
-        )
-        assert commit is commit2 and side is side2
+        region = make_region()
+        tracer = Tracer()
+        sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
+        oracle = VliwSimulator(MACHINE, Memory(4096))
+        oracle._plans_enabled = False
+        outcomes = []
+        for _ in range(3):
+            planned = run_once(region, r3=r3, sim=sim)
+            interpreted = run_once(region, r3=r3, sim=oracle)
+            assert planned[0] == interpreted[0]
+            assert planned[1] == interpreted[1]
+            assert planned[2].to_bytes() == interpreted[2].to_bytes()
+            outcomes.append(planned[0])
+        assert sim.stats == oracle.stats
+        plan = region._vliw_trace[6]
+        exits = plan.exits
+        assert [k for _idx, k in exits] == [kind]
+        first, second, third = outcomes
+        if kind == X_ALIAS:
+            assert first == second == third
+            assert first is not second and second is not third
+        else:
+            assert first is second is third
+            assert first is exits[next(iter(exits))]
+            # the forced tier ran every execution (an alias may escape
+            # a kernel and re-run on the dispatch loop); a forced batch
+            # compiles vec for a trace without a back-edge
+            tier = plan.tier or "interp"
+            assert tier == backend or (backend, tier) == ("batch", "vec")
+            assert tracer.counters.get(f"vliw.backend_{tier}") == 3
 
     def test_distinct_exits_distinct_outcomes(self):
         region = side_exit_region()

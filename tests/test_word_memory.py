@@ -11,7 +11,9 @@ memory it replaced, kept here as the reference. These tests pin:
   is not a multiple of 8, and out of range;
 * ``write_logged`` logs one ``(word index, old word)`` entry per word
   it touches, and rolling those back restores the words exactly;
-* a memory of no bytes is refused;
+* worked examples: round trips at every width, little-endian byte
+  order, values masked to their width, out-of-range and negative
+  addresses, ``write_bytes``/``fill``, and a memory of no bytes refused;
 * every word is canonical — an int in ``[0, 2**64)`` — and the list
   keeps its length after the golden cells run under each replay tier.
 """
@@ -167,7 +169,45 @@ class TestWordsMatchBytes:
             )
             assert memory.to_bytes() == reference.to_bytes(), addr
 
-    def test_rejects_a_nonpositive_size(self):
+
+class TestMemory:
+    def test_roundtrip_sizes(self):
+        mem = Memory(256)
+        for size in (1, 2, 4, 8):
+            mem.write(16, 0x0102030405060708, size)
+            assert mem.read(16, size) == 0x0102030405060708 & ((1 << (8 * size)) - 1)
+
+    def test_little_endian(self):
+        mem = Memory(64)
+        mem.write(0, 0x1122, 2)
+        assert mem.read_bytes(0, 2) == bytes([0x22, 0x11])
+
+    def test_value_masked_to_size(self):
+        mem = Memory(64)
+        mem.write(0, 0x1FF, 1)
+        assert mem.read(0, 1) == 0xFF
+
+    def test_out_of_bounds_read(self):
+        mem = Memory(16)
+        with pytest.raises(MemoryFault):
+            mem.read(12, 8)
+
+    def test_negative_address(self):
+        mem = Memory(16)
+        with pytest.raises(MemoryFault):
+            mem.read(-1, 1)
+
+    def test_write_bytes_roundtrip(self):
+        mem = Memory(32)
+        mem.write_bytes(4, b"abcd")
+        assert mem.read_bytes(4, 4) == b"abcd"
+
+    def test_fill(self):
+        mem = Memory(32)
+        mem.fill(8, 4, 0xAB)
+        assert mem.read_bytes(8, 4) == b"\xab" * 4
+
+    def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             Memory(0)
 
