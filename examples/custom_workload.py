@@ -109,8 +109,9 @@ def main() -> None:
     sys_none, _ = results["none"]
     sys_smarq, _ = results["smarq"]
     start, size = sys_none.program.region_map["bins"]
-    assert sys_none.memory.read_bytes(start, size) == (
-        sys_smarq.memory.read_bytes(start, size)
+    bins = slice(start, start + size)
+    assert sys_none.memory.to_bytes()[bins] == (
+        sys_smarq.memory.to_bytes()[bins]
     )
     print("final histogram identical under both schemes")
 

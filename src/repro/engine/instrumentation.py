@@ -66,12 +66,10 @@ Counter names used by the simulation stack:
     hit clones a previously optimized region instead of re-optimizing);
 ``translate.cache_stores``
     optimized regions serialized into the translation cache;
-``translate.elim_hits`` / ``translate.deps_hits`` / ``translate.ddg_hits``
-    / ``translate.prep_hits``
-    stage-memo hits inside a full-translation miss: the elimination
-    blob, base memory dependences, DDG structure, and scheduler priority
-    tables reused from an earlier translation of the same content
-    (each has a matching ``*_misses`` counter).
+``translate.deps_hits`` / ``translate.ddg_hits``
+    stage-memo hits inside a full-translation miss: base memory
+    dependences and DDG structure reused from an earlier translation of
+    the same content (each has a matching ``*_misses`` counter).
 
 Phase names: ``run`` (whole DBT loop), ``optimize`` (translation +
 scheduling + allocation), ``execute`` (translated-region simulation).

@@ -22,13 +22,14 @@ refusing to speculate on that pair.
 
 Translation is memoized at two granularities (see
 :mod:`repro.opt.translation_cache`): whole translations are served from a
-content-keyed cache, and on a full-tier miss the stage products — the
-post-elimination block (``elim``), base memory dependences (``deps``),
-DDG structure (``ddg``) and scheduler priority tables (``prep``) — are
-memoized with stage-precise keys. Because base dependence classification
-ignores alias hints while eliminations and scheduling read them, a
-re-optimization after an alias exception recomputes constraints and
-allocation but reuses the DDG when the transformed block is unchanged.
+content-keyed cache, and on a full-tier miss the two stage products that
+save more than they cost — base memory dependences (``deps``) and DDG
+structure (``ddg``) — are memoized with stage-precise keys; eliminations
+and the scheduler's priority tables are recomputed on every miss.
+Because base dependence classification ignores alias hints while
+eliminations and scheduling read them, a re-optimization after an alias
+exception recomputes constraints and allocation but reuses the DDG when
+the transformed block is unchanged.
 The sub-phases are tracer-visible as ``optimize.constraints``,
 ``optimize.certify`` (when :attr:`OptimizerConfig.certify` is on — see
 :mod:`repro.analysis.certify`), ``optimize.ddg``, ``optimize.schedule``
@@ -199,9 +200,6 @@ class OptimizationPipeline:
         self._machine_digest = _digest(machine)
 
     # -- cache keys ----------------------------------------------------
-    def _hint_keys(self, hints, banned) -> Tuple[Tuple, Tuple]:
-        return tuple(sorted(hints.items())), tuple(sorted(banned))
-
     def _config_digest(self) -> str:
         """Digest of the current optimizer config.
 
@@ -239,28 +237,6 @@ class OptimizationPipeline:
             key += (("certify", certify_enabled(), prover_token()),)
         return key
 
-    def _elim_key(self, content, hints_key, banned_key) -> Tuple:
-        """Eliminations never read the machine model, the allocator choice,
-        or the scheduling policy — leaving those out shares one elim memo
-        across every scheme evaluating the same guest region."""
-        c = self.config
-        return (
-            "elim",
-            self._env_digest,
-            (
-                c.speculate,
-                c.enable_load_elimination,
-                c.enable_store_elimination,
-                c.alias_rate_threshold,
-                c.max_eliminations_per_block,
-                c.load_elim_sources,
-                c.unroll_factor,
-            ),
-            content,
-            hints_key,
-            banned_key,
-        )
-
     def _deps_key(self, content2) -> Tuple:
         """Base dependence classification reads only addresses — alias
         hints and speculation bans are deliberately absent, which is what
@@ -285,17 +261,6 @@ class OptimizationPipeline:
             key += (("certified", cert_sig),)
         return key
 
-    def _prep_key(self, content2, hints_key, banned_key, cert_sig=()) -> Tuple:
-        c = self.config
-        return (
-            "prep",
-            self._ddg_key(content2, cert_sig),
-            c.speculate,
-            c.alias_rate_threshold,
-            hints_key,
-            banned_key,
-        )
-
     # ------------------------------------------------------------------
     def optimize(self, original: Superblock) -> OptimizedRegion:
         """Produce an optimized, scheduled, alias-annotated region copy."""
@@ -308,9 +273,11 @@ class OptimizationPipeline:
         # the translation cache is disabled so the simulator can share
         # lowered replay IR and compiled kernels across content-identical
         # regions (repro.sim.replay_backends).
-        hints_key, banned_key = self._hint_keys(hints, banned)
-        content = region_content_key(original)
-        full_key = self._full_key(content, hints_key, banned_key)
+        full_key = self._full_key(
+            region_content_key(original),
+            tuple(sorted(hints.items())),
+            tuple(sorted(banned)),
+        )
 
         cache = get_translation_cache() if TranslationCache.enabled() else None
         if cache is not None:
@@ -323,7 +290,7 @@ class OptimizationPipeline:
                 region._replay_key = full_key
                 return region
 
-        region = self._optimize_impl(original, content, hints, banned, cache)
+        region = self._optimize_impl(original, hints, banned, cache)
         if cache is not None:
             # Stored before the key is attached: a hit re-attaches it, so
             # the blob need not carry the region's whole content again.
@@ -336,12 +303,10 @@ class OptimizationPipeline:
         return region
 
     def _optimize_impl(
-        self, original: Superblock, content: Tuple, hints, banned, cache
+        self, original: Superblock, hints, banned, cache
     ) -> OptimizedRegion:
         config = self.config
         tracer = self.tracer
-        if cache is not None:
-            hints_key, banned_key = self._hint_keys(hints, banned)
 
         def make_analysis(b) -> AliasAnalysis:
             return AliasAnalysis(
@@ -353,60 +318,42 @@ class OptimizationPipeline:
             )
 
         with tracer.phase("optimize.constraints"):
-            cached_elim = None
-            elim_key = None
-            if cache is not None:
-                elim_key = self._elim_key(content, hints_key, banned_key)
-                cached_elim = cache.get_stage("elim", elim_key, tracer)
-            if cached_elim is not None:
-                block, load_result, store_result = cached_elim
-            else:
-                block = original.copy()
+            block = original.copy()
 
-                if config.unroll_factor > 1:
-                    from repro.opt.unroll import unroll_loop
+            if config.unroll_factor > 1:
+                from repro.opt.unroll import unroll_loop
 
-                    unroll_loop(block, config.unroll_factor)
+                unroll_loop(block, config.unroll_factor)
 
-                analysis = make_analysis(block)
-                elim_budget = config.max_eliminations_per_block
+            analysis = make_analysis(block)
+            elim_budget = config.max_eliminations_per_block
 
-                # Without alias hardware, only check-free ("safe")
-                # eliminations run.
-                require_safe = not config.speculate
+            # Without alias hardware, only check-free ("safe")
+            # eliminations run.
+            require_safe = not config.speculate
 
-                load_result = LoadEliminationResult()
-                if config.enable_load_elimination:
-                    load_pass = LoadElimination(
-                        alias_rate_threshold=config.alias_rate_threshold,
-                        max_eliminations=elim_budget,
-                        require_safe=require_safe,
-                        sources=config.load_elim_sources,
-                    )
-                    load_result = load_pass.run(block, analysis)
+            load_result = LoadEliminationResult()
+            if config.enable_load_elimination:
+                load_pass = LoadElimination(
+                    alias_rate_threshold=config.alias_rate_threshold,
+                    max_eliminations=elim_budget,
+                    require_safe=require_safe,
+                    sources=config.load_elim_sources,
+                )
+                load_result = load_pass.run(block, analysis)
 
-                store_result = StoreEliminationResult()
-                if config.enable_store_elimination:
-                    store_pass = StoreElimination(
-                        alias_rate_threshold=config.alias_rate_threshold,
-                        max_eliminations=max(
-                            0, elim_budget - load_result.eliminated
-                        ),
-                        require_safe=require_safe,
-                    )
-                    store_result = store_pass.run(
-                        block, analysis, pinned=load_result.protected_ops()
-                    )
-                if cache is not None:
-                    from repro.ir.instruction import uid_watermark
-
-                    cache.put_stage_pickled(
-                        "elim",
-                        elim_key,
-                        (block, load_result, store_result),
-                        uid_watermark(),
-                        tracer,
-                    )
+            store_result = StoreEliminationResult()
+            if config.enable_store_elimination:
+                store_pass = StoreElimination(
+                    alias_rate_threshold=config.alias_rate_threshold,
+                    max_eliminations=max(
+                        0, elim_budget - load_result.eliminated
+                    ),
+                    require_safe=require_safe,
+                )
+                store_result = store_pass.run(
+                    block, analysis, pinned=load_result.protected_ops()
+                )
 
             # Rebuild analysis and base dependences on the transformed block.
             # Dependences stay positional (the deps memo's triples) from
@@ -537,19 +484,7 @@ class OptimizationPipeline:
             scheduler = ListScheduler(
                 self.machine, sched_config, hook, tracer=tracer
             )
-            prep = None
-            if cache is not None:
-                prep_key = self._prep_key(
-                    content2, hints_key, banned_key, cert_sig
-                )
-                prep = cache.get_stage("prep", prep_key, tracer)
-            if prep is None:
-                prep = scheduler.prepare(ddg, alias_analysis=analysis)
-                if cache is not None:
-                    cache.put_stage("prep", prep_key, prep, tracer)
-            schedule = scheduler.schedule(
-                ddg, alias_analysis=analysis, prep=prep
-            )
+            schedule = scheduler.schedule(ddg, alias_analysis=analysis)
 
         return OptimizedRegion(
             block=block,

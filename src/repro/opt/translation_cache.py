@@ -15,16 +15,18 @@ from memory:
   than re-optimizing. Blobs are serialized *at translation time*, before
   the VLIW simulator attaches its unpicklable compiled-trace closures.
 * **stage tiers** — when the full tier misses (a new scheme, a new hint
-  set), scheme-independent intermediate products are still reusable:
-  the post-elimination block (``elim``), the base memory dependences
-  (``deps``, stored as index triples), the DDG's positional edge tuple
-  (``ddg``, see :meth:`~repro.sched.ddg.DataDependenceGraph.structural`;
-  a hit adopts it as the graph) and the scheduler's priority tables
-  (``prep``, :class:`~repro.sched.list_scheduler.SchedulePrep`). Each
-  tier's key covers precisely the inputs that stage reads — e.g. alias
-  hints are excluded from ``deps``/``ddg`` keys because classification
-  ignores them, which is what lets an alias-exception re-optimization
-  reuse the DDG while recomputing constraints and allocation.
+  set), two scheme-independent intermediate products are still
+  reusable: the base memory dependences (``deps``, stored as index
+  triples) and the DDG's positional edge tuple (``ddg``, see
+  :meth:`~repro.sched.ddg.DataDependenceGraph.structural`; a hit adopts
+  it as the graph). Both are immutable tuples, shared by every hit.
+  Each tier's key covers precisely the inputs that stage reads — alias
+  hints are excluded because classification ignores them, which is what
+  lets an alias-exception re-optimization reuse the DDG while
+  recomputing constraints and allocation. The other stage products
+  (eliminations, scheduler priority tables) are recomputed on every
+  miss: memoizing them cost more CPU time and memory than their rare
+  hits saved (``docs/PERF.md``).
 
 Blobs live in this process only, so every one was pickled by the running
 code. A hit reserves the blob's uid range
@@ -54,7 +56,7 @@ from repro.ir.instruction import reserve_uids, uid_watermark
 _DEFAULT_ENTRIES = 512
 
 #: stage tier names (each an independent LRU)
-STAGES = ("elim", "deps", "ddg", "prep")
+STAGES = ("deps", "ddg")
 
 
 def region_content_key(block) -> Tuple:
@@ -159,35 +161,16 @@ class TranslationCache:
 
     # -- stage tiers ---------------------------------------------------
     def get_stage(self, stage: str, key: Any, tracer) -> Any:
-        """Stage-memo lookup; ``elim`` entries deserialize to a private
-        clone, the other stages return shared immutable tuples."""
+        """Stage-memo lookup: the shared immutable tuple, or None."""
         value = self._lookup(self._stages[stage], key)
         if value is None:
             tracer.count(f"translate.{stage}_misses")
             return None
         tracer.count(f"translate.{stage}_hits")
-        if stage == "elim":
-            max_uid, product = pickle.loads(value)
-            reserve_uids(max_uid)
-            return product
         return value
 
     def put_stage(self, stage: str, key: Any, value: Any, tracer) -> None:
         self._insert(self._stages[stage], key, value)
-
-    def put_stage_pickled(
-        self, stage: str, key: Any, product: Any, max_uid: int, tracer
-    ) -> None:
-        """Store a stage product that contains live instructions (the
-        ``elim`` tier) as a pickle blob cloned on every hit."""
-        try:
-            payload = pickle.dumps(
-                (max_uid, product), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        except Exception:
-            tracer.count("translate.store_errors")
-            return
-        self._insert(self._stages[stage], key, payload)
 
 
 #: process-wide instance — the pipeline is constructed per DbtSystem but

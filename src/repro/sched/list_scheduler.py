@@ -21,9 +21,9 @@ into the linear output after each placement.
 
 Everything the readiness loop needs that does not depend on the hook is
 computed by :meth:`ListScheduler.prepare` as position-indexed tables
-(:class:`SchedulePrep`) straight from the DDG's positional edge tuple, so
-the translation cache can memoize them; :meth:`ListScheduler.schedule`
-runs on those lists directly and keys only its result by uid.
+(:class:`SchedulePrep`) straight from the DDG's positional edge tuple;
+:meth:`ListScheduler.schedule` runs on those lists directly and keys only
+its result by uid.
 """
 
 from __future__ import annotations
@@ -95,11 +95,11 @@ class SchedulePrep:
 
     Everything here is a pure function of the DDG structure, the
     scheduler policy, and the alias profile (hints + bans) — computed by
-    :meth:`ListScheduler.prepare` and *position*-indexed (not uid-indexed)
-    so the translation cache can reuse one prep across blocks with
-    identical content. ``succ_adj[i]`` holds ``(dst_position, latency,
-    honoured)`` per outgoing edge; ``honoured`` is the per-edge constant
-    the readiness loop tests instead of re-deriving the speculation rules.
+    :meth:`ListScheduler.prepare` and *position*-indexed (not uid-indexed),
+    like the DDG's edge tuple it is read from. ``succ_adj[i]`` holds
+    ``(dst_position, latency, honoured)`` per outgoing edge; ``honoured``
+    is the per-edge constant the readiness loop tests instead of
+    re-deriving the speculation rules.
     """
 
     hard_left: Tuple[int, ...]
@@ -131,9 +131,8 @@ class ListScheduler:
     ) -> SchedulePrep:
         """Build the position-indexed readiness/priority tables.
 
-        Split out of :meth:`schedule` so the optimization pipeline can
-        memoize the result: the tables depend only on DDG structure,
-        policy, and profile state, never on the allocator hook.
+        The tables depend only on DDG structure, policy, and profile
+        state, never on the allocator hook.
         """
         instructions = list(ddg.block)
         n = len(instructions)
@@ -204,15 +203,11 @@ class ListScheduler:
 
     # ------------------------------------------------------------------
     def schedule(
-        self,
-        ddg: DataDependenceGraph,
-        alias_analysis=None,
-        prep: Optional[SchedulePrep] = None,
+        self, ddg: DataDependenceGraph, alias_analysis=None
     ) -> ScheduleResult:
         instructions = list(ddg.block)
         n = len(instructions)
-        if prep is None:
-            prep = self.prepare(ddg, alias_analysis)
+        prep = self.prepare(ddg, alias_analysis)
 
         # Readiness is maintained incrementally instead of re-derived by
         # walking predecessor lists every cycle: per position we keep the
@@ -220,8 +215,8 @@ class ListScheduler:
         # still unscheduled, plus a running earliest-issue cycle updated
         # when a source is placed. The per-candidate test is then O(1),
         # and the functional unit is resolved once per instruction. The
-        # tables come position-indexed from ``prep`` (possibly memoized)
-        # and are used as is; only the result is keyed by uid.
+        # tables come position-indexed from ``prep`` and are used as is;
+        # only the result is keyed by uid.
         hard_left = list(prep.hard_left)
         spec_left = list(prep.spec_left)
         earliest_at = [0] * n

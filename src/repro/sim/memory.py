@@ -10,9 +10,8 @@ aligned 8-byte access is one list subscript; any other size or alignment
 shifts and masks over the words it touches. The replay kernels index
 :attr:`Memory.words` directly, and every replay tier logs ``(word index,
 old word)`` undo entries (:meth:`Memory.write_logged`), which one loop
-rolls back. Raw byte access (:meth:`Memory.read_bytes` /
-:meth:`Memory.write_bytes`) serves tests, and :meth:`Memory.to_bytes`
-the whole memory to oracles and tests.
+rolls back. :meth:`Memory.to_bytes` serves the whole memory to oracles
+and tests.
 """
 
 from __future__ import annotations
@@ -91,16 +90,6 @@ class Memory:
         for k in range(i, (addr + size + 7) >> 3):
             log((k, words[k]))
         self.write(addr, value, size)
-
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        return self.read(addr, size).to_bytes(size, "little")
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        self.write(addr, int.from_bytes(data, "little"), len(data))
-
-    def fill(self, addr: int, size: int, pattern: int = 0) -> None:
-        """Fill a span with a repeating byte pattern."""
-        self.write_bytes(addr, bytes([pattern & 0xFF]) * size)
 
     def to_bytes(self) -> bytes:
         """The whole memory, ``size`` bytes."""

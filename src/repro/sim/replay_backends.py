@@ -12,11 +12,9 @@ A hot trace's functional replay runs on one of four tiers (selected by
     the IR: inlined 64-bit ALU arithmetic, memory through the
     :class:`~repro.sim.memory.Memory` accessors the dispatch loop calls,
     and the adapter's hardware events lowered to direct scalar model
-    calls (dynamic escapes fall back to the
-    ``on_mem_op``/``on_rotate``/``on_amov`` callbacks). It
-    is exact by construction; it runs the traces neither kernel below
-    can lower (or that a kernel demoted after repeated escapes) and the
-    forced ``py`` tier;
+    calls. It is exact by construction; it runs the traces neither
+    kernel below can lower (or that a kernel demoted after repeated
+    escapes) and the forced ``py`` tier;
 ``vec``
     :func:`compile_vec` — the alias hardware is **simulated statically at
     compile time** over the IR's event stream (every queue/ALAT/bit-mask
@@ -144,17 +142,10 @@ def _prologue(ir: R.ReplayIR) -> List[str]:
             "bf_chk = bf.check_range",
             "bf_set = bf.set_range",
         ]
-    dyn_kinds = {kind for kind, _obj in ir.dyn}
-    if "mem" in dyn_kinds:
-        stmts.append("on_mem_op = ad.on_mem_op")
-    if "rot" in dyn_kinds:
-        stmts.append("on_rotate = ad.on_rotate")
-    if "amov" in dyn_kinds:
-        stmts.append("on_amov = ad.on_amov")
     return stmts
 
 
-def _event_stmts(ir: R.ReplayIR, evt: int, k: int, env: dict) -> List[str]:
+def _event_stmts(ir: R.ReplayIR, evt: int, env: dict) -> List[str]:
     """Statements servicing one op's lowered event group (``a`` holds the
     memory-op address in the generated scope)."""
     out: List[str] = []
@@ -183,19 +174,9 @@ def _event_stmts(ir: R.ReplayIR, evt: int, k: int, env: dict) -> List[str]:
         elif e == R.E_BCHK:
             _, mask, size, il, mi = ev
             out.append(f"bf_chk({mask}, a, {size}, {bool(il)}, {mi})")
-        elif e == R.E_BSET:
+        else:  # E_BSET
             _, idx, size, il, mi = ev
             out.append(f"bf_set({idx}, a, {size}, {bool(il)}, {mi})")
-        else:  # E_DYN
-            kind, obj = ir.dyn[ev[1]]
-            name = f"I{k}"
-            env[name] = obj
-            if kind == "mem":
-                out.append(f"on_mem_op({name}, a)")
-            elif kind == "rot":
-                out.append(f"on_rotate({name})")
-            else:
-                out.append(f"on_amov({name})")
     return out
 
 
@@ -268,17 +249,14 @@ def compile_py(ir: R.ReplayIR) -> Callable:
             elif kind == R.A_FDIV:
                 emit(f"{pad}bv = regs[{b}]")
                 emit(f"{pad}regs[{d}] = regs[{a}] // bv if bv else 0")
-            elif kind == R.A_FMA:
+            else:  # A_FMA
                 emit_wrap(d, f"regs[{d}] + regs[{a}] * regs[{b}]")
-            else:  # A_DYN: raising closure, error timing preserved
-                env[f"f{k}"] = ir.dyn[d][1]
-                emit(f"{pad}f{k}(regs)")
         elif t == R.OP_LD:
             _, dreg, base, disp, size, evt = op
             addr = f"regs[{base}] + {disp}" if disp else f"regs[{base}]"
             emit(f"{pad}a = {addr}")
             if evt is not None:
-                stmts = _event_stmts(ir, evt, k, env)
+                stmts = _event_stmts(ir, evt, env)
                 if stmts:
                     emit(f"{pad}i = {k}")
                     for stmt in stmts:
@@ -289,7 +267,7 @@ def compile_py(ir: R.ReplayIR) -> Callable:
             addr = f"regs[{base}] + {disp}" if disp else f"regs[{base}]"
             emit(f"{pad}a = {addr}")
             if evt is not None:
-                stmts = _event_stmts(ir, evt, k, env)
+                stmts = _event_stmts(ir, evt, env)
                 if stmts:
                     emit(f"{pad}i = {k}")
                     for stmt in stmts:
@@ -307,7 +285,7 @@ def compile_py(ir: R.ReplayIR) -> Callable:
             emit(f"{pad}return ({k}, {R.X_EXIT}, {ir.payloads[op[1]]!r})")
         elif t == R.OP_EVT:
             if op[1] is not None:
-                for stmt in _event_stmts(ir, op[1], k, env):
+                for stmt in _event_stmts(ir, op[1], env):
                     emit(f"{pad}{stmt}")
         # OP_NOP: no functional effect (timing plan accounts its slot)
     emit(f"{pad}return ({len(ir.ops) - 1}, {R.X_FALL}, None)")
@@ -470,8 +448,6 @@ def _hw_family(ir: R.ReplayIR):
     for grp in ir.events:
         for ev in grp:
             kinds.add(ev[0])
-    if R.E_DYN in kinds:
-        return "dyn"
     if kinds & R.QUEUE_EVENTS:
         return "queue"
     if kinds & R.ALAT_EVENTS:
@@ -535,7 +511,7 @@ def _defer_wraps(ir: R.ReplayIR):
                 u(d)
                 u(a)
                 u(b)
-            elif kind != R.A_MOVI:  # AND/OR/XOR/CMP/FDIV/dyn: raw values
+            elif kind != R.A_MOVI:  # AND/OR/XOR/CMP/FDIV: raw values
                 u(a, False)
                 u(b, False)
             if kind in _WRAP_KINDS:
@@ -869,12 +845,10 @@ class _ResidueEmitter:
                 pairs = hw.bm_check(mask, size)
                 if pairs is None or not self.emit_sweep(idx, size, pairs):
                     return False
-            elif e == R.E_BSET:
+            else:  # E_BSET
                 _, bit, size, il, _mi = ev
                 if not hw.bm_set(bit, idx, size, il):
                     return False
-            else:  # E_DYN: unreachable (ir.dyn rejected by the compilers)
-                return False
         return True
 
     # -- exit-site building blocks -------------------------------------
@@ -919,8 +893,6 @@ class _ResidueEmitter:
         for k, op in enumerate(ir.ops):
             t = op[0]
             if t == R.OP_ALU:
-                if op[1] == R.A_DYN:  # unreachable (ir.dyn rejected)
-                    return False
                 self.alu_op(k, op[1], op[2], op[3], op[4], op[5])
             elif t == R.OP_LD or t == R.OP_ST:
                 _, vreg, _base, disp, _size, evt = op
@@ -977,11 +949,10 @@ def _vec_exit(em: _ResidueEmitter, k: int, xkind: int, payload,
 def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
     """Compile the vectorized kernel for one lowered trace.
 
-    Returns ``None`` when the trace cannot be statically lowered: a
-    dynamic escape (unknown adapter/opcode), an access that is not one
-    aligned word (:func:`_word_only`), a hardware operand the static
-    model rejects (the ``py`` tier then reproduces the model's runtime
-    error exactly), or a pair of accesses that
+    Returns ``None`` when the trace cannot be statically lowered: an
+    access that is not one aligned word (:func:`_word_only`), a hardware
+    operand the static model rejects (the ``py`` tier then reproduces
+    the model's runtime error exactly), or a pair of accesses that
     provably always overlap (the trace would fall back on every
     execution anyway). Otherwise returns the kernel, with signature
     ``(regs, words, msize, ad, undo_append)``; it returns ``(exit_idx,
@@ -994,11 +965,9 @@ def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
     list (:attr:`repro.sim.memory.Memory.words`); each store logs
     ``(word index, old word)`` and the caller rolls those back.
     """
-    if ir.dyn or not _word_only(ir):
+    if not _word_only(ir):
         return None
     family = _hw_family(ir)
-    if family == "dyn":
-        return None
     env: dict = {"_FB": FALLBACK}
     lines: List[str] = [
         # the default arg binds the sentinel as a local (LOAD_FAST, not
@@ -1153,13 +1122,9 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     back-edge site — the exact-accounting contract the goldens and the
     ``knobs`` fuzz oracle pin.
     """
-    if ir.dyn or not _word_only(ir):
+    if not _word_only(ir) or R.loop_candidate(ir) is None:
         return None
     family = _hw_family(ir)
-    if family == "dyn":
-        return None
-    if R.loop_candidate(ir) is None:
-        return None
     env: dict = {"len": len}
     lines: List[str] = [
         "def _replay_batch(regs, W, msize, ad, undo_log, n, len=len):",

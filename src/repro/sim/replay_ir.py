@@ -2,10 +2,11 @@
 
 A hot region's compiled trace (see :func:`repro.sim.vliw._compile_trace`)
 is lowered **once** into a flat, int-coded program: a list of op tuples
-positionally parallel to the trace, plus three side tables (adapter event
-groups, branch/exit payloads, and — only when an adapter or opcode cannot
-be lowered statically — dynamic escapes holding live objects). Backends
-never look at :class:`~repro.ir.instruction.Instruction` objects again:
+positionally parallel to the trace, plus two side tables (adapter event
+groups and branch/exit payloads). Every opcode the simulator executes and
+every shipped adapter's hardware interaction lowers statically, so
+backends never look at :class:`~repro.ir.instruction.Instruction`
+objects again:
 
 * the ``py`` backend (:func:`repro.sim.replay_backends.compile_py`)
   emits today's straight-line replay function from the IR;
@@ -81,8 +82,7 @@ OP_NOP = 7  # (OP_NOP,)
     A_CMP,  # dest = sign(a - b)
     A_FDIV,  # dest = a // b if b else 0
     A_FMA,  # dest = wrap(dest + a * b)
-    A_DYN,  # unsupported opcode: dyn table holds the raising closure
-) = range(15)
+) = range(14)
 
 # -- adapter event kinds ------------------------------------------------
 # Events are grouped per op (one tuple of event tuples per annotated
@@ -95,7 +95,6 @@ E_ACHK = 5  # (E_ACHK, size, is_load, mem_index)             ALAT store check
 E_AINS = 6  # (E_AINS, mem_index, size, is_load)             ALAT insert
 E_BCHK = 7  # (E_BCHK, mask, size, is_load, mem_index)       bitmask check
 E_BSET = 8  # (E_BSET, index, size, is_load, mem_index)      bitmask set
-E_DYN = 9  # (E_DYN, dyn_index)                              dynamic escape
 
 #: event kinds whose hardware family the vec backend simulates statically
 QUEUE_EVENTS = frozenset((E_QCHK, E_QSET, E_ROT, E_AMOV))
@@ -110,18 +109,15 @@ class ReplayIR:
     lowers trace entry ``k``), so backend exit indexes line up with the
     timing plan's ``cycle_after`` array and exit outcomes without
     translation. ``events``/``payloads`` are side tables referenced by
-    index from the op tuples; ``dyn`` holds ``(kind, object)`` escapes
-    (``"alu"`` → raising closure, ``"mem"``/``"rot"``/``"amov"`` →
-    Instruction for the dynamic adapter callbacks).
+    index from the op tuples.
     """
 
-    __slots__ = ("ops", "events", "payloads", "dyn")
+    __slots__ = ("ops", "events", "payloads")
 
-    def __init__(self, ops, events, payloads, dyn) -> None:
+    def __init__(self, ops, events, payloads) -> None:
         self.ops: List[Tuple] = ops
         self.events: List[Tuple[Tuple, ...]] = events
         self.payloads: List[Optional[int]] = payloads
-        self.dyn: List[Tuple[str, object]] = dyn
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -149,10 +145,10 @@ def loop_candidate(ir: ReplayIR) -> Optional[Tuple[int, int]]:
     return (len(ir.ops) - 1, X_FALL) if ir.ops else None
 
 
-def _lower_alu(inst: Instruction, k: int, aux, dyn) -> Tuple:
+def _lower_alu(inst: Instruction) -> Tuple:
     """Lower one ALU instruction to its IR tuple (mirrors the opcode
     dispatch of :func:`repro.sim.vliw._compile_alu_fn`, the dispatch
-    loop's ALU closures)."""
+    loop's ALU closures, which rejects the same opcodes)."""
     op = inst.opcode
     d = inst.dest
     srcs = inst.srcs
@@ -186,10 +182,7 @@ def _lower_alu(inst: Instruction, k: int, aux, dyn) -> Tuple:
         return (OP_ALU, A_FDIV, d, srcs[0], srcs[1], None)
     if op is Opcode.FMA:
         return (OP_ALU, A_FMA, d, srcs[0], srcs[1], None)
-    # Unsupported opcode: the trace's raising closure runs at execution
-    # time (not lowering time), preserving partial effects before it.
-    dyn.append(("alu", aux))
-    return (OP_ALU, A_DYN, len(dyn) - 1, None, None, None)
+    raise ValueError(f"replay IR cannot lower {inst!r}")
 
 
 def lower_trace(linear: List[Instruction], trace, adapter_cls) -> ReplayIR:
@@ -199,23 +192,18 @@ def lower_trace(linear: List[Instruction], trace, adapter_cls) -> ReplayIR:
     trace is positionally parallel to the linear stream). Adapter
     interactions are lowered through the adapter class's structured
     ``lower_*_event`` protocol (see
-    :class:`~repro.sim.schemes.HardwareAdapter`): a hook returning a
-    tuple of event tuples lowers the op statically; ``None`` records a
-    dynamic escape that backends service through the adapter's
-    ``on_mem_op``/``on_rotate``/``on_amov`` callbacks.
+    :class:`~repro.sim.schemes.HardwareAdapter`): each hook returns the
+    op's tuple of event tuples, empty when the op never touches the
+    hardware.
     """
     ops: List[Tuple] = []
     events: List[Tuple[Tuple, ...]] = []
     payloads: List[Optional[int]] = []
-    dyn: List[Tuple[str, object]] = []
 
-    def add_events(evts, kind: str, inst) -> Optional[int]:
-        if evts is None:  # dynamic escape
-            dyn.append((kind, inst))
-            evts = ((E_DYN, len(dyn) - 1),)
+    def add_events(evts) -> Optional[int]:
         if not evts:
             return None
-        events.append(tuple(evts))
+        events.append(evts)
         return len(events) - 1
 
     def add_payload(value) -> int:
@@ -224,18 +212,18 @@ def lower_trace(linear: List[Instruction], trace, adapter_cls) -> ReplayIR:
 
     for k, (kind, _uses, _dest, _lat, _ui, aux) in enumerate(trace):
         if kind == K_ALU:
-            ops.append(_lower_alu(linear[k], k, aux, dyn))
+            ops.append(_lower_alu(linear[k]))
         elif kind == K_LD:
             base, disp, size, dreg, inst, call_adapter = aux
             evt = None
             if call_adapter:
-                evt = add_events(adapter_cls.lower_mem_event(inst), "mem", inst)
+                evt = add_events(adapter_cls.lower_mem_event(inst))
             ops.append((OP_LD, dreg, base, disp, size, evt))
         elif kind == K_ST:
             base, disp, size, sreg, inst, call_adapter = aux
             evt = None
             if call_adapter:
-                evt = add_events(adapter_cls.lower_mem_event(inst), "mem", inst)
+                evt = add_events(adapter_cls.lower_mem_event(inst))
             ops.append((OP_ST, sreg, base, disp, size, evt))
         elif kind == K_CBR:
             code, a, b, target = aux
@@ -245,11 +233,11 @@ def lower_trace(linear: List[Instruction], trace, adapter_cls) -> ReplayIR:
         elif kind == K_EXIT:
             ops.append((OP_EXIT, add_payload(aux)))
         elif kind == K_ROTATE:
-            evt = add_events(adapter_cls.lower_rotate_event(aux), "rot", aux)
+            evt = add_events(adapter_cls.lower_rotate_event(aux))
             ops.append((OP_EVT, evt))
         elif kind == K_AMOV:
-            evt = add_events(adapter_cls.lower_amov_event(aux), "amov", aux)
+            evt = add_events(adapter_cls.lower_amov_event(aux))
             ops.append((OP_EVT, evt))
         else:  # K_NOP: no functional effect
             ops.append((OP_NOP,))
-    return ReplayIR(ops, events, payloads, dyn)
+    return ReplayIR(ops, events, payloads)

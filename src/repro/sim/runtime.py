@@ -138,25 +138,18 @@ class DynamicOptimizationRuntime:
             return None
 
     # ------------------------------------------------------------------
-    def execute_translated(self, pc: int, registers) -> RegionOutcome:
-        """Run the cached translation at ``pc`` and apply runtime policy."""
-        entry = self._regions[pc]
-        outcome = self.simulator.execute_region(
-            entry.translation, self._adapter, registers
-        )
-        return self._apply_outcome(entry, outcome)
-
     def execute_translated_batch(self, pc: int, registers, steps_budget: int):
-        """Run the cached translation at ``pc``, batching back-edge
-        iterations when the region self-loops (see
-        :meth:`~repro.sim.vliw.VliwSimulator.execute_region_batch`).
+        """Run the cached translation at ``pc`` and apply runtime policy,
+        batching back-edge iterations when the region self-loops (see
+        :meth:`~repro.sim.vliw.VliwSimulator.execute_region_batch`); a
+        ``steps_budget`` of 1 runs exactly one execution.
 
         Returns ``(outcome, loop_outcome, batched)``; the ``batched``
         full iterations are accounted here exactly as ``batched``
         scalar commits (``translated_cycles``, ``region_commits``), and
-        the final ``outcome`` goes through the same runtime policy as
-        :meth:`execute_translated` — alias/side-exit attribution lands
-        on precisely the execution that produced it.
+        the final ``outcome`` goes through the runtime policy —
+        alias/side-exit attribution lands on precisely the execution
+        that produced it.
         """
         entry = self._regions[pc]
         outcome, loop_out, batched = self.simulator.execute_region_batch(

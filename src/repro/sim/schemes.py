@@ -49,26 +49,35 @@ _EMPTY_SET: Set[int] = frozenset()
 class HardwareAdapter:
     """Drives one region execution's alias hardware. Stateful per region.
 
+    Every adapter makes three promises, which the VLIW simulator's
+    replay tiers rely on (``docs/PERF.md``):
+
+    * **static lowering** — each ``lower_*_event`` hook lowers one
+      instruction's hardware interaction to a tuple of replay-IR event
+      tuples that reproduce the matching callback's state changes, stats
+      and exceptions exactly;
+    * **timing transparency** — the callbacks never influence issue or
+      scoreboard timing: they only mutate alias-hardware state and may
+      raise :class:`AliasException`, so the simulator charges each
+      execution the memoized outcome of the exit it leaves by;
+    * **a config key** — :meth:`replay_config_key` names the hardware
+      configuration, so lowered IR and compiled kernels are shared only
+      between adapters whose hardware behaves identically.
+
+    The base class's callbacks are no-ops; a subclass must implement the
+    ``lower_*_event`` hooks and :meth:`replay_config_key`, which raise
+    :class:`NotImplementedError` here.
+
     The two ``skip_unannotated_*`` class attributes are a fast-path
     contract for the VLIW trace compiler: when True, :meth:`on_mem_op` is
     promised to be a no-op (no state change, no stats, no exception) for
     loads/stores carrying neither a P nor a C bit, so the simulator may
     elide those calls entirely. Subclasses default to False (always
     called) unless they opt in.
-
-    ``timing_transparent`` is the timing-plan contract
-    (``docs/PERF.md``): when True, the adapter promises its callbacks
-    never influence the simulator's issue/scoreboard timing — they only
-    mutate alias-hardware state and may raise :class:`AliasException`.
-    The simulator may then replay a region functionally and charge each
-    execution the memoized outcome of the exit it leaves by, whatever
-    the callbacks did before it. Subclasses default to False (full
-    interpreted loop) unless they opt in.
     """
 
     skip_unannotated_loads = False
     skip_unannotated_stores = False
-    timing_transparent = False
 
     def on_region_enter(self, region) -> None:
         """Reset hardware state; ``region`` is the OptimizedRegion."""
@@ -91,29 +100,24 @@ class HardwareAdapter:
     # :func:`repro.sim.replay_ir.lower_trace`). Each hook lowers ONE
     # compiled instruction's hardware interaction into numeric IR event
     # tuples (see the ``E_*`` constants in :mod:`repro.sim.replay_ir`);
-    # every replay backend then services the same lowered form. Returning
-    # ``None`` means the interaction cannot be expressed statically — the
-    # lowering records a dynamic escape and backends call the
-    # ``on_mem_op``/``on_rotate``/``on_amov`` callbacks above instead
-    # (correct for any adapter, but unavailable to the vectorized tier).
-    # An empty tuple means the op provably never touches the hardware
-    # (backends elide it entirely). Any static lowering MUST produce
-    # byte-identical state changes, stats, and exceptions.
+    # every replay backend then services the same lowered form. An empty
+    # tuple means the op provably never touches the hardware (backends
+    # elide it entirely).
     # ------------------------------------------------------------------
     @classmethod
     def lower_mem_event(cls, inst: Instruction):
         """IR events equivalent to ``on_mem_op(inst, addr)``."""
-        return None
+        raise NotImplementedError
 
     @classmethod
     def lower_rotate_event(cls, inst: Instruction):
         """IR events equivalent to ``on_rotate(inst)``."""
-        return None
+        raise NotImplementedError
 
     @classmethod
     def lower_amov_event(cls, inst: Instruction):
         """IR events equivalent to ``on_amov(inst)``."""
-        return None
+        raise NotImplementedError
 
     def replay_config_key(self):
         """Hashable identity of this adapter's hardware configuration.
@@ -121,11 +125,9 @@ class HardwareAdapter:
         Keys the process-wide replay artifact cache (together with the
         region's translation key and the adapter class), so lowered IR
         and compiled backends are shared only between executions whose
-        hardware would behave identically. ``None`` (the base default)
-        opts out of cross-region sharing entirely — safe for unknown
-        subclasses with un-modeled configuration.
+        hardware would behave identically.
         """
-        return None
+        raise NotImplementedError
 
 
 class NullAdapter(HardwareAdapter):
@@ -133,9 +135,6 @@ class NullAdapter(HardwareAdapter):
 
     skip_unannotated_loads = True
     skip_unannotated_stores = True
-    # No callbacks ever fire state changes, so replay is trivially
-    # timing-transparent.
-    timing_transparent = True
 
     # every callback is a no-op, so replay lowers to no events at all
     @classmethod
@@ -160,8 +159,6 @@ class SmarqAdapter(HardwareAdapter):
     # on_mem_op returns immediately without P or C bit
     skip_unannotated_loads = True
     skip_unannotated_stores = True
-    # queue operations only mutate queue state / raise AliasException
-    timing_transparent = True
 
     def __init__(self, num_registers: int) -> None:
         self.queue = AliasRegisterQueue(num_registers)
@@ -239,8 +236,6 @@ class ItaniumAdapter(HardwareAdapter):
     # check, annotated or not
     skip_unannotated_loads = True
     skip_unannotated_stores = False
-    # ALAT inserts/checks only mutate table state / raise AliasException
-    timing_transparent = True
 
     def __init__(self, num_entries: int = 32) -> None:
         self.alat = AlatModel(num_entries)
@@ -264,10 +259,7 @@ class ItaniumAdapter(HardwareAdapter):
                     cached.setdefault(checker.mem_index, set()).add(
                         target.mem_index
                     )
-            try:
-                region._alat_required = cached
-            except AttributeError:  # slotted region: rebuild per entry
-                pass
+            region._alat_required = cached
         self._required = cached
 
     def on_mem_op(self, inst: Instruction, addr: int) -> None:
@@ -333,8 +325,6 @@ class EfficeonAdapter(HardwareAdapter):
     # register to set: unannotated memory ops never touch the file
     skip_unannotated_loads = True
     skip_unannotated_stores = True
-    # bit-mask file operations only mutate file state / raise
-    timing_transparent = True
 
     def __init__(self, num_registers: int = EFFICEON_MAX_REGISTERS) -> None:
         self.file = BitmaskAliasFile(num_registers)

@@ -49,11 +49,12 @@ builds it from the cycle array (``vliw.plan_misses``; a plan's first
 miss compiles the array, ``vliw.plan_compiles``), and every later one
 returns the same object (``vliw.plan_hits``); an alias exit's outcome is
 a template each execution copies with its own pair. Every replay tier
-finishes through that one table. The planned path requires the adapter
-to declare ``timing_transparent = True`` (its callbacks never influence
-issue timing); any other adapter — and every run with
-``SMARQ_NO_TIMING_PLANS=1`` in the environment — takes the original
-fully interpreted scoreboard loop. Both paths produce byte-identical
+finishes through that one table. The planned path relies on every
+adapter being timing-transparent (its callbacks never influence issue
+timing; see :class:`~repro.sim.schemes.HardwareAdapter`). Every run with
+``SMARQ_NO_TIMING_PLANS=1`` in the environment takes the original fully
+interpreted scoreboard loop instead, the oracle the plans are checked
+against. Both paths produce byte-identical
 :class:`RegionOutcome`/:class:`VliwStats` numbers — locked by
 ``tests/goldens/`` and ``tests/test_timing_plans.py``.
 
@@ -315,10 +316,7 @@ def invalidate_timing_plans(region) -> bool:
     if replay_key is not None:
         _backends.invalidate_artifacts(replay_key)
     if getattr(region, "_vliw_trace", None) is not None:
-        try:
-            region._vliw_trace = None
-        except AttributeError:  # slotted/frozen region: nothing cached
-            return False
+        region._vliw_trace = None
         return True
     return False
 
@@ -327,10 +325,8 @@ def _compile_alu_fn(inst: Instruction) -> Callable[[List[int]], None]:
     """Specialized register-effect closure for one ALU instruction.
 
     Mirrors the opcode dispatch of the replay IR's ALU lowering
-    (:func:`repro.sim.replay_ir._lower_alu`) exactly; unsupported
-    opcodes compile to a closure that raises the same error at execution
-    time (not compile time), preserving any partial side effects of the
-    instructions before it.
+    (:func:`repro.sim.replay_ir._lower_alu`) exactly; an opcode neither
+    handles raises ``ValueError`` when the trace is compiled.
     """
     op = inst.opcode
     dest = inst.dest
@@ -444,11 +440,7 @@ def _compile_alu_fn(inst: Instruction) -> Callable[[List[int]], None]:
             regs[dest] = _wrap(regs[dest] + regs[s0] * regs[s1])
 
         return fn
-
-    def fn(regs: List[int]) -> None:
-        raise ValueError(f"VLIW simulator cannot execute {inst!r}")
-
-    return fn
+    raise ValueError(f"VLIW simulator cannot execute {inst!r}")
 
 
 def _compile_trace(machine: MachineModel, linear: List[Instruction], adapter_cls):
@@ -621,26 +613,21 @@ class VliwSimulator:
             self.machine, linear, adapter_cls
         )
         plan = _TimingPlan()
-        # Shared replay artifact: regions carrying a translation key (and
-        # an adapter that declares its hardware config) share lowered IR
-        # and compiled kernels process-wide; anything else gets a private
-        # artifact.
+        # Shared replay artifact: regions carrying a translation key share
+        # lowered IR and compiled kernels process-wide with every region
+        # of equal key on the same adapter class and hardware config;
+        # a region built outside the pipeline gets a private artifact.
         replay_key = getattr(region, "_replay_key", None)
         if replay_key is not None:
-            config_key = adapter.replay_config_key()
-            if config_key is not None:
-                plan.artifact = _backends.artifact_for(
-                    (replay_key, adapter_cls, config_key)
-                )
-        if plan.artifact is None:
-            plan.artifact = _backends.ReplayArtifact()
-        try:
-            region._vliw_trace = (
-                linear, adapter_cls, self.machine, trace, fall_through,
-                ftrace, plan,
+            plan.artifact = _backends.artifact_for(
+                (replay_key, adapter_cls, adapter.replay_config_key())
             )
-        except AttributeError:  # slotted/frozen region: skip caching
-            pass
+        else:
+            plan.artifact = _backends.ReplayArtifact()
+        region._vliw_trace = (
+            linear, adapter_cls, self.machine, trace, fall_through,
+            ftrace, plan,
+        )
         return trace, fall_through, ftrace, plan
 
     def _execute_region(
@@ -651,10 +638,7 @@ class VliwSimulator:
         steps_budget: int,
     ) -> Tuple[RegionOutcome, Optional[RegionOutcome], int]:
         trace, fall_through, ftrace, plan = self._trace_for(region, adapter)
-        if not (
-            self._plans_enabled
-            and getattr(adapter, "timing_transparent", False)
-        ):
+        if not self._plans_enabled:
             return (
                 self._execute_interpreted(
                     region, adapter, registers, trace, fall_through
@@ -1143,8 +1127,8 @@ class VliwSimulator:
 
     # ------------------------------------------------------------------
     # Interpreted path: fused scoreboard + functional loop (the
-    # executable specification of the planned path, and the fallback for
-    # non-timing-transparent adapters and SMARQ_NO_TIMING_PLANS=1)
+    # executable specification of the planned path, run under
+    # SMARQ_NO_TIMING_PLANS=1)
     # ------------------------------------------------------------------
     def _execute_interpreted(
         self,

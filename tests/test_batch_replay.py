@@ -256,7 +256,7 @@ class TestDeferredWraps:
             )
             snapshots.append((
                 sim.stats.regions_executed, list(registers),
-                sim.memory.read_bytes(0, 4096), batched,
+                sim.memory.to_bytes(), batched,
             ))
             if outcome.status == "side_exit":
                 break
@@ -455,9 +455,7 @@ class TestInvalidation:
 class TestIrHelpers:
     def ir(self, ops, events=None, payloads=None):
         n = len(ops)
-        return R.ReplayIR(
-            ops, events or [()] * n, payloads or [None] * n, []
-        )
+        return R.ReplayIR(ops, events or [()] * n, payloads or [None] * n)
 
     def test_loop_candidate_first_br(self):
         ir = self.ir([(R.OP_ALU, R.A_MOVI, 1, None, None, 5),

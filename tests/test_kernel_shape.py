@@ -153,7 +153,7 @@ def _run(region, sim, **regs):
     adapter = SmarqAdapter(64)
     outcome = sim.execute_region(region, adapter, registers)
     return (
-        outcome, registers, memory.read_bytes(0, MEMORY_BYTES),
+        outcome, registers, memory.to_bytes(),
         adapter.queue.stats,
     )
 
@@ -282,7 +282,6 @@ class TestWordKernelEscapes:
             ],
             [((R.E_QSET, 0, 8, 0, 1),), ((R.E_QCHK, 0, 8, 1, 2),)],
             [0],
-            [],
         )
         fn = backends_mod.compile_vec(ir, SmarqAdapter(64), 64)
         for r1 in range(0x100, 0x120, 8):

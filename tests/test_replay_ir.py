@@ -16,7 +16,9 @@ same residue in an iteration loop). These tests pin:
   tiers (with a forced ``vec`` degrading to ``py`` for non-lowerable
   traces) and rejects a value it does not know;
 * re-optimization/blacklisting invalidation drops the shared artifacts
-  along with the timing plans.
+  along with the timing plans;
+* the dispatch loop's ALU closures and the IR lowering accept the same
+  opcodes, and reject every other one when the trace is compiled.
 """
 
 import pytest
@@ -24,7 +26,15 @@ import pytest
 import repro.sim.replay_backends as backends_mod
 import repro.sim.vliw as vliw_mod
 from repro.engine.instrumentation import Tracer
-from repro.ir.instruction import Opcode, binop, branch, load, movi, store
+from repro.ir.instruction import (
+    Instruction,
+    Opcode,
+    binop,
+    branch,
+    load,
+    movi,
+    store,
+)
 from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
 from repro.sched.machine import MachineModel
@@ -35,7 +45,12 @@ from repro.sim.schemes import (
     NullAdapter,
     SmarqAdapter,
 )
-from repro.sim.vliw import VliwSimulator, invalidate_timing_plans
+from repro.sim.replay_ir import OP_ALU, _lower_alu
+from repro.sim.vliw import (
+    VliwSimulator,
+    _compile_alu_fn,
+    invalidate_timing_plans,
+)
 
 MACHINE = MachineModel()
 
@@ -129,7 +144,7 @@ class TestTierByteIdentity:
             out, regs, mem, _ = run_once(
                 region, r3=r3, adapter=factory(), sim=sim
             )
-            runs.append((out, list(regs), mem.read_bytes(0, 4096)))
+            runs.append((out, list(regs), mem.to_bytes()))
         return runs, sim.stats, tracer
 
     @pytest.mark.parametrize("scheme", sorted(SCHEME_FACTORIES))
@@ -238,7 +253,7 @@ class TestTierPromotion:
             trims = c.get("vliw.batch_trims", 0)
             out, regs, mem, _ = run_once(region, r3=0x100, sim=sim)
             assert out.status == "alias"
-            runs.append((out, list(regs), mem.read_bytes(0, 4096)))
+            runs.append((out, list(regs), mem.to_bytes()))
             if i + 1 >= threshold:  # promoted: the kernel escaped
                 assert c["vliw.batch_trims"] == trims + 1, i
                 assert c["vliw.backend_interp"] == interp + 1, i
@@ -255,7 +270,7 @@ class TestTierPromotion:
         oracle_region = alias_region()
         for run in runs:
             out, regs, mem, _ = run_once(oracle_region, r3=0x100, sim=oracle)
-            assert (out, list(regs), mem.read_bytes(0, 4096)) == run
+            assert (out, list(regs), mem.to_bytes()) == run
         assert oracle.stats == sim.stats
 
     def test_shared_artifact_skips_recompilation(self):
@@ -277,6 +292,33 @@ class TestTierPromotion:
         assert tracer.counters.get("vliw.batch_compiles", 0) == 1
         assert tracer.counters.get("vliw.vec_compiles", 0) == 0
         assert tracer.counters.get("vliw.replay_cache_hits", 0) == 1
+
+
+class TestAluLowering:
+    ALU_OPCODES = {
+        Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR,
+        Opcode.XOR, Opcode.SHL, Opcode.SHR, Opcode.MOV, Opcode.MOVI,
+        Opcode.CMP, Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV,
+        Opcode.FMA,
+    }
+
+    def test_dispatch_loop_and_lowering_accept_the_same_opcodes(self):
+        """Both ALU compilers handle exactly the 16 ALU opcodes; any other
+        opcode fails closed with ``ValueError`` when the trace is
+        compiled or lowered, before a single execution runs."""
+        for op in Opcode:
+            inst = Instruction(
+                op, dest=1, srcs=(2, 3), base=4, target=8, amov_src=0,
+                amov_dst=1,
+            )
+            if op in self.ALU_OPCODES:
+                assert callable(_compile_alu_fn(inst))
+                assert _lower_alu(inst)[0] == OP_ALU
+                continue
+            with pytest.raises(ValueError):
+                _compile_alu_fn(inst)
+            with pytest.raises(ValueError):
+                _lower_alu(inst)
 
 
 class TestBackendKillSwitch:

@@ -25,6 +25,16 @@ def make_runtime(config=None):
     )
 
 
+def execute_once(runtime, registers):
+    """Run the translation at pc 5 once: a step budget of 1 never
+    batches a back-edge iteration."""
+    outcome, _loop, batched = runtime.execute_translated_batch(
+        5, registers, 1
+    )
+    assert batched == 0
+    return outcome
+
+
 def spec_region(entry_pc=5):
     """A region with a speculated (store, load) pair through r1/r3."""
     block = Superblock(entry_pc=entry_pc)
@@ -58,7 +68,7 @@ class TestExecutionPolicy:
         runtime.install(spec_region())
         regs = [0] * 64
         regs[3] = 0x900  # disjoint: commits
-        outcome = runtime.execute_translated(5, regs)
+        outcome = execute_once(runtime, regs)
         assert outcome.status == "commit"
         assert runtime.stats.region_commits == 1
 
@@ -67,14 +77,14 @@ class TestExecutionPolicy:
         runtime.install(spec_region())
         regs = [0] * 64
         regs[3] = 0x100  # collides with st [r1]
-        outcome = runtime.execute_translated(5, regs)
+        outcome = execute_once(runtime, regs)
         assert outcome.status == "alias"
         assert runtime.stats.alias_exceptions == 1
         assert runtime.stats.reoptimizations == 1
         # re-optimized translation no longer speculates on the pair:
         regs2 = [0] * 64
         regs2[3] = 0x100
-        outcome2 = runtime.execute_translated(5, regs2)
+        outcome2 = execute_once(runtime, regs2)
         assert outcome2.status == "commit"
 
     def test_blacklist_after_max_faults(self):
@@ -83,7 +93,7 @@ class TestExecutionPolicy:
         runtime.install(spec_region())
         regs = [0] * 64
         regs[3] = 0x100
-        runtime.execute_translated(5, regs)
+        execute_once(runtime, regs)
         assert not runtime.has_translation(5)
         assert runtime.stats.blacklisted_regions == 1
 
@@ -94,7 +104,7 @@ class TestExecutionPolicy:
         block.append(branch(Opcode.BR, 5))
         runtime = make_runtime()
         runtime.install(block)
-        outcome = runtime.execute_translated(5, [0] * 64)
+        outcome = execute_once(runtime, [0] * 64)
         assert outcome.status == "side_exit"
         assert runtime.stats.side_exits == 1
 

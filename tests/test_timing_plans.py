@@ -13,7 +13,9 @@ These tests pin the contract:
   commits, side exits, guest exits, fall-through and alias aborts, on
   every replay tier (the dispatch loop, ``py``, ``vec`` and ``batch``);
 * ``SMARQ_NO_TIMING_PLANS=1`` disables the machinery entirely;
-* re-translation invalidates the cached trace + plans.
+* re-translation invalidates the cached trace + plans;
+* every shipped adapter lowers each golden instruction statically, and
+  the base adapter class provides no lowering or config key by default.
 """
 
 import dataclasses
@@ -30,11 +32,14 @@ from repro.sim.memory import Memory
 from repro.sim.replay_ir import X_ALIAS, X_BR, X_EXIT, X_FALL, X_SIDE
 from repro.sim.schemes import (
     EfficeonAdapter,
+    HardwareAdapter,
     ItaniumAdapter,
     NullAdapter,
     SmarqAdapter,
 )
 from repro.sim.vliw import VliwSimulator, invalidate_timing_plans
+
+from tests.test_golden_reports import GOLDEN_CELLS, run_cell
 
 MACHINE = MachineModel()
 
@@ -261,9 +266,7 @@ class TestPlannedMatchesInterpreted:
         )
         assert planned[0] == interpreted[0]  # RegionOutcome dataclass eq
         assert planned[1] == interpreted[1]  # guest registers
-        assert planned[2].read_bytes(0, 4096) == interpreted[2].read_bytes(
-            0, 4096
-        )
+        assert planned[2].to_bytes() == interpreted[2].to_bytes()
         assert planned[3].stats == interp_sim.stats
 
     @pytest.mark.parametrize("r3", [0, 1])
@@ -335,22 +338,57 @@ class TestKillSwitch:
         assert tracer.counters.get("vliw.plan_misses", 0) == 0
         assert tracer.counters.get("vliw.plan_compiles", 0) == 0
 
-    def test_non_transparent_adapter_uses_interpreter(self):
-        class OpaqueAdapter(NullAdapter):
-            timing_transparent = False
 
-        region = side_exit_region()
-        tracer = Tracer()
-        sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
-        outcome = run_once(region, r3=0, adapter=OpaqueAdapter(), sim=sim)[0]
-        assert outcome.status == "commit"
-        assert tracer.counters.get("vliw.plan_misses", 0) == 0
+class TestAdapterContract:
+    """The planned path and every replay tier assume each adapter lowers
+    statically (see :class:`~repro.sim.schemes.HardwareAdapter`)."""
 
-    def test_all_shipped_adapters_are_transparent(self):
-        for adapter in (
-            NullAdapter(),
-            SmarqAdapter(64),
-            ItaniumAdapter(),
-            EfficeonAdapter(),
+    def test_shipped_adapters_lower_every_golden_instruction(
+        self, monkeypatch
+    ):
+        """Each shipped adapter's three ``lower_*_event`` hooks return a
+        tuple of event tuples for every instruction of the golden cells'
+        translated linear streams."""
+        linears = []
+        real_optimize = OptimizationPipeline.optimize
+
+        def recording_optimize(self, original):
+            region = real_optimize(self, original)
+            linears.append(region.schedule.linear)
+            return region
+
+        monkeypatch.setattr(
+            OptimizationPipeline, "optimize", recording_optimize
+        )
+        for cell in GOLDEN_CELLS:
+            run_cell(*cell)
+        insts = [inst for linear in linears for inst in linear]
+        assert {Opcode.LD, Opcode.ST, Opcode.ROTATE} <= {
+            inst.opcode for inst in insts
+        }
+        for adapter_cls in (
+            NullAdapter, SmarqAdapter, ItaniumAdapter, EfficeonAdapter
         ):
-            assert adapter.timing_transparent
+            for hook in (
+                adapter_cls.lower_mem_event,
+                adapter_cls.lower_rotate_event,
+                adapter_cls.lower_amov_event,
+            ):
+                for inst in insts:
+                    events = hook(inst)
+                    assert type(events) is tuple, (hook, inst)
+                    assert all(type(ev) is tuple for ev in events)
+
+    def test_base_adapter_promises_nothing(self):
+        """A subclass must implement the lowering hooks and the config
+        key; the base class answers neither with a default."""
+        inst = load(2, 3)
+        for hook in (
+            HardwareAdapter.lower_mem_event,
+            HardwareAdapter.lower_rotate_event,
+            HardwareAdapter.lower_amov_event,
+        ):
+            with pytest.raises(NotImplementedError):
+                hook(inst)
+        with pytest.raises(NotImplementedError):
+            HardwareAdapter().replay_config_key()

@@ -4,16 +4,16 @@
 unsigned 64-bit words. :class:`ReferenceMemory` is the ``bytearray``
 memory it replaced, kept here as the reference. These tests pin:
 
-* random sequences of ``read``, ``write``, ``read_bytes``,
-  ``write_bytes``, ``fill`` and ``write_logged`` give the same values,
-  the same ``to_bytes()`` and the same :class:`MemoryFault` messages on
-  both, at every alignment, across the last partial word of a size that
-  is not a multiple of 8, and out of range;
+* random sequences of ``read``, ``write`` and ``write_logged`` give the
+  same values, the same ``to_bytes()`` and the same
+  :class:`MemoryFault` messages on both, at every alignment, across the
+  last partial word of a size that is not a multiple of 8, and out of
+  range;
 * ``write_logged`` logs one ``(word index, old word)`` entry per word
   it touches, and rolling those back restores the words exactly;
 * worked examples: round trips at every width, little-endian byte
   order, values masked to their width, out-of-range and negative
-  addresses, ``write_bytes``/``fill``, and a memory of no bytes refused;
+  addresses, and a memory of no bytes refused;
 * every word is canonical — an int in ``[0, 2**64)`` — and the list
   keeps its length after the golden cells run under each replay tier.
 """
@@ -59,18 +59,6 @@ class ReferenceMemory:
         self._data[addr:addr + size] = (int(value) & mask).to_bytes(
             size, "little"
         )
-
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        self._check(addr, size)
-        return bytes(self._data[addr:addr + size])
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        self._check(addr, len(data))
-        self._data[addr:addr + len(data)] = data
-
-    def fill(self, addr: int, size: int, pattern: int = 0) -> None:
-        self._check(addr, size)
-        self._data[addr:addr + size] = bytes([pattern & 0xFF]) * size
 
     def to_bytes(self) -> bytes:
         return bytes(self._data)
@@ -119,11 +107,6 @@ def _programs(draw):
         st.tuples(st.just("write"), addrs, values, st.sampled_from(SIZES)),
         st.tuples(st.just("write_logged"), addrs, values,
                   st.sampled_from(SIZES)),
-        st.tuples(st.just("read_bytes"), addrs, st.integers(0, 20)),
-        st.tuples(st.just("write_bytes"), addrs,
-                  st.binary(min_size=0, max_size=20)),
-        st.tuples(st.just("fill"), addrs, st.integers(0, 20),
-                  st.integers(0, 300)),
     )
     return size, draw(st.lists(op, min_size=1, max_size=30))
 
@@ -152,14 +135,14 @@ class TestWordsMatchBytes:
         for addr in range(-1, msize + 2):
             memory, reference = Memory(msize), ReferenceMemory(msize)
             for m in (memory, reference):
-                m.fill(0, msize, 0xA5)
+                for a in range(msize):
+                    m.write(a, 0xA5, 1)
             value = 0x0123456789ABCDEF_F0E1D2C3B4A59687 >> (addr & 63)
             ops = [
                 ("write", addr, value, size),
                 ("read", addr, size),
                 ("read", addr & ~7, 8),
-                ("read_bytes", addr, size),
-                ("write_bytes", addr, bytes(range(1, size + 1))),
+                ("write", addr, 0x0807060504030201, size),
                 ("read", addr, size),
             ]
             for op in ops:
@@ -180,7 +163,7 @@ class TestMemory:
     def test_little_endian(self):
         mem = Memory(64)
         mem.write(0, 0x1122, 2)
-        assert mem.read_bytes(0, 2) == bytes([0x22, 0x11])
+        assert mem.to_bytes()[:2] == bytes([0x22, 0x11])
 
     def test_value_masked_to_size(self):
         mem = Memory(64)
@@ -196,16 +179,6 @@ class TestMemory:
         mem = Memory(16)
         with pytest.raises(MemoryFault):
             mem.read(-1, 1)
-
-    def test_write_bytes_roundtrip(self):
-        mem = Memory(32)
-        mem.write_bytes(4, b"abcd")
-        assert mem.read_bytes(4, 4) == b"abcd"
-
-    def test_fill(self):
-        mem = Memory(32)
-        mem.fill(8, 4, 0xAB)
-        assert mem.read_bytes(8, 4) == b"\xab" * 4
 
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
