@@ -8,10 +8,16 @@ register-level signedness is the interpreter's business.
 Every consumer reads, writes and rolls back the same representation. An
 aligned 8-byte access is one list subscript; any other size or alignment
 shifts and masks over the words it touches. The replay kernels index
-:attr:`Memory.words` directly, and every replay tier logs ``(word index,
-old word)`` undo entries (:meth:`Memory.write_logged`), which one loop
-rolls back. :meth:`Memory.to_bytes` serves the whole memory to oracles
-and tests.
+:attr:`Memory.words` directly. Every replay tier rolls a store back
+through a ``(word index, old word)`` pair, which one loop restores:
+the dispatch loop and ``py`` log one per word they touch
+(:meth:`Memory.write_logged`), the vec kernel one per store, and a
+batch kernel keeps them in locals and returns only those of the
+iteration it was running. The word list holds ``ceil(size / 8)``
+words, so it ends where the memory does exactly when ``size`` is a
+whole number of words; the kernels take their upper bound from it only
+then. :meth:`Memory.to_bytes` serves the whole memory to oracles and
+tests.
 """
 
 from __future__ import annotations
@@ -78,8 +84,8 @@ class Memory:
 
     def write_logged(self, addr: int, value: int, size: int, log) -> None:
         """:meth:`write`, first passing ``(word index, old word)`` to
-        ``log`` for each word the access touches — the undo entry of
-        every replay tier. A fault logs nothing."""
+        ``log`` for each word the access touches — the undo entry the
+        dispatch loop and ``py`` keep. A fault logs nothing."""
         words = self.words
         i = addr >> 3
         if size == 8 and not addr & 7 and 0 <= addr <= self.size - 8:

@@ -20,15 +20,15 @@ A hot trace's functional replay runs on one of four tiers (selected by
     compile time** over the IR's event stream (every queue/ALAT/bit-mask
     operand is trace-static), reducing each region execution to register
     locals, word-indexed memory access and the irreducible runtime
-    residue: one bounds-and-alignment guard per base register and
-    segment, word-index equality tests for the alias pairs (pruned when
-    two accesses provably share a base register), plus constant
-    hardware-stat deltas at each exit. Anything the static model cannot
-    decide — a bounds violation, a misaligned base, a possible alias
-    overlap — returns :data:`FALLBACK` and the caller rolls back and
-    re-executes that one execution on the dispatch loop (far cheaper
-    than generating ``py`` code for a one-off run); the kernel itself
-    never touches adapter state;
+    residue: one mask test per base register and segment, word-index
+    equality tests for the alias pairs (pruned when two accesses
+    provably share a base register), plus constant hardware-stat deltas
+    at each exit. Anything the static model cannot decide — a bounds
+    violation, a misaligned base, a possible alias overlap — returns
+    :data:`FALLBACK` and the caller rolls back and re-executes that one
+    execution on the dispatch loop (far cheaper than generating ``py``
+    code for a one-off run); the kernel itself never touches adapter
+    state;
 ``batch``
     :func:`compile_batch` — the vec residue wrapped in an iteration
     loop over the trace's structural back-edge: when a region's commit
@@ -36,11 +36,14 @@ A hot trace's functional replay runs on one of four tiers (selected by
     consecutive iterations run inside one kernel call, amortizing the
     per-execution call/plan/outcome ceremony. Called with ``n = 1`` it
     is exactly one vec execution, so it is the one kernel of every
-    trace that has a back-edge. A guard that fires trims the batch
+    trace that has a back-edge. An escape trims the batch
     (:data:`BATCH_TRIM`): the caller rolls back the broken iteration's
-    undo slice and re-runs it on the dispatch loop. Accounting is exact
-    per iteration — N batched commits are indistinguishable from N
-    scalar executions.
+    stores and re-runs it on the dispatch loop. Only that iteration can
+    roll back, so committed iterations log nothing: each store keeps
+    the word it overwrites in a local, and the kernel returns the
+    broken iteration's ``(word index, old word)`` pairs. Accounting is
+    exact per iteration — N batched commits are indistinguishable from
+    N scalar executions.
 
 The two kernels share one lowering (:class:`_ResidueEmitter`), so they
 accept and reject the same traces; ``compile_batch`` additionally needs a
@@ -52,23 +55,30 @@ every access is 8 bytes wide at a displacement that is a multiple of 8.
 For such accesses two byte ranges overlap exactly when their word
 indexes are equal. Accesses through one base register version within
 one *segment* (the ops between two exits) share one guard at the first
-of them: it checks the whole group's displacement range and the base's
-alignment, then binds the group's word index, the word at its smallest
-displacement, of which each access is a constant offset. A segment
-holds no exit, and every escape re-runs the whole execution on the
-dispatch loop, so a guard that fires earlier than the access it
-protects yields the same escape of the same execution. An alias check
-tests each base group of its targets once: one comparison, or one
-subtraction and one constant-set test. A store's undo entry is ``(word
-index, old word)``, as on every tier.
+of them: one mask test of the group's lowest address, ``if a & _G``,
+which escapes when it is negative, misaligned or at least ``2**30``,
+then binds the group's word index, the word at that address, of which
+each access is a constant, non-negative offset. The upper bound is the
+word list's own: an index past its end raises ``IndexError``, and the
+kernel's handler escapes. That bound is the memory's only when its size
+is a whole number of words, so a kernel called on any other memory
+escapes at once. A segment holds no exit, and every escape re-runs the
+whole execution on the dispatch loop, so an escape at the group's guard
+or at any of its accesses is the same escape of the same execution. An
+alias check tests each base group of its targets once: one comparison,
+or one subtraction and one constant-set test. A store's ``(word index,
+old word)`` pair is an undo entry on the vec tier, as on every other
+tier, and two locals on the batch tier.
 
 Kernel source is a translation cost paid at run time, and ``compile()``
 time tracks AST nodes, so the emitter keeps the rare paths small: a
 batch kernel spells its register writeback once, in one epilogue shared
-by the full batch, every side exit and guard escape. Per iteration, a
-batch kernel's back edge normalizes a deferred wrap only when the next
+by the full batch, every side exit and escape. Per iteration, a batch
+kernel's back edge normalizes a deferred wrap only when the next
 iteration reads the register before writing it; the others are
-normalized once, where they leave the kernel.
+normalized once, where they leave the kernel. Its snapshot of the
+committed registers is one tuple per :data:`_SNAPSHOT_CHUNK` registers,
+each of which CPython builds in one step.
 
 The module also owns the process-wide **replay artifact cache**: lowered
 IR and compiled backend functions are keyed by the region's translation
@@ -107,9 +117,20 @@ _EMPTY_TARGETS = frozenset()
 FALLBACK = (-2, -1, None)
 
 #: exit-kind sentinel in a batch kernel's result tuple: the current
-#: iteration hit a guard/sweep escape mid-flight; the caller rolls back
-#: the iteration's undo slice and re-runs it on the dispatch loop
+#: iteration escaped mid-flight (a guard, an alias test or an access
+#: past the word list's end); the caller rolls back the iteration's
+#: stores and re-runs it on the dispatch loop
 BATCH_TRIM = -2
+
+#: a group guard's mask, bound in each kernel as ``_G``: ``a & _G`` is
+#: nonzero exactly when ``a`` is negative, not 8-aligned or at least
+#: ``2**30``. The mask and every address below ``2**30`` are
+#: single-digit ints, which CPython's ``&`` serves on its fast path
+_GUARD_MASK = -(1 << 30) | 7
+
+#: the most registers one back-edge snapshot tuple holds: CPython 3.11
+#: builds a display of more items one append at a time
+_SNAPSHOT_CHUNK = 30
 
 
 # ----------------------------------------------------------------------
@@ -551,14 +572,14 @@ def _access_groups(ir: R.ReplayIR):
     """Group the accesses by (base register, base version, segment); a
     segment ends at every exit site.
 
-    Returns ``(group_of, spans)``: ``group_of[k]`` is ``(base, version,
+    Returns ``(group_of, lows)``: ``group_of[k]`` is ``(base, version,
     g)`` for access ``k``, where ``g`` is the op index of the group's
-    first access, and ``spans[g]`` is the group's ``[smallest, largest]``
-    displacement, the range its one guard checks."""
+    first access, and ``lows[g]`` is the group's smallest displacement,
+    the address its one guard tests."""
     version: dict = {}
     first: dict = {}
     group_of: dict = {}
-    spans: dict = {}
+    lows: dict = {}
     seg = 0
     for k, op in enumerate(ir.ops):
         t = op[0]
@@ -567,16 +588,14 @@ def _access_groups(ir: R.ReplayIR):
             ver = version.get(base, 0)
             g = first.setdefault((base, ver, seg), k)
             group_of[k] = (base, ver, g)
-            span = spans.setdefault(g, [disp, disp])
-            span[0] = min(span[0], disp)
-            span[1] = max(span[1], disp)
+            lows[g] = min(lows.get(g, disp), disp)
             if t == R.OP_LD:
                 version[op[1]] = version.get(op[1], 0) + 1
         elif t == R.OP_ALU:
             version[op[2]] = version.get(op[2], 0) + 1
         elif t in _SEGMENT_ENDS:
             seg += 1
-    return group_of, spans
+    return group_of, lows
 
 
 def _plus(expr: str, n: int) -> str:
@@ -586,33 +605,30 @@ def _plus(expr: str, n: int) -> str:
     return f"{expr} + {n}" if n > 0 else f"{expr} - {-n}"
 
 
-def _reach_name(reach: int) -> str:
-    """The local holding ``msize - reach``: the largest base a guard
-    admits for a group whose accesses end ``reach`` bytes past it."""
-    return f"hi{reach}" if reach >= 0 else f"hin{-reach}"
-
-
 class _ResidueEmitter:
     """Codegen core shared by the ``vec`` and ``batch`` kernels.
 
     Owns one body's emission state — register locals, access groups and
     their word indexes, CSE value numbers, deferred wraps and the static
     hardware simulation — and walks the IR emitting residue statements
-    into ``lines``. Exit sites are delegated to the caller's
-    ``exit_emit`` hook so the two kernels can disagree about what an
-    exit does (vec: write back + return; batch: continue the iteration
-    loop at the back-edge site, record a side exit or a full batch and
-    break to the shared epilogue).
+    into ``lines``. Exit sites and store statements are delegated to the
+    caller's hooks so the two kernels can disagree about what an exit
+    does (vec: write back + return; batch: continue the iteration loop
+    at the back-edge site, record a side exit or a full batch and break
+    to the shared epilogue) and how a store keeps the word it overwrites
+    (vec: an undo entry; batch: a local).
 
     ``fb`` is the statement executed when a runtime fact escapes the
     static model (vec: ``return _FB``; batch: ``break`` out of the
-    iteration loop into the epilogue).
+    iteration loop into the epilogue). The kernel wraps the body in an
+    ``IndexError`` handler that escapes too: an access past the word
+    list's end is a group guard's upper bound.
     """
 
     __slots__ = (
         "ir", "guest_count", "family", "hw", "emit", "pad", "fb",
         "defer_ok", "bound", "written", "written_set", "version",
-        "group_of", "spans", "syms", "deferred_now", "cse",
+        "group_of", "lows", "syms", "deferred_now", "cse",
     )
 
     def __init__(self, ir: R.ReplayIR, guest_count: int, family,
@@ -630,17 +646,10 @@ class _ResidueEmitter:
         self.written: List[int] = []  # registers written, in first-write order
         self.written_set = set()
         self.version: dict = {}  # register -> def count (CSE validity)
-        self.group_of, self.spans = _access_groups(ir)
+        self.group_of, self.lows = _access_groups(ir)
         self.syms: dict = {}  # index -> (base, version, disp, group, offset)
         self.deferred_now = set()  # regs whose local holds a raw (unwrapped) value
         self.cse: dict = {}  # value-number key -> (reg, version at def, raw?)
-
-    def limit_lines(self, pad: str) -> List[str]:
-        """Bind each guard's upper bound, ``msize`` minus a group's reach
-        (largest displacement + 8). They are loop invariant: a kernel
-        binds them once, in its prologue."""
-        reaches = sorted({hi + 8 for _lo, hi in self.spans.values()})
-        return [f"{pad}{_reach_name(r)} = msize - {r}" for r in reaches]
 
     # -- register locals -----------------------------------------------
     def use(self, reg: int) -> str:
@@ -743,24 +752,27 @@ class _ResidueEmitter:
     def emit_index(self, k: int, disp: int, store: bool) -> str:
         """Word-index expression of access ``k``.
 
-        The first access of a group emits the group's one guard — every
-        displacement of the group in bounds and the base 8-aligned, else
-        escape via ``fb`` — and binds the group's word index ``i<g>``, the
-        word at its smallest displacement; every access of the group is
-        a constant word offset from it. A store at an offset binds its
-        own index ``j<k>``: its undo entry and its write both read it.
+        The first access of a group emits the group's one guard — one
+        mask test on its lowest address, ``if a & _G``, which escapes via
+        ``fb`` when that address is negative, misaligned or at least
+        ``2**30`` — and binds the group's word index ``i<g>``, the word
+        at its smallest displacement; every access of the group is a
+        constant word offset from it, so none is negative. The upper
+        bound is the word list's own: an index past its end raises
+        ``IndexError``, which the kernel's handler turns into the same
+        escape (each kernel first escapes on a memory that is not a
+        whole number of words, so the list ends where the memory does).
+        A store at an offset binds its own index ``j<k>``: the word it
+        keeps and its write both read it.
         """
         base, ver, g = self.group_of[k]
         pad = self.pad
         ig = f"i{g}"
-        lo, hi = self.spans[g]
+        lo = self.lows[g]
         if k == g:
-            b = self.use(base)
-            self.emit(
-                f"{pad}if not {-lo} <= {b} <= {_reach_name(hi + 8)} "
-                f"or {b} & 7: {self.fb}"
-            )
-            self.emit(f"{pad}{ig} = {_plus(b, lo)} >> 3")
+            low = _plus(self.use(base), lo)
+            self.emit(f"{pad}if {low} & _G: {self.fb}")
+            self.emit(f"{pad}{ig} = {low} >> 3")
         off = (disp - lo) >> 3
         idx = _plus(ig, off)
         if off and store:
@@ -883,9 +895,11 @@ class _ResidueEmitter:
         return out
 
     # -- body walk ------------------------------------------------------
-    def walk(self, exit_emit) -> bool:
+    def walk(self, exit_emit, store_emit) -> bool:
         """Emit the whole residue body, delegating exit sites to
-        ``exit_emit(emitter, k, xkind, payload, commit, indent)``.
+        ``exit_emit(emitter, k, xkind, payload, commit, indent)`` and
+        stores to ``store_emit(emitter, k, idx, value)``, which writes
+        ``value`` to word ``idx`` and keeps the word it overwrites.
         Returns False when the trace cannot be statically lowered."""
         ir = self.ir
         emit = self.emit
@@ -902,9 +916,7 @@ class _ResidueEmitter:
                 if t == R.OP_LD:
                     emit(f"{pad}{self.define(vreg)} = W[{idx}]")
                 else:
-                    sname = self.use(vreg)
-                    emit(f"{pad}undo_append(({idx}, W[{idx}]))")
-                    emit(f"{pad}W[{idx}] = {sname} & {_MASK64}")
+                    store_emit(self, k, idx, self.use(vreg))
             elif t == R.OP_CBR:
                 _, code, a, b, pay = op
                 cmp_op = ("==", "!=", "<", ">=")[code]
@@ -946,6 +958,11 @@ def _vec_exit(em: _ResidueEmitter, k: int, xkind: int, payload,
     emit(f"{indent}return ({k}, {xkind}, {payload!r})")
 
 
+def _vec_store(em: _ResidueEmitter, k: int, idx: str, value: str) -> None:
+    em.emit(f"{em.pad}undo_append(({idx}, W[{idx}]))")
+    em.emit(f"{em.pad}W[{idx}] = {value} & {_MASK64}")
+
+
 def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
     """Compile the vectorized kernel for one lowered trace.
 
@@ -963,24 +980,30 @@ def compile_vec(ir: R.ReplayIR, adapter, guest_count: int):
     written back only on commit-kind exits, so an abort or
     :data:`FALLBACK` leaves it untouched. ``words`` is the memory's word
     list (:attr:`repro.sim.memory.Memory.words`); each store logs
-    ``(word index, old word)`` and the caller rolls those back.
+    ``(word index, old word)`` and the caller rolls those back. A
+    memory whose size is not a whole number of words returns
+    :data:`FALLBACK` at once: the guards' upper bound is the word list's
+    end, which only then is the memory's.
     """
     if not _word_only(ir):
         return None
     family = _hw_family(ir)
-    env: dict = {"_FB": FALLBACK}
+    env: dict = {"_FB": FALLBACK, "_G": _GUARD_MASK}
     lines: List[str] = [
-        # the default arg binds the sentinel as a local (LOAD_FAST, not
-        # LOAD_GLOBAL); callers pass only the first five
-        "def _replay_vec(regs, W, msize, ad, undo_append, _FB=_FB):",
+        # the default args bind the sentinel and the guard mask as
+        # locals (LOAD_FAST, not LOAD_GLOBAL); callers pass only the
+        # first five
+        "def _replay_vec(regs, W, msize, ad, undo_append, _FB=_FB, _G=_G):",
+        "    if msize & 7: return _FB",
+        "    try:",
     ]
     em = _ResidueEmitter(
         ir, guest_count, family, _family_limit(adapter, family), lines,
-        "    ",
+        "        ",
     )
-    lines.extend(em.limit_lines("    "))
-    if not em.walk(_vec_exit):
+    if not em.walk(_vec_exit, _vec_store):
         return None
+    lines += ["    except IndexError:", "        return _FB"]
     exec(compile("\n".join(lines), "<vliw-replay-vec>", "exec"), env)
     return env.pop("_replay_vec")
 
@@ -1089,54 +1112,59 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     up to ``n`` consecutive iterations run inside **one** kernel call —
     the vec tier's residue body wrapped in an iteration loop, with every
     escape (``return _FB``) replaced by ``break``: the loop stops,
-    committed iterations stay committed, and the caller re-runs the
-    broken iteration on the dispatch loop after rolling back its undo
-    slice. Register locals are **loop-carried**: every referenced guest
+    committed iterations stay committed, and the caller rolls back the
+    broken iteration's stores and re-runs it on the dispatch loop.
+    Register locals are **loop-carried**: every referenced guest
     register is bound once above the loop, the back-edge site normalizes
-    only the deferred wraps the next iteration reads before writing (plus
-    a ``prev`` snapshot tuple of the committed state), and ``regs`` is
-    written exactly once per kernel call — at the exit that actually
-    leaves the loop, which also normalizes the deferred wraps the back
-    edge left raw. Hardware-stat deltas are likewise applied once per
-    call, multiplied by the number of committed iterations, instead of
-    per back-edge. Every way out of the loop — a full batch and a side
-    exit (each records its exit in ``_x``; a side exit first applies its
-    own stat deltas) and a guard escape (``_x`` stays a trim) — shares
-    one epilogue after the loop, so the committed-state writeback is
-    spelled once per kernel. With ``n = 1`` the kernel is one vec
-    execution (0 batched iterations), which is how scalar uses of the
-    trace run it.
+    only the deferred wraps the next iteration reads before writing
+    (plus ``prev<c>`` snapshot tuples of the committed state, at most
+    :data:`_SNAPSHOT_CHUNK` registers each), and ``regs`` is written
+    exactly once per kernel call — at the exit that actually leaves the
+    loop, which also normalizes the deferred wraps the back edge left
+    raw. Hardware-stat deltas are likewise applied once per call,
+    multiplied by the number of committed iterations, instead of per
+    back-edge. Every way out of the loop — a full batch and a side exit
+    (each records its exit in ``_x``; a side exit first applies its own
+    stat deltas) and an escape (``_x`` stays a trim) — shares one
+    epilogue after the loop, so the committed-state writeback is spelled
+    once per kernel. With ``n = 1`` the kernel is one vec execution (0
+    batched iterations), which is how scalar uses of the trace run it.
+
+    Only the iteration in flight can be rolled back, so committed
+    iterations log nothing: store ``k`` keeps the word it overwrites in
+    ``u<k>`` and sets ``s``, reset at each iteration's start, to its
+    ordinal, and the kernel returns the ``(word index, old word)`` pairs
+    of the ``s`` stores the final iteration ran. A memory whose size is
+    not a whole number of words returns a trim at once: the guards'
+    upper bound is the word list's end, which only then is the memory's.
 
     Returns ``None`` when the trace has no structural back-edge
     candidate (:func:`repro.sim.replay_ir.loop_candidate`) or the static
     lowering rejects it for the vec tier's reasons. Otherwise returns
-    the kernel; its signature is ``(regs, words, msize, ad, undo_log,
-    n)`` and it returns ``(iters, mark, exit_idx, exit_kind, payload)``:
-    ``iters`` back-edge iterations committed in full (registers written
-    back, memory kept, hardware-stat deltas applied), ``mark`` the
-    undo-log length at the final iteration's start, and the final iteration's exit — with ``exit_kind ==``
-    :data:`BATCH_TRIM` when a guard fired and the caller must roll back
-    the ``(word index, old word)`` entries of ``undo_log[mark:]`` and
-    re-run the final iteration exactly. Every committed iteration is
-    indistinguishable from one scalar vec execution exiting at the
+    the kernel; its signature is ``(regs, words, msize, ad, n)`` and it
+    returns ``(iters, undo, exit_idx, exit_kind, payload)``: ``iters``
+    back-edge iterations committed in full (registers written back,
+    memory kept, hardware-stat deltas applied), then the final
+    iteration's store pairs and exit — with ``exit_kind ==``
+    :data:`BATCH_TRIM` when it escaped and the caller must roll ``undo``
+    back, newest first, and re-run it exactly. Every committed iteration
+    is indistinguishable from one scalar vec execution exiting at the
     back-edge site — the exact-accounting contract the goldens and the
     ``knobs`` fuzz oracle pin.
     """
     if not _word_only(ir) or R.loop_candidate(ir) is None:
         return None
     family = _hw_family(ir)
-    env: dict = {"len": len}
+    env: dict = {"_G": _GUARD_MASK}
     lines: List[str] = [
-        "def _replay_batch(regs, W, msize, ad, undo_log, n, len=len):",
-        "    undo_append = undo_log.append",
+        "def _replay_batch(regs, W, msize, ad, n, _G=_G):",
+        f"    if msize & 7: return (0, (), {BATCH_TRIM}, {BATCH_TRIM}, None)",
     ]
     emit = lines.append
     em = _ResidueEmitter(
         ir, guest_count, family, _family_limit(adapter, family), lines,
-        "        ", fb="break",
+        "            ", fb="break",
     )
-    # guard bounds are loop-invariant: bind them above the iteration loop
-    lines.extend(em.limit_lines("    "))
     # loop-carried register locals: bind every referenced register once
     # above the iteration loop. Exits restore/write back explicitly, so
     # the back edge never touches ``regs`` at all.
@@ -1144,16 +1172,30 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     rbw_temps = sorted(r for r in rbw if r >= guest_count)
     for stmt in _bind_lines(sorted(refs), guest_count):
         emit(f"    {stmt}")
+    store_at = len(lines)  # the store locals' binding goes here
     emit("    it = 0")
     # the way out of the loop: (iterations to hold back from ``it``,
-    # exit index, exit kind, payload); a guard escape leaves it a trim
+    # exit index, exit kind, payload); an escape leaves it a trim
     emit(f"    _x = (0, {BATCH_TRIM}, {BATCH_TRIM}, None)")
-    emit("    while 1:")
-    emit("        mark = len(undo_log)")
+    emit("    try:")
+    emit("        while 1:")
+    if any(op[0] == R.OP_ST for op in ir.ops):
+        emit("            s = 0")
+
+    # each store's (word index, old word) names, in store order
+    stores: List[Tuple[str, str]] = []
+
+    def batch_store(em: _ResidueEmitter, k: int, idx: str,
+                    value: str) -> None:
+        stores.append((idx, f"u{k}"))
+        em.emit(f"{em.pad}u{k} = W[{idx}]")
+        em.emit(f"{em.pad}W[{idx}] = {value} & {_MASK64}")
+        em.emit(f"{em.pad}s = {len(stores)}")
 
     # capture at the back-edge site: the written guest registers' slots
-    # (in first-write order), the ones whose locals stay raw there,
-    # hardware stats of one full iteration, and max_live
+    # (in first-write order, one target list per snapshot chunk), the
+    # ones whose locals stay raw there, hardware stats of one full
+    # iteration, and max_live
     cap: dict = {}
 
     def batch_exit(em: _ResidueEmitter, k: int, xkind: int, payload,
@@ -1190,33 +1232,44 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
             e(indent + " = ".join(f"r{r}" for r in rbw_temps) + " = 0")
         # tuple displays of the written guest registers' locals and
         # slots; the trailing comma keeps a one-register tuple a tuple
-        live = "".join(f"r{r}, " for r in wr).rstrip()
-        cap["slots"] = "".join(f"regs[{r}], " for r in wr).rstrip()
+        chunks = [wr[c:c + _SNAPSHOT_CHUNK]
+                  for c in range(0, len(wr), _SNAPSHOT_CHUNK)]
+        for c, chunk in enumerate(chunks):
+            live = "".join(f"r{r}, " for r in chunk).rstrip()
+            e(f"{indent}prev{c} = ({live})")
+        cap["slots"] = [
+            "".join(f"regs[{r}], " for r in chunk).rstrip()
+            for chunk in chunks
+        ]
         cap["raw"] = raw
         hw = em.hw
         cap["stats"] = dict(hw.stats) if hw is not None else {}
         cap["max_live"] = (hw.max_live
                            if hw is not None and family == "queue"
                            else 0)
-        if wr:
-            e(f"{indent}prev = ({live})")
         e(f"{indent}it += 1")
         e(f"{indent}if it < n:")
         e(f"{indent}    continue")
-        # full batch: every iteration committed, and ``prev`` holds the
-        # live locals, so the epilogue's restore is this exit's
+        # full batch: every iteration committed, and the snapshot holds
+        # the live locals, so the epilogue's restore is this exit's
         # writeback; the last iteration is reported as the final exit
         e(f"{indent}_x = (1, {k}, {xkind}, {payload!r})")
         e(f"{indent}break")
 
     em.bound |= refs
-    if not em.walk(batch_exit) or not cap:
+    if not em.walk(batch_exit, batch_store) or not cap:
         return None
-    # one epilogue for every way out — a full batch, a side exit, a
-    # guard escape: apply the stat deltas of ``it`` committed iterations
-    # at once, write back the last committed register state (memory
-    # rolls back in the caller via the undo slice) and wrap the
-    # registers the back edge left raw, as one loop over their slots
+    if stores:
+        # a break before a store still builds every pair (and slices
+        # them all away), so the prologue binds each name they read
+        names = dict.fromkeys(name for pair in stores for name in pair)
+        lines.insert(store_at, "    " + " = ".join(names) + " = 0")
+    lines += ["    except IndexError:", "        pass"]
+    # one epilogue for every way out — a full batch, a side exit, an
+    # escape: apply the stat deltas of ``it`` committed iterations at
+    # once, write back the last committed register state (the caller
+    # rolls the final iteration's stores back) and wrap the registers
+    # the back edge left raw, as one loop over their slots
     stats, max_live, raw = cap["stats"], cap["max_live"], cap["raw"]
     pad = "        "
     body: List[str] = []
@@ -1232,15 +1285,17 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
     if max_live:
         body.append(f"{pad}if _hs.max_live < {max_live}: "
                     f"_hs.max_live = {max_live}")
-    if cap["slots"]:
-        body.append(f"{pad}{cap['slots']} = prev")
+    for c, slots in enumerate(cap["slots"]):
+        body.append(f"{pad}{slots} = prev{c}")
     if raw:
         body.append(f"{pad}for _k in ({''.join(f'{r}, ' for r in raw)}):")
         body.append(f"{pad}    regs[_k] = {_wrapped('regs[_k]')}")
     if body:
         emit("    if it:")
         lines.extend(body)
-    emit("    return (it - _x[0], mark) + _x[1:]")
+    undo = "".join(f"({i}, {u}), " for i, u in stores)
+    undo = f"({undo.rstrip()})[:s]" if stores else "()"
+    emit(f"    return (it - _x[0], {undo}) + _x[1:]")
     exec(compile("\n".join(lines), "<vliw-replay-batch>", "exec"), env)
     return env.pop("_replay_batch")
 

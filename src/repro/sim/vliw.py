@@ -7,12 +7,12 @@ while accounting cycles with an in-order issue model:
   no earlier than its operands are ready (stall-on-use);
 * **bundling** — per-cycle issue width and per-functional-unit slot limits
   (this is where ``ROTATE``/``AMOV`` bookkeeping costs real slots);
-* **atomic region semantics** — registers are copied at entry and memory
-  writes are undo-logged; an alias exception or a taken side exit rolls
-  everything back. Side exits abort because speculation may have hoisted
-  operations above them; the runtime then interprets the off-trace path
-  (DESIGN.md records this substitution for the paper's commit-at-exit
-  hardware).
+* **atomic region semantics** — registers are copied at entry and every
+  memory write keeps the word it overwrites until the region commits;
+  an alias exception or a taken side exit rolls everything back. Side
+  exits abort because speculation may have hoisted operations above
+  them; the runtime then interprets the off-trace path (DESIGN.md
+  records this substitution for the paper's commit-at-exit hardware).
 
 The simulator drives the scheme's :class:`HardwareAdapter` at every memory
 operation, rotation, and alias move.
@@ -34,8 +34,9 @@ trace, so the cycle counter after issuing instruction ``i`` is a pure
 function of the trace prefix ``trace[:i+1]``. A region is therefore
 executed in two separable halves:
 
-* **functional replay** — register/memory effects, undo logging, and the
-  adapter's alias callbacks, still per instruction (they depend on data);
+* **functional replay** — register/memory effects, the stores' rollback
+  state, and the adapter's alias callbacks, still per instruction (they
+  depend on data);
 * **timing plan** — the cycle counter after each trace entry, compiled
   once per region trace (``_compile_timing``) and cached alongside
   ``_vliw_trace``.
@@ -72,11 +73,14 @@ kernel from :mod:`repro.sim.replay_backends`:
   (register locals, guarded word indexes, alias tests by word-index
   equality) without the iteration loop.
 
-Every tier logs ``(word index, old word)`` undo entries into the
-memory's word list (:attr:`~repro.sim.memory.Memory.words`): kernels
-index it directly, the dispatch loop and ``py`` store through
-:meth:`~repro.sim.memory.Memory.write_logged`, and one function,
-:func:`_restore_words`, rolls every tier back. Any runtime fact that
+Every tier rolls back through ``(word index, old word)`` pairs into the
+memory's word list (:attr:`~repro.sim.memory.Memory.words`), and one
+function, :func:`_restore_words`, restores them: the dispatch loop and
+``py`` store through :meth:`~repro.sim.memory.Memory.write_logged`,
+which logs them, and the vec kernel logs them as it indexes the list
+directly. A batch kernel logs nothing for the iterations it commits:
+it keeps each store's old word in a local and returns the pairs of
+the one iteration that can still roll back. Any runtime fact that
 escapes a kernel's static model (bounds violation, misaligned base,
 possible alias overlap) rolls back and re-runs that one execution on
 the dispatch loop — the ``interp`` oracle, exact by construction, and
@@ -104,7 +108,7 @@ from __future__ import annotations
 import time
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import knobs
 from repro.hw.exceptions import AliasException
@@ -804,13 +808,19 @@ class VliwSimulator:
         fn,
         n: int,
     ) -> Tuple[RegionOutcome, Optional[RegionOutcome], int]:
+        """Up to ``n`` iterations in one batch kernel call: account the
+        ``iters`` back-edge commits it ran in bulk, then its final
+        iteration. ``undo`` holds only that iteration's ``(word index,
+        old word)`` pairs, in store order: a trim rolls them back and
+        re-runs the iteration on the dispatch loop, a side exit's
+        :meth:`_finish` rolls them back, and a commit keeps its
+        stores."""
         memory = self.memory
         stats = self.stats
         tracer = self.tracer
         active = tracer.active
-        undo_log: List[Tuple[int, int]] = []
-        iters, mark, idx, kind, payload = fn(
-            registers, memory.words, memory.size, adapter, undo_log, n
+        iters, undo, idx, kind, payload = fn(
+            registers, memory.words, memory.size, adapter, n
         )
         loop_out: Optional[RegionOutcome] = None
         if iters:
@@ -836,9 +846,9 @@ class VliwSimulator:
                 tracer.count("vliw.batch_iterations", iters)
         if kind == _backends.BATCH_TRIM:
             # the final iteration escaped the static model: roll back
-            # its own undo slice (committed iterations keep theirs) and
-            # re-run it exactly on the dispatch loop
-            _restore_words(memory.words, undo_log[mark:])
+            # its stores (committed iterations logged none) and re-run
+            # it exactly on the dispatch loop
+            _restore_words(memory.words, undo)
             if active:
                 tracer.count("vliw.batch_trims")
             if iters * 2 < min(n, _backends.BATCH_EARLY_SPAN):
@@ -857,8 +867,7 @@ class VliwSimulator:
                 tracer.count("vliw.regions_executed")
                 tracer.count("vliw.backend_batch")
             final = self._finish(
-                region, trace, fall_through, plan,
-                undo_log[mark:] if mark else undo_log, idx, kind, payload,
+                region, trace, fall_through, plan, undo, idx, kind, payload,
             )
         return final, loop_out, iters
 
@@ -1090,7 +1099,7 @@ class VliwSimulator:
         trace,
         fall_through,
         plan: _TimingPlan,
-        undo_log: List[Tuple[int, int]],
+        undo_log: Sequence[Tuple[int, int]],
         idx: int,
         exit_kind: int,
         payload,

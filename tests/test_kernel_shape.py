@@ -19,13 +19,15 @@ tests pin:
 * a misaligned base escapes its guard, and the run equals ``interp``;
 * a side exit taken before an out-of-bounds access in a later segment
   still side-exits: the later segment's guard never runs;
-* an out-of-bounds access anywhere in its group escapes at the group's
-  guard, and the re-run raises the ``interp`` tier's fault;
+* an out-of-bounds access anywhere in its group escapes — below
+  address 0 at the group's guard, past the end at the access — and the
+  re-run raises the ``interp`` tier's fault;
 * a trace with a sub-word or unaligned access is rejected by both
   kernels, and the run equals ``interp``;
-* every batch kernel generated on the golden cells has at most one
-  ``= prev`` restore statement and at most one assignment to the guest
-  register slots — exactly one of each when it writes a guest register.
+* every batch kernel generated on the golden cells snapshots the guest
+  registers it writes in chunks of at most 30, and restores and writes
+  back each chunk with one statement — none when it writes no guest
+  register.
 """
 
 import ast
@@ -37,7 +39,15 @@ from hypothesis import strategies as st
 import repro.sim.replay_backends as backends_mod
 from repro.engine.instrumentation import Tracer
 from repro.frontend.profiler import ProfilerConfig
-from repro.ir.instruction import Opcode, branch, load, movi, store
+from repro.ir.instruction import (
+    Instruction,
+    Opcode,
+    binop,
+    branch,
+    load,
+    movi,
+    store,
+)
 from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
 from repro.sched.machine import MachineModel
@@ -87,10 +97,10 @@ class TestWordIndexEquality:
         assert same_word == (p < a + 8 and a < p + 8)
 
 
-def _translate(insts):
+def _translate(insts, speculate=True):
     block = Superblock(entry_pc=0, instructions=list(insts))
     return OptimizationPipeline(
-        MACHINE, OptimizerConfig(speculate=True)
+        MACHINE, OptimizerConfig(speculate=speculate)
     ).optimize(block)
 
 
@@ -139,6 +149,53 @@ def two_segment_region():
             store(5, 2, disp=8192),
             branch(Opcode.BR, 0),
         ]
+    )
+
+
+def double_store_region():
+    """Two stores, through ``r1`` and ``r5``, then a load through ``r6``
+    whose nonzero value takes a side exit. With ``r1 == r5`` both stores
+    write one word; without speculation the load and the exit stay
+    after them, and a misaligned ``r6`` escapes at the load's guard."""
+    return _translate(
+        [
+            store(1, 2),
+            store(5, 4),
+            load(7, 6),
+            branch(Opcode.BNE, 9, srcs=(7, 0)),
+            branch(Opcode.BR, 0),
+        ],
+        speculate=False,
+    )
+
+
+def walking_store_region():
+    """Loads word ``r6``, stores ``r6`` to word ``r1``, and steps both a
+    word. Started ``k`` words below the end of memory, iteration ``k``'s
+    load is past the end: it escapes before its store."""
+    return _translate(
+        [
+            load(7, 6),
+            store(1, 6),
+            Instruction(Opcode.ADD, dest=1, srcs=(1,), imm=8),
+            Instruction(Opcode.ADD, dest=6, srcs=(6,), imm=8),
+            branch(Opcode.BR, 0),
+        ],
+        speculate=False,
+    )
+
+
+def product_base_region():
+    """Loads through ``r9 = r6 * r8``, a deferred wrap: the kernel's
+    guard sees the raw product, the dispatch loop the wrapped one."""
+    return _translate(
+        [
+            binop(Opcode.MUL, 9, 6, 8),
+            load(7, 9),
+            store(1, 7),
+            branch(Opcode.BR, 0),
+        ],
+        speculate=False,
     )
 
 
@@ -309,10 +366,9 @@ class TestWordKernelEscapes:
         self, monkeypatch
     ):
         """The load and the out-of-bounds store share ``r5``'s version
-        but not a segment, so the load's guard checks only its own
-        displacement: the kernel takes the side exit instead of
-        trimming. A guard spanning both segments would escape on every
-        run."""
+        but not a segment, so they are two groups: the kernel takes the
+        side exit before it reaches the store's guard or the store,
+        instead of trimming."""
         pattern = [{"r3": 1, "r5": 0x300}] * (_REPLAY_THRESHOLD + 3)
         c, _sources, runs = _against_interp(two_segment_region, pattern,
                                             monkeypatch)
@@ -321,21 +377,27 @@ class TestWordKernelEscapes:
         assert c.get("vliw.batch_trims", 0) == 0
         assert {run[0].status for run in runs} == {"side_exit"}
 
+    @pytest.mark.parametrize("kernel,escapes", [("batch", "batch_trims"),
+                                                ("vec", "vec_fallbacks")])
     @pytest.mark.parametrize("disps,r5", [((0, 1024), 0xC00), ((8, -8), 0)])
-    def test_fault_in_a_group_escapes_at_its_guard(
-        self, disps, r5, monkeypatch
+    def test_fault_in_a_group_escapes_and_raises_the_interp_fault(
+        self, disps, r5, kernel, escapes, monkeypatch
     ):
-        """The group's one guard covers its largest and its smallest
-        displacement: at the faulting ``r5`` one load of the group is in
-        bounds and the other is not (past the end, or below address 0),
-        so the kernel escapes at the group's first access and the
-        dispatch loop's re-run raises the ``interp`` tier's fault."""
+        """At the faulting ``r5`` one load of the group is in bounds and
+        the other is not. Below address 0, the group's guard on its
+        lowest address escapes at the group's first access; past the
+        end, the word list's ``IndexError`` escapes at the access. Either
+        way the dispatch loop's re-run raises the ``interp`` tier's
+        fault. The batch kernel runs in auto mode, the vec kernel
+        forced."""
         def region():
             return _translate(
                 [load(2, 5, disp=disps[0]), load(4, 5, disp=disps[1]),
                  branch(Opcode.BR, 0)]
             )
 
+        if kernel == "vec":
+            monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "vec")
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(MEMORY_BYTES), tracer=tracer)
         translated = region()
@@ -343,8 +405,8 @@ class TestWordKernelEscapes:
             _run(translated, sim, r5=0x300)
         with pytest.raises(MemoryFault) as got:
             _run(translated, sim, r5=r5)
-        assert tracer.counters.get("vliw.batch_compiles", 0) == 1
-        assert tracer.counters.get("vliw.batch_trims", 0) == 1
+        assert tracer.counters.get(f"vliw.{kernel}_compiles", 0) == 1
+        assert tracer.counters.get(f"vliw.{escapes}", 0) == 1
 
         monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "interp")
         oracle = VliwSimulator(MACHINE, Memory(MEMORY_BYTES))
@@ -383,6 +445,146 @@ class TestWordKernelEscapes:
         assert backends_mod.compile_vec(ir, adapter, 64) is None
 
 
+def _walk_to_fault(tier, size, r6, monkeypatch):
+    """Run :func:`walking_store_region` from ``r1 = 0x100`` and ``r6``
+    in batches on a ``size``-byte memory until an access faults; return
+    the fault and everything the run leaves: registers, memory, and
+    simulator and hardware stats."""
+    monkeypatch.setenv("SMARQ_REPLAY_BACKEND", tier)
+    tracer = Tracer()
+    sim = VliwSimulator(MACHINE, Memory(size), tracer=tracer)
+    region = walking_store_region()
+    registers = [0] * 64
+    registers[1], registers[6] = 0x100, r6
+    adapter = SmarqAdapter(64)
+    with pytest.raises(MemoryFault) as fault:
+        for _ in range(size // 8):
+            sim.execute_region_batch(region, adapter, registers, 10**6)
+    state = (str(fault.value), registers, sim.memory.to_bytes(),
+             sim.stats, adapter.queue.stats)
+    return state, tracer.counters
+
+
+class _EveryWord(list):
+    """A word list that reads 0 at every index: a memory as large as
+    any address."""
+
+    def __getitem__(self, index):
+        return 0
+
+
+class TestStoreLocalRollback:
+    """A batch kernel keeps each store's old word in a local and returns
+    only the broken iteration's pairs; the caller restores them newest
+    first."""
+
+    def test_word_stored_twice_rolls_back_to_its_value_before(
+        self, monkeypatch
+    ):
+        """Both stores hit word ``0x100``. Aligned ``r6 = 0x300`` reads
+        a nonzero word and the kernel side-exits after both; misaligned
+        ``r6 = 0x2FF`` escapes the kernel after both, and the re-run
+        side-exits. Either way the word gets back ``0xAB``, its value
+        before the iteration, as on ``interp``."""
+        clean = {"r1": 0x100, "r5": 0x100, "r2": 0x11, "r4": 0x22,
+                 "r6": 0x308}
+        pattern = [clean] * _REPLAY_THRESHOLD + [
+            dict(clean, r6=0x300), clean, dict(clean, r6=0x2FF),
+        ]
+        c, sources, runs = _against_interp(double_store_region, pattern,
+                                           monkeypatch)
+        assert c.get("vliw.batch_compiles", 0) == 1
+        assert c.get("vliw.batch_trims", 0) == 1
+        assert [run[0].status for run in runs[_REPLAY_THRESHOLD:]] == [
+            "side_exit", "commit", "side_exit"
+        ]
+        for run in runs[_REPLAY_THRESHOLD:]:
+            word = run[2][0x100:0x108]
+            assert word == (0xAB if run[0].status == "side_exit" else 0x22
+                            ).to_bytes(8, "little")
+        # both stores run before the load's guard and the side exit
+        src = sources[0]
+        assert src.index("s = 2") < src.index("if r6 & _G") < src.index(
+            "if r7 != r0:"
+        )
+
+    def test_later_iteration_escaping_before_its_store_keeps_earlier(
+        self, monkeypatch
+    ):
+        """Five iterations commit their stores inside one kernel call,
+        and the sixth's load is past the end of memory: it escapes
+        before its store, rolls back nothing, and the re-run raises the
+        dispatch loop's fault. Memory holds all five stores."""
+        size = MEMORY_BYTES
+        got, counters = _walk_to_fault("batch", size, size - 40,
+                                       monkeypatch)
+        want, _ = _walk_to_fault("interp", size, size - 40, monkeypatch)
+        assert got == want
+        assert counters.get("vliw.batch_iterations", 0) == 5
+        assert counters.get("vliw.batch_trims", 0) == 1
+        memory = got[2]
+        assert [
+            int.from_bytes(memory[0x100 + 8 * i:0x108 + 8 * i], "little")
+            for i in range(6)
+        ] == [size - 40 + 8 * i for i in range(5)] + [0]
+
+
+class TestWordListBound:
+    """The word list's end is the kernels' upper bound, and a group's
+    mask test covers everything below 0 and from ``2**30`` up."""
+
+    @pytest.mark.parametrize("tier", ["batch", "vec"])
+    def test_partial_last_word_escapes_and_faults_as_interp(
+        self, tier, monkeypatch
+    ):
+        """A memory of ``8k + 4`` bytes has a last word of which only 4
+        bytes exist, so the word list ends 4 bytes past the memory. A
+        kernel called on it escapes at once: the walk faults at the
+        access to that word, as on ``interp``."""
+        size = MEMORY_BYTES + 4
+        got, counters = _walk_to_fault(tier, size, MEMORY_BYTES - 40,
+                                       monkeypatch)
+        want, _ = _walk_to_fault("interp", size, MEMORY_BYTES - 40,
+                                 monkeypatch)
+        assert got == want
+        assert "0x1000" in got[0]
+        assert counters.get("vliw.batch_iterations", 0) == 0
+        assert counters.get("vliw.batch_trims", 0) + counters.get(
+            "vliw.vec_fallbacks", 0
+        ) >= 1
+
+    def test_base_of_2_to_the_30_or_more_escapes(self, monkeypatch):
+        """On a word list that holds every address, the kernel reads a
+        base just below ``2**30`` and escapes at the mask test from
+        ``2**30`` on, before its store. On guest memory, a raw product
+        base of ``2**64 + 0x100`` (wrapped, ``0x100``) escapes too, and
+        the re-run equals ``interp``'s."""
+        linear = product_base_region().schedule.linear
+        trace = _compile_trace(MACHINE, linear, SmarqAdapter)[0]
+        fn = backends_mod.compile_batch(
+            lower_trace(linear, trace, SmarqAdapter), SmarqAdapter(64), 64
+        )
+        words = _EveryWord([0] * (MEMORY_BYTES >> 3))
+        for base in ((1 << 30) - 8, 1 << 30, (1 << 30) + 8, 1 << 62):
+            escapes = base >= 1 << 30
+            registers = [0] * 64
+            registers[1], registers[6], registers[8] = 0x100, base, 1
+            iters, undo, _idx, kind, _pay = fn(
+                registers, words, MEMORY_BYTES, SmarqAdapter(64), 1
+            )
+            assert (kind == backends_mod.BATCH_TRIM) == escapes, base
+            assert iters == 0 and (undo == ()) == escapes, base
+
+        clean = {"r1": 0x200, "r6": 0x300, "r8": 1}
+        pattern = [clean] * _REPLAY_THRESHOLD + [
+            dict(clean, r6=0x100, r8=(1 << 56) + 1), clean,
+        ]
+        c, _sources, runs = _against_interp(product_base_region, pattern,
+                                            monkeypatch)
+        assert c.get("vliw.batch_trims", 0) == 1
+        assert runs[-2][2][0x200:0x208] == (0xAB).to_bytes(8, "little")
+
+
 def _batch_sources(monkeypatch):
     """Run every golden cell from an empty artifact cache, returning the
     source of each batch kernel generated."""
@@ -406,30 +608,38 @@ def _batch_sources(monkeypatch):
     return sources
 
 
+def _is_chunk(node):
+    """A committed-state snapshot chunk's name, ``prev<c>``."""
+    return (
+        isinstance(node, ast.Name)
+        and node.id.startswith("prev")
+        and node.id[4:].isdigit()
+    )
+
+
 def _restores(tree):
-    """Statements assigning the committed-state snapshot (or one of its
-    items) back."""
+    """Statements assigning a committed-state snapshot chunk (or one of
+    its items) back."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
             value = node.value
             if isinstance(value, ast.Subscript):
                 value = value.value
-            if isinstance(value, ast.Name) and value.id == "prev":
+            if _is_chunk(value):
                 out.append(node)
     return out
 
 
-def _writes_guest_register(tree):
-    """A batch kernel snapshots ``prev`` at its back-edge site exactly
-    when its body writes a guest register."""
-    return any(
-        isinstance(node, ast.Assign)
-        and any(
-            isinstance(t, ast.Name) and t.id == "prev" for t in node.targets
-        )
-        for node in ast.walk(tree)
-    )
+def _snapshots(tree):
+    """The back-edge site's snapshot chunks, ``prev<c> = (rA, rB, ...)``:
+    a batch kernel takes them exactly when its body writes a guest
+    register."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(_is_chunk(t) for t in node.targets)
+    ]
 
 
 def _slot_writes(tree):
@@ -458,19 +668,19 @@ class TestOneEpilogue:
     def test_golden_batch_kernels_write_back_once(self, monkeypatch):
         """A full batch, a side exit and a guard escape leave through
         one epilogue: the committed state is restored and written back
-        by one statement per kernel."""
+        by one statement per snapshot chunk, and a chunk holds at most
+        30 registers, the most CPython builds a tuple of in one step."""
         sources = _batch_sources(monkeypatch)
         assert sources, "the golden cells compiled no batch kernel"
-        writers = 0
+        writers = chunked = 0
         for src in sources:
             tree = ast.parse(src)
-            restores = len(_restores(tree))
-            slot_writes = len(_slot_writes(tree))
-            if _writes_guest_register(tree):
-                writers += 1
-                assert restores == 1, src
-                assert slot_writes == 1, src
-            else:
-                assert restores == 0, src
-                assert slot_writes == 0, src
+            chunks = _snapshots(tree)
+            assert len(_restores(tree)) == len(chunks), src
+            assert len(_slot_writes(tree)) == len(chunks), src
+            for node in chunks:
+                assert 1 <= len(node.value.elts) <= 30, src
+            writers += bool(chunks)
+            chunked += len(chunks) > 1
         assert writers > 0
+        assert chunked > 0

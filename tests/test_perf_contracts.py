@@ -46,7 +46,9 @@ quadratic, an allocator that re-heapifies) fails deterministically:
     kernels made it (``compile()`` time tracks AST nodes, not bytes, so
     both are pinned), a kernel escape generates no ``py`` code, and
     every kernel indexes memory as words: no byte accessor, bloom filter
-    or masked address, and one guard per access group;
+    or masked address, and one mask test per access group; a batch
+    iteration logs no undo entry and builds no display of more than 30
+    items;
 12. a run makes no reference cycles, so it runs with automatic cyclic
     collection paused: from empty caches, the golden cells under every
     replay backend, and cells whose alias exception re-optimizes a region
@@ -304,20 +306,38 @@ class TestOneKernelPerTrace:
 PRIOR_SOURCE_BYTES = 260_104
 PRIOR_SOURCE_NODES = 102_827
 #: AST nodes of the same cells' word kernels (8 batch compiles), with
-#: alias checks grouped by base and one epilogue for every way out
-#: (33,526 when each check rebuilt a tuple of word indexes)
-WORD_SOURCE_NODES = 31_020
+#: alias checks grouped by base, one epilogue for every way out, one
+#: mask test per access group and no undo log in a batch iteration
+#: (33,526 when each check rebuilt a tuple of word indexes; 31,020 with
+#: three-comparison guards and an undo entry per store)
+WORD_SOURCE_NODES = 29_971
+
+#: the most items CPython 3.11 builds a display of in one step
+DISPLAY_LIMIT = 30
 
 
 def _guards(tree):
-    """A kernel's group guards: ``if not LO <= rB <= HI or rB & 7``."""
+    """A kernel's group guards: ``if <lowest address> & _G: ...``."""
     return [
         node for node in ast.walk(tree)
         if isinstance(node, ast.If)
-        and isinstance(node.test, ast.BoolOp)
-        and isinstance(node.test.op, ast.Or)
-        and isinstance(node.test.values[0], ast.UnaryOp)
-        and isinstance(node.test.values[0].operand, ast.Compare)
+        and isinstance(node.test, ast.BinOp)
+        and isinstance(node.test.op, ast.BitAnd)
+        and isinstance(node.test.right, ast.Name)
+        and node.test.right.id == "_G"
+    ]
+
+
+def _loop_displays(tree):
+    """Tuple, list and set displays built inside a kernel's iteration
+    loop that hold a non-constant item (the compiler folds the rest)."""
+    return [
+        node
+        for loop in ast.walk(tree) if isinstance(loop, ast.While)
+        for node in ast.walk(loop)
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+        and not isinstance(getattr(node, "ctx", None), ast.Store)
+        and not all(isinstance(e, ast.Constant) for e in node.elts)
     ]
 
 
@@ -356,11 +376,12 @@ class TestLeanKernels:
         kernels = cold_kernel_run["kernels"]
         assert kernels
         for ir, src in kernels:
-            for gone in ("u64(", "p64(", "_bf", "_overlaps", "mlim"):
+            for gone in ("u64(", "p64(", "_bf", "_overlaps", "mlim",
+                         "= msize -"):
                 assert gone not in src, gone
             tree = ast.parse(src)
-            _group_of, spans = backends._access_groups(ir)
-            assert len(_guards(tree)) == len(spans), src
+            _group_of, lows = backends._access_groups(ir)
+            assert len(_guards(tree)) == len(lows), src
             subscripts = [
                 node for node in ast.walk(tree)
                 if isinstance(node, ast.Subscript)
@@ -373,6 +394,30 @@ class TestLeanKernels:
                     isinstance(n, ast.BinOp) and isinstance(n.op, ast.BitAnd)
                     for n in ast.walk(node.slice)
                 ), src
+
+    def test_batch_iterations_log_nothing_and_build_small_displays(
+        self, cold_kernel_run
+    ):
+        """Only the iteration in flight can roll back, so a batch
+        kernel keeps each store's old word in a local and logs nothing
+        per iteration, and no display its loop builds holds more items
+        than CPython builds in one step."""
+        batch = [
+            src for _ir, src in cold_kernel_run["kernels"]
+            if src.startswith("def _replay_batch(")
+        ]
+        assert batch
+        chunked = 0
+        for src in batch:
+            for gone in ("undo_log", "undo_append", "mark = len"):
+                assert gone not in src, gone
+            tree = ast.parse(src)
+            for node in _loop_displays(tree):
+                assert len(node.elts) <= DISPLAY_LIMIT, src
+            chunked += "prev1 = (" in src
+        # the cells write more guest registers per iteration than one
+        # display holds, so their snapshots do split
+        assert chunked >= 1
 
 
 class TestPrefixSharing:
