@@ -3,9 +3,9 @@
 Reports are stored one JSON file per job fingerprint under a cache root
 (default ``~/.cache/repro``, overridable via the ``REPRO_CACHE_DIR``
 environment variable or the constructor). Because the fingerprint hashes
-the full job configuration plus the repro version and report schema (see
-:func:`repro.engine.jobs.job_fingerprint`), a hit is always safe to
-serve verbatim.
+the full job configuration plus the repro version, the report schema and
+the package's source (see :func:`repro.engine.jobs.job_fingerprint`), a
+hit is always safe to serve verbatim.
 
 Corrupted or unreadable cache files are treated as misses (and removed
 best-effort), so a damaged cache degrades to a fresh run, never a crash.

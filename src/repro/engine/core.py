@@ -184,9 +184,10 @@ class ExecutionEngine:
                 total = hits + c.get(f"translate.{stage}_misses", 0)
                 if total:
                     stage_bits.append(f"{stage} {hits}/{total}")
+            stored_kb = c.get("translate.cache_store_bytes", 0) / 1024
             lines.append(
                 f"translation cache     : {tc_hits} hits / "
-                f"{tc_misses} misses{rate}"
+                f"{tc_misses} misses{rate}, {stored_kb:.0f} KB stored"
             )
             if stage_bits:
                 lines.append(

@@ -64,12 +64,13 @@ Counter names used by the simulation stack:
 ``translate.cache_hits`` / ``translate.cache_misses``
     full-translation lookups in the content-keyed translation cache (a
     hit clones a previously optimized region instead of re-optimizing);
-``translate.cache_stores``
-    optimized regions serialized into the translation cache;
-``translate.deps_hits`` / ``translate.ddg_hits``
-    stage-memo hits inside a full-translation miss: base memory
-    dependences and DDG structure reused from an earlier translation of
-    the same content (each has a matching ``*_misses`` counter).
+``translate.cache_stores`` / ``translate.cache_store_bytes``
+    optimized regions serialized into the translation cache, and the
+    bytes of their blobs (``--stats`` shows them in KB);
+``translate.deps_hits`` / ``translate.deps_misses``
+    stage-memo lookups inside a full-translation miss: base memory
+    dependences reused from an earlier translation of the same content,
+    or computed.
 
 Phase names: ``run`` (whole DBT loop), ``optimize`` (translation +
 scheduling + allocation), ``execute`` (translated-region simulation).

@@ -22,14 +22,14 @@ refusing to speculate on that pair.
 
 Translation is memoized at two granularities (see
 :mod:`repro.opt.translation_cache`): whole translations are served from a
-content-keyed cache, and on a full-tier miss the two stage products that
-save more than they cost — base memory dependences (``deps``) and DDG
-structure (``ddg``) — are memoized with stage-precise keys; eliminations
-and the scheduler's priority tables are recomputed on every miss.
-Because base dependence classification ignores alias hints while
-eliminations and scheduling read them, a re-optimization after an alias
-exception recomputes constraints and allocation but reuses the DDG when
-the transformed block is unchanged.
+content-keyed cache, and on a full-tier miss the one stage product that
+saves more than it costs — base memory dependences (``deps``) — is
+memoized with a stage-precise key; eliminations, the DDG and the
+scheduler's priority tables are recomputed on every miss. Because base
+dependence classification ignores alias hints while eliminations and
+scheduling read them, a re-optimization after an alias exception
+recomputes constraints, the DDG and allocation but reuses the base
+dependences when the transformed block is unchanged.
 The sub-phases are tracer-visible as ``optimize.constraints``,
 ``optimize.certify`` (when :attr:`OptimizerConfig.certify` is on — see
 :mod:`repro.analysis.certify`), ``optimize.ddg``, ``optimize.schedule``
@@ -66,6 +66,7 @@ from repro.opt.store_elim import StoreElimination, StoreEliminationResult
 from repro.opt.translation_cache import (
     TranslationCache,
     get_translation_cache,
+    key_digest,
     region_content_key,
 )
 from repro.sched.ddg import DataDependenceGraph
@@ -192,11 +193,6 @@ class OptimizationPipeline:
         self._env_digest = _digest(
             {"region_map": self.region_map, "regs": self.register_regions}
         )
-        self._latency_sig = tuple(
-            sorted(
-                (op.name, lat) for op, (_unit, lat) in machine.op_table.items()
-            )
-        )
         self._machine_digest = _digest(machine)
 
     # -- cache keys ----------------------------------------------------
@@ -219,7 +215,13 @@ class OptimizationPipeline:
         self._config_digest_memo = (sig, value)
         return value
 
-    def _full_key(self, content, hints_key, banned_key) -> Tuple:
+    # Each key builder returns the :func:`key_digest` of a tuple of
+    # scalars and tuples — never a set or dict, whose iteration order
+    # could give equal keys different digests.
+    def _full_key(self, content, hints_key, banned_key) -> bytes:
+        """Every input of a whole translation: machine, data layout,
+        optimizer config, the region's content, and its alias hints and
+        speculation bans (sorted tuples)."""
         key = (
             "full",
             self._machine_digest,
@@ -235,31 +237,13 @@ class OptimizationPipeline:
             # cannot serve a translation built under the other. Schemes
             # with certification off keep their pre-certify keys.
             key += (("certify", certify_enabled(), prover_token()),)
-        return key
+        return key_digest(key)
 
-    def _deps_key(self, content2) -> Tuple:
+    def _deps_key(self, content2) -> bytes:
         """Base dependence classification reads only addresses — alias
         hints and speculation bans are deliberately absent, which is what
         lets a post-exception re-optimization hit this tier."""
-        return ("deps", self._env_digest, content2)
-
-    def _ddg_key(self, content2, cert_sig=()) -> Tuple:
-        c = self.config
-        key = (
-            "ddg",
-            self._env_digest,
-            self._latency_sig,
-            c.allow_store_reorder,
-            c.speculation_policy,
-            content2,
-        )
-        if cert_sig:
-            # Certified pairs were dropped before DDG construction; the
-            # structure differs from the uncertified one. Appending only
-            # when non-empty keeps zero-drop certification sharing the
-            # plain DDG memo byte-for-byte.
-            key += (("certified", cert_sig),)
-        return key
+        return key_digest(("deps", self._env_digest, content2))
 
     # ------------------------------------------------------------------
     def optimize(self, original: Superblock) -> OptimizedRegion:
@@ -292,8 +276,7 @@ class OptimizationPipeline:
 
         region = self._optimize_impl(original, hints, banned, cache)
         if cache is not None:
-            # Stored before the key is attached: a hit re-attaches it, so
-            # the blob need not carry the region's whole content again.
+            # Stored before the key is attached: a hit re-attaches it.
             if tracer.active:
                 with tracer.phase("optimize.cache"):
                     cache.store_translation(full_key, region, tracer)
@@ -359,18 +342,15 @@ class OptimizationPipeline:
             # Dependences stay positional (the deps memo's triples) from
             # here on; a memo hit adopts them as is.
             analysis = make_analysis(block)
-            content2 = region_content_key(block) if cache is not None else None
             base: Optional[Tuple[DepTriple, ...]] = None
             if cache is not None:
-                base = cache.get_stage("deps", self._deps_key(content2), tracer)
+                deps_key = self._deps_key(region_content_key(block))
+                base = cache.get_stage("deps", deps_key, tracer)
             if base is None:
                 base = compute_dependences(block, analysis, positional=True)
                 if cache is not None:
-                    cache.put_stage(
-                        "deps", self._deps_key(content2), base, tracer
-                    )
+                    cache.put_stage("deps", deps_key, base, tracer)
         certificate: Optional[Certificate] = None
-        cert_sig: Tuple = ()
         if config.certify and certify_enabled():
             with tracer.phase("optimize.certify"):
                 # The certifier reads Dependence views of the triples.
@@ -409,37 +389,16 @@ class OptimizationPipeline:
                             "certify.deps_dropped", len(base) - len(kept)
                         )
                         base = kept
-                        cert_sig = tuple(sorted(pairs))
                     tracer.count("certify.pairs_certified", len(pairs))
 
         with tracer.phase("optimize.ddg"):
-            ddg = None
-            if cache is not None:
-                structural = cache.get_stage(
-                    "ddg", self._ddg_key(content2, cert_sig), tracer
-                )
-                if structural is not None:
-                    ddg = DataDependenceGraph.from_structural(
-                        block,
-                        self.machine,
-                        structural,
-                        speculation_policy=config.speculation_policy,
-                    )
-            if ddg is None:
-                ddg = DataDependenceGraph(
-                    block,
-                    self.machine,
-                    allow_store_reorder=config.allow_store_reorder,
-                    speculation_policy=config.speculation_policy,
-                    memory_triples=base,
-                )
-                if cache is not None:
-                    cache.put_stage(
-                        "ddg",
-                        self._ddg_key(content2, cert_sig),
-                        ddg.structural(),
-                        tracer,
-                    )
+            ddg = DataDependenceGraph(
+                block,
+                self.machine,
+                allow_store_reorder=config.allow_store_reorder,
+                speculation_policy=config.speculation_policy,
+                memory_triples=base,
+            )
 
         with tracer.phase("optimize.schedule"):
             sched_config = SchedulerConfig(

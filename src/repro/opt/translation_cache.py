@@ -1,4 +1,4 @@
-"""Content-keyed region translation cache with stage memoization.
+"""Content-keyed region translation cache with a dependence stage memo.
 
 Translating the same region twice is pure waste: the optimization
 pipeline is deterministic in its inputs — the region's instruction
@@ -14,19 +14,29 @@ from memory:
   nothing shared with other consumers), which is several times cheaper
   than re-optimizing. Blobs are serialized *at translation time*, before
   the VLIW simulator attaches its unpicklable compiled-trace closures.
-* **stage tiers** — when the full tier misses (a new scheme, a new hint
-  set), two scheme-independent intermediate products are still
-  reusable: the base memory dependences (``deps``, stored as index
-  triples) and the DDG's positional edge tuple (``ddg``, see
-  :meth:`~repro.sched.ddg.DataDependenceGraph.structural`; a hit adopts
-  it as the graph). Both are immutable tuples, shared by every hit.
-  Each tier's key covers precisely the inputs that stage reads — alias
-  hints are excluded because classification ignores them, which is what
-  lets an alias-exception re-optimization reuse the DDG while
-  recomputing constraints and allocation. The other stage products
-  (eliminations, scheduler priority tables) are recomputed on every
-  miss: memoizing them cost more CPU time and memory than their rare
-  hits saved (``docs/PERF.md``).
+* **stage tier** ``deps`` — when the full tier misses (a new scheme, a
+  new hint set), the base memory dependences of the transformed block,
+  stored as an immutable tuple of index triples shared by every hit,
+  are still reusable. Its key covers precisely the inputs that stage
+  reads — alias hints and speculation bans are excluded because
+  classification ignores them, which is what lets an alias-exception
+  re-optimization reuse the dependences while recomputing constraints,
+  the DDG and allocation. The other stage products (eliminations, the
+  DDG, scheduler priority tables) are recomputed on every miss: their
+  memos cost more memory than their hits saved CPU time. The ``ddg``
+  memo held ~4.3 MB of edge tuples on cold ``figures`` for no measurable
+  time (``docs/PERF.md``, "Translation caches keyed by digest").
+
+**Keys.** Each tier is keyed by :func:`key_digest` — 16 bytes of
+BLAKE2b over the canonical pickle of the tuple the pipeline builds (the
+key builders are in :mod:`repro.opt.pipeline`), never by the tuple
+itself: a full-tier tuple holds one 19-field tuple per instruction, ~19
+KB that every tier would keep alive and rehash on every lookup. The
+pickler keeps no memo, so equal tuples give equal bytes whichever of
+their strings and tuples happen to be shared objects; key components are
+tuples of scalars, never sets or dicts, whose order could split equal
+keys. The replay artifact cache (:mod:`repro.sim.replay_backends`) keys
+by the same full-tier digest (``region._replay_key``).
 
 Blobs live in this process only, so every one was pickled by the running
 code. A hit reserves the blob's uid range
@@ -39,12 +49,15 @@ paths are byte-identical by construction and by lock
 (``tests/test_translation_cache.py``, fuzz oracle ``knobs``).
 
 Counters (via the engine tracer): ``translate.cache_hits`` /
-``cache_misses`` / ``cache_stores`` for the full tier and
-``translate.<stage>_hits`` / ``_misses`` per stage tier.
+``cache_misses`` / ``cache_stores`` for the full tier,
+``translate.cache_store_bytes`` for the bytes of the blobs it stored,
+and ``translate.<stage>_hits`` / ``_misses`` per stage tier.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import pickle
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
@@ -56,7 +69,28 @@ from repro.ir.instruction import reserve_uids, uid_watermark
 _DEFAULT_ENTRIES = 512
 
 #: stage tier names (each an independent LRU)
-STAGES = ("deps", "ddg")
+STAGES = ("deps",)
+
+#: bytes of a tier key (:func:`key_digest`)
+KEY_DIGEST_SIZE = 16
+
+
+def key_digest(key: Tuple) -> bytes:
+    """The tier key of ``key``: BLAKE2b of its canonical pickle.
+
+    The pickler runs in fast mode, which keeps no memo: the default one
+    writes a second reference to a shared string or tuple as a back
+    reference, so two equal keys would pickle to different bytes when
+    one shares objects the other does not. Keys hold no cycles, which
+    fast mode cannot pickle.
+    """
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(key)
+    return hashlib.blake2b(
+        buf.getvalue(), digest_size=KEY_DIGEST_SIZE
+    ).digest()
 
 
 def region_content_key(block) -> Tuple:
@@ -102,8 +136,8 @@ class TranslationCache:
         if max_entries is None:
             max_entries = _DEFAULT_ENTRIES
         self.max_entries = max(1, max_entries)
-        self._full: "OrderedDict[Any, bytes]" = OrderedDict()
-        self._stages: Dict[str, "OrderedDict[Any, Any]"] = {
+        self._full: "OrderedDict[bytes, bytes]" = OrderedDict()
+        self._stages: Dict[str, "OrderedDict[bytes, Any]"] = {
             name: OrderedDict() for name in STAGES
         }
 
@@ -120,20 +154,20 @@ class TranslationCache:
             tier.clear()
 
     # -- LRU plumbing --------------------------------------------------
-    def _lookup(self, tier: "OrderedDict", key: Any) -> Any:
+    def _lookup(self, tier: "OrderedDict", key: bytes) -> Any:
         value = tier.get(key)
         if value is not None:
             tier.move_to_end(key)
         return value
 
-    def _insert(self, tier: "OrderedDict", key: Any, value: Any) -> None:
+    def _insert(self, tier: "OrderedDict", key: bytes, value: Any) -> None:
         tier[key] = value
         tier.move_to_end(key)
         while len(tier) > self.max_entries:
             tier.popitem(last=False)
 
     # -- full tier -----------------------------------------------------
-    def get_translation(self, key: Any, tracer) -> Optional[Any]:
+    def get_translation(self, key: bytes, tracer) -> Optional[Any]:
         """A private clone of the cached translation, or None."""
         payload = self._lookup(self._full, key)
         if payload is None:
@@ -144,7 +178,7 @@ class TranslationCache:
         tracer.count("translate.cache_hits")
         return region
 
-    def store_translation(self, key: Any, region, tracer) -> None:
+    def store_translation(self, key: bytes, region, tracer) -> None:
         try:
             # The watermark (not a scan of the region) bounds every uid the
             # blob can reference, including eliminated-but-recorded ops.
@@ -158,9 +192,10 @@ class TranslationCache:
             return
         self._insert(self._full, key, payload)
         tracer.count("translate.cache_stores")
+        tracer.count("translate.cache_store_bytes", len(payload))
 
     # -- stage tiers ---------------------------------------------------
-    def get_stage(self, stage: str, key: Any, tracer) -> Any:
+    def get_stage(self, stage: str, key: bytes, tracer) -> Any:
         """Stage-memo lookup: the shared immutable tuple, or None."""
         value = self._lookup(self._stages[stage], key)
         if value is None:
@@ -169,7 +204,7 @@ class TranslationCache:
         tracer.count(f"translate.{stage}_hits")
         return value
 
-    def put_stage(self, stage: str, key: Any, value: Any, tracer) -> None:
+    def put_stage(self, stage: str, key: bytes, value: Any, tracer) -> None:
         self._insert(self._stages[stage], key, value)
 
 

@@ -20,12 +20,13 @@ Edges:
 The graph is stored in the one form its consumers read: a tuple of
 ``(src_position, dst_position, kind, latency, breakable)`` edges in global
 insertion order, positions indexing the block in program order and
-``kind`` an :class:`EdgeKind` value. That tuple is also the translation
-cache's ``ddg`` memo (:meth:`DataDependenceGraph.structural`), so a memo
-hit adopts it as is (:meth:`DataDependenceGraph.from_structural`), and
-the scheduler (:meth:`~repro.sched.list_scheduler.ListScheduler.prepare`)
-indexes it by position. :class:`DdgEdge` objects exist only as on-demand
-views (:meth:`~DataDependenceGraph.successors`,
+``kind`` an :class:`EdgeKind` value
+(:meth:`DataDependenceGraph.structural`), which the scheduler
+(:meth:`~repro.sched.list_scheduler.ListScheduler.prepare`) indexes by
+position. Every translation builds its graph: the translation cache
+keeps no DDG memo (:mod:`repro.opt.translation_cache`).
+:class:`DdgEdge` objects exist only as on-demand views
+(:meth:`~DataDependenceGraph.successors`,
 :meth:`~DataDependenceGraph.predecessors`) for tests and tools.
 """
 
@@ -135,7 +136,7 @@ class DataDependenceGraph:
         self._edges = tuple(edges)
 
     # ------------------------------------------------------------------
-    # Structural memoization (translation cache)
+    # Structural form
     # ------------------------------------------------------------------
     def structural(self) -> Tuple[Edge, ...]:
         """The stored edge tuple: ``(src_position, dst_position, kind,
@@ -152,7 +153,12 @@ class DataDependenceGraph:
         structural: Tuple[Edge, ...],
         speculation_policy: str = "full",
     ) -> "DataDependenceGraph":
-        """Adopt :meth:`structural` output (cache hit) in O(1)."""
+        """Adopt :meth:`structural` output in O(1).
+
+        Nothing in the package calls it since the translation cache
+        dropped its DDG memo; it stays, with its unit test, because the
+        benchmark's trace ledger (``bench/trace.py``) resolves it by
+        name, until the benchmark refresh retires that name."""
         return cls(
             block,
             machine,

@@ -250,6 +250,8 @@ class RemoteEngine:
             f"({engine.get('simulated_runs', 0)} simulated)",
             f"translation cache     : "
             f"{counters.get('translate.cache_hits', 0)} hits / "
-            f"{counters.get('translate.cache_misses', 0)} misses",
+            f"{counters.get('translate.cache_misses', 0)} misses, "
+            f"{counters.get('translate.cache_store_bytes', 0) / 1024:.0f} "
+            f"KB stored",
         ]
         return "\n".join(lines)

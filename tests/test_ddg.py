@@ -386,15 +386,11 @@ class TestPositionalGraphMatchesReference:
     ):
         """Every DDG the pipeline builds over the golden cells must equal
         the reference under both speculation policies x store
-        reordering. With the translation cache on, later cells adopt
-        memo tuples built (and checked) earlier in this test; with
-        ``SMARQ_NO_TRANSLATION_CACHE=1`` every graph is built fresh."""
+        reordering. Every translation that misses the full tier builds
+        its graph, with the translation cache on or off."""
         import repro.opt.pipeline as pipeline_mod
         from repro.frontend.profiler import ProfilerConfig
-        from repro.opt.translation_cache import (
-            TranslationCache,
-            reset_translation_cache,
-        )
+        from repro.opt.translation_cache import reset_translation_cache
         from repro.sim.dbt import DbtSystem
         from repro.workloads import make_benchmark
         from tests.test_golden_reports import (
@@ -403,25 +399,22 @@ class TestPositionalGraphMatchesReference:
             GOLDEN_HOT_THRESHOLD,
         )
 
-        built, adopted = [], []
+        built = []
 
         class Checked(DataDependenceGraph):
             def __init__(self, block, machine, memory_dependences=(), **kw):
-                if kw.get("_structural") is not None:
-                    adopted.append(len(block))
-                else:
-                    # the pipeline passes its positional triples; the
-                    # reference reads their Dependence views
-                    triples = kw["memory_triples"]
-                    views = dependence_views(block, triples)
-                    assert_matches_reference(block, machine, views)
-                    for policy in POLICIES:
-                        assert DataDependenceGraph(
-                            block, machine, memory_triples=triples, **policy
-                        ).structural() == DataDependenceGraph(
-                            block, machine, views, **policy
-                        ).structural(), policy
-                    built.append(len(block))
+                # the pipeline passes its positional triples; the
+                # reference reads their Dependence views
+                triples = kw["memory_triples"]
+                views = dependence_views(block, triples)
+                assert_matches_reference(block, machine, views)
+                for policy in POLICIES:
+                    assert DataDependenceGraph(
+                        block, machine, memory_triples=triples, **policy
+                    ).structural() == DataDependenceGraph(
+                        block, machine, views, **policy
+                    ).structural(), policy
+                built.append(len(block))
                 super().__init__(block, machine, memory_dependences, **kw)
 
         monkeypatch.setattr(pipeline_mod, "DataDependenceGraph", Checked)
@@ -439,10 +432,6 @@ class TestPositionalGraphMatchesReference:
             reset_translation_cache()
         assert len(built) >= len(GOLDEN_BENCHMARKS)
         assert max(built) > 10
-        if TranslationCache.enabled():
-            assert adopted
-        else:
-            assert adopted == []
 
     @given(
         body=program_body,

@@ -3,14 +3,20 @@
 Covers the engine acceptance properties: parallel and serial executors
 produce identical reports; a warm persistent cache serves reports with
 zero simulations (asserted via the injected tracer counters); corrupted
-cache entries degrade to fresh runs; every keyed knob is in the job
-fingerprint.
+cache entries degrade to fresh runs; every keyed knob, and the package's
+source, is in the job fingerprint.
 """
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import knobs
 from repro.engine import (
     ExecutionEngine,
@@ -165,6 +171,43 @@ class TestFingerprint:
 
     def test_stable_across_calls(self):
         assert job_fingerprint(_spec()) == job_fingerprint(_spec())
+
+    def test_package_copy_with_an_edited_constant_is_keyed(self, tmp_path):
+        """The fingerprint keys the code: a verbatim copy of the package
+        run from elsewhere gets this process's fingerprint, and a copy
+        with one edited model constant gets another, so a cache filled
+        before the edit misses after it."""
+        package = Path(repro.__file__).resolve().parent
+        spec = f"JobSpec('art', 'smarq', scale={SCALE}, hot_threshold={HOT})"
+
+        def fingerprint_from(copy: Path) -> str:
+            done = subprocess.run(
+                [
+                    sys.executable, "-c",
+                    "from repro.engine.jobs import JobSpec, job_fingerprint; "
+                    f"print(job_fingerprint({spec}))",
+                ],
+                env={**os.environ, "PYTHONPATH": str(copy)},
+                capture_output=True, text=True, check=True, timeout=60,
+            )
+            return done.stdout.strip()
+
+        for name in ("verbatim", "edited"):
+            shutil.copytree(
+                package, tmp_path / name / "repro",
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        machine = tmp_path / "edited" / "repro" / "sched" / "machine.py"
+        source = machine.read_text(encoding="utf-8")
+        edited = source.replace(
+            "rollback_penalty: int = 200", "rollback_penalty: int = 2000"
+        )
+        assert edited != source
+        machine.write_text(edited, encoding="utf-8")
+
+        here = job_fingerprint(_spec())
+        assert fingerprint_from(tmp_path / "verbatim") == here
+        assert fingerprint_from(tmp_path / "edited") != here
 
     def test_certify_kill_switch_is_keyed(self, tmp_path, monkeypatch):
         """``SMARQ_NO_CERTIFY=1`` changes smarq-cert reports, so a warm

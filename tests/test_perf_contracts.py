@@ -33,9 +33,8 @@ quadratic, an allocator that re-heapifies) fails deterministically:
    handler for code that only ran during the warm-up;
 9. a translation miss builds and pickles only what is read: a cold run
    of two schemes over one program constructs no ``DdgEdge`` (the DDG
-   and the scheduler work on position tuples, and the second scheme
-   adopts the first one's memoized DDG), and no full-tier blob pickles
-   the allocator, its dependence set or the alias analysis;
+   and the scheduler work on position tuples), and no full-tier blob
+   pickles the allocator, its dependence set or the alias analysis;
 10. a cold sweep pays per program, not per job: one build per program,
     no ``Dependence`` constructed on a ``deps`` memo hit, load
     elimination classifies only must-alias candidates, and a finished
@@ -54,7 +53,13 @@ quadratic, an allocator that re-heapifies) fails deterministically:
     replay backend, and cells whose alias exception re-optimizes a region
     after its kernel compiled, leave ``gc.garbage`` empty under
     ``gc.DEBUG_SAVEALL``; and ``DbtSystem.run`` leaves the collector
-    enabled or disabled as it found it, also when the run raises.
+    enabled or disabled as it found it, also when the run raises;
+13. translation caches hold digests, not region content: after the
+    golden cells run from empty caches, every key of the translation
+    cache's tiers (the full tier and ``deps``, its only stage tier) and
+    the region key heading every replay-artifact key is a 16-byte
+    ``bytes``, and no ``translate.ddg_*`` counter is counted (there is
+    no DDG memo).
 """
 
 import ast
@@ -82,6 +87,7 @@ from repro.workloads import make_benchmark
 from tests.test_differential_alloc import integrated_allocation
 from tests.test_golden_reports import (
     GOLDEN_CELLS,
+    GOLDEN_HOT_THRESHOLD,
     reset_process_caches,
     run_cell,
 )
@@ -512,11 +518,47 @@ class TestTranslationKeepsWhatIsRead:
         payloads = list(get_translation_cache()._full.values())
         reset_translation_cache()
 
-        assert tracer.counters.get("translate.ddg_hits", 0) >= 1
         assert edges == []
         assert payloads
         for name in (b"SmarqAllocator", b"DependenceSet", b"AliasAnalysis"):
             assert [p for p in payloads if name in p] == [], name
+
+
+class TestTranslationKeysAreDigests:
+    def test_golden_cells_key_every_tier_by_a_16_byte_digest(self):
+        from repro.opt.translation_cache import get_translation_cache
+
+        reset_process_caches()
+        tracer = Tracer()
+        try:
+            for bench, scheme, scale in GOLDEN_CELLS:
+                DbtSystem(
+                    make_benchmark(bench, scale=scale),
+                    scheme,
+                    profiler_config=ProfilerConfig(
+                        hot_threshold=GOLDEN_HOT_THRESHOLD
+                    ),
+                    tracer=tracer,
+                ).run()
+            cache = get_translation_cache()
+            tiers = {"full": list(cache._full)}
+            tiers.update(
+                (name, list(tier)) for name, tier in cache._stages.items()
+            )
+            tiers["replay artifacts"] = [key[0] for key in backends._artifacts]
+        finally:
+            reset_process_caches()
+
+        assert set(tiers) == {"full", "deps", "replay artifacts"}
+        for name, keys in tiers.items():
+            assert keys, name
+            assert {(type(key), len(key)) for key in keys} == {(bytes, 16)}, (
+                name
+            )
+        assert [
+            name for name in tracer.counters
+            if name.startswith("translate.ddg_")
+        ] == []
 
 
 class TestPerProgramNotPerJob:
@@ -871,10 +913,13 @@ class TestServeWarmState:
         the four backend tiers partition every region execution, every
         planned execution is one plan hit or miss, and a repeat batch
         hits the translation cache, which ``--stats`` over ``--serve``
-        reports from these counters."""
+        reports from these counters with the bytes its full tier
+        stored."""
         from repro.serve import ServeClient, ServeConfig, running_server
         from repro.serve.client import RemoteEngine
 
+        # the first batch then translates, and stores, every region
+        reset_process_caches()
         with running_server(
             ServeConfig(cache=False, memo_limit=0)
         ) as server:
@@ -899,9 +944,11 @@ class TestServeWarmState:
         )
         hits = counters["translate.cache_hits"]
         misses = counters.get("translate.cache_misses", 0)
-        assert hits > 0
+        stored = counters["translate.cache_store_bytes"]
+        assert hits > 0 and stored > 0
         assert (
-            f"translation cache     : {hits} hits / {misses} misses"
+            f"translation cache     : {hits} hits / {misses} misses, "
+            f"{stored / 1024:.0f} KB stored"
             in rendered.splitlines()
         )
 
