@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.engine.cache import NullCache
 from repro.engine.executor import Executor, SerialExecutor
@@ -129,72 +129,76 @@ class ExecutionEngine:
             f"serial fallbacks      : {s.serial_fallbacks}",
             f"engine wall time      : {s.wall_seconds:.2f}s",
         ]
-        if c.get("runtime.translations") or s.simulated_runs:
-            lines += [
-                f"region translations   : {c.get('runtime.translations', 0)} "
-                f"(+{c.get('runtime.reoptimizations', 0)} re-opts)",
-                f"alias exceptions      : "
-                f"{c.get('runtime.alias_exceptions', 0)} "
-                f"({c.get('runtime.false_positive_exceptions', 0)} false "
-                f"positives)",
-                f"regions executed      : "
-                f"{c.get('vliw.regions_executed', 0)}",
-            ]
-            batch = c.get("vliw.backend_batch", 0)
-            tiers = (
-                f"replay backends       : "
-                f"{c.get('vliw.backend_interp', 0)} interp / "
-                f"{c.get('vliw.backend_py', 0)} py / "
-                f"{c.get('vliw.backend_vec', 0)} vec / "
-                f"{batch} batch"
-            )
-            if batch:
-                tiers += (
-                    f" ({c.get('vliw.batch_iterations', 0)} batched iters)"
-                )
-            lines.append(tiers)
-        prefix_hits = c.get("dbt.prefix_hits", 0)
-        prefix_runs = prefix_hits + c.get("dbt.prefix_misses", 0)
-        if prefix_runs:
-            lines.append(
-                f"warm-up restores      : {prefix_hits} of {prefix_runs} "
-                f"runs ({prefix_hits / prefix_runs:.0%})"
-            )
-        plan_hits = c.get("vliw.plan_hits", 0)
-        plan_misses = c.get("vliw.plan_misses", 0)
-        lookups = plan_hits + plan_misses
-        if lookups or c.get("vliw.plan_invalidations"):
-            rate = f" ({plan_hits / lookups:.0%} hit)" if lookups else ""
-            lines += [
-                f"timing-plan lookups   : {plan_hits} hits / "
-                f"{plan_misses} misses{rate}",
-                f"timing-plan compiles  : "
-                f"{c.get('vliw.plan_compiles', 0)} cycle arrays, "
-                f"{c.get('vliw.replay_compiles', 0)} replay fns, "
-                f"{c.get('vliw.plan_invalidations', 0)} invalidations",
-            ]
-        tc_hits = c.get("translate.cache_hits", 0)
-        tc_misses = c.get("translate.cache_misses", 0)
-        tc_lookups = tc_hits + tc_misses
-        if tc_lookups:
-            rate = f" ({tc_hits / tc_lookups:.0%} hit)"
-            stage_bits = []
-            for stage in STAGES:
-                hits = c.get(f"translate.{stage}_hits", 0)
-                total = hits + c.get(f"translate.{stage}_misses", 0)
-                if total:
-                    stage_bits.append(f"{stage} {hits}/{total}")
-            stored_kb = c.get("translate.cache_store_bytes", 0) / 1024
-            lines.append(
-                f"translation cache     : {tc_hits} hits / "
-                f"{tc_misses} misses{rate}, {stored_kb:.0f} KB stored"
-            )
-            if stage_bits:
-                lines.append(
-                    f"stage memo hits       : {', '.join(stage_bits)}"
-                )
+        lines += counter_lines(c)
         if t:
             lines.append("per-phase wall time (summed across jobs):")
             for name in sorted(t):
                 lines.append(f"  {name:<19} : {t[name]:.3f}s")
         return "\n".join(lines)
+
+
+def counter_lines(c: Mapping[str, int]) -> List[str]:
+    """The ``--stats`` lines derived from tracer counters alone: what
+    the runs translated and executed, and how each process-wide memo
+    served them. Local (:meth:`ExecutionEngine.render_stats`) and remote
+    (:meth:`repro.serve.client.RemoteEngine.render_stats`) statistics
+    render them from the same counters with this one function."""
+    lines: List[str] = []
+    if c.get("runtime.translations") or c.get("dbt.runs"):
+        lines += [
+            f"region translations   : {c.get('runtime.translations', 0)} "
+            f"(+{c.get('runtime.reoptimizations', 0)} re-opts)",
+            f"alias exceptions      : "
+            f"{c.get('runtime.alias_exceptions', 0)} "
+            f"({c.get('runtime.false_positive_exceptions', 0)} false "
+            f"positives)",
+            f"regions executed      : "
+            f"{c.get('vliw.regions_executed', 0)}",
+        ]
+        batch = c.get("vliw.backend_batch", 0)
+        tiers = (
+            f"replay backends       : "
+            f"{c.get('vliw.backend_interp', 0)} interp / "
+            f"{c.get('vliw.backend_py', 0)} py / "
+            f"{c.get('vliw.backend_vec', 0)} vec / "
+            f"{batch} batch"
+        )
+        if batch:
+            tiers += f" ({c.get('vliw.batch_iterations', 0)} batched iters)"
+        lines.append(tiers)
+    prefix_hits = c.get("dbt.prefix_hits", 0)
+    prefix_runs = prefix_hits + c.get("dbt.prefix_misses", 0)
+    if prefix_runs:
+        lines.append(
+            f"warm-up restores      : {prefix_hits} of {prefix_runs} "
+            f"runs ({prefix_hits / prefix_runs:.0%})"
+        )
+    plan_hits = c.get("vliw.plan_hits", 0)
+    plan_misses = c.get("vliw.plan_misses", 0)
+    lookups = plan_hits + plan_misses
+    if lookups:
+        lines += [
+            f"timing-plan lookups   : {plan_hits} hits / "
+            f"{plan_misses} misses ({plan_hits / lookups:.0%} hit)",
+            f"timing-plan compiles  : "
+            f"{c.get('vliw.plan_compiles', 0)} cycle arrays, "
+            f"{c.get('vliw.replay_compiles', 0)} replay fns",
+        ]
+    tc_hits = c.get("translate.cache_hits", 0)
+    tc_misses = c.get("translate.cache_misses", 0)
+    tc_lookups = tc_hits + tc_misses
+    if tc_lookups:
+        stored_kb = c.get("translate.cache_store_bytes", 0) / 1024
+        lines.append(
+            f"translation cache     : {tc_hits} hits / {tc_misses} misses "
+            f"({tc_hits / tc_lookups:.0%} hit), {stored_kb:.0f} KB stored"
+        )
+        stage_bits = []
+        for stage in STAGES:
+            hits = c.get(f"translate.{stage}_hits", 0)
+            total = hits + c.get(f"translate.{stage}_misses", 0)
+            if total:
+                stage_bits.append(f"{stage} {hits}/{total}")
+        if stage_bits:
+            lines.append(f"stage memo hits       : {', '.join(stage_bits)}")
+    return lines

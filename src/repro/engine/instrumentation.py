@@ -25,20 +25,16 @@ Counter names used by the simulation stack:
 ``vliw.plan_compiles``
     per-trace cycle-array compilations (at most one per compiled region
     trace);
-``vliw.plan_invalidations``
-    translations whose cached trace + plans were dropped on
-    re-optimization or blacklisting;
 ``vliw.replay_compiles``
     timing plans that adopted the straight-line ``py`` replay for their
-    trace: at promotion when no kernel can run the trace, after the
-    trace's kernel was demoted, or under a forced ``py`` tier (at
-    most one per compiled region trace; an adoption served from an
-    already-compiled shared artifact also counts
-    ``vliw.replay_cache_hits`` — no codegen ran for it);
+    trace, which only a forced ``py`` tier does (at most one per
+    compiled region trace; an adoption served from an already-compiled
+    shared artifact also counts ``vliw.replay_cache_hits`` — no codegen
+    ran for it);
 ``vliw.replay_cache_hits``
     replay adoptions — a promoted plan's kernel or a ``py`` adoption —
-    served from the process-wide artifact cache (content-identical
-    region clones sharing lowered IR + kernels);
+    served from an artifact compiled earlier: the translation-cache
+    entry's artifacts are shared by every clone of that entry;
 ``vliw.backend_interp`` / ``vliw.backend_py`` / ``vliw.backend_vec`` /
 ``vliw.backend_batch``
     region executions per replay backend tier (the generic dispatch
@@ -53,14 +49,13 @@ Counter names used by the simulation stack:
 ``vliw.vec_fallbacks``
     vec executions that hit a runtime fact outside the kernel's static
     model and re-ran on the dispatch loop, counted there as
-    ``vliw.backend_interp`` (repeated fallbacks demote the trace to
-    ``py`` for good);
+    ``vliw.backend_interp`` (the kernel stays: there is no demotion);
 ``vliw.batch_compiles`` / ``vliw.batch_iterations`` / ``vliw.batch_trims``
     batched kernels compiled (the one kernel of a trace with a
     back-edge), region iterations committed inside batch calls before
     the final one, and batch kernel calls cut short by a guarded escape
     (the trimmed iteration rolls back and re-runs on the dispatch loop;
-    repeated early trims demote the trace to ``py`` for good);
+    the kernel stays);
 ``translate.cache_hits`` / ``translate.cache_misses``
     full-translation lookups in the content-keyed translation cache (a
     hit clones a previously optimized region instead of re-optimizing);

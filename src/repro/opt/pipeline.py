@@ -22,14 +22,15 @@ refusing to speculate on that pair.
 
 Translation is memoized at two granularities (see
 :mod:`repro.opt.translation_cache`): whole translations are served from a
-content-keyed cache, and on a full-tier miss the one stage product that
-saves more than it costs — base memory dependences (``deps``) — is
-memoized with a stage-precise key; eliminations, the DDG and the
-scheduler's priority tables are recomputed on every miss. Because base
-dependence classification ignores alias hints while eliminations and
-scheduling read them, a re-optimization after an alias exception
-recomputes constraints, the DDG and allocation but reuses the base
-dependences when the transformed block is unchanged.
+content-keyed cache, whose entry also holds the replay kernels the
+simulator compiles for the translation's clones, and on a full-tier miss
+the one stage product that saves more than it costs — base memory
+dependences (``deps``) — is memoized with a stage-precise key;
+eliminations, the DDG and the scheduler's priority tables are recomputed
+on every miss. Because base dependence classification ignores alias
+hints while eliminations and scheduling read them, a re-optimization
+after an alias exception recomputes constraints, the DDG and allocation
+but reuses the base dependences when the transformed block is unchanged.
 The sub-phases are tracer-visible as ``optimize.constraints``,
 ``optimize.certify`` (when :attr:`OptimizerConfig.certify` is on — see
 :mod:`repro.analysis.certify`), ``optimize.ddg``, ``optimize.schedule``
@@ -252,37 +253,28 @@ class OptimizationPipeline:
         banned = self._no_speculate.get(original.entry_pc, set())
         tracer = self.tracer
 
-        # The full translation key doubles as the replay artifact key
-        # (attached below as region._replay_key): it is computed even when
-        # the translation cache is disabled so the simulator can share
-        # lowered replay IR and compiled kernels across content-identical
-        # regions (repro.sim.replay_backends).
+        if not TranslationCache.enabled():
+            return self._optimize_impl(original, hints, banned, None)
+        cache = get_translation_cache()
         full_key = self._full_key(
             region_content_key(original),
             tuple(sorted(hints.items())),
             tuple(sorted(banned)),
         )
-
-        cache = get_translation_cache() if TranslationCache.enabled() else None
-        if cache is not None:
-            if tracer.active:
-                with tracer.phase("optimize.cache"):
-                    region = cache.get_translation(full_key, tracer)
-            else:
+        if tracer.active:
+            with tracer.phase("optimize.cache"):
                 region = cache.get_translation(full_key, tracer)
-            if region is not None:
-                region._replay_key = full_key
-                return region
+        else:
+            region = cache.get_translation(full_key, tracer)
+        if region is not None:
+            return region
 
         region = self._optimize_impl(original, hints, banned, cache)
-        if cache is not None:
-            # Stored before the key is attached: a hit re-attaches it.
-            if tracer.active:
-                with tracer.phase("optimize.cache"):
-                    cache.store_translation(full_key, region, tracer)
-            else:
+        if tracer.active:
+            with tracer.phase("optimize.cache"):
                 cache.store_translation(full_key, region, tracer)
-        region._replay_key = full_key
+        else:
+            cache.store_translation(full_key, region, tracer)
         return region
 
     def _optimize_impl(

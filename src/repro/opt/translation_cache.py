@@ -14,6 +14,16 @@ from memory:
   nothing shared with other consumers), which is several times cheaper
   than re-optimizing. Blobs are serialized *at translation time*, before
   the VLIW simulator attaches its unpicklable compiled-trace closures.
+  Beside its blob, an entry owns the replay artifacts
+  (:class:`~repro.sim.replay_backends.ReplayArtifact`: lowered IR and
+  compiled kernels) of every region cloned from it, one per adapter
+  class and hardware config, in a dict the store attaches to the
+  translation it pickled and every hit attaches to its clone
+  (``region._artifact_map``). The clones of one key thus share
+  their kernels, the blob never holds one, and an evicted entry takes
+  its kernels with it once no live region uses them. A region that has
+  no entry (the cache is off, or the region was built outside the
+  pipeline) gets private artifacts from the simulator.
 * **stage tier** ``deps`` — when the full tier misses (a new scheme, a
   new hint set), the base memory dependences of the transformed block,
   stored as an immutable tuple of index triples shared by every hit,
@@ -35,8 +45,7 @@ KB that every tier would keep alive and rehash on every lookup. The
 pickler keeps no memo, so equal tuples give equal bytes whichever of
 their strings and tuples happen to be shared objects; key components are
 tuples of scalars, never sets or dicts, whose order could split equal
-keys. The replay artifact cache (:mod:`repro.sim.replay_backends`) keys
-by the same full-tier digest (``region._replay_key``).
+keys. The full-tier digest keys a translation's replay artifacts too.
 
 Blobs live in this process only, so every one was pickled by the running
 code. A hit reserves the blob's uid range
@@ -44,8 +53,9 @@ code. A hit reserves the blob's uid range
 never collide with freshly allocated ones.
 
 Kill switch: the neutral ``SMARQ_NO_TRANSLATION_CACHE`` knob
-(:mod:`repro.knobs`) disables every tier, read per translation. Both
-paths are byte-identical by construction and by lock
+(:mod:`repro.knobs`) disables every tier, read per translation, and with
+the full tier the sharing of replay kernels: each region then compiles
+its own. Both paths are byte-identical by construction and by lock
 (``tests/test_translation_cache.py``, fuzz oracle ``knobs``).
 
 Counters (via the engine tracer): ``translate.cache_hits`` /
@@ -132,11 +142,9 @@ def region_content_key(block) -> Tuple:
 class TranslationCache:
     """In-process LRU tiers: full translations and stage products."""
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is None:
-            max_entries = _DEFAULT_ENTRIES
-        self.max_entries = max(1, max_entries)
-        self._full: "OrderedDict[bytes, bytes]" = OrderedDict()
+    def __init__(self) -> None:
+        #: digest -> (blob, replay artifacts of the blob's clones)
+        self._full: "OrderedDict[bytes, Tuple[bytes, Dict]]" = OrderedDict()
         self._stages: Dict[str, "OrderedDict[bytes, Any]"] = {
             name: OrderedDict() for name in STAGES
         }
@@ -163,18 +171,21 @@ class TranslationCache:
     def _insert(self, tier: "OrderedDict", key: bytes, value: Any) -> None:
         tier[key] = value
         tier.move_to_end(key)
-        while len(tier) > self.max_entries:
+        while len(tier) > _DEFAULT_ENTRIES:
             tier.popitem(last=False)
 
     # -- full tier -----------------------------------------------------
     def get_translation(self, key: bytes, tracer) -> Optional[Any]:
-        """A private clone of the cached translation, or None."""
-        payload = self._lookup(self._full, key)
-        if payload is None:
+        """A private clone of the cached translation, sharing the
+        entry's replay artifacts, or None."""
+        entry = self._lookup(self._full, key)
+        if entry is None:
             tracer.count("translate.cache_misses")
             return None
+        payload, artifacts = entry
         max_uid, region = pickle.loads(payload)
         reserve_uids(max_uid)
+        region._artifact_map = artifacts
         tracer.count("translate.cache_hits")
         return region
 
@@ -190,7 +201,9 @@ class TranslationCache:
             # simulator trace, a test double) is simply not cached.
             tracer.count("translate.store_errors")
             return
-        self._insert(self._full, key, payload)
+        artifacts: Dict = {}
+        self._insert(self._full, key, (payload, artifacts))
+        region._artifact_map = artifacts
         tracer.count("translate.cache_stores")
         tracer.count("translate.cache_store_bytes", len(payload))
 

@@ -15,6 +15,7 @@ import socket
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.engine.core import counter_lines
 from repro.engine.jobs import JobSpec
 from repro.serve import protocol
 from repro.sim.dbt import DbtReport
@@ -227,7 +228,6 @@ class RemoteEngine:
         queue = stats.get("queue", {})
         memo = stats.get("memo", {})
         engine = stats.get("engine", {})
-        counters = stats.get("counters", {})
         lines = [
             "Server statistics",
             "=================",
@@ -248,10 +248,5 @@ class RemoteEngine:
             f"report cache          : {engine.get('cache_hits', 0)} hits / "
             f"{engine.get('cache_misses', 0)} misses "
             f"({engine.get('simulated_runs', 0)} simulated)",
-            f"translation cache     : "
-            f"{counters.get('translate.cache_hits', 0)} hits / "
-            f"{counters.get('translate.cache_misses', 0)} misses, "
-            f"{counters.get('translate.cache_store_bytes', 0) / 1024:.0f} "
-            f"KB stored",
         ]
-        return "\n".join(lines)
+        return "\n".join(lines + counter_lines(stats.get("counters", {})))

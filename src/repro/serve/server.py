@@ -1,10 +1,10 @@
 """The ``repro serve`` daemon: a warm, batched simulation/translation server.
 
 One long-lived process keeps every process-wide optimization tier warm
-across requests — the content-keyed region translation cache, the
-replay-IR artifact cache, per-region timing plans, and the persistent
-report cache — so repeat traffic skips straight past the work a cold
-CLI process would redo from zero.
+across requests — the content-keyed region translation cache with the
+replay kernels its entries hold, per-region timing plans, and the
+persistent report cache — so repeat traffic skips straight past the
+work a cold CLI process would redo from zero.
 
 Architecture (all threads daemonic, one process):
 

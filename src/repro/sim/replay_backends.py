@@ -12,9 +12,9 @@ A hot trace's functional replay runs on one of four tiers (selected by
     the IR: inlined 64-bit ALU arithmetic, memory through the
     :class:`~repro.sim.memory.Memory` accessors the dispatch loop calls,
     and the adapter's hardware events lowered to direct scalar model
-    calls. It is exact by construction; it runs the traces neither
-    kernel below can lower (or that a kernel demoted after repeated
-    escapes) and the forced ``py`` tier;
+    calls. It is exact by construction, and runs only when
+    ``SMARQ_REPLAY_BACKEND=py`` forces it: a trace neither kernel below
+    can lower stays on ``interp``;
 ``vec``
     :func:`compile_vec` — the alias hardware is **simulated statically at
     compile time** over the IR's event stream (every queue/ALAT/bit-mask
@@ -26,9 +26,9 @@ A hot trace's functional replay runs on one of four tiers (selected by
     at each exit. Anything the static model cannot decide — a bounds
     violation, a misaligned base, a possible alias overlap — returns
     :data:`FALLBACK` and the caller rolls back and re-executes that one
-    execution on the dispatch loop (far cheaper than generating ``py``
-    code for a one-off run); the kernel itself never touches adapter
-    state;
+    execution on the dispatch loop; the kernel itself never touches
+    adapter state, and stays the trace's kernel however often it
+    escapes;
 ``batch``
     :func:`compile_batch` — the vec residue wrapped in an iteration
     loop over the trace's structural back-edge: when a region's commit
@@ -80,14 +80,16 @@ normalized once, where they leave the kernel. Its snapshot of the
 committed registers is one tuple per :data:`_SNAPSHOT_CHUNK` registers,
 each of which CPython builds in one step.
 
-The module also owns the process-wide **replay artifact cache**: lowered
-IR and compiled backend functions are keyed by the region's translation
-key (content + config + hints), the adapter class, and the adapter's
+A trace's lowered IR and compiled functions are a
+:class:`ReplayArtifact`. The artifacts of a translation live in its
+translation-cache entry (:mod:`repro.opt.translation_cache`), one per
+adapter class and
 :meth:`~repro.sim.schemes.HardwareAdapter.replay_config_key`, so the
-translation cache's content-identical region clones (one per repeated
-run of a benchmark, for instance) stop re-generating identical replay code.
-Timing plans are deliberately *not* shared — they hold per-region exit
-outcomes and stay on the region object.
+cache's content-identical region clones (one per repeated run of a
+benchmark, for instance) never re-generate identical replay code, and
+an evicted entry takes its artifacts with it. Timing plans are
+deliberately *not* shared — they hold per-region exit outcomes and stay
+on the region object.
 
 Each ``compile_*`` pops its kernel out of the globals dict it was
 ``exec``-ed in. The kernel keeps that dict as its ``__globals__``, so a
@@ -99,7 +101,6 @@ refers to itself by name.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, List, Optional, Tuple
 
 from repro.hw.exceptions import AliasException
@@ -1301,7 +1302,7 @@ def compile_batch(ir: R.ReplayIR, adapter, guest_count: int):
 
 
 # ----------------------------------------------------------------------
-# process-wide replay artifact cache
+# replay artifacts
 # ----------------------------------------------------------------------
 class ReplayArtifact:
     """Shareable replay code for one (trace content, hardware) identity.
@@ -1309,85 +1310,23 @@ class ReplayArtifact:
     Holds everything that is a pure function of the lowered trace: the
     numeric IR and the compiled ``py``/``vec``/``batch`` functions. A
     trace normally compiles exactly one kernel (batch when it has a
-    back-edge, else vec): an execution that escapes it re-runs on the
-    dispatch loop, so ``py`` is generated only for a trace no kernel can
-    lower, a demoted one, or a forced ``py`` tier. The slots exist for
-    both kernels because simulators that force a tier or disable
-    batching share the artifact. Timing plans (exit outcomes, execution
-    counts) are per-region and never live here.
-    ``vec_state``/``batch_state``: 0 untried, 1 compiled, -1 unavailable
-    (a trace the shared lowering rejects — both kernels then — or a
-    demoted one: vec after repeated fallbacks, batch after repeated
-    early trims).
+    back-edge, else vec), and ``py`` only under a forced ``py`` tier.
+    The slots exist for both kernels because simulators that force a
+    tier share the artifact. Timing plans (exit outcomes, execution
+    counts) are per-region and never live here. ``rejected`` is set
+    when the shared lowering rejects the trace, for both kernels; each
+    ``*_guest_count`` is the register file size its kernel was compiled
+    for.
     """
 
-    __slots__ = ("ir", "py_fn", "vec_fn", "vec_state", "vec_fallbacks",
-                 "vec_guest_count", "batch_fn", "batch_state",
-                 "batch_trims", "batch_guest_count")
+    __slots__ = ("ir", "rejected", "py_fn", "vec_fn", "vec_guest_count",
+                 "batch_fn", "batch_guest_count")
 
     def __init__(self) -> None:
         self.ir: Optional[R.ReplayIR] = None
+        self.rejected = False
         self.py_fn: Optional[Callable] = None
         self.vec_fn: Optional[Callable] = None
-        self.vec_state = 0
-        self.vec_fallbacks = 0
         self.vec_guest_count = 0
         self.batch_fn: Optional[Callable] = None
-        self.batch_state = 0
-        self.batch_trims = 0
         self.batch_guest_count = 0
-
-
-#: vec kernels falling back this many times are demoted to the py tier
-VEC_FALLBACK_LIMIT = 4
-
-#: batch kernels trimming early this many times are demoted to the py
-#: tier. A trim is early when it comes after fewer than half of
-#: ``min(n, BATCH_EARLY_SPAN)`` committed iterations — every trim of an
-#: ``n = 1`` run is early, and one after 8 or more iterations never is,
-#: however wide the batch
-BATCH_TRIM_LIMIT = 4
-BATCH_EARLY_SPAN = 16
-
-_CACHE_LIMIT = 256
-_artifacts: "OrderedDict[Tuple, ReplayArtifact]" = OrderedDict()
-#: replay key -> the keys of its cached artifacts (one per adapter class
-#: and hardware config), so invalidation is a lookup, not a scan
-_by_replay_key: dict = {}
-
-
-def artifact_for(key: Tuple) -> ReplayArtifact:
-    """The shared artifact for ``key``, creating (and LRU-evicting) as
-    needed. ``key`` must fold in everything replay code depends on:
-    the region's translation key (content, optimizer config, machine,
-    alias hints/bans), the adapter class, and the adapter instance's
-    ``replay_config_key()``."""
-    art = _artifacts.get(key)
-    if art is not None:
-        _artifacts.move_to_end(key)
-        return art
-    art = ReplayArtifact()
-    _artifacts[key] = art
-    _by_replay_key.setdefault(key[0], []).append(key)
-    if len(_artifacts) > _CACHE_LIMIT:
-        old, _ = _artifacts.popitem(last=False)
-        keys = _by_replay_key[old[0]]
-        keys.remove(old)
-        if not keys:
-            del _by_replay_key[old[0]]
-    return art
-
-
-def invalidate_artifacts(replay_key) -> int:
-    """Drop every cached artifact lowered from ``replay_key`` (region
-    re-optimized or blacklisted). Returns the number dropped."""
-    stale = _by_replay_key.pop(replay_key, ())
-    for k in stale:
-        del _artifacts[k]
-    return len(stale)
-
-
-def reset_artifact_cache() -> None:
-    """Clear the cache (tests)."""
-    _artifacts.clear()
-    _by_replay_key.clear()

@@ -10,6 +10,10 @@ outcomes:
   faulting pair as a must-alias hint, re-optimize the region
   conservatively, install the new translation, and interpret forward once
   before retrying (forward progress even if the new translation faults).
+  The replaced translation is dropped with nothing to invalidate: its
+  compiled trace and timing plan live on it, and its replay kernels stay
+  in its translation-cache entry for the next run that translates the
+  same key (:mod:`repro.opt.translation_cache`).
 
 The runtime also charges translation/optimization overhead in simulated
 cycles (Figure 18's accounting): ``opt_cycles_per_instruction`` per region
@@ -28,7 +32,7 @@ from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizedRegion
 from repro.sim.memory import Memory
 from repro.sim.schemes import Scheme
-from repro.sim.vliw import RegionOutcome, VliwSimulator, invalidate_timing_plans
+from repro.sim.vliw import RegionOutcome, VliwSimulator
 from repro.hw.exceptions import AliasRegisterOverflow
 
 
@@ -177,20 +181,10 @@ class DynamicOptimizationRuntime:
             self.stats.region_commits += 1
         return outcome
 
-    def _drop_translation_plans(self, entry: _RegionEntry) -> None:
-        """Invalidate the outgoing translation's compiled trace + timing
-        plans. A replacement translation is a fresh object, so the
-        identity-keyed cache could never serve stale timing — this makes
-        the invalidation rule explicit and observable
-        (``vliw.plan_invalidations``)."""
-        if invalidate_timing_plans(entry.translation):
-            self.tracer.count("vliw.plan_invalidations")
-
     def _handle_alias(self, entry: _RegionEntry, outcome: RegionOutcome) -> None:
         entry.faults += 1
         pc = entry.original.entry_pc
         if entry.faults > self.config.max_reoptimizations_per_region:
-            self._drop_translation_plans(entry)
             self._blacklist.add(pc)
             self.stats.blacklisted_regions += 1
             return
@@ -208,7 +202,6 @@ class DynamicOptimizationRuntime:
         self.stats.reoptimizations += 1
         self.tracer.count("runtime.reoptimizations")
         translation = self._optimize_charged(entry.original)
-        self._drop_translation_plans(entry)
         if translation is None:
             self._blacklist.add(pc)
             self.stats.blacklisted_regions += 1

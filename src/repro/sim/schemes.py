@@ -122,10 +122,10 @@ class HardwareAdapter:
     def replay_config_key(self):
         """Hashable identity of this adapter's hardware configuration.
 
-        Keys the process-wide replay artifact cache (together with the
-        region's translation key and the adapter class), so lowered IR
-        and compiled backends are shared only between executions whose
-        hardware would behave identically.
+        Keys a translation-cache entry's replay artifacts (together
+        with the adapter class), so lowered IR and compiled backends are
+        shared only between executions whose hardware would behave
+        identically.
         """
         raise NotImplementedError
 

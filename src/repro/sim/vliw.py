@@ -83,21 +83,22 @@ it keeps each store's old word in a local and returns the pairs of
 the one iteration that can still roll back. Any runtime fact that
 escapes a kernel's static model (bounds violation, misaligned base,
 possible alias overlap) rolls back and re-runs that one execution on
-the dispatch loop — the ``interp`` oracle, exact by construction, and
-far cheaper for one run than generating ``py`` code for it. Traces that
-keep escaping are demoted to the straight-line ``py`` function for
-good, and a trace neither kernel can lower — one with an access that is
-not an aligned 8-byte word, for instance — runs ``py`` from the
-threshold on.
+the dispatch loop — the ``interp`` oracle, exact by construction. There
+is no demotion: a kernel stays its trace's kernel however often it
+escapes. A trace neither kernel can lower — one with an access that is
+not an aligned 8-byte word, for instance — stays on the dispatch loop;
+no trace adopts ``py`` in auto mode.
 
 ``SMARQ_REPLAY_BACKEND=interp|py|vec|batch`` forces a tier for every
 region from its first execution (the kill switch / oracle selector:
 ``vec`` never batches, so it makes ``vec`` the one kernel of every
-trace; ``batch`` is the auto policy without the warm-up). Lowered IR and
-compiled kernels are shared process-wide through the replay artifact
-cache keyed by the region's translation key (see ``region._replay_key``,
-attached by :mod:`repro.opt.pipeline`) so content-identical clones from
-the translation cache never recompile.
+trace; ``batch`` is the auto policy without the warm-up; ``py`` is the
+only way to run the straight-line function). Lowered IR and compiled
+kernels live in the region's translation-cache entry
+(``region._artifact_map``, attached by
+:mod:`repro.opt.translation_cache`), so content-identical clones from
+the translation cache never recompile; a region without an entry gets
+private artifacts.
 Every tier produces byte-identical reports — locked by
 ``tests/test_replay_ir.py``, ``tests/test_batch_replay.py`` and the
 ``knobs`` fuzz oracle.
@@ -220,18 +221,17 @@ class _TimingPlan:
     ``executions`` counts planned replays of the trace; the execution
     that reaches :data:`_REPLAY_THRESHOLD` promotes the plan to its
     ``tier``: ``"batch"`` or ``"vec"`` (the one kernel compiled for the
-    trace, see :meth:`VliwSimulator._promote`) or ``"py"`` (no kernel).
-    The threshold keeps one-shot regions from paying the ~ms codegen
-    cost; hot regions execute hundreds of times and amortize it at once.
-    ``replay_fn`` is the straight-line ``py`` function (:func:`repro.sim
-    .replay_backends.compile_py`), adopted when the plan has no kernel:
-    none could lower the trace, the kernel was demoted, or the tier is
-    forced to ``py``. An execution that escapes a kernel re-runs on the
-    dispatch loop and adopts nothing. ``artifact`` is
-    the process-wide shared :class:`~repro.sim.replay_backends
-    .ReplayArtifact` holding the lowered IR and compiled kernels
-    (content-identical region clones share one artifact; the plan itself
-    — exit outcomes, execution count, tier — stays per-region).
+    trace, see :meth:`VliwSimulator._promote`), ``"py"`` (forced) or
+    ``"interp"`` (no kernel can run the trace). The threshold keeps
+    one-shot regions from paying the ~ms codegen cost; hot regions
+    execute hundreds of times and amortize it at once. ``replay_fn`` is
+    the straight-line ``py`` function (:func:`repro.sim.replay_backends
+    .compile_py`) of a forced ``py`` tier. An execution that escapes a
+    kernel re-runs on the dispatch loop. ``artifact`` is the
+    :class:`~repro.sim.replay_backends.ReplayArtifact` holding the
+    lowered IR and compiled kernels, shared by content-identical region
+    clones through their translation-cache entry (the plan itself — exit
+    outcomes, execution count, tier — stays per-region).
     """
 
     __slots__ = ("cycle_after", "exits", "executions", "tier",
@@ -241,7 +241,8 @@ class _TimingPlan:
         self.cycle_after: Optional[List[int]] = None
         self.exits: Dict[Tuple[int, int], RegionOutcome] = {}
         self.executions = 0
-        #: None until promotion (dispatch loop), then "batch"/"vec"/"py"
+        #: None until promotion (dispatch loop), then
+        #: "batch"/"vec"/"py"/"interp"
         self.tier: Optional[str] = None
         self.replay_fn: Optional[Callable] = None
         self.artifact: Optional[_backends.ReplayArtifact] = None
@@ -303,26 +304,6 @@ def _compile_timing(machine: MachineModel, trace) -> List[int]:
             reg_ready[dest] = cycle + latency
         cycle_after.append(cycle)
     return cycle_after
-
-
-def invalidate_timing_plans(region) -> bool:
-    """Drop a region's cached compiled trace, timing plans, and shared
-    replay artifacts (lowered IR + compiled backend kernels).
-
-    Called by the runtime when a region is re-optimized or blacklisted;
-    the replacement translation is a fresh object (so the identity-keyed
-    cache could never serve it stale data anyway), but clearing the old
-    region's cache makes the invalidation rule explicit and frees the
-    plan memory of translations that will never run again. Returns True
-    when there was anything to drop.
-    """
-    replay_key = getattr(region, "_replay_key", None)
-    if replay_key is not None:
-        _backends.invalidate_artifacts(replay_key)
-    if getattr(region, "_vliw_trace", None) is not None:
-        region._vliw_trace = None
-        return True
-    return False
 
 
 def _compile_alu_fn(inst: Instruction) -> Callable[[List[int]], None]:
@@ -617,17 +598,14 @@ class VliwSimulator:
             self.machine, linear, adapter_cls
         )
         plan = _TimingPlan()
-        # Shared replay artifact: regions carrying a translation key share
-        # lowered IR and compiled kernels process-wide with every region
-        # of equal key on the same adapter class and hardware config;
-        # a region built outside the pipeline gets a private artifact.
-        replay_key = getattr(region, "_replay_key", None)
-        if replay_key is not None:
-            plan.artifact = _backends.artifact_for(
-                (replay_key, adapter_cls, adapter.replay_config_key())
-            )
-        else:
-            plan.artifact = _backends.ReplayArtifact()
+        # The artifact of the region's translation-cache entry for this
+        # adapter class and hardware config, shared with every clone of
+        # the entry; a private one for a region that has no entry.
+        artifacts = getattr(region, "_artifact_map", {})
+        key = (adapter_cls, adapter.replay_config_key())
+        plan.artifact = artifacts.get(key)
+        if plan.artifact is None:
+            plan.artifact = artifacts[key] = _backends.ReplayArtifact()
         region._vliw_trace = (
             linear, adapter_cls, self.machine, trace, fall_through,
             ftrace, plan,
@@ -655,38 +633,33 @@ class VliwSimulator:
             tier = self._promote(
                 region, trace, fall_through, plan, adapter, len(registers)
             )
-        escape = False
         if tier == "batch":
-            art = plan.artifact
-            if art.batch_state > 0:
-                # n = 1 unless the region re-enters itself; never run
-                # more iterations than the step budget affords: the
-                # caller charges max(1, instructions) guest steps per
-                # commit, exactly like scalar mode
-                n = 1
-                loop = plan.batch_loop
-                if loop is not None:
-                    n = -(-steps_budget // (loop[0] + 1))
-                    if n > _BATCH_WIDTH:
-                        n = _BATCH_WIDTH
-                return self._run_batch(
-                    region, adapter, registers, trace, fall_through,
-                    ftrace, plan, art.batch_fn, n,
-                )
-        elif tier == "vec":
-            art = plan.artifact
-            if art.vec_state > 0:
-                out = self._run_vec(
-                    region, adapter, registers, trace, fall_through, plan,
-                    art.vec_fn,
-                )
-                if out is not None:
-                    return out, None, 0
-                escape = True  # re-run this one execution exactly
+            # n = 1 unless the region re-enters itself; never run more
+            # iterations than the step budget affords: the caller
+            # charges max(1, instructions) guest steps per commit,
+            # exactly like scalar mode
+            n = 1
+            loop = plan.batch_loop
+            if loop is not None:
+                n = -(-steps_budget // (loop[0] + 1))
+                if n > _BATCH_WIDTH:
+                    n = _BATCH_WIDTH
+            return self._run_batch(
+                region, adapter, registers, trace, fall_through, ftrace,
+                plan, plan.artifact.batch_fn, n,
+            )
+        if tier == "vec":
+            out = self._run_vec(
+                region, adapter, registers, trace, fall_through, plan,
+                plan.artifact.vec_fn,
+            )
+            if out is not None:
+                return out, None, 0
+            # escaped: re-run this one execution exactly
         return (
             self._execute_planned(
                 region, adapter, registers, trace, fall_through, ftrace,
-                plan, escape,
+                plan,
             ),
             None,
             0,
@@ -698,41 +671,42 @@ class VliwSimulator:
     ) -> str:
         """Give the plan its tier at the promotion threshold.
 
-        The trace compiles (or finds in its shared artifact) exactly one
+        A forced ``py`` tier adopts the straight-line function. Any other
+        trace compiles (or finds in its shared artifact) exactly one
         kernel: ``batch`` when it has a structural back-edge, else
         ``vec`` — ``vec`` for every trace when the simulator forces it.
-        The tier is ``py`` when the backend is forced to ``py`` or the
-        kernel is unavailable: rejected by the lowering, demoted, or
-        compiled for another register file size.
+        The tier is ``interp`` when the kernel is unavailable: rejected
+        by the lowering, or compiled for another register file size.
         """
+        if self._backend == "py":
+            self._adopt_py(region, trace, plan, adapter)
+            plan.tier = "py"
+            return "py"
         art = plan.artifact
-        tier = "py"
-        if self._backend != "py":
-            ir = self._ensure_ir(region, trace, art, adapter)
-            batch = (
-                self._backend != "vec" and _loop_candidate(ir) is not None
-            )
-            if self._adopt_kernel(art, ir, adapter, guest_count, batch):
-                tier = "batch" if batch else "vec"
-                if batch:
-                    plan.batch_loop = _backends.loop_exit_for(
-                        ir, region.block.entry_pc, fall_through
-                    )
+        ir = self._ensure_ir(region, trace, art, adapter)
+        batch = self._backend != "vec" and _loop_candidate(ir) is not None
+        tier = "interp"
+        if self._adopt_kernel(art, ir, adapter, guest_count, batch):
+            tier = "batch" if batch else "vec"
+            if batch:
+                plan.batch_loop = _backends.loop_exit_for(
+                    ir, region.block.entry_pc, fall_through
+                )
         plan.tier = tier
         return tier
 
     def _adopt_kernel(self, art, ir, adapter, guest_count, batch) -> bool:
         """Compile the artifact's batch (or vec) kernel on first need, or
         adopt the compiled one (``vliw.replay_cache_hits``). False when
-        the plan must run ``py`` instead."""
+        the plan must stay on the dispatch loop instead."""
+        if art.rejected:
+            return False
         tracer = self.tracer
         if batch:
-            state, compiled_for = art.batch_state, art.batch_guest_count
+            fn, compiled_for = art.batch_fn, art.batch_guest_count
         else:
-            state, compiled_for = art.vec_state, art.vec_guest_count
-        if state < 0:
-            return False
-        if state > 0:
+            fn, compiled_for = art.vec_fn, art.vec_guest_count
+        if fn is not None:
             # the kernel hard-codes writeback bounds: a different guest
             # register file size can't use it
             if compiled_for != guest_count:
@@ -746,15 +720,13 @@ class VliwSimulator:
             fn = _backends.compile_vec(ir, adapter, guest_count)
         if fn is None:
             # one lowering backs both kernels: neither can run the trace
-            art.batch_state = art.vec_state = -1
+            art.rejected = True
             return False
         if batch:
-            art.batch_fn = fn
-            art.batch_state, art.batch_guest_count = 1, guest_count
+            art.batch_fn, art.batch_guest_count = fn, guest_count
             tracer.count("vliw.batch_compiles")
         else:
-            art.vec_fn = fn
-            art.vec_state, art.vec_guest_count = 1, guest_count
+            art.vec_fn, art.vec_guest_count = fn, guest_count
             tracer.count("vliw.vec_compiles")
         return True
 
@@ -788,10 +760,6 @@ class VliwSimulator:
                 exit_kind, payload,
             )
         _restore_words(memory.words, undo_log)
-        art = plan.artifact
-        art.vec_fallbacks += 1
-        if art.vec_fallbacks >= _backends.VEC_FALLBACK_LIMIT:
-            art.vec_state = -1  # always-escaping trace: stop retrying
         if tracer.active:
             tracer.count("vliw.vec_fallbacks")
         return None
@@ -851,14 +819,9 @@ class VliwSimulator:
             _restore_words(memory.words, undo)
             if active:
                 tracer.count("vliw.batch_trims")
-            if iters * 2 < min(n, _backends.BATCH_EARLY_SPAN):
-                art = plan.artifact
-                art.batch_trims += 1
-                if art.batch_trims >= _backends.BATCH_TRIM_LIMIT:
-                    art.batch_state = -1  # keeps trimming early: demote
             final = self._execute_planned(
                 region, adapter, registers, trace, fall_through, ftrace,
-                plan, escape=True,
+                plan,
             )
         else:
             plan.executions += 1
@@ -883,7 +846,6 @@ class VliwSimulator:
         fall_through,
         ftrace,
         plan: _TimingPlan,
-        escape: bool = False,
     ) -> RegionOutcome:
         memory = self.memory
         self.stats.regions_executed += 1
@@ -897,13 +859,11 @@ class VliwSimulator:
         plan.executions += 1
 
         # A plan runs the dispatch loop until it is promoted. After that
-        # it lands here to re-run one execution that ``escape``d its
-        # kernel — on the dispatch loop, the ``interp`` oracle: a one-off
-        # run costs far less than generating ``py`` code for it — or to
-        # run the py tier: it has no kernel, or its kernel was demoted.
+        # it lands here to re-run one execution that escaped its kernel
+        # on the dispatch loop, the ``interp`` oracle; to stay on the
+        # dispatch loop, when no kernel can run the trace; or to run a
+        # forced py tier.
         replay = plan.replay_fn
-        if replay is None and plan.tier is not None and not escape:
-            replay = self._ensure_py(region, trace, plan, adapter, tracer)
 
         # The py tier and the dispatch loop drive the adapter's real
         # hardware models; the region-enter reset the kernels skip
@@ -1007,17 +967,16 @@ class VliwSimulator:
             )
         return ir
 
-    def _ensure_py(self, region, trace, plan: _TimingPlan, adapter, tracer):
-        """Adopt the straight-line py replay for this plan (compiling it
-        into the shared artifact on first need).
+    def _adopt_py(self, region, trace, plan: _TimingPlan, adapter) -> None:
+        """Adopt the straight-line py replay for a plan of the forced
+        ``py`` tier (compiling it into the shared artifact on first
+        need).
 
-        ``vliw.replay_compiles`` counts per-plan adoptions — a plan
-        without a kernel, a plan whose kernel was demoted, or a forced
-        ``py`` tier (a one-off escape from a kernel re-runs on the
-        dispatch loop instead); an adoption served from an
-        already-compiled shared artifact also counts
+        ``vliw.replay_compiles`` counts per-plan adoptions; an adoption
+        served from an already-compiled shared artifact also counts
         ``vliw.replay_cache_hits`` (no codegen ran).
         """
+        tracer = self.tracer
         art = plan.artifact
         fn = art.py_fn
         if fn is None:
@@ -1029,7 +988,6 @@ class VliwSimulator:
         plan.replay_fn = fn
         if tracer.active:
             tracer.count("vliw.replay_compiles")
-        return fn
 
     def _exit_outcome(
         self, region, trace, fall_through, plan: _TimingPlan, idx: int,

@@ -15,13 +15,14 @@ kernel call. These tests pin its contract:
   value leaves the kernel, and one the next iteration reads is
   normalized at the back edge — 64-bit overflow included;
 * auto promotion compiles the batch kernel — the one kernel of a trace
-  with a back-edge — at ``_REPLAY_THRESHOLD`` executions, and
-  early-trimming traces demote at ``BATCH_TRIM_LIMIT``, where a trim is
-  early after fewer than half of ``min(n, BATCH_EARLY_SPAN)`` committed
-  iterations, however wide the batch;
+  with a back-edge — at ``_REPLAY_THRESHOLD`` executions;
+* a trace that escapes its batch or vec kernel on every execution keeps
+  that kernel (there is no demotion) and still equals the ``interp``
+  oracle, whether it escapes before or after committed iterations;
 * one kernel call runs at most ``_BATCH_WIDTH`` iterations, and forced
   scalar backends are kill switches;
-* re-optimization (plan invalidation) drops the compiled batch kernel;
+* a re-optimized region's kernel stays in its translation-cache entry:
+  the next run that translates the same key adopts it;
 * the warm serve daemon reuses compiled batch kernels across repeat
   batches (zero-delta ``vliw.batch_compiles``).
 """
@@ -43,22 +44,13 @@ from repro.ir.instruction import (
 )
 from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
+from repro.opt.translation_cache import reset_translation_cache
 from repro.sched.machine import MachineModel
 from repro.sim import replay_ir as R
 from repro.sim.dbt import DbtSystem
 from repro.sim.memory import Memory
-from repro.sim.replay_backends import (
-    BATCH_EARLY_SPAN,
-    BATCH_TRIM_LIMIT,
-    reset_artifact_cache,
-)
 from repro.sim.schemes import SmarqAdapter
-from repro.sim.vliw import (
-    _BATCH_WIDTH,
-    _REPLAY_THRESHOLD,
-    VliwSimulator,
-    invalidate_timing_plans,
-)
+from repro.sim.vliw import _BATCH_WIDTH, _REPLAY_THRESHOLD, VliwSimulator
 from repro.workloads import make_benchmark
 
 MACHINE = MachineModel()
@@ -160,7 +152,7 @@ class TestByteIdentity:
         threshold and the batch kernel from then on — no py or vec
         codegen beside it — and the tiers partition every region
         execution."""
-        reset_artifact_cache()
+        reset_translation_cache()
         tracer = Tracer()
         bench_report("pchase", "smarq", tracer=tracer)
         c = tracer.counters
@@ -319,7 +311,7 @@ class TestStepsBudget:
         assert batch == oracle
 
 
-class TestPromotionDemotion:
+class TestPromotion:
     def test_batch_engages_at_threshold(self, monkeypatch):
         monkeypatch.delenv("SMARQ_REPLAY_BACKEND", raising=False)
         sim = VliwSimulator(MACHINE, Memory(4096))
@@ -341,7 +333,7 @@ class TestPromotionDemotion:
         ``execute_region``, a budget affording one iteration, and a
         region whose back-edge leaves it. No other kernel compiles."""
         monkeypatch.delenv("SMARQ_REPLAY_BACKEND", raising=False)
-        reset_artifact_cache()
+        reset_translation_cache()
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
         region = loop_region()
@@ -364,44 +356,63 @@ class TestPromotionDemotion:
         assert c.get("vliw.vec_compiles", 0) == 0
         assert c.get("vliw.replay_compiles", 0) == 0
 
-    def test_early_trimming_trace_demotes(self):
-        """A trace whose alias sweep fires every iteration trims at
-        iteration 0 each time; after BATCH_TRIM_LIMIT early trims the
-        artifact demotes and the tier stops trying."""
-        with knobs.overridden(knobs.REPLAY_BACKEND, "batch"):
-            tracer = Tracer()
-            sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
-            region = alias_loop_region()
-            for _ in range(BATCH_TRIM_LIMIT + 3):
-                out, _, batched = batch_once(sim, region, r3=0x100)
-                assert out.status == "alias"
-                assert batched == 0
-            assert tracer.counters.get("vliw.batch_trims") == (
-                BATCH_TRIM_LIMIT
-            )
-            assert region._vliw_trace[6].artifact.batch_state == -1
 
-    @pytest.mark.parametrize("k", [BATCH_EARLY_SPAN // 2 - 1,
-                                   BATCH_EARLY_SPAN // 2, 100])
-    def test_trim_after_half_the_early_span_is_not_early(self, k):
-        """In a full-width batch, a trim after 7 committed iterations is
-        early and one after 8 or 100 is not, as when batches were 16
-        wide: ``BATCH_TRIM_LIMIT`` such trims demote only the first."""
-        reset_artifact_cache()  # each k starts from a fresh kernel
-        with knobs.overridden(knobs.REPLAY_BACKEND, "batch"):
+class TestNoDemotion:
+    """Escapes never cost a trace its kernel."""
+
+    RUNS = 6  # past the 4 escapes that once demoted a kernel
+
+    @staticmethod
+    def _escape_every_run(tier, k, runs):
+        """``runs`` runs of :func:`walking_alias_region` on a ``tier``
+        simulator, each from a fresh register file started ``k`` words
+        below the store and driven until an execution aborts: ``k``
+        commits, then the collision. Returns the outcome, registers and
+        memory after each run, the simulator and hardware stats, the
+        counters and the region's plan."""
+        with knobs.overridden(knobs.REPLAY_BACKEND, tier):
             tracer = Tracer()
             sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
-            region = walking_alias_region()
-            for _ in range(BATCH_TRIM_LIMIT):
-                out, _, batched = batch_once(sim, region, r3=0x800 - 8 * k)
-                assert (out.status, batched) == ("alias", k)
-            assert tracer.counters.get("vliw.batch_trims") == (
-                BATCH_TRIM_LIMIT
-            )
-            early = 2 * k < BATCH_EARLY_SPAN
-            assert region._vliw_trace[6].artifact.batch_state == (
-                -1 if early else 1
-            )
+        region = walking_alias_region()
+        adapter = SmarqAdapter(64)
+        results = []
+        for _ in range(runs):
+            registers = [0] * 64
+            registers[3] = 0x800 - 8 * k
+            out = None
+            while out is None or out.status == "commit":
+                out, _, _ = sim.execute_region_batch(
+                    region, adapter, registers, 10**6
+                )
+            results.append((out, list(registers), sim.memory.to_bytes()))
+        return (
+            results, sim.stats, adapter.queue.stats, tracer.counters,
+            region._vliw_trace[6],
+        )
+
+    @pytest.mark.parametrize("k", [0, 7, 100])
+    @pytest.mark.parametrize("tier,escapes", [("batch", "batch_trims"),
+                                              ("vec", "vec_fallbacks")])
+    def test_escaping_trace_keeps_its_kernel(self, tier, escapes, k):
+        """Every run escapes the kernel once, at the collision, after
+        ``k`` committed iterations (in one batch call on the batch
+        tier), and re-runs that execution on the dispatch loop. The
+        kernel runs every commit and meets every collision to the last
+        run, and every run equals the ``interp`` oracle's."""
+        reset_translation_cache()  # each case compiles its own kernel
+        results, stats, hw, c, plan = self._escape_every_run(
+            tier, k, self.RUNS
+        )
+        assert c[f"vliw.{tier}_compiles"] == 1
+        assert c[f"vliw.{escapes}"] == self.RUNS
+        assert c.get(f"vliw.backend_{tier}", 0) == self.RUNS * k
+        assert c["vliw.backend_interp"] == self.RUNS
+        assert plan.tier == tier
+        assert all(out.status == "alias" for out, _, _ in results)
+        oracle = self._escape_every_run("interp", k, self.RUNS)
+        assert results == oracle[0]
+        assert stats == oracle[1]
+        assert hw == oracle[2]
 
 
 class TestKillSwitches:
@@ -432,24 +443,30 @@ class TestKillSwitches:
         assert enabled == disabled
 
 
-class TestInvalidation:
-    def test_reoptimize_drops_batch_kernel(self):
-        """Plan invalidation (re-optimization) drops the shared artifact
-        for the region's replay key — the next run recompiles."""
-        with knobs.overridden(knobs.REPLAY_BACKEND, "batch"):
-            tracer = Tracer()
-            sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
-            region = loop_region()
-            region._replay_key = ("test-batch-invalidate",)
-            batch_once(sim, region)
-            assert tracer.counters.get("vliw.batch_compiles") == 1
-            # a second run reuses the compiled kernel
-            batch_once(sim, region)
-            assert tracer.counters.get("vliw.batch_compiles") == 1
-            assert invalidate_timing_plans(region) is True
-            out, _, batched = batch_once(sim, region)
-            assert out.status == "commit" and batched > 0
-            assert tracer.counters.get("vliw.batch_compiles") == 2
+class TestReoptimizedKernels:
+    def test_next_run_adopts_a_replaced_translations_kernel(self):
+        """A re-optimization drops the replaced translation with nothing
+        to invalidate; its kernel stays in its translation-cache entry,
+        and a second run of the same cell translates that key again and
+        adopts the kernel instead of compiling it. Both runs report the
+        same."""
+        with knobs.overridden(knobs.NO_TRANSLATION_CACHE, "0"):
+            reset_translation_cache()
+            first, second = Tracer(), Tracer()
+            cold = bench_report("ammp", "smarq", tracer=first)
+            warm = bench_report("ammp", "smarq", tracer=second)
+        assert cold == warm
+        c = first.counters
+        # premise: the cold run replaced a translation after compiling
+        assert c["runtime.reoptimizations"] > 0
+        kernels = c.get("vliw.batch_compiles", 0) + c.get(
+            "vliw.vec_compiles", 0
+        )
+        assert kernels > 0 and c.get("vliw.replay_cache_hits", 0) == 0
+        w = second.counters
+        assert w.get("vliw.batch_compiles", 0) == 0
+        assert w.get("vliw.vec_compiles", 0) == 0
+        assert w["vliw.replay_cache_hits"] == kernels
 
 
 class TestIrHelpers:
@@ -476,7 +493,8 @@ class TestServeBatchWarm:
     def test_repeat_batch_reuses_batch_kernels(self):
         """With memo and report cache off, a repeat batch re-executes
         through the engine — and must be served entirely by the warm
-        compiled batch kernels: zero new ``vliw.batch_compiles``."""
+        compiled batch kernels, which the translation cache keeps: zero
+        new ``vliw.batch_compiles``."""
         from repro.engine.jobs import JobSpec
         from repro.serve import ServeClient, ServeConfig, running_server
 
@@ -484,11 +502,12 @@ class TestServeBatchWarm:
             JobSpec(benchmark=b, scheme_key="smarq", scale=0.05)
             for b in ("pchase", "pwalk")
         ]
-        # drop process-wide artifacts so the cold leg really compiles
-        reset_artifact_cache()
-        with running_server(
-            ServeConfig(cache=False, memo_limit=0)
-        ) as server:
+        # drop the cached translations and their kernels so the cold leg
+        # really compiles
+        reset_translation_cache()
+        with knobs.overridden(knobs.NO_TRANSLATION_CACHE, "0"), \
+                running_server(ServeConfig(cache=False, memo_limit=0)) \
+                as server:
             with ServeClient(server.address) as client:
                 assert client.submit(jobs).failed == 0
                 cold = client.stats()["counters"]

@@ -31,7 +31,6 @@ from repro import knobs
 from repro.frontend.profiler import ProfilerConfig
 from repro.opt.translation_cache import reset_translation_cache
 from repro.sim.dbt import DbtSystem, reset_prefix_memo
-from repro.sim.replay_backends import reset_artifact_cache
 from repro.workloads import make_benchmark
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
@@ -107,7 +106,6 @@ def test_report_matches_golden(bench, scheme, scale):
 def reset_process_caches() -> None:
     """Empty the process-wide caches a run fills, as in a fresh process."""
     reset_translation_cache()
-    reset_artifact_cache()
     reset_prefix_memo()
 
 

@@ -23,7 +23,7 @@ tests pin:
   address 0 at the group's guard, past the end at the access — and the
   re-run raises the ``interp`` tier's fault;
 * a trace with a sub-word or unaligned access is rejected by both
-  kernels, and the run equals ``interp``;
+  kernels, stays on the dispatch loop, and the run equals ``interp``;
 * every batch kernel generated on the golden cells snapshots the guest
   registers it writes in chunks of at most 30, and restores and writes
   back each chunk with one statement — none when it writes no guest
@@ -50,6 +50,7 @@ from repro.ir.instruction import (
 )
 from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
+from repro.opt.translation_cache import reset_translation_cache
 from repro.sched.machine import MachineModel
 from repro.sim import replay_ir as R
 from repro.sim.dbt import DbtSystem
@@ -67,10 +68,12 @@ MEMORY_BYTES = 4096
 
 @pytest.fixture(autouse=True)
 def _fresh_artifacts(monkeypatch):
+    """Replay artifacts live in translation-cache entries: an empty
+    cache compiles every kernel afresh."""
     monkeypatch.delenv("SMARQ_REPLAY_BACKEND", raising=False)
-    backends_mod.reset_artifact_cache()
+    reset_translation_cache()
     yield
-    backends_mod.reset_artifact_cache()
+    reset_translation_cache()
 
 
 @st.composite
@@ -433,9 +436,10 @@ class TestWordKernelEscapes:
         assert sources == []
         assert c.get("vliw.batch_compiles", 0) == 0
         assert c.get("vliw.vec_compiles", 0) == 0
-        # the trace runs the py tier from the threshold on
-        assert c.get("vliw.replay_compiles", 0) == 1
-        assert c.get("vliw.backend_py", 0) == 3
+        # the trace stays on the dispatch loop: no py code, no py run
+        assert c.get("vliw.replay_compiles", 0) == 0
+        assert c.get("vliw.backend_py", 0) == 0
+        assert c["vliw.backend_interp"] == len(pattern)
         # and the lowering rejects it for both kernels
         linear = region().schedule.linear
         trace = _compile_trace(MACHINE, linear, SmarqAdapter)[0]
@@ -586,8 +590,9 @@ class TestWordListBound:
 
 
 def _batch_sources(monkeypatch):
-    """Run every golden cell from an empty artifact cache, returning the
-    source of each batch kernel generated."""
+    """Run every golden cell from an empty translation cache (so no
+    kernel is compiled yet), returning the source of each batch kernel
+    generated."""
     sources = []
     real_compile = compile
 

@@ -22,9 +22,9 @@ quadratic, an allocator that re-heapifies) fails deterministically:
    summarizes the same counters in its ``translate``/``plans``/
    ``backends`` sections;
 6. a hot trace compiles one kernel: a cold run generates at most one
-   batch-or-vec kernel per promoted trace, and ``py`` code only for
-   traces that no kernel could lower or whose kernel was demoted (an
-   execution that escapes a kernel re-runs on the dispatch loop);
+   batch-or-vec kernel per promoted trace, and no ``py`` code (only a
+   forced ``py`` tier runs it; an execution that escapes a kernel, and
+   a trace no kernel can lower, run on the dispatch loop);
 7. importing the CLI pulls in no numpy (process start-up stays lean);
 8. a program's interpreted warm-up runs once per process: a cold sweep
    of the figure schemes records it on each program's first cell
@@ -50,14 +50,16 @@ quadratic, an allocator that re-heapifies) fails deterministically:
     items;
 12. a run makes no reference cycles, so it runs with automatic cyclic
     collection paused: from empty caches, the golden cells under every
-    replay backend, and cells whose alias exception re-optimizes a region
-    after its kernel compiled, leave ``gc.garbage`` empty under
-    ``gc.DEBUG_SAVEALL``; and ``DbtSystem.run`` leaves the collector
-    enabled or disabled as it found it, also when the run raises;
+    replay backend, and cells whose alias exception replaces a
+    translation after its kernel compiled, leave ``gc.garbage`` empty
+    under ``gc.DEBUG_SAVEALL`` once a translation-cache reset has
+    dropped every compiled kernel; and ``DbtSystem.run`` leaves the
+    collector enabled or disabled as it found it, also when the run
+    raises;
 13. translation caches hold digests, not region content: after the
     golden cells run from empty caches, every key of the translation
-    cache's tiers (the full tier and ``deps``, its only stage tier) and
-    the region key heading every replay-artifact key is a 16-byte
+    cache's tiers (the full tier, whose digests also key the replay
+    artifacts, and ``deps``, its only stage tier) is a 16-byte
     ``bytes``, and no ``translate.ddg_*`` counter is counted (there is
     no DDG memo).
 """
@@ -217,16 +219,15 @@ KERNEL_CELLS = [
 
 @pytest.fixture(scope="module")
 def cold_kernel_run():
-    """One cold run (empty artifact cache) over :data:`KERNEL_CELLS` at
-    scale 0.2: the tracer counters, the codegen calls of
-    :func:`_count_codegen`, every artifact the run created, each
-    generated replay source (``compile`` rebound in
-    ``repro.sim.replay_backends``), and each compiled kernel as its
-    ``(ir, source)`` pair."""
+    """One cold run (empty translation cache, so no kernel compiled yet)
+    over :data:`KERNEL_CELLS` at scale 0.2: the tracer counters, the
+    codegen calls of :func:`_count_codegen`, each generated replay
+    source (``compile`` rebound in ``repro.sim.replay_backends``), and
+    each compiled kernel as its ``(ir, source)`` pair."""
     import repro.sim.replay_backends as backends
+    from repro.opt.translation_cache import reset_translation_cache
 
     sources = []
-    artifacts = []
     kernels = []
     real_compile = compile
 
@@ -244,29 +245,22 @@ def cold_kernel_run():
 
         return wrapper
 
-    class RecordingArtifact(backends.ReplayArtifact):
-        def __init__(self):
-            super().__init__()
-            artifacts.append(self)
-
     with pytest.MonkeyPatch.context() as mp:
         codegen = _count_codegen(mp)
         mp.setattr(backends, "compile", recording_compile, raising=False)
         for name in ("compile_vec", "compile_batch"):
             mp.setattr(backends, name, pairing(getattr(backends, name)))
-        mp.setattr(backends, "ReplayArtifact", RecordingArtifact)
-        backends.reset_artifact_cache()
+        reset_translation_cache()
         tracer = Tracer()
         try:
             for benchmark, scheme in KERNEL_CELLS:
                 program = make_benchmark(benchmark, scale=0.2)
                 DbtSystem(program, scheme, tracer=tracer).run()
         finally:
-            backends.reset_artifact_cache()
+            reset_translation_cache()
     return {
         "counters": tracer.counters,
         "codegen": codegen,
-        "artifacts": artifacts,
         "sources": sources,
         "kernels": kernels,
     }
@@ -276,13 +270,13 @@ class TestOneKernelPerTrace:
     def test_cold_run_compiles_one_kernel_per_promoted_trace(
         self, cold_kernel_run
     ):
-        """A cold run (empty artifact cache) over several cells: each
+        """A cold run (empty translation cache) over several cells: each
         promoted trace — one IR lowering — compiles at most one kernel,
-        batch or vec, and ``py`` code is generated only for traces that
-        no kernel could lower or whose kernel was demoted (its state
-        went from compiled, 1, to -1). A promotion ladder that generates
-        py, vec and batch code for every hot trace fails both bounds, and
-        so does compiling ``py`` for a kernel's one-off escape."""
+        batch or vec, and no ``py`` code is generated outside a forced
+        ``py`` tier. A promotion ladder that generates py, vec and batch
+        code for every hot trace fails both bounds, and so does adopting
+        ``py`` for a trace no kernel can lower, for a demoted kernel or
+        for a kernel's one-off escape."""
         c = cold_kernel_run["counters"]
         codegen = cold_kernel_run["codegen"]
         promoted = codegen["lower"]
@@ -291,16 +285,8 @@ class TestOneKernelPerTrace:
             "vliw.vec_compiles", 0
         )
         assert 0 < kernels <= promoted
-        unlowerable = (
-            codegen["compile_vec_rejected"]
-            + codegen["compile_batch_rejected"]
-        )
-        demoted = sum(
-            (art.batch_fn is not None and art.batch_state < 0)
-            + (art.vec_fn is not None and art.vec_state < 0)
-            for art in cold_kernel_run["artifacts"]
-        )
-        assert codegen["compile_py"] <= unlowerable + demoted
+        assert codegen["compile_py"] == 0
+        assert c.get("vliw.replay_compiles", 0) == 0
         # the kernel ran the hot loops
         assert c.get("vliw.backend_batch", 0) + c.get(
             "vliw.backend_vec", 0
@@ -545,11 +531,10 @@ class TestTranslationKeysAreDigests:
             tiers.update(
                 (name, list(tier)) for name, tier in cache._stages.items()
             )
-            tiers["replay artifacts"] = [key[0] for key in backends._artifacts]
         finally:
             reset_process_caches()
 
-        assert set(tiers) == {"full", "deps", "replay artifacts"}
+        assert set(tiers) == {"full", "deps"}
         for name, keys in tiers.items():
             assert keys, name
             assert {(type(key), len(key)) for key in keys} == {(bytes, 16)}, (
@@ -692,8 +677,8 @@ class TestPerProgramNotPerJob:
         assert alive == [False, False]
 
 
-#: cells in which an alias exception re-optimizes a region whose kernel
-#: had already compiled, so the run drops that kernel
+#: cells in which an alias exception replaces a translation whose kernel
+#: had already compiled, so the run drops that translation and its plan
 DROPPED_KERNEL_CELLS = [("ammp", "smarq", 0.05), ("ammp", "itanium", 0.05)]
 
 #: every replay backend, the default (``auto``) first
@@ -704,36 +689,31 @@ BACKENDS = next(
 
 class TestRunsMakeNoCycles:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_runs_leave_no_cyclic_garbage(self, monkeypatch, backend):
+    def test_runs_leave_no_cyclic_garbage(self, backend):
         """Everything a run drops is freed by reference counting: with
         the collector saving what it finds instead of freeing it, a
-        sweep of cells from empty caches leaves ``gc.garbage`` empty.
-        A kernel left in its own globals, or an alias exception kept
-        with its traceback, would each leave a cycle here."""
-        dropped = []
-        invalidate = backends.invalidate_artifacts
+        sweep of cells from empty caches leaves ``gc.garbage`` empty,
+        also once resetting the translation cache has dropped the
+        kernels its entries held. A kernel left in its own globals, or
+        an alias exception kept with its traceback, would each leave a
+        cycle here."""
+        from repro.opt.translation_cache import get_translation_cache
 
-        def recording(replay_key):
-            dropped.extend(
-                backends._artifacts[key]
-                for key in backends._by_replay_key.get(replay_key, ())
-            )
-            return invalidate(replay_key)
-
-        monkeypatch.setattr(backends, "invalidate_artifacts", recording)
         reset_process_caches()
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            with knobs.overridden(knobs.REPLAY_BACKEND, backend):
+            with knobs.overridden(knobs.REPLAY_BACKEND, backend), \
+                    knobs.overridden(knobs.NO_TRANSLATION_CACHE, "0"):
                 for cell in GOLDEN_CELLS + DROPPED_KERNEL_CELLS:
                     run_cell(*cell)
             compiled = sum(
                 art.batch_fn is not None or art.vec_fn is not None
                 or art.py_fn is not None
-                for art in dropped
+                for _, artifacts in get_translation_cache()._full.values()
+                for art in artifacts.values()
             )
-            del dropped[:]  # let the dropped artifacts go before collecting
+            reset_process_caches()  # drops every artifact with its entry
             gc.collect()
             garbage = [type(obj).__name__ for obj in gc.garbage]
         finally:
@@ -741,7 +721,7 @@ class TestRunsMakeNoCycles:
             gc.garbage.clear()
             reset_process_caches()
         if backend != "interp":
-            assert compiled > 0, "no run dropped a compiled kernel"
+            assert compiled > 0, "no reset dropped a compiled kernel"
         assert garbage == []
 
     @pytest.mark.parametrize("raises", [False, True])
@@ -878,7 +858,7 @@ class TestServeWarmState:
         re-executes through the engine — and the warm process-wide tiers
         must absorb all of it: zero new translation-cache misses, zero
         new kernel or ``py`` codegen, every promoted plan adopting its
-        kernel from the artifact cache."""
+        kernel from its translation-cache entry."""
         from repro.serve import ServeClient, ServeConfig, running_server
 
         codegen = _count_codegen(monkeypatch)
@@ -913,8 +893,9 @@ class TestServeWarmState:
         the four backend tiers partition every region execution, every
         planned execution is one plan hit or miss, and a repeat batch
         hits the translation cache, which ``--stats`` over ``--serve``
-        reports from these counters with the bytes its full tier
-        stored."""
+        reports from these counters with its hit rate and the bytes its
+        full tier stored, in the line local ``--stats`` prints for the
+        same counters."""
         from repro.serve import ServeClient, ServeConfig, running_server
         from repro.serve.client import RemoteEngine
 
@@ -946,11 +927,15 @@ class TestServeWarmState:
         misses = counters.get("translate.cache_misses", 0)
         stored = counters["translate.cache_store_bytes"]
         assert hits > 0 and stored > 0
-        assert (
-            f"translation cache     : {hits} hits / {misses} misses, "
-            f"{stored / 1024:.0f} KB stored"
-            in rendered.splitlines()
+        line = (
+            f"translation cache     : {hits} hits / {misses} misses "
+            f"({hits / (hits + misses):.0%} hit), {stored / 1024:.0f} KB "
+            f"stored"
         )
+        assert line in rendered.splitlines()
+        local = ExecutionEngine()
+        local.stats.counters = counters
+        assert line in local.render_stats().splitlines()
 
     def test_concurrent_duplicates_coalesce_to_one_simulation(self):
         import threading

@@ -12,11 +12,13 @@ same residue in an iteration loop). These tests pin:
 * auto mode promotes a plan at one execution-count threshold to its
   trace's one kernel (batch with a back-edge, else vec), re-runs an
   execution that escapes the kernel on the dispatch loop without
-  generating ``py`` code, and ``SMARQ_REPLAY_BACKEND`` forces/kills
-  tiers (with a forced ``vec`` degrading to ``py`` for non-lowerable
-  traces) and rejects a value it does not know;
-* re-optimization/blacklisting invalidation drops the shared artifacts
-  along with the timing plans;
+  generating ``py`` code, keeps a trace the lowering rejects on the
+  dispatch loop, and ``SMARQ_REPLAY_BACKEND`` forces/kills tiers (with
+  a forced ``vec`` degrading to ``interp`` for non-lowerable traces) and
+  rejects a value it does not know;
+* a translation-cache hit's clone adopts the kernel its miss compiled,
+  per adapter class and hardware config; with the cache off, each
+  region compiles its own;
 * the dispatch loop's ALU closures and the IR lowering accept the same
   opcodes, and reject every other one when the trace is compiled.
 """
@@ -25,6 +27,7 @@ import pytest
 
 import repro.sim.replay_backends as backends_mod
 import repro.sim.vliw as vliw_mod
+from repro import knobs
 from repro.engine.instrumentation import Tracer
 from repro.ir.instruction import (
     Instruction,
@@ -37,6 +40,7 @@ from repro.ir.instruction import (
 )
 from repro.ir.superblock import Superblock
 from repro.opt.pipeline import OptimizationPipeline, OptimizerConfig
+from repro.opt.translation_cache import reset_translation_cache
 from repro.sched.machine import MachineModel
 from repro.sim.memory import Memory
 from repro.sim.schemes import (
@@ -46,11 +50,7 @@ from repro.sim.schemes import (
     SmarqAdapter,
 )
 from repro.sim.replay_ir import OP_ALU, _lower_alu
-from repro.sim.vliw import (
-    VliwSimulator,
-    _compile_alu_fn,
-    invalidate_timing_plans,
-)
+from repro.sim.vliw import VliwSimulator, _compile_alu_fn
 
 MACHINE = MachineModel()
 
@@ -64,9 +64,11 @@ SCHEME_FACTORIES = {
 
 @pytest.fixture(autouse=True)
 def _fresh_artifacts():
-    backends_mod.reset_artifact_cache()
+    """Replay artifacts live in translation-cache entries: an empty
+    cache compiles every kernel afresh."""
+    reset_translation_cache()
     yield
-    backends_mod.reset_artifact_cache()
+    reset_translation_cache()
 
 
 def translate(insts, speculate=True):
@@ -134,7 +136,7 @@ class TestTierByteIdentity:
 
     def run_tier(self, monkeypatch, tier, make_region, r3, factory, n=3):
         monkeypatch.setenv("SMARQ_REPLAY_BACKEND", tier)
-        backends_mod.reset_artifact_cache()
+        reset_translation_cache()
         region = make_region()
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
@@ -273,25 +275,91 @@ class TestTierPromotion:
             assert (out, list(regs), mem.to_bytes()) == run
         assert oracle.stats == sim.stats
 
-    def test_shared_artifact_skips_recompilation(self):
-        """A content-identical clone adopts the cached kernel without
-        compiling again (the process-wide artifact cache)."""
-        region_a = side_exit_region()
-        region_b = side_exit_region()
-        if getattr(region_a, "_replay_key", None) is None:
-            pytest.skip("regions carry no translation key")
+    def test_rejected_trace_stays_on_the_dispatch_loop(self, monkeypatch):
+        """A trace the lowering rejects gets no kernel at the threshold
+        and stays on the dispatch loop in auto mode: it adopts no
+        ``py`` function, and no ``py`` code is generated."""
+        monkeypatch.delenv("SMARQ_REPLAY_BACKEND", raising=False)
+        for name in ("compile_vec", "compile_batch"):
+            monkeypatch.setattr(backends_mod, name, lambda *a, **k: None)
+        region = side_exit_region()
         tracer = Tracer()
         sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
+        n = vliw_mod._REPLAY_THRESHOLD + 4
+        for _ in range(n):
+            out = run_once(region, r3=0, adapter=NullAdapter(), sim=sim)[0]
+            assert out.status == "commit"
+        plan = region._vliw_trace[6]
+        assert plan.tier == "interp"
+        assert plan.replay_fn is None
+        assert plan.artifact.rejected
+        assert plan.artifact.py_fn is None
+        c = tracer.counters
+        assert c.get("vliw.backend_interp", 0) == n
+        assert c.get("vliw.backend_py", 0) == 0
+        assert c.get("vliw.replay_compiles", 0) == 0
+
+
+class TestSharedArtifacts:
+    """A translation's replay artifacts live in its translation-cache
+    entry: the clones a full-tier hit makes share them."""
+
+    @staticmethod
+    def _promote(region, sim, adapter_factory=NullAdapter):
         for _ in range(vliw_mod._REPLAY_THRESHOLD):
-            run_once(region_a, r3=0, adapter=NullAdapter(), sim=sim)
-        assert tracer.counters.get("vliw.batch_compiles", 0) == 1
+            run_once(region, r3=0, adapter=adapter_factory(), sim=sim)
+        return region._vliw_trace[6]
+
+    def test_hit_adopts_the_kernel_its_miss_compiled(self):
+        """The miss compiles the trace's kernel; the clone a full-tier
+        hit makes adopts it without compiling again."""
+        tracer = Tracer()
+        sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
+        with knobs.overridden(knobs.NO_TRANSLATION_CACHE, "0"):
+            region_a = side_exit_region()
+            region_b = side_exit_region()
+        assert region_b is not region_a
+        plan_a = self._promote(region_a, sim)
+        c = tracer.counters
+        assert c.get("vliw.batch_compiles", 0) == 1
+        assert c.get("vliw.replay_cache_hits", 0) == 0
+        plan_b = self._promote(region_b, sim)
+        assert plan_b is not plan_a
+        assert plan_b.tier == "batch"
+        assert plan_b.artifact is plan_a.artifact
+        assert c.get("vliw.batch_compiles", 0) == 1
+        assert c.get("vliw.vec_compiles", 0) == 0
+        assert c.get("vliw.replay_cache_hits", 0) == 1
+
+    def test_each_adapter_config_has_its_own_artifact(self):
+        """The entry keys its artifacts by adapter class and hardware
+        config: a clone run on another alias register count compiles
+        its own kernel."""
+        tracer = Tracer()
+        sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
+        with knobs.overridden(knobs.NO_TRANSLATION_CACHE, "0"):
+            region_a = side_exit_region()
+            region_b = side_exit_region()
+        plan_a = self._promote(region_a, sim, lambda: SmarqAdapter(64))
+        plan_b = self._promote(region_b, sim, lambda: SmarqAdapter(16))
+        assert plan_b.artifact is not plan_a.artifact
+        assert tracer.counters.get("vliw.batch_compiles", 0) == 2
         assert tracer.counters.get("vliw.replay_cache_hits", 0) == 0
-        for _ in range(vliw_mod._REPLAY_THRESHOLD):
-            run_once(region_b, r3=0, adapter=NullAdapter(), sim=sim)
-        assert region_b._vliw_trace[6].tier == "batch"
-        assert tracer.counters.get("vliw.batch_compiles", 0) == 1
-        assert tracer.counters.get("vliw.vec_compiles", 0) == 0
-        assert tracer.counters.get("vliw.replay_cache_hits", 0) == 1
+
+    def test_without_the_cache_each_region_compiles_its_own(self):
+        """With the translation cache off, a region has no entry to
+        share: it gets private artifacts and compiles its own kernel."""
+        tracer = Tracer()
+        sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
+        with knobs.overridden(knobs.NO_TRANSLATION_CACHE, "1"):
+            region_a = side_exit_region()
+            region_b = side_exit_region()
+        plan_a = self._promote(region_a, sim)
+        plan_b = self._promote(region_b, sim)
+        assert plan_b.tier == "batch"
+        assert plan_b.artifact is not plan_a.artifact
+        assert tracer.counters.get("vliw.batch_compiles", 0) == 2
+        assert tracer.counters.get("vliw.replay_cache_hits", 0) == 0
 
 
 class TestAluLowering:
@@ -365,10 +433,11 @@ class TestBackendKillSwitch:
         assert plan.artifact.vec_fn is not None
         assert tracer.counters.get("vliw.backend_vec", 0) == 1
 
-    def test_forced_vec_degrades_to_py_when_not_lowerable(self, monkeypatch):
-        """Traces the static lowering rejects (dynamic escapes, certain
-        overlaps) cannot vectorize; forced vec must silently run the py
-        tier instead."""
+    def test_forced_vec_degrades_to_interp_when_not_lowerable(
+        self, monkeypatch
+    ):
+        """Traces the static lowering rejects cannot vectorize; forced
+        vec must silently run the dispatch loop instead."""
         monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "vec")
         monkeypatch.setattr(
             backends_mod, "compile_vec", lambda *a, **k: None
@@ -379,103 +448,15 @@ class TestBackendKillSwitch:
         out = run_once(region, r3=0, adapter=NullAdapter(), sim=sim)[0]
         assert out.status == "commit"
         plan = region._vliw_trace[6]
+        assert plan.tier == "interp"
         assert plan.artifact.vec_fn is None
-        assert plan.artifact.vec_state == -1
-        assert plan.replay_fn is not None
-        assert tracer.counters.get("vliw.backend_py", 0) == 1
+        assert plan.artifact.rejected
+        assert plan.replay_fn is None
+        assert tracer.counters.get("vliw.backend_interp", 0) == 1
+        assert tracer.counters.get("vliw.backend_py", 0) == 0
         assert tracer.counters.get("vliw.backend_vec", 0) == 0
 
     def test_unknown_value_is_rejected(self, monkeypatch):
         monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "jit")
         with pytest.raises(ValueError, match="interp, py, vec, batch"):
             VliwSimulator(MACHINE, Memory(4096))
-
-
-class TestArtifactInvalidation:
-    def test_invalidation_drops_plans_and_artifacts(self, monkeypatch):
-        monkeypatch.setenv("SMARQ_REPLAY_BACKEND", "vec")
-        region = side_exit_region()
-        tracer = Tracer()
-        sim = VliwSimulator(MACHINE, Memory(4096), tracer=tracer)
-        run_once(region, r3=0, adapter=NullAdapter(), sim=sim)
-        assert tracer.counters.get("vliw.vec_compiles", 0) == 1
-        replay_key = getattr(region, "_replay_key", None)
-
-        assert invalidate_timing_plans(region) is True
-        assert region._vliw_trace is None
-        if replay_key is not None:
-            assert not any(
-                k[0] == replay_key for k in backends_mod._artifacts
-            )
-        # idempotent; a re-run recompiles everything from scratch
-        assert invalidate_timing_plans(region) is False
-        out = run_once(region, r3=0, adapter=NullAdapter(), sim=sim)[0]
-        assert out.status == "commit"
-        assert tracer.counters.get("vliw.vec_compiles", 0) == 2
-
-    def test_runtime_reoptimization_invalidates(self):
-        """The runtime invalidation hook is what re-optimize/blacklist
-        call; its contract is pinned here via the public helper."""
-        region = alias_region()
-        sim = VliwSimulator(MACHINE, Memory(4096))
-        for _ in range(vliw_mod._REPLAY_THRESHOLD):
-            run_once(region, r3=0x300, adapter=NullAdapter(), sim=sim)
-        assert region._vliw_trace is not None
-        assert invalidate_timing_plans(region) is True
-        assert region._vliw_trace is None
-
-    @staticmethod
-    def _replay_key(tag):
-        """A deep tuple like a translation key, freshly built on every
-        call: two calls give equal keys that are never identical."""
-        return ("block", tuple([tag, (1, 2, (3, 4))]), ("config", 64))
-
-    @staticmethod
-    def _index_agrees_with_cache():
-        grouped = {}
-        for key in backends_mod._artifacts:
-            grouped.setdefault(key[0], set()).add(key)
-        index = {
-            replay_key: set(keys)
-            for replay_key, keys in backends_mod._by_replay_key.items()
-        }
-        return index == grouped
-
-    def test_invalidation_drops_equal_keys_across_adapters(self):
-        key = self._replay_key("a")
-        for adapter_cls, config in (
-            (SmarqAdapter, 64), (SmarqAdapter, 16), (ItaniumAdapter, 32),
-        ):
-            backends_mod.artifact_for((key, adapter_cls, config))
-        kept = {
-            (self._replay_key("b"), SmarqAdapter, 64),
-            (self._replay_key("c"), ItaniumAdapter, 32),
-        }
-        for full_key in kept:
-            backends_mod.artifact_for(full_key)
-
-        equal = self._replay_key("a")
-        assert equal == key and equal is not key
-        assert backends_mod.invalidate_artifacts(equal) == 3
-        assert set(backends_mod._artifacts) == kept
-        assert self._index_agrees_with_cache()
-        # nothing left under that key; the others are untouched
-        assert backends_mod.invalidate_artifacts(self._replay_key("a")) == 0
-        assert set(backends_mod._artifacts) == kept
-
-    def test_eviction_keeps_cache_and_index_in_agreement(self, monkeypatch):
-        monkeypatch.setattr(backends_mod, "_CACHE_LIMIT", 6)
-        for i in range(10):
-            tag = f"t{i % 4}"
-            backends_mod.artifact_for(
-                (self._replay_key(tag), SmarqAdapter, i)
-            )
-            assert len(backends_mod._artifacts) <= 6
-            assert self._index_agrees_with_cache()
-        # the oldest entries (configs 0-3) were evicted: t0 keeps only
-        # configs 4 and 8, and invalidating it drops exactly those
-        assert backends_mod.invalidate_artifacts(self._replay_key("t0")) == 2
-        assert self._index_agrees_with_cache()
-        assert len(backends_mod._artifacts) == 4
-        backends_mod.reset_artifact_cache()
-        assert backends_mod._by_replay_key == {}

@@ -13,7 +13,6 @@ These tests pin the contract:
   commits, side exits, guest exits, fall-through and alias aborts, on
   every replay tier (the dispatch loop, ``py``, ``vec`` and ``batch``);
 * ``SMARQ_NO_TIMING_PLANS=1`` disables the machinery entirely;
-* re-translation invalidates the cached trace + plans;
 * every shipped adapter lowers each golden instruction statically, and
   the base adapter class provides no lowering or config key by default.
 """
@@ -37,7 +36,7 @@ from repro.sim.schemes import (
     NullAdapter,
     SmarqAdapter,
 )
-from repro.sim.vliw import VliwSimulator, invalidate_timing_plans
+from repro.sim.vliw import VliwSimulator
 
 from tests.test_golden_reports import GOLDEN_CELLS, run_cell
 
@@ -145,19 +144,6 @@ class TestPlanMemoization:
         assert tracer.counters.get("vliw.plan_compiles") == 1
         second = run_once(region, r3=0, sim=sim)[0]
         assert first is second
-
-    def test_invalidation_drops_cached_plans(self):
-        region = side_exit_region()
-        sim = VliwSimulator(MACHINE, Memory(4096))
-        run_once(region, r3=0, sim=sim)
-        assert region._vliw_trace is not None
-        assert invalidate_timing_plans(region) is True
-        assert region._vliw_trace is None
-        # idempotent: nothing left to drop
-        assert invalidate_timing_plans(region) is False
-        # the next execution recompiles from scratch and still works
-        outcome = run_once(region, r3=0, sim=sim)[0]
-        assert outcome.status == "commit"
 
 class TestOneOutcomePerExit:
     """A plan keeps one outcome per ``(exit index, exit kind)``, shared

@@ -37,6 +37,9 @@ from repro.opt.translation_cache import (
 )
 from repro.sched.machine import MachineModel
 from repro.sim.dbt import DbtSystem
+from repro.sim.memory import Memory
+from repro.sim.schemes import NullAdapter, make_scheme
+from repro.sim.vliw import _REPLAY_THRESHOLD, VliwSimulator
 from repro.workloads import make_benchmark
 
 from tests.test_golden_reports import (
@@ -241,15 +244,40 @@ class TestKillSwitch:
 
 class TestLruBound:
     def test_full_tier_respects_max_entries(self, monkeypatch):
+        """The full tier keeps ``_DEFAULT_ENTRIES`` translations, and an
+        evicted entry takes its replay artifacts with it: while the
+        entry lives, a hit adopts the kernel its miss compiled; once it
+        is evicted, a new region of its key compiles the kernel again."""
         monkeypatch.setattr(translation_cache, "_DEFAULT_ENTRIES", 2)
+        monkeypatch.delenv(knobs.REPLAY_BACKEND, raising=False)
         reset_translation_cache()
         pipeline = OptimizationPipeline(MachineModel())
-        for pc in (7, 8, 9, 10):
+        tracer = Tracer()
+        sim = VliwSimulator(MachineModel(), Memory(4096), tracer=tracer)
+        c = tracer.counters
+
+        def translate(pc):
             block = _spec_block()
             block.entry_pc = pc
-            pipeline.optimize(block)
-        cache = get_translation_cache()
-        assert len(cache._full) == 2
+            return pipeline.optimize(block)
+
+        def kernels_after_promoting(pc):
+            region = translate(pc)
+            for _ in range(_REPLAY_THRESHOLD):
+                sim.execute_region(region, NullAdapter(), [0] * 64)
+            assert region._vliw_trace[6].tier == "batch"
+            return c.get("vliw.batch_compiles", 0)
+
+        with knobs.overridden(knobs.NO_TRANSLATION_CACHE, "0"):
+            assert kernels_after_promoting(7) == 1
+            assert kernels_after_promoting(7) == 1
+            assert c["vliw.replay_cache_hits"] == 1
+            for pc in (8, 9, 10):
+                translate(pc)
+            cache = get_translation_cache()
+            assert len(cache._full) == 2
+            assert kernels_after_promoting(7) == 2
+        assert c["vliw.replay_cache_hits"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -322,9 +350,34 @@ def _profile_flips(block):
     )
 
 
+def _flipped_machine(machine, name):
+    """``machine`` with field ``name`` flipped: a number doubled, the
+    name suffixed, every slot count doubled or every latency one cycle
+    longer."""
+    value = getattr(machine, name)
+    if isinstance(value, str):
+        value += "-flipped"
+    elif isinstance(value, int):
+        value = value * 2 if value else 1
+    elif name == "slots":
+        value = {unit: 2 * count for unit, count in value.items()}
+    elif name == "latencies":
+        value = {op: lat + 1 for op, (_, lat) in machine.op_table.items()}
+    else:
+        raise AssertionError(f"no flip for MachineModel.{name} = {value!r}")
+    return dataclasses.replace(machine, **{name: value})
+
+
+#: each MachineModel field, flipped by :func:`_flipped_machine`
+MACHINE_FLIPS = [
+    ("machine", f.name) for f in dataclasses.fields(MachineModel)
+]
+
+
 def _apply(flip, pipeline, pc):
     """Apply a config, hint or ban flip to ``pipeline`` for the region
-    at ``pc``; a knob flip applies through :func:`_under`."""
+    at ``pc``; a knob flip applies through :func:`_under`, and a machine
+    flip where the pipeline is built."""
     kind, arg = flip
     if kind == "config":
         value = _flipped(arg, getattr(pipeline.config, arg))
@@ -366,8 +419,11 @@ def _translate(pipeline, block, flip=None, **layout):
     (``layout`` replaces its region map or register regions), from an
     empty translation cache."""
     reset_translation_cache()
+    machine = pipeline.machine
+    if flip is not None and flip[0] == "machine":
+        machine = _flipped_machine(machine, flip[1])
     twin = OptimizationPipeline(
-        pipeline.machine,
+        machine,
         dataclasses.replace(pipeline.config),
         layout.get("region_map", pipeline.region_map),
         layout.get("register_regions", pipeline.register_regions),
@@ -378,10 +434,34 @@ def _translate(pipeline, block, flip=None, **layout):
         return twin.optimize(block.copy())
 
 
+def _full_digest(pipeline, block, flip=None):
+    """The full-tier digest that :func:`_translate` keys ``block``'s
+    translation by: what the twin's ``_full_key`` returned."""
+    digests = []
+    full_key = OptimizationPipeline._full_key
+
+    def recording(twin, *parts):
+        digests.append(full_key(twin, *parts))
+        return digests[-1]
+
+    with pytest.MonkeyPatch.context() as patch, knobs.overridden(
+        knobs.NO_TRANSLATION_CACHE, "0"
+    ):
+        patch.setattr(OptimizationPipeline, "_full_key", recording)
+        _translate(pipeline, block, flip)
+    (digest,) = digests
+    return digest
+
+
 def _report_under(cell, flip, pc):
     """The cell's canonical report with ``flip`` applied to its pipeline,
     translated afresh from empty process-wide caches."""
     bench, scheme, scale = cell
+    if flip[0] == "machine":
+        scheme = make_scheme(scheme)
+        scheme = dataclasses.replace(
+            scheme, machine=_flipped_machine(scheme.machine, flip[1])
+        )
     reset_process_caches()
     try:
         system = DbtSystem(
@@ -420,19 +500,21 @@ class TestDigestKeys:
     def test_full_key_covers_every_input_that_changes_a_report(
         self, cell, monkeypatch
     ):
-        """Flipping any optimizer config field, alias hint or speculation
-        ban of a golden cell's translation (and ``SMARQ_NO_CERTIFY``
-        under smarq-cert) changes its full-tier digest, unless the cell's
-        report under the flip is its golden report byte for byte."""
+        """Flipping any optimizer config field, alias hint, speculation
+        ban or machine model field of a golden cell's translation (and
+        ``SMARQ_NO_CERTIFY`` under smarq-cert) changes its full-tier
+        digest, unless the cell's report under the flip is its golden
+        report byte for byte. The digest also keys the translation's
+        replay kernels."""
         pipeline, block = _translation_of(cell, monkeypatch)
-        flips = _profile_flips(block)
+        flips = _profile_flips(block) + MACHINE_FLIPS
         if pipeline.config.certify:
             flips.append(("knob", knobs.NO_CERTIFY))
         golden = golden_path(*cell).read_text(encoding="utf-8")
-        base = _translate(pipeline, block)._replay_key
+        base = _full_digest(pipeline, block)
         assert type(base) is bytes and len(base) == 16
         for flip in flips:
-            if _translate(pipeline, block, flip)._replay_key == base:
+            if _full_digest(pipeline, block, flip) == base:
                 assert _report_under(cell, flip, block.entry_pc) == golden, (
                     flip
                 )

@@ -27,7 +27,6 @@ from repro.frontend.profiler import ProfilerConfig
 from repro.opt.translation_cache import reset_translation_cache
 from repro.sim.dbt import DbtSystem, reset_prefix_memo
 from repro.sim.memory import Memory, MemoryFault
-from repro.sim.replay_backends import reset_artifact_cache
 from repro.sim.vliw import _restore_words
 from repro.workloads import make_benchmark
 
@@ -186,7 +185,6 @@ class TestMemory:
 
 
 def _reset_caches():
-    reset_artifact_cache()
     reset_translation_cache()
     reset_prefix_memo()
 
